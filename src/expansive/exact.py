@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -64,18 +65,114 @@ def format_fraction(x: Fraction) -> str:
 
 # === matrices ===
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def _int_matmul(a: Sequence[int], b: Sequence[int], n: int, k: int, m: int) -> list[int]:
+    """Row-major product of an n x k and a k x m integer matrix."""
+    rows = [a[i * k : (i + 1) * k] for i in range(n)]
+    cols = [b[j::m] for j in range(m)]
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+
 class QMatrix:
-    """Immutable rational matrix, entries stored row-major."""
+    """Immutable rational matrix, row-major.
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    Stored as integer numerators ``num`` over one positive common
+    denominator ``den`` with ``gcd(den, *num) == 1``, so equal matrices
+    have equal storage.  Products, sums, hashing and ``char_poly`` work on
+    these integers.  ``entries`` gives the same values as Fractions; it is
+    built on first use, and a matrix built from Fractions keeps them and
+    works out ``num``/``den`` on first use instead.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
+    __slots__ = ("rows", "cols", "_entries", "_num", "_den", "_hash")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]) -> None:
+        entries = tuple(entries)
+        if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise DimensionMismatchError("entry count does not match shape")
+        self._fill(rows, cols, entries, None, None)
+
+    def _fill(self, rows: int, cols: int, entries, num, den) -> None:
+        for name, value in zip(QMatrix.__slots__, (rows, cols, entries, num, den, None)):
+            _set(self, name, value)
+
+    @staticmethod
+    def _make(rows: int, cols: int, num: Sequence[int], den: int) -> "QMatrix":
+        """num / den, which must already be reduced."""
+        m = object.__new__(QMatrix)
+        m._fill(rows, cols, None, tuple(num), den)
+        return m
+
+    @staticmethod
+    def _reduced(rows: int, cols: int, num: Sequence[int], den: int) -> "QMatrix":
+        """num / den for any positive den, reduced by the common gcd."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        return QMatrix._make(rows, cols, num, den)
+
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        num = self._num
+        if num is None:
+            ents = self._entries
+            # the lcm of reduced denominators leaves gcd(den, *num) == 1
+            den = math.lcm(*(e.denominator for e in ents))
+            num = tuple(e.numerator * (den // e.denominator) for e in ents)
+            _set(self, "_num", num)
+            _set(self, "_den", den)
+        return num, self._den
+
+    @property
+    def num(self) -> tuple[int, ...]:
+        return self._ints()[0]
+
+    @property
+    def den(self) -> int:
+        return self._ints()[1]
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        ents = self._entries
+        if ents is None:
+            den = self._den
+            ents = tuple(map(Fraction, self._num)) if den == 1 else tuple(Fraction(x, den) for x in self._num)
+            _set(self, "_entries", ents)
+        return ents
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("QMatrix is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("QMatrix is immutable")
+
+    def __reduce__(self):
+        return QMatrix, (self.rows, self.cols, self.entries)
+
+    def __repr__(self) -> str:
+        return f"QMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        if self.rows != other.rows or self.cols != other.cols:
+            return False
+        a, da = self._ints()
+        b, db = other._ints()
+        return da == db and a == b
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            num, den = self._ints()
+            h = hash((self.rows, self.cols, den, num))
+            _set(self, "_hash", h)
+        return h
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "QMatrix":
@@ -86,21 +183,21 @@ class QMatrix:
             if len(r) != nc:
                 raise DimensionMismatchError("ragged rows")
             ents.extend(to_fraction(x) for x in r)
-        return QMatrix(nr, nc, tuple(ents))
+        return QMatrix(nr, nc, ents)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+        return QMatrix._make(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)], 1)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols, (Fraction(0),) * (rows * cols))
+        return QMatrix._make(rows, cols, (0,) * (rows * cols), 1)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[Fraction]]) -> "QMatrix":
         nc = len(cols)
         nr = len(cols[0]) if nc else 0
-        return QMatrix(nr, nc, tuple(cols[j][i] for i in range(nr) for j in range(nc)))
+        return QMatrix(nr, nc, [cols[j][i] for i in range(nr) for j in range(nc)])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -110,7 +207,7 @@ class QMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -119,53 +216,55 @@ class QMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
+    def _combine(self, other: "QMatrix", sign: int, op: str) -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("shape mismatch in +")
-        return QMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+            raise DimensionMismatchError(f"shape mismatch in {op}")
+        a, da = self._ints()
+        b, db = other._ints()
+        den = math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return QMatrix._reduced(self.rows, self.cols, [x * fa + y * fb for x, y in zip(a, b)], den)
+
+    def __add__(self, other: "QMatrix") -> "QMatrix":
+        return self._combine(other, 1, "+")
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("shape mismatch in -")
-        return QMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1, "-")
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        num, den = self._ints()
+        return QMatrix._make(self.rows, self.cols, [-x for x in num], den)
 
     def scale(self, c: RationalLike) -> "QMatrix":
         c = to_fraction(c)
-        return QMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        num, den = self._ints()
+        p = c.numerator
+        return QMatrix._reduced(self.rows, self.cols, [p * x for x in num], den * c.denominator)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError("shape mismatch in @")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [Fraction(0)] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            base = i * m
-            for t in range(k):
-                c = arow[t]
-                if c:
-                    brow = b[t * m : (t + 1) * m]
-                    for j in range(m):
-                        if brow[j]:
-                            out[base + j] += c * brow[j]
-        return QMatrix(n, m, tuple(out))
+        a, da = self._ints()
+        b, db = other._ints()
+        return QMatrix._reduced(self.rows, other.cols, _int_matmul(a, b, self.rows, self.cols, other.cols), da * db)
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length mismatch")
-        return tuple(sum((self[i, j] * v[j] for j in range(self.cols)), Fraction(0)) for i in range(self.rows))
+        c = self.cols
+        ents = self.entries
+        return tuple(sum((ents[i * c + j] * v[j] for j in range(c)), Fraction(0)) for i in range(self.rows))
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        num, den = self._ints()
+        c = self.cols
+        return QMatrix._make(c, self.rows, [x for j in range(c) for x in num[j::c]], den)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise NonSquareError("trace of non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        num, den = self._ints()
+        return Fraction(sum(num[:: self.rows + 1]), den)
 
     def det(self) -> Fraction:
         if not self.is_square:
@@ -208,10 +307,13 @@ class QMatrix:
         return QMatrix.from_rows([row[n:] for row in a])
 
     def is_integer(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries)
+        return self._ints()[1] == 1
 
     def to_floats(self) -> list[list[float]]:
-        return [[float(x) for x in self.row(i)] for i in range(self.rows)]
+        # int true division rounds correctly, so each float equals float(entry)
+        num, den = self._ints()
+        c = self.cols
+        return [[x / den for x in num[i * c : (i + 1) * c]] for i in range(self.rows)]
 
     def to_json(self) -> list[list[str]]:
         return [[format_fraction(x) for x in self.row(i)] for i in range(self.rows)]
@@ -577,19 +679,27 @@ def poly_of_matrix(p: QPoly, m: QMatrix) -> QMatrix:
 def char_poly(m: QMatrix) -> QPoly:
     """Monic characteristic polynomial det(zI - M), exactly.
 
-    Uses the trace recurrence on M, M(M + c_1 I), ... which stays in exact
-    rational arithmetic throughout.
+    Faddeev-LeVerrier on the integer numerators A of M = A / den: with
+    B_1 = A, e_k = -tr(B_k) / k and B_{k+1} = A (B_k + e_k I), every e_k is
+    the (integer) coefficient of z^(n-k) in det(zI - A), so the division by
+    k is exact, and M's coefficient is e_k / den^k.
     """
     if not m.is_square:
         raise NonSquareError("characteristic polynomial of non-square matrix")
     n = m.rows
+    a, den = m._ints()
     coeffs = [Fraction(1)]  # of z^n, then z^{n-1}, ...
-    mk = m
+    bk: Sequence[int] = a
+    den_k = 1
     for k in range(1, n + 1):
-        ck = -mk.trace() / k
-        coeffs.append(ck)
+        ek = -sum(bk[:: n + 1]) // k
+        den_k *= den
+        coeffs.append(Fraction(ek, den_k))
         if k < n:
-            mk = m @ (mk + QMatrix.identity(n).scale(ck))
+            shifted = list(bk)
+            for i in range(0, n * n, n + 1):
+                shifted[i] += ek
+            bk = _int_matmul(a, shifted, n, n, n)
     return QPoly.from_coeffs(list(reversed(coeffs)))
 
 

@@ -37,7 +37,7 @@ from .exact import (
     rational_roots,
     solve_exact,
 )
-from .spectral import GROUP, SEMIGROUP, check_mode, single_expansive, unit_disk_profile
+from .spectral import GROUP, SEMIGROUP, DiskProfile, check_mode, single_expansive, unit_disk_profile
 
 EXPANSIVE = "Expansive"
 NOT_EXPANSIVE = "NotExpansive"
@@ -167,25 +167,38 @@ def iter_words(action: SemigroupAction, max_len: int, budget: int):
         frontier = nxt
 
 
-def _word_prescreen(m: QMatrix, mode: str) -> bool:
-    """Cheap float filter; anything within 1e-8 of the boundary survives."""
+def _word_prescreen(m: QMatrix) -> bool:
+    """Cheap float filter for semigroup mode: drops words with an eigenvalue
+    clearly inside the unit disk; anything within 1e-9 of it survives."""
     mods = np.abs(np.linalg.eigvals(np.array(m.to_floats(), dtype=float)))
-    if mode == SEMIGROUP:
-        return bool(np.min(mods) > 1 - 1e-9)
-    return bool(np.all(np.abs(mods - 1) > 1e-9) or np.min(np.abs(mods - 1)) <= 1e-8)
+    return bool(np.min(mods) > 1 - 1e-9)
 
 
-def find_expansive_word(action: SemigroupAction, max_len: int, budget: int):
+class ExpansiveWord(tuple):
+    """The pair (word, matrix) of an expansive word; ``profile`` is the
+    matrix's unit disk profile, so callers need not recompute it."""
+
+    def __new__(cls, word: tuple[str, ...], matrix: QMatrix, profile: DiskProfile) -> "ExpansiveWord":
+        hit = super().__new__(cls, (word, matrix))
+        hit.profile = profile
+        return hit
+
+
+def find_expansive_word(action: SemigroupAction, max_len: int, budget: int) -> Optional[ExpansiveWord]:
     """First word whose single matrix is expansive in the action's mode."""
+    # group mode refutes a word only by a modulus of exactly 1, which a float
+    # screen cannot tell from one merely near 1, so there it rejects nothing
+    screen = action.mode == SEMIGROUP
     for word, m in iter_words(action, max_len, budget):
-        if not _word_prescreen(m, action.mode):
+        if screen and not _word_prescreen(m):
             continue
         p = char_poly(m)
         # exact root at 0 or +-1 already refutes expansiveness of the word
         if p(1) == 0 or p(-1) == 0 or p(0) == 0:
             continue
-        if single_expansive(m, action.mode).expansive:
-            return word, m
+        verdict = single_expansive(m, action.mode, p)
+        if verdict.expansive:
+            return ExpansiveWord(word, m, verdict.profile)
     return None
 
 
@@ -360,7 +373,7 @@ def bounded_subspace_estimate(
         quo = _quotient_action(action, candidate)[0] if candidate.dim else action
         hit = find_expansive_word(quo, max(4, depth // 2), cfg.word_budget // 4)
         if hit is not None:
-            escape = {"word": list(hit[0]), "profile": unit_disk_profile(char_poly(hit[1])).to_json()}
+            escape = {"word": list(hit[0]), "profile": hit.profile.to_json()}
         else:
             for word, m in iter_words(quo, max(4, depth // 2), cfg.word_budget // 4):
                 prof = unit_disk_profile(char_poly(m))
@@ -660,8 +673,10 @@ def expansiveness_check(
     if res.status != NOT_EXPANSIVE:
         try:
             evidence["jsr"] = jsr_bounds(action, min(depth, cfg.jsr_depth), cfg.jsr_tol)
-        except Exception:
-            pass
+        except Exception as exc:  # the bracket is advisory: record the failure, keep the verdict
+            evidence.setdefault("errors", []).append(
+                {"stage": "jsr_bounds", "type": type(exc).__name__, "message": str(exc)}
+            )
     return replace(res, evidence=evidence)
 
 
@@ -682,9 +697,8 @@ def _analyze_uncached(action: SemigroupAction, depth: int, cfg: EngineConfig, me
     # 1. single-element spectral certificate
     found = find_expansive_word(action, depth, cfg.word_budget)
     if found is not None:
-        word, m = found
-        prof = unit_disk_profile(char_poly(m))
-        cert = {"kind": "word_spectrum", "word": list(word), "profile": prof.to_json()}
+        word = found[0]
+        cert = {"kind": "word_spectrum", "word": list(word), "profile": found.profile.to_json()}
         ev = {"escape_words": [list(word)], "route": "word-spectrum"}
         return ExpansivenessVerdict(EXPANSIVE, None, cert, ev, depth)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .exact import (
     NotInvertibleError,
@@ -234,15 +235,16 @@ def unit_disk_profile(p: QPoly) -> DiskProfile:
     return prof
 
 
-def single_expansive(m: QMatrix, mode: str) -> SingleVerdict:
+def single_expansive(m: QMatrix, mode: str, poly: Optional[QPoly] = None) -> SingleVerdict:
     """Expansiveness of the action generated by a single matrix.
 
     In semigroup mode the test is that no eigenvalue lies in the closed
     unit disk; in group mode (which requires invertibility) that no
-    eigenvalue lies on the unit circle.
+    eigenvalue lies on the unit circle.  ``poly``, when given, must be
+    ``char_poly(m)``; it saves computing that again.
     """
     check_mode(mode)
-    p = char_poly(m)
+    p = char_poly(m) if poly is None else poly
     profile = unit_disk_profile(p)
     if mode == GROUP:
         if profile.at_zero > 0:

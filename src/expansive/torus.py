@@ -76,15 +76,11 @@ class TorusPoint:
         return [str(c) for c in self.coords]
 
 
-def _is_integer_matrix(m: QMatrix) -> bool:
-    return all(x.denominator == 1 for x in m.entries)
-
-
 def _check_integer_generators(action: SemigroupAction) -> None:
     for name, g in zip(action.names, action.mats):
         if name.endswith(INVERSE_SUFFIX):
             continue
-        if not _is_integer_matrix(g):
+        if not g.is_integer():
             raise NonIntegerEntriesError(f"generator {name!r} has non-integer entries")
 
 

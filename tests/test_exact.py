@@ -1,5 +1,8 @@
 """Tests for the exact rational linear algebra and polynomial layer."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -357,3 +360,170 @@ def test_reverse_is_an_involution_off_the_origin(p):
     if p.is_zero or p.constant == 0:
         return
     assert p.reverse().reverse() == p
+
+
+# ------------------------------------- integer-scaled storage of QMatrix
+
+
+mixed_fracs = st.one_of(
+    st.just(F(0)),
+    st.integers(min_value=-9, max_value=9).map(F),
+    st.fractions(min_value=F(-6), max_value=F(6), max_denominator=12),
+)
+dims = st.integers(min_value=0, max_value=3)
+
+
+def rational_matrices(rows, cols, elements=mixed_fracs):
+    return st.lists(elements, min_size=rows * cols, max_size=rows * cols).map(
+        lambda xs: QMatrix(rows, cols, tuple(xs))
+    )
+
+
+@st.composite
+def shaped(draw, square=False):
+    rows = draw(dims)
+    return draw(rational_matrices(rows, rows if square else draw(dims)))
+
+
+def to_sp(m):
+    return sp.Matrix(m.rows, m.cols, [sp.Rational(x.numerator, x.denominator) for x in m.entries])
+
+
+def assert_storage(m, ref):
+    """m is reduced, and both its integer form and its entries equal ref."""
+    assert (m.rows, m.cols) == ref.shape
+    assert m.den > 0 and math.gcd(m.den, *m.num) == 1
+    assert len(m.num) == m.rows * m.cols
+    want = [F(int(sp.numer(x)), int(sp.denom(x))) for x in ref]
+    assert [F(x, m.den) for x in m.num] == want
+    assert list(m.entries) == want
+
+
+@given(shaped())
+@settings(max_examples=60, deadline=None)
+def test_storage_is_reduced_and_matches_entries(a):
+    assert_storage(a, to_sp(a))
+    assert a.is_integer() == all(x.denominator == 1 for x in a.entries)
+    if not any(a.entries):
+        assert a.den == 1
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = draw(dims), draw(dims), draw(dims)
+    return draw(rational_matrices(n, k)), draw(rational_matrices(k, m))
+
+
+@given(product_pairs())
+@settings(max_examples=80, deadline=None)
+def test_product_matches_sympy(pair):
+    a, b = pair
+    assert_storage(a @ b, to_sp(a) * to_sp(b))
+    # the product of integer-stored matrices takes the same route
+    assert_storage((a @ b).transpose(), (to_sp(a) * to_sp(b)).T)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    rows, cols = draw(dims), draw(dims)
+    return draw(rational_matrices(rows, cols)), draw(rational_matrices(rows, cols))
+
+
+@given(same_shape_pairs(), mixed_fracs)
+@settings(max_examples=80, deadline=None)
+def test_sum_difference_scale_transpose_match_sympy(pair, c):
+    a, b = pair
+    sa, sb = to_sp(a), to_sp(b)
+    sc = sp.Rational(c.numerator, c.denominator)
+    assert_storage(a + b, sa + sb)
+    assert_storage(a - b, sa - sb)
+    assert_storage(-a, -sa)
+    assert_storage(a.scale(c), sa * sc)
+    assert_storage(a.transpose(), sa.T)
+    assert_storage((a - b).scale(c).transpose(), ((sa - sb) * sc).T)
+    assert_storage(a - a, sp.zeros(a.rows, a.cols))
+
+
+@given(shaped(square=True))
+@settings(max_examples=80, deadline=None)
+def test_square_operations_match_sympy(a):
+    sa = to_sp(a)
+    z = sp.Symbol("z")
+    assert sp.Rational(a.trace().numerator, a.trace().denominator) == sa.trace()
+    assert sp.Rational(a.det().numerator, a.det().denominator) == sa.det()
+    want = [F(int(sp.numer(x)), int(sp.denom(x))) for x in reversed(sa.charpoly(z).all_coeffs())]
+    assert list(char_poly(a).coeffs) == want
+    # the same polynomial from the integer-stored route
+    assert char_poly(a @ QMatrix.identity(a.rows)) == char_poly(a)
+    if sa.det() == 0:
+        with pytest.raises(NotInvertibleError):
+            a.inverse()
+    else:
+        assert_storage(a.inverse(), sa.inv())
+
+
+def test_zero_and_empty_shapes():
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 2)):
+        z = QMatrix.zero(rows, cols)
+        assert (z.num, z.den) == ((0,) * (rows * cols), 1)
+        assert z == QMatrix(rows, cols, (F(0),) * (rows * cols))
+        assert z.to_floats() == [[0.0] * cols for _ in range(rows)]
+    assert QMatrix.zero(0, 3) != QMatrix.zero(3, 0)
+    assert (QMatrix.zero(2, 0) @ QMatrix.zero(0, 3)) == QMatrix.zero(2, 3)
+    assert (QMatrix.zero(0, 2) @ QMatrix.zero(2, 3)) == QMatrix.zero(0, 3)
+    assert QMatrix.identity(0).trace() == 0 and QMatrix.identity(0).det() == 1
+    assert char_poly(QMatrix.identity(0)) == QPoly.one()
+
+
+wide_fracs = st.builds(
+    F, st.integers(min_value=-(10**40), max_value=10**40), st.integers(min_value=1, max_value=10**30)
+)
+
+
+@given(st.one_of(shaped(), dims.flatmap(lambda n: rational_matrices(n, 2, wide_fracs))), shaped())
+@settings(max_examples=80, deadline=None)
+def test_to_floats_is_bit_identical_to_float_of_fraction(a, b):
+    for m in (a, a.scale(F(1, 3)), a @ QMatrix.identity(a.cols)):
+        floats = [x for row in m.to_floats() for x in row]
+        assert [x.hex() for x in floats] == [float(e).hex() for e in m.entries]
+    if a.cols == b.rows:
+        p = a @ b
+        assert [x.hex() for row in p.to_floats() for x in row] == [float(e).hex() for e in p.entries]
+
+
+@given(dims.flatmap(lambda n: rational_matrices(n, n)), mixed_fracs)
+@settings(max_examples=60, deadline=None)
+def test_equal_matrices_by_different_routes_hash_equal(a, c):
+    n = a.rows
+    routes = [
+        a,
+        QMatrix.from_rows(a.to_rows()),
+        QMatrix.from_json(a.to_json()),
+        a @ QMatrix.identity(n),
+        QMatrix.identity(n) @ a,
+        a.scale(3).scale(F(1, 3)),
+        a + QMatrix.zero(n, n),
+        a.transpose().transpose(),
+    ]
+    for m in routes:
+        assert m == a and hash(m) == hash(a)
+        assert (m.num, m.den) == (a.num, a.den)
+    diagonal = [
+        QMatrix.identity(n).scale(c),
+        QMatrix.from_rows([[c if i == j else 0 for j in range(n)] for i in range(n)]),
+        QMatrix.from_json([[str(c) if i == j else "0" for j in range(n)] for i in range(n)]),
+        QMatrix.identity(n).scale(2 * c) @ QMatrix.identity(n).scale(F(1, 2)),
+    ]
+    for m in diagonal:
+        assert m == diagonal[0] and hash(m) == hash(diagonal[0])
+    assert len({*routes, *diagonal}) == (1 if a == diagonal[0] else 2)
+
+
+def test_matrix_is_immutable_and_copies():
+    a = M([[1, F(1, 2)], [0, 3]])
+    with pytest.raises(AttributeError):
+        a.rows = 3
+    with pytest.raises(AttributeError):
+        a.num = (1, 2, 3, 4)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a)

@@ -1,11 +1,15 @@
 """Tests for the expansiveness semi-decision engine."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expansive import orbits
+from expansive.cli import parse_action
 from expansive.exact import QMatrix, Subspace, is_invariant, is_positive_semidefinite
 from expansive.orbits import (
     EXPANSIVE,
@@ -24,6 +28,7 @@ from expansive.orbits import (
     jsr_bounds,
     orbit_simulate,
 )
+from expansive.spectral import single_expansive
 
 F = Fraction
 
@@ -396,3 +401,65 @@ def test_engine_group_mode_agrees_with_single_matrix_test(rows):
         assert direct.expansive
     if res.status == NOT_EXPANSIVE:
         assert not direct.expansive
+
+
+# --- the word search returns the first word the exact test accepts ---
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def first_accepted_word(action, max_len, budget):
+    for word, m in iter_words(action, max_len, budget):
+        if single_expansive(m, action.mode).expansive:
+            return word, m
+    return None
+
+
+def assert_search_matches_exact_scan(action, max_len, budget):
+    found = find_expansive_word(action, max_len, budget)
+    expected = first_accepted_word(action, max_len, budget)
+    if expected is None:
+        assert found is None
+    else:
+        assert tuple(found) == expected
+        assert found.profile == single_expansive(expected[1], action.mode).profile
+
+
+@pytest.mark.parametrize("fixture, max_len, budget", [("sl2_generators", 10, 4000), ("affine_sl2", 4, 400)])
+def test_group_word_search_matches_exact_scan_on_fixtures(fixture, max_len, budget):
+    action = parse_action(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    assert action.mode == "group"
+    assert_search_matches_exact_scan(action, max_len, budget)
+
+
+invertible_2x2 = st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=2, max_size=2),
+    min_size=2,
+    max_size=2,
+).map(M).filter(lambda m: m.det() != 0)
+
+
+@given(st.lists(invertible_2x2, min_size=1, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_group_word_search_matches_exact_scan(mats):
+    action = act([(f"g{i}", m) for i, m in enumerate(mats)], "group")
+    assert_search_matches_exact_scan(action, 4, 60)
+
+
+def test_jsr_failure_is_recorded_and_keeps_the_verdict(monkeypatch):
+    action = act([("a", CAT), ("s", SHEAR)], "group")
+    honest = expansiveness_check(action, depth=6)
+    assert "jsr" in honest.evidence and "errors" not in honest.evidence
+
+    def broken(*args, **kwargs):
+        raise FloatingPointError("overflow in the bracket")
+
+    monkeypatch.setattr(orbits, "jsr_bounds", broken)
+    res = expansiveness_check(action, depth=6)
+    assert res.status == honest.status
+    assert res.certificate == honest.certificate
+    assert "jsr" not in res.evidence
+    assert res.evidence["errors"] == [
+        {"stage": "jsr_bounds", "type": "FloatingPointError", "message": "overflow in the bracket"}
+    ]
