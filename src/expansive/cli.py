@@ -17,11 +17,8 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import __version__
 from .exact import (
@@ -137,10 +134,6 @@ def _plain(x):
         return [_plain(v) for v in x]
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
     return x
 
 
@@ -341,6 +334,8 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
         return {"lifted": True, "values": lifted.to_json(), "bound": str(lifted.bound)}
 
     if args.threads > 1 and len(windows) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             lifts = list(pool.map(one, windows))
     else:

@@ -11,8 +11,9 @@ orbit, so the engine hunts for one of two kinds of exact evidence:
   norm, which bounds every orbit inside it (NotExpansive witness).
 
 Floating point appears only in search heuristics (eigenvalue prescreens,
-Gram-matrix growth statistics, JSR bounds); every verdict-bearing claim is
-re-derived in rational arithmetic.  Unknown is an honest third answer.
+Gram-matrix growth statistics, JSR bounds), and numpy is imported only
+inside those stages; every verdict-bearing claim is re-derived in rational
+arithmetic.  Unknown is an honest third answer.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .exact import (
     QMatrix,
@@ -38,6 +37,9 @@ from .exact import (
     solve_exact,
 )
 from .spectral import GROUP, SEMIGROUP, DiskProfile, check_mode, single_expansive, unit_disk_profile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXPANSIVE = "Expansive"
 NOT_EXPANSIVE = "NotExpansive"
@@ -137,6 +139,8 @@ class ExpansivenessVerdict:
 
 
 def _float_mats(action: SemigroupAction) -> list[np.ndarray]:
+    import numpy as np
+
     return [np.array(m.to_floats(), dtype=float) for m in action.mats]
 
 
@@ -170,6 +174,8 @@ def iter_words(action: SemigroupAction, max_len: int, budget: int):
 def _word_prescreen(m: QMatrix) -> bool:
     """Cheap float filter for semigroup mode: drops words with an eigenvalue
     clearly inside the unit disk; anything within 1e-9 of it survives."""
+    import numpy as np
+
     mods = np.abs(np.linalg.eigvals(np.array(m.to_floats(), dtype=float)))
     return bool(np.min(mods) > 1 - 1e-9)
 
@@ -193,8 +199,10 @@ def find_expansive_word(action: SemigroupAction, max_len: int, budget: int) -> O
         if screen and not _word_prescreen(m):
             continue
         p = char_poly(m)
-        # exact root at 0 or +-1 already refutes expansiveness of the word
-        if p(1) == 0 or p(-1) == 0 or p(0) == 0:
+        cs = p.coeffs
+        # an exact root at 0 or +-1 already refutes expansiveness of the word;
+        # p(0), p(1) and p(-1) are the constant, the sum and the alternating sum
+        if p.constant == 0 or sum(cs) == 0 or sum(cs[::2]) == sum(cs[1::2]):
             continue
         verdict = single_expansive(m, action.mode, p)
         if verdict.expansive:
@@ -217,6 +225,8 @@ def orbit_simulate(
     lies within 2^-20 of a previously expanded one with at least the same
     norm is not re-expanded.
     """
+    import numpy as np
+
     vec = np.array([float(x) for x in v], dtype=float)
     norm0 = float(np.linalg.norm(vec))
     if norm0 == 0:
@@ -253,30 +263,46 @@ def orbit_simulate(
 
 def jsr_bounds(action: SemigroupAction, depth: int, tol: float) -> dict:
     """Joint spectral radius bracket: averaged spectral radii from below,
-    Gripenberg branch-and-bound on norm products from above."""
-    mats = _float_mats(action)
+    Gripenberg branch-and-bound on norm products from above.
+
+    The lower bound makes one stacked eigenvalue call over all words, the
+    upper bound one stacked product and one stacked SVD call per level; the
+    roots, mins and maxima stay per word in Python floats, so both bounds
+    equal those of a word-by-word loop bit for bit.
+    """
+    import numpy as np
+
+    n = action.dim
+    budget = 2000
+    stack = np.empty((budget, n, n))
+    lengths: list[int] = []
+    for word, m in iter_words(action, depth, budget):
+        stack[len(lengths)] = m.to_floats()
+        lengths.append(len(word))
     lower = 0.0
-    for word, m in iter_words(action, depth, 2000):
-        arr = np.array(m.to_floats(), dtype=float)
-        sr = float(np.max(np.abs(np.linalg.eigvals(arr))))
-        lower = max(lower, sr ** (1.0 / len(word)))
+    if lengths:
+        radii = np.abs(np.linalg.eigvals(stack[: len(lengths)])).max(axis=1).tolist()
+        for length, sr in zip(lengths, radii):
+            lower = max(lower, sr ** (1.0 / length))
     # beta is the min over the branch's prefixes of the averaged norm; the
     # true JSR never exceeds max(lower, all betas at or past the cut)
+    k = len(action.mats)
+    gens = np.array(_float_mats(action)).reshape(k, n, n)
+    prods = gens
+    betas = np.linalg.norm(gens, 2, axis=(1, 2)).tolist()
     upper_candidates: list[float] = []
-    frontier = [(g, float(np.linalg.norm(g, 2))) for g in mats]
     for length in range(1, depth + 1):
-        nxt = []
-        for prod, beta in frontier:
-            if beta <= lower + tol or length == depth:
-                upper_candidates.append(beta)
-                continue
-            for g in mats:
-                p = prod @ g
-                nb = min(beta, float(np.linalg.norm(p, 2)) ** (1.0 / (length + 1)))
-                nxt.append((p, nb))
-        frontier = nxt
-        if not frontier:
+        cut = [length == depth or beta <= lower + tol for beta in betas]
+        upper_candidates.extend(beta for beta, c in zip(betas, cut) if c)
+        live = [i for i, c in enumerate(cut) if not c]
+        if not live:
             break
+        # every live branch times every generator, branch-major
+        prods = np.matmul(prods[live][:, None], gens).reshape(len(live) * k, n, n)
+        norms = np.linalg.norm(prods, 2, axis=(1, 2)).tolist()
+        root = 1.0 / (length + 1)
+        parents = [betas[i] for i in live for _ in range(k)]
+        betas = [min(beta, norm**root) for beta, norm in zip(parents, norms)]
     upper = max(upper_candidates) if upper_candidates else lower
     return {"lower": lower, "upper": max(lower, upper)}
 
@@ -285,6 +311,8 @@ def jsr_bounds(action: SemigroupAction, depth: int, tol: float) -> dict:
 
 
 def snap_vector(v: np.ndarray, max_den: int) -> Optional[tuple[Fraction, ...]]:
+    import numpy as np
+
     big = float(np.max(np.abs(v)))
     if big == 0 or not math.isfinite(big):
         return None
@@ -313,6 +341,8 @@ def _growth_normalized_gram(action: SemigroupAction, depth: int) -> np.ndarray:
     Equals B_l' B_l / m^l for the stacked length-l word matrix B_l, so its
     small eigenvalues flag directions every length-l word keeps small.
     """
+    import numpy as np
+
     n = action.dim
     mats = _float_mats(action)
     m = max(len(mats), 1)
@@ -329,6 +359,8 @@ def _growth_normalized_gram(action: SemigroupAction, depth: int) -> np.ndarray:
 
 
 def _bounded_directions(action: SemigroupAction, depth: int, threshold: float, cfg: EngineConfig) -> Subspace:
+    import numpy as np
+
     s = _growth_normalized_gram(action, depth)
     eigvals, eigvecs = np.linalg.eigh((s + s.T) / 2)
     snapped = []
@@ -387,13 +419,18 @@ def bounded_subspace_estimate(
     }
 
 
-def _restrict_action(action: SemigroupAction, basis: list[tuple[Fraction, ...]]) -> SemigroupAction:
+def restrict_action(action: SemigroupAction, basis: list[tuple[Fraction, ...]]) -> SemigroupAction:
+    """The action on the span of ``basis``, in the coordinates of that basis.
+
+    Raises ValueError when some generator maps a basis vector out of the span.
+    """
     mats = []
     for g in action.mats:
         cols = []
         for b in basis:
             coords = coordinates_in_span(basis, g.apply(b))
-            assert coords is not None, "space must be invariant"
+            if coords is None:
+                raise ValueError("space must be invariant")
             cols.append(coords)
         mats.append(QMatrix.from_columns(cols))
     return SemigroupAction(len(basis), action.names, tuple(mats), action.mode)
@@ -409,7 +446,8 @@ def _complete_basis(space: Subspace) -> list[tuple[Fraction, ...]]:
         if trial.dim > len(chosen):
             chosen.append(e)
             comp.append(e)
-    assert len(chosen) == n
+    if len(chosen) != n:
+        raise ValueError("basis does not extend to the ambient space")
     return comp
 
 
@@ -428,9 +466,8 @@ def _quotient_action(
     mats = []
     for g in action.mats:
         t = pinv @ g @ p
-        for i in range(k, action.dim):
-            for j in range(k):
-                assert t[i, j] == 0, "space must be invariant"
+        if any(t[i, j] != 0 for i in range(k, action.dim) for j in range(k)):
+            raise ValueError("space must be invariant")
         mats.append(QMatrix.from_rows([[t[i, j] for j in range(k, action.dim)] for i in range(k, action.dim)]))
     quo = SemigroupAction(action.dim - k, action.names, tuple(mats), action.mode)
     return quo, comp, p
@@ -455,7 +492,7 @@ def certify_bounded(action: SemigroupAction, space: Subspace, cfg: EngineConfig 
     """
     if space.dim == 0:
         return None
-    res = _restrict_action(action, list(space.basis))
+    res = restrict_action(action, list(space.basis))
     k = res.dim
     ident = QMatrix.identity(k)
     if all(m == ident for m in res.mats):
@@ -578,6 +615,8 @@ def _eigenvector_seeds(action: SemigroupAction, word_len: int, budget: int) -> l
 
 
 def _proper_invariant_subspaces(action: SemigroupAction, cfg: EngineConfig, depth: int) -> list[Subspace]:
+    import numpy as np
+
     n = action.dim
     seeds = _eigenvector_seeds(action, 2, 40)
     s = _growth_normalized_gram(action, min(depth, cfg.gram_depth))
@@ -633,6 +672,8 @@ def _norm_bound_from_cert(cert: dict, witness: tuple[Fraction, ...]) -> float:
     x'Qx never increases along the orbit, so every orbit point y obeys
     lam_min(Q) |y|^2 <= x'Qx <= lam_max(Q) |x|^2 over the certified space.
     """
+    import numpy as np
+
     gram = np.array([[float(Fraction(x)) for x in row] for row in cert["gram"]], dtype=float)
     eig = np.linalg.eigvalsh(gram)
     wnorm = math.sqrt(sum(float(x) * float(x) for x in witness))
@@ -762,7 +803,7 @@ def _cyclic_generator(action: SemigroupAction) -> Optional[tuple[str, QMatrix]]:
 def _split_analysis(
     action: SemigroupAction, space: Subspace, depth: int, cfg: EngineConfig, memo: dict
 ) -> Optional[ExpansivenessVerdict]:
-    restriction = _restrict_action(action, list(space.basis))
+    restriction = restrict_action(action, list(space.basis))
     res = _analyze(restriction, depth, cfg, memo)
 
     if res.status == NOT_EXPANSIVE:

@@ -30,6 +30,7 @@ from .orbits import (
     ExpansivenessVerdict,
     SemigroupAction,
     expansiveness_check,
+    restrict_action,
 )
 
 Character = tuple[Fraction, ...]
@@ -569,15 +570,8 @@ def span_restriction(dm: DualModuleAction) -> tuple[list[Character], SemigroupAc
                 queue.append(img)
     if not basis:
         return [], SemigroupAction(0, dm.action.names, tuple(QMatrix.identity(0) for _ in dm.action.mats), dm.action.mode)
-    restricted = []
-    for g in dm.action.mats:
-        cols = []
-        for b in basis:
-            coords = coordinates_in_span(basis, g.apply(b))
-            assert coords is not None
-            cols.append(coords)
-        restricted.append(QMatrix.from_columns(cols).transpose())
-    adjoint = SemigroupAction(len(basis), dm.action.names, tuple(restricted), dm.action.mode)
+    restricted = restrict_action(dm.action, basis).mats
+    adjoint = SemigroupAction(len(basis), dm.action.names, tuple(m.transpose() for m in restricted), dm.action.mode)
     return basis, adjoint
 
 

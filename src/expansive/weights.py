@@ -12,16 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .exact import (
     QMatrix,
     QPoly,
     Subspace,
     char_poly,
-    coordinates_in_span,
     intersect,
-    is_invariant,
     kernel,
     mat_power,
     minimal_poly,
@@ -30,7 +28,7 @@ from .exact import (
     root_multiplicity,
     squarefree_part,
 )
-from .orbits import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction, iter_words
+from .orbits import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction, iter_words, restrict_action
 from .spectral import GROUP, SEMIGROUP, check_mode, circle_root_count, single_expansive, unit_disk_profile
 
 
@@ -103,18 +101,6 @@ def _coprime_root_factors(p: QPoly) -> list[QPoly]:
         _, s = root_multiplicity(s, lam)
     if s.degree > 0:
         out.append(s.monic())
-    return out
-
-
-def _restrict(mats: Iterable[QMatrix], basis: list[tuple[Fraction, ...]]) -> list[QMatrix]:
-    out = []
-    for g in mats:
-        cols = []
-        for b in basis:
-            coords = coordinates_in_span(basis, g.apply(b))
-            assert coords is not None, "block must be invariant"
-            cols.append(coords)
-        out.append(QMatrix.from_columns(cols))
     return out
 
 
@@ -198,9 +184,7 @@ def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
             assert intersect(blocks[i], blocks[j]).dim == 0
     out_blocks = []
     for b in blocks:
-        for g in action.mats:
-            assert is_invariant(b, g)
-        restrictions = _restrict(action.mats, list(b.basis))
+        restrictions = restrict_action(action, list(b.basis)).mats
         per_gen = {}
         for name, r in zip(action.names, restrictions):
             mp = minimal_poly(r)
@@ -233,9 +217,7 @@ def _word_escapes_block(m: QMatrix, mode: str) -> bool:
 
 def _block_escape_word(action: SemigroupAction, space: Subspace, mode: str, word_len: int = 3, budget: int = 80):
     """A word whose restriction to the block has every weight escaping."""
-    restricted = SemigroupAction(
-        space.dim, action.names, tuple(_restrict(action.mats, list(space.basis))), action.mode
-    )
+    restricted = restrict_action(action, list(space.basis))
     for word, m in iter_words(restricted, word_len, budget):
         if _word_escapes_block(m, mode):
             return word
@@ -296,7 +278,7 @@ def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optio
         return None
 
     block_restrictions = [
-        dict(zip(action.names, _restrict(action.mats, list(b.space.basis)))) for b in decomp.blocks
+        dict(zip(action.names, restrict_action(action, list(b.space.basis)).mats)) for b in decomp.blocks
     ]
     escape_words = [tuple(rep["word"]) for rep in verdict.block_reports]
 

@@ -2,11 +2,15 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import expansive
 from expansive.cli import (
     VersionMismatch,
     case_id,
@@ -19,6 +23,7 @@ from expansive.cli import (
 from expansive.exact import ParseError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(expansive.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -402,3 +407,45 @@ def test_lift_threads_flag_matches_sequential(capsys, tmp_path):
         assert code == 0
         outs.append(rep["lifts"])
     assert outs[0] == outs[1]
+
+
+# --- numpy loads only for the float stages ---
+
+
+def numpy_loaded_after(script, *args):
+    """Whether a fresh interpreter has imported numpy after running ``script``."""
+    probe = script + "\nimport sys\nprint('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()[-1] == "True"
+
+
+RUN_MAIN = "import sys\nfrom expansive.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def test_import_does_not_load_numpy():
+    assert not numpy_loaded_after("import expansive.cli")
+
+
+@pytest.mark.parametrize(
+    "argv, uses_floats",
+    [
+        (["analyze-matrix", FIXTURES / "cat_map.json"], False),
+        (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], False),
+        (["jsr", FIXTURES / "cat_map.json"], True),
+    ],
+    ids=["analyze-matrix", "solenoid-chain", "jsr"],
+)
+def test_numpy_loads_only_for_float_subcommands(tmp_path, argv, uses_floats):
+    assert numpy_loaded_after(RUN_MAIN, *argv, "--out", tmp_path / "report.json") == uses_floats
+
+
+def test_verify_of_honest_report_does_not_load_numpy(capsys, tmp_path):
+    _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / "cat_map.json")
+    assert "jsr" in rep["evidence"]
+    verdict = tmp_path / "verdict.json"
+    assert not numpy_loaded_after(RUN_MAIN, "verify", path, FIXTURES / "cat_map.json", "--out", verdict)
+    assert json.loads(verdict.read_text())["verified"] is True

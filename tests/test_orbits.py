@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +28,13 @@ from expansive.orbits import (
     iter_words,
     jsr_bounds,
     orbit_simulate,
+    restrict_action,
 )
 from expansive.spectral import single_expansive
 
 F = Fraction
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def M(rows):
@@ -177,6 +181,71 @@ def test_jsr_lower_monotone_in_depth():
         prev = out["lower"]
 
 
+def jsr_bounds_per_word(action, depth, tol):
+    """The bracket one word and one branch at a time: the reference that the
+    stacked ``jsr_bounds`` must equal bit for bit."""
+    mats = [np.array(m.to_floats(), dtype=float) for m in action.mats]
+    lower = 0.0
+    for word, m in iter_words(action, depth, 2000):
+        sr = float(np.max(np.abs(np.linalg.eigvals(np.array(m.to_floats(), dtype=float)))))
+        lower = max(lower, sr ** (1.0 / len(word)))
+    upper_candidates = []
+    frontier = [(g, float(np.linalg.norm(g, 2))) for g in mats]
+    for length in range(1, depth + 1):
+        nxt = []
+        for prod, beta in frontier:
+            if beta <= lower + tol or length == depth:
+                upper_candidates.append(beta)
+                continue
+            for g in mats:
+                p = prod @ g
+                nxt.append((p, min(beta, float(np.linalg.norm(p, 2)) ** (1.0 / (length + 1)))))
+        frontier = nxt
+        if not frontier:
+            break
+    upper = max(upper_candidates) if upper_candidates else lower
+    return {"lower": lower, "upper": max(lower, upper)}
+
+
+def assert_jsr_matches_per_word(action, depth, tol):
+    out = jsr_bounds(action, depth, tol)
+    ref = jsr_bounds_per_word(action, depth, tol)
+    assert all(type(v) is float for v in out.values())
+    assert {k: v.hex() for k, v in out.items()} == {k: v.hex() for k, v in ref.items()}
+
+
+@pytest.mark.parametrize("fixture", ["affine_sl2", "cat_map", "doubling", "rotation", "sixth_solenoid", "sl2_generators"])
+@pytest.mark.parametrize("mode", ["group", "semigroup"])
+@pytest.mark.parametrize("depth, tol", [(5, 1e-4), (6, 1e-4), (3, 1e-9)])
+def test_jsr_matches_per_word_reference_on_fixtures(fixture, mode, depth, tol):
+    action = parse_action(json.loads((FIXTURES / f"{fixture}.json").read_text()), mode)
+    assert_jsr_matches_per_word(action, depth, tol)
+
+
+def test_jsr_of_the_empty_space_is_zero():
+    action = act([("e", QMatrix.identity(0))], "semigroup")
+    assert jsr_bounds(action, 5, 1e-4) == jsr_bounds_per_word(action, 5, 1e-4) == {"lower": 0.0, "upper": 0.0}
+
+
+def int_matrices(n):
+    row = st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(M)
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(lambda n: st.lists(int_matrices(n), min_size=1, max_size=3)),
+    st.sampled_from(["group", "semigroup"]),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([1e-4, 1e-9, 0.5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_jsr_matches_per_word_reference(mats, mode, depth, tol):
+    if mode == "group" and any(m.det() == 0 for m in mats):
+        mode = "semigroup"
+    action = act([(f"g{i}", m) for i, m in enumerate(mats)], mode)
+    assert_jsr_matches_per_word(action, depth, tol)
+
+
 # --- bounded subspace estimation ---
 
 
@@ -245,6 +314,24 @@ def test_certify_finite_closure_for_conjugated_rotation():
     q = cert["gram"]
     for g in a.mats:
         assert is_positive_semidefinite(q - (g.transpose() @ q @ g))
+
+
+@pytest.mark.parametrize(
+    "use_space",
+    [
+        lambda a, sp: restrict_action(a, list(sp.basis)),
+        lambda a, sp: orbits._quotient_action(a, sp),
+        lambda a, sp: certify_bounded(a, sp),
+    ],
+    ids=["restrict", "quotient", "certify"],
+)
+def test_non_invariant_space_raises_value_error(use_space):
+    # the shear keeps the first axis and moves the second off itself; the
+    # check must not be an assert, which python -O strips
+    a = act([("s", SHEAR)], "semigroup")
+    use_space(a, Subspace.from_vectors(2, [(F(1), F(0))]))
+    with pytest.raises(ValueError, match="invariant"):
+        use_space(a, Subspace.from_vectors(2, [(F(0), F(1))]))
 
 
 def test_invariant_closure_grows_until_stable():
@@ -404,9 +491,6 @@ def test_engine_group_mode_agrees_with_single_matrix_test(rows):
 
 
 # --- the word search returns the first word the exact test accepts ---
-
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def first_accepted_word(action, max_len, budget):
