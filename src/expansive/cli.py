@@ -70,6 +70,10 @@ class VersionMismatch(ValueError):
     """The report was written by a different tool version."""
 
 
+class UsageError(ValueError):
+    """The command line does not parse."""
+
+
 # ------------------------------------------------------------ case files
 
 
@@ -198,12 +202,11 @@ def single_matrix_report(name: str, m: QMatrix, mode: str) -> dict:
 def cmd_analyze_semigroup(args) -> tuple[dict, int]:
     case = load_json(args.case)
     action = parse_action(case, args.mode)
-    depth = args.depth if args.depth is not None else 10
-    res = expansiveness_check(action, depth)
+    res = expansiveness_check(action, args.depth)
     rep = _report(
         "analyze-semigroup",
         case,
-        {"mode": action.mode, "depth": depth},
+        {"mode": action.mode, "depth": args.depth},
         **_verdict_fields(res),
     )
     return rep, _exit_for(res.status)
@@ -212,9 +215,8 @@ def cmd_analyze_semigroup(args) -> tuple[dict, int]:
 def cmd_find_expansive(args) -> tuple[dict, int]:
     case = load_json(args.case)
     action = parse_action(case, args.mode)
-    cap = args.depth if args.depth is not None else 64
-    found = find_expansive_element(action, word_cap=cap)
-    options = {"mode": action.mode, "depth": cap}
+    found = find_expansive_element(action, word_cap=args.depth)
+    options = {"mode": action.mode, "depth": args.depth}
     if found is None:
         rep = _report("find-expansive", case, options, status="Unknown", found=False)
         return rep, 2
@@ -235,11 +237,12 @@ def cmd_find_expansive(args) -> tuple[dict, int]:
 
 def cmd_torus_check(args) -> tuple[dict, int]:
     case = load_json(args.case)
+    if (args.epsilon is None) != (args.radius is None):
+        raise ParseError("the grid oracle needs both --epsilon and --radius")
     action = parse_action(case, args.mode)
-    depth = args.depth if args.depth is not None else 10
-    res = torus_expansive(action, depth)
+    res = torus_expansive(action, args.depth)
     fields = _verdict_fields(res)
-    if args.epsilon is not None and args.radius is not None:
+    if args.epsilon is not None:
         # optional finite-grid cross check, reported as evidence only
         oracle = rational_orbit_oracle(action, int(args.radius), to_fraction(args.epsilon))
         fields["evidence"] = dict(fields["evidence"] or {})
@@ -247,7 +250,7 @@ def cmd_torus_check(args) -> tuple[dict, int]:
     rep = _report(
         "torus-check",
         case,
-        {"mode": action.mode, "depth": depth, "epsilon": args.epsilon, "radius": args.radius},
+        {"mode": action.mode, "depth": args.depth, "epsilon": args.epsilon, "radius": args.radius},
         **fields,
     )
     return rep, _exit_for(res.status)
@@ -256,13 +259,11 @@ def cmd_torus_check(args) -> tuple[dict, int]:
 def cmd_jsr(args) -> tuple[dict, int]:
     case = load_json(args.case)
     action = parse_action(case, args.mode)
-    depth = args.depth if args.depth is not None else 6
-    tol = float(args.epsilon) if args.epsilon is not None else 1e-4
-    bounds = jsr_bounds(action, depth, tol)
+    bounds = jsr_bounds(action, args.depth, args.epsilon)
     rep = _report(
         "jsr",
         case,
-        {"mode": action.mode, "depth": depth, "epsilon": tol},
+        {"mode": action.mode, "depth": args.depth, "epsilon": args.epsilon},
         bounds=bounds,
     )
     return rep, 0
@@ -271,13 +272,11 @@ def cmd_jsr(args) -> tuple[dict, int]:
 def cmd_solenoid_chain(args) -> tuple[dict, int]:
     case = load_json(args.case)
     dm = parse_dual_module(case, args.mode)
-    depth = args.depth if args.depth is not None else 4
-    kmax = args.kmax if args.kmax is not None else 64
-    chain = regular_chain(enumerate_basis(dm, depth), k_max=kmax)
+    chain = regular_chain(enumerate_basis(dm, args.depth), k_max=args.kmax)
     rep = _report(
         "solenoid-chain",
         case,
-        {"mode": dm.mode, "depth": depth, "kmax": kmax},
+        {"mode": dm.mode, "depth": args.depth, "kmax": args.kmax},
         chain=chain.to_json(),
         k=chain.k,
         levels=len(chain.levels),
@@ -313,18 +312,18 @@ def chain_from_json(data) -> RhoBasisChain:
 
 def cmd_solenoid_lift(args) -> tuple[dict, int]:
     case = load_json(args.case)
+    options = {}
     if args.chain:
         data = load_json(args.chain)
         chain = chain_from_json(data.get("chain", data))
     else:
         dm = parse_dual_module(case, args.mode)
-        depth = args.depth if args.depth is not None else 4
-        chain = regular_chain(enumerate_basis(dm, depth), k_max=args.kmax or 64)
+        chain = regular_chain(enumerate_basis(dm, args.depth), k_max=args.kmax)
+        options = {"depth": args.depth, "kmax": args.kmax}
     if not args.window:
         raise ParseError("solenoid-lift needs at least one --window file")
     bound = to_fraction(args.radius) if args.radius is not None else Fraction(1, 2 * chain.k)
-    precision = args.precision if args.precision is not None else 60
-    windows = [parse_window(load_json(path), precision) for path in args.window]
+    windows = [parse_window(load_json(path), args.precision) for path in args.window]
 
     def one(window: SolenoidWindow) -> dict:
         try:
@@ -333,20 +332,13 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
             return {"lifted": False, "reason": str(exc)}
         return {"lifted": True, "values": lifted.to_json(), "bound": str(lifted.bound)}
 
-    if args.threads > 1 and len(windows) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            lifts = list(pool.map(one, windows))
-    else:
-        lifts = [one(w) for w in windows]
     rep = _report(
         "solenoid-lift",
         case,
-        {"radius": str(bound), "precision": precision, "threads": args.threads},
+        {**options, "radius": str(bound), "precision": args.precision},
         chain=chain.to_json(),
         k=chain.k,
-        lifts=lifts,
+        lifts=[one(w) for w in windows],
     )
     return rep, 0
 
@@ -354,12 +346,11 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
 def cmd_solenoid_check(args) -> tuple[dict, int]:
     case = load_json(args.case)
     dm = parse_dual_module(case, args.mode)
-    depth = args.depth if args.depth is not None else 10
-    res = solenoid_expansive(dm, depth)
+    res = solenoid_expansive(dm, args.depth)
     rep = _report(
         "solenoid-check",
         case,
-        {"mode": dm.mode, "depth": depth},
+        {"mode": dm.mode, "depth": args.depth},
         **_verdict_fields(res),
     )
     return rep, _exit_for(res.status)
@@ -394,16 +385,6 @@ def _word_product(lookup: dict[str, QMatrix], word: Sequence[str]) -> Optional[Q
     return m
 
 
-def _profile_matches(m: QMatrix, stored) -> bool:
-    return unit_disk_profile(char_poly(m)).to_json() == stored
-
-
-def _escapes(profile: dict, mode: str) -> bool:
-    if mode == SEMIGROUP:
-        return profile["at_zero"] == 0 and profile["inside"] == 0 and profile["on_circle"] == 0
-    return profile["at_zero"] == 0 and profile["on_circle"] == 0
-
-
 def _adapted(lookup: dict[str, QMatrix], p: QMatrix, k: int):
     pinv = p.inverse()
     n = p.rows
@@ -428,17 +409,16 @@ def check_certificate(
     if kind == "empty_space":
         return dim == 0
 
-    if kind == "word_spectrum":
+    if kind in ("word_spectrum", "spectral_obstruction"):
         m = _word_product(lookup, cert.get("word", []))
-        if m is None or not _profile_matches(m, cert.get("profile")):
+        if m is None:
             return False
-        return _escapes(cert["profile"], mode)
-
-    if kind == "spectral_obstruction":
-        m = _word_product(lookup, cert.get("word", []))
-        if m is None or not _profile_matches(m, cert.get("profile")):
+        profile = unit_disk_profile(char_poly(m))
+        if profile.to_json() != cert.get("profile"):
             return False
-        if _escapes(cert["profile"], mode):
+        if kind == "word_spectrum":
+            return profile.escapes(mode)
+        if profile.escapes(mode):
             return False
         lam = cert.get("witness_eigenvalue")
         if lam is not None and witness is not None:
@@ -617,40 +597,61 @@ HANDLERS = {
 SUMMARY_KEYS = ("status", "verified", "k", "bounds", "found")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as malformed input (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog=TOOL_NAME,
-        description="Exact expansiveness analysis of rational matrix actions.",
-    )
+    ap = _Parser(prog=TOOL_NAME, description="Exact expansiveness analysis of rational matrix actions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, case_help: str = "case file (JSON)"):
+    def add(name: str, help_text: str, depth: Optional[int] = None, depth_help: str = "word depth"):
+        """A subcommand taking a case file, --mode, --out and, given a default, --depth."""
         p = sub.add_parser(name, help=help_text)
-        if name == "verify":
-            p.add_argument("report", help="report file produced by this tool")
-        p.add_argument("case", help=case_help)
+        p.add_argument("case", help="case file (JSON)")
         p.add_argument("--mode", choices=(GROUP, SEMIGROUP), help="override the case file mode")
-        p.add_argument("--depth", type=int, help="search depth / word length / chain depth")
-        p.add_argument("--radius", help="lift bound C, or grid denominator for torus-check")
-        p.add_argument("--epsilon", help="separation radius or numeric tolerance")
-        p.add_argument("--kmax", type=int, help="largest admissible relation cost")
-        p.add_argument("--precision", type=int, help="dyadic error exponent for window input")
+        if depth is not None:
+            p.add_argument(
+                "--depth", type=positive_int, default=depth, help=depth_help + " (default %(default)s)"
+            )
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--threads", type=int, default=1, help="worker bound, default 1")
-        if name == "solenoid-lift":
-            p.add_argument("--window", action="append", help="window file, repeatable")
-            p.add_argument("--chain", help="reuse a chain from a solenoid-chain report")
         return p
 
     add("analyze-matrix", "spectral expansiveness of a single matrix")
-    add("analyze-semigroup", "certificate search for a finitely generated action")
-    add("find-expansive", "look for one expansive element in a commuting group action")
-    add("torus-check", "expansiveness of an integer action on the torus")
-    add("jsr", "joint spectral radius bracket")
-    add("solenoid-chain", "build and verify a bounded-cost character chain")
-    add("solenoid-lift", "lift windows through a chain to functional values")
-    add("solenoid-check", "expansiveness of a solenoidal action")
-    add("verify", "re-check a report's exact certificates", "case file the report was produced from")
+    add("analyze-semigroup", "certificate search for a finitely generated action", 10)
+    add("find-expansive", "look for one expansive element in a commuting group action", 64, "longest word")
+    torus = add("torus-check", "expansiveness of an integer action on the torus", 10)
+    torus.add_argument("--epsilon", help="separation radius of the grid oracle (with --radius)")
+    torus.add_argument("--radius", help="grid denominator q of the grid oracle (with --epsilon)")
+    jsr = add("jsr", "joint spectral radius bracket", 6, "word length")
+    jsr.add_argument("--epsilon", type=float, default=1e-4, help="branch-and-bound tolerance (default 1e-4)")
+    chain = add("solenoid-chain", "build and verify a bounded-cost character chain", 4, "chain levels")
+    lift_cmd = add("solenoid-lift", "lift windows through a chain to functional values", 4, "chain levels")
+    for p in (chain, lift_cmd):
+        p.add_argument("--kmax", type=int, default=64, help="largest admissible relation cost (default 64)")
+    lift_cmd.add_argument("--radius", help="lift bound C < 1/k (default 1/(2k))")
+    lift_cmd.add_argument("--precision", type=int, default=60, help="radius 2^-P of window entries without one")
+    lift_cmd.add_argument("--window", action="append", help="window file, repeatable")
+    lift_cmd.add_argument("--chain", help="reuse a chain from a solenoid-chain report")
+    add("solenoid-check", "expansiveness of a solenoidal action", 10)
+    verify = sub.add_parser("verify", help="re-check a report's exact certificates")
+    verify.add_argument("report", help="report file produced by this tool")
+    verify.add_argument("case", help="case file the report was produced from")
+    verify.add_argument("--out", help="write the JSON report here instead of stdout")
     return ap
 
 
@@ -664,11 +665,15 @@ def emit(rep: dict, out_path: Optional[str]) -> None:
     summary = {k: rep[k] for k in SUMMARY_KEYS if k in rep}
     if "error" in rep:
         summary["error"] = rep["error"]["type"]
-    print(f"{rep.get('command')}: {canonical_json(summary)}", file=sys.stderr)
+    print(f"{rep.get('command', TOOL_NAME)}: {canonical_json(summary)}", file=sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        emit({"error": {"type": "UsageError", "message": str(exc)}}, None)
+        return 1
     t0 = time.perf_counter()
     try:
         rep, code = HANDLERS[args.command](args)

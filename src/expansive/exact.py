@@ -39,6 +39,10 @@ class ParseError(ValueError):
     pass
 
 
+class SelfCheckError(ValueError):
+    """An exact check of a result the library just built failed; nothing is returned."""
+
+
 RationalLike = Fraction | int | str
 
 
@@ -931,17 +935,6 @@ def sturm_root_count(p: QPoly, lo: RationalLike, hi: RationalLike) -> int:
     vlo = _variations(_chain_signs_at(chain, lo))
     vhi = _variations(_chain_signs_at(chain, hi))
     return vlo - vhi
-
-
-def sturm_count_real_roots(p: QPoly) -> int:
-    """Number of distinct real roots of p, exactly."""
-    if p.is_zero:
-        raise ZeroPolynomialError("root count of zero polynomial")
-    f = squarefree_part(p)
-    if f.degree < 1:
-        return 0
-    chain = _sturm_chain(f)
-    return _variations(_chain_signs_at_inf(chain, False)) - _variations(_chain_signs_at_inf(chain, True))
 
 
 def cauchy_index(num: QPoly, den: QPoly) -> int:

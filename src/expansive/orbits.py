@@ -112,18 +112,17 @@ class SemigroupAction:
         return out
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    word_budget: int = 4000
-    closure_cap: int = 400
-    gram_depth: int = 12
-    exact_gram_depth: int = 4
-    bound_cap: float = 2.0
-    snap_denominator: int = 10**6
-    max_subspaces: int = 8
-    metric_tries: int = 6
-    jsr_depth: int = 5
-    jsr_tol: float = 1e-4
+# search limits of the engine
+WORD_BUDGET = 4000  # distinct words the word search walks
+CLOSURE_CAP = 400  # elements of a finite product closure
+GRAM_DEPTH = 12  # longest word length of the float Gram form
+EXACT_GRAM_DEPTH = 4  # word length of the exact Gram partial sum
+BOUND_CAP = 2.0  # Gram eigenvalues at most this flag bounded directions
+SNAP_DENOMINATOR = 10**6  # largest denominator of a snapped direction
+MAX_SUBSPACES = 8  # invariant subspaces the split tries
+METRIC_TRIES = 6  # extra combinations tried for an invariant metric
+JSR_DEPTH = 5  # word length of the advisory JSR bracket
+JSR_TOL = 1e-4  # its branch-and-bound tolerance
 
 
 @dataclass
@@ -358,65 +357,27 @@ def _growth_normalized_gram(action: SemigroupAction, depth: int) -> np.ndarray:
     return s / levels
 
 
-def _bounded_directions(action: SemigroupAction, depth: int, threshold: float, cfg: EngineConfig) -> Subspace:
+def _bounded_directions(action: SemigroupAction, depth: int) -> Subspace:
+    """Numeric guess at the bounded-orbit subspace, exactly invariant.
+
+    Directions are filtered by the growth-normalized word Gram form (the
+    normalization keeps isometric directions near 1 at any depth, so the
+    cut is scale-free); survivors are rationalized and closed under the
+    action.  Nothing here is certified: ``certify_bounded`` does that.
+    """
     import numpy as np
 
     s = _growth_normalized_gram(action, depth)
     eigvals, eigvecs = np.linalg.eigh((s + s.T) / 2)
     snapped = []
     for i in range(len(eigvals)):
-        if eigvals[i] <= threshold:
-            sv = snap_vector(eigvecs[:, i], cfg.snap_denominator)
+        if eigvals[i] <= BOUND_CAP:
+            sv = snap_vector(eigvecs[:, i], SNAP_DENOMINATOR)
             if sv is not None:
                 snapped.append(sv)
     if not snapped:
         return Subspace.zero(action.dim)
     return invariant_closure(action, snapped)
-
-
-def bounded_subspace_estimate(
-    action: SemigroupAction,
-    depth: int,
-    threshold: float = 2.0,
-    cfg: EngineConfig = EngineConfig(),
-) -> dict:
-    """Numeric estimate of the bounded-orbit subspace, snapped and verified.
-
-    Directions are filtered by a growth-normalized word Gram form (the
-    normalization keeps isometric directions near 1 regardless of depth,
-    so the threshold is scale-free).  Survivors are rationalized and
-    closed under the action; the returned candidate is exactly invariant
-    by construction.  The boundedness certificate and the complement
-    escape evidence are attempted independently; either is reported as
-    "Unknown" when unverifiable, never guessed.
-    """
-    candidate = _bounded_directions(action, depth, threshold, cfg)
-    for g in action.mats:
-        assert is_invariant(candidate, g)
-    if candidate.dim == 0:
-        cert = _norm_cert([], QMatrix.identity(0), "trivial")
-    else:
-        cert = None
-        found = certify_bounded(action, candidate, cfg)
-        if found is not None:
-            cert = _norm_cert(list(candidate.basis), found["gram"], found["method"])
-    escape = {"trivial": True} if candidate.dim == action.dim else None
-    if candidate.dim < action.dim:
-        quo = _quotient_action(action, candidate)[0] if candidate.dim else action
-        hit = find_expansive_word(quo, max(4, depth // 2), cfg.word_budget // 4)
-        if hit is not None:
-            escape = {"word": list(hit[0]), "profile": hit.profile.to_json()}
-        else:
-            for word, m in iter_words(quo, max(4, depth // 2), cfg.word_budget // 4):
-                prof = unit_disk_profile(char_poly(m))
-                if prof.outside > 0:
-                    escape = {"word": list(word), "profile": prof.to_json()}
-                    break
-    return {
-        "candidate": candidate,
-        "bounded_cert": cert if cert is not None else UNKNOWN,
-        "complement_escape": escape if escape is not None else UNKNOWN,
-    }
 
 
 def restrict_action(action: SemigroupAction, basis: list[tuple[Fraction, ...]]) -> SemigroupAction:
@@ -480,7 +441,7 @@ def _gram_nonincreasing(mats: Iterable[QMatrix], q: QMatrix) -> bool:
     return all(is_positive_semidefinite(q - (g.transpose() @ q @ g)) for g in mats)
 
 
-def certify_bounded(action: SemigroupAction, space: Subspace, cfg: EngineConfig = EngineConfig()) -> Optional[dict]:
+def certify_bounded(action: SemigroupAction, space: Subspace) -> Optional[dict]:
     """Exact invariant-norm certificate for the restriction to a space.
 
     Tries, in order: the restriction being trivial, the Euclidean norm, a
@@ -499,7 +460,7 @@ def certify_bounded(action: SemigroupAction, space: Subspace, cfg: EngineConfig 
         return {"gram": ident, "method": "identity"}
     if _gram_nonincreasing(res.mats, ident):
         return {"gram": ident, "method": "euclidean"}
-    closure = _finite_closure(res, cfg.closure_cap)
+    closure = _finite_closure(res)
     if closure is not None:
         # sum s's over the closure plus the identity, each element once; for
         # a finite right-closed set this form is exactly nonincreasing
@@ -509,16 +470,16 @@ def certify_bounded(action: SemigroupAction, space: Subspace, cfg: EngineConfig 
                 q = q + (s.transpose() @ s)
         if _gram_nonincreasing(res.mats, q):
             return {"gram": q, "method": "finite_closure"}
-    q = _exact_gram_sum(res, cfg.exact_gram_depth)
+    q = _exact_gram_sum(res)
     if _gram_nonincreasing(res.mats, q):
         return {"gram": q, "method": "word_gram"}
-    solved = _solve_invariant_metric(res, cfg.metric_tries)
+    solved = _solve_invariant_metric(res)
     if solved is not None:
         return {"gram": solved, "method": "isometry_metric"}
     return None
 
 
-def _finite_closure(action: SemigroupAction, cap: int) -> Optional[list[QMatrix]]:
+def _finite_closure(action: SemigroupAction) -> Optional[list[QMatrix]]:
     seen = set(action.mats)
     frontier = list(dict.fromkeys(action.mats))
     out = list(frontier)
@@ -531,16 +492,16 @@ def _finite_closure(action: SemigroupAction, cap: int) -> Optional[list[QMatrix]
                     seen.add(w)
                     nxt.append(w)
                     out.append(w)
-                    if len(out) > cap:
+                    if len(out) > CLOSURE_CAP:
                         return None
         frontier = nxt
     return out
 
 
-def _exact_gram_sum(action: SemigroupAction, depth: int) -> QMatrix:
+def _exact_gram_sum(action: SemigroupAction) -> QMatrix:
     g = QMatrix.identity(action.dim)
     total = QMatrix.identity(action.dim)
-    for _ in range(depth):
+    for _ in range(EXACT_GRAM_DEPTH):
         terms = [(a.transpose() @ g @ a) for a in action.mats]
         g = terms[0]
         for t in terms[1:]:
@@ -549,7 +510,7 @@ def _exact_gram_sum(action: SemigroupAction, depth: int) -> QMatrix:
     return total
 
 
-def _solve_invariant_metric(action: SemigroupAction, tries: int) -> Optional[QMatrix]:
+def _solve_invariant_metric(action: SemigroupAction) -> Optional[QMatrix]:
     """Exact positive definite Q with g'Qg = Q for every generator, or None."""
     n = action.dim
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -584,7 +545,7 @@ def _solve_invariant_metric(action: SemigroupAction, tries: int) -> Optional[QMa
     for s in range(len(basis)):
         combos.append([1 if t == s else 0 for t in range(len(basis))])
         combos.append([-1 if t == s else 0 for t in range(len(basis))])
-    for s in range(max(0, tries)):
+    for s in range(METRIC_TRIES):
         combos.append([(s + 1) ** t % 7 + 1 for t in range(len(basis))])
     for combo in combos:
         if not any(combo):
@@ -614,15 +575,15 @@ def _eigenvector_seeds(action: SemigroupAction, word_len: int, budget: int) -> l
     return out
 
 
-def _proper_invariant_subspaces(action: SemigroupAction, cfg: EngineConfig, depth: int) -> list[Subspace]:
+def _proper_invariant_subspaces(action: SemigroupAction, depth: int) -> list[Subspace]:
     import numpy as np
 
     n = action.dim
     seeds = _eigenvector_seeds(action, 2, 40)
-    s = _growth_normalized_gram(action, min(depth, cfg.gram_depth))
+    s = _growth_normalized_gram(action, min(depth, GRAM_DEPTH))
     eigvals, eigvecs = np.linalg.eigh((s + s.T) / 2)
     for i in range(len(eigvals)):
-        sv = snap_vector(eigvecs[:, i], cfg.snap_denominator)
+        sv = snap_vector(eigvecs[:, i], SNAP_DENOMINATOR)
         if sv is not None:
             seeds.append(sv)
     spaces: list[Subspace] = []
@@ -642,7 +603,7 @@ def _proper_invariant_subspaces(action: SemigroupAction, cfg: EngineConfig, dept
                 seen.add(c.basis)
                 spaces.append(c)
     spaces.sort(key=lambda sp: (sp.dim, sp.basis))
-    return spaces[: cfg.max_subspaces]
+    return spaces[:MAX_SUBSPACES]
 
 
 # ------------------------------------------------------------- the engine
@@ -694,17 +655,13 @@ def _spectral_witness(m: QMatrix, mode: str) -> Optional[tuple[tuple[Fraction, .
     return None
 
 
-def expansiveness_check(
-    action: SemigroupAction,
-    depth: int = 10,
-    cfg: EngineConfig = EngineConfig(),
-) -> ExpansivenessVerdict:
+def expansiveness_check(action: SemigroupAction, depth: int = 10) -> ExpansivenessVerdict:
     """Three-valued expansiveness test with machine-checkable certificates.
 
     Expansive and NotExpansive come with certificates that re-verify in
     exact arithmetic; Unknown carries only search evidence.
     """
-    res = _analyze(action, depth, cfg, {})
+    res = _analyze(action, depth, {})
     evidence = dict(res.evidence)
     if res.status == NOT_EXPANSIVE and res.witness is not None and res.certificate is not None:
         if res.certificate.get("kind") == "InvariantNormFound":
@@ -713,7 +670,7 @@ def expansiveness_check(
             evidence["norm_bound"] = math.sqrt(sum(float(x) ** 2 for x in res.witness))
     if res.status != NOT_EXPANSIVE:
         try:
-            evidence["jsr"] = jsr_bounds(action, min(depth, cfg.jsr_depth), cfg.jsr_tol)
+            evidence["jsr"] = jsr_bounds(action, min(depth, JSR_DEPTH), JSR_TOL)
         except Exception as exc:  # the bracket is advisory: record the failure, keep the verdict
             evidence.setdefault("errors", []).append(
                 {"stage": "jsr_bounds", "type": type(exc).__name__, "message": str(exc)}
@@ -721,22 +678,22 @@ def expansiveness_check(
     return replace(res, evidence=evidence)
 
 
-def _analyze(action: SemigroupAction, depth: int, cfg: EngineConfig, memo: dict) -> ExpansivenessVerdict:
+def _analyze(action: SemigroupAction, depth: int, memo: dict) -> ExpansivenessVerdict:
     key = (action.mats, action.mode, depth)
     if key in memo:
         return memo[key]
-    out = _analyze_uncached(action, depth, cfg, memo)
+    out = _analyze_uncached(action, depth, memo)
     memo[key] = out
     return out
 
 
-def _analyze_uncached(action: SemigroupAction, depth: int, cfg: EngineConfig, memo: dict) -> ExpansivenessVerdict:
+def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> ExpansivenessVerdict:
     n = action.dim
     if n == 0:
         return ExpansivenessVerdict(EXPANSIVE, None, {"kind": "empty_space"}, {"route": "empty"}, 0)
 
     # 1. single-element spectral certificate
-    found = find_expansive_word(action, depth, cfg.word_budget)
+    found = find_expansive_word(action, depth, WORD_BUDGET)
     if found is not None:
         word = found[0]
         cert = {"kind": "word_spectrum", "word": list(word), "profile": found.profile.to_json()}
@@ -762,9 +719,9 @@ def _analyze_uncached(action: SemigroupAction, depth: int, cfg: EngineConfig, me
                     return held
 
     # 3. bounded invariant subspace, numerically guessed then exactly certified
-    candidate = _bounded_directions(action, min(depth + 2, cfg.gram_depth), cfg.bound_cap, cfg)
+    candidate = _bounded_directions(action, min(depth + 2, GRAM_DEPTH))
     if candidate.dim > 0:
-        cert = certify_bounded(action, candidate, cfg)
+        cert = certify_bounded(action, candidate)
         if cert is not None:
             return ExpansivenessVerdict(
                 NOT_EXPANSIVE,
@@ -775,8 +732,8 @@ def _analyze_uncached(action: SemigroupAction, depth: int, cfg: EngineConfig, me
             )
 
     # 4. split along proper invariant subspaces
-    for space in _proper_invariant_subspaces(action, cfg, depth):
-        resolved = _split_analysis(action, space, depth, cfg, memo)
+    for space in _proper_invariant_subspaces(action, depth):
+        resolved = _split_analysis(action, space, depth, memo)
         if resolved is not None and resolved.status != UNKNOWN:
             return resolved
 
@@ -801,19 +758,19 @@ def _cyclic_generator(action: SemigroupAction) -> Optional[tuple[str, QMatrix]]:
 
 
 def _split_analysis(
-    action: SemigroupAction, space: Subspace, depth: int, cfg: EngineConfig, memo: dict
+    action: SemigroupAction, space: Subspace, depth: int, memo: dict
 ) -> Optional[ExpansivenessVerdict]:
     restriction = restrict_action(action, list(space.basis))
-    res = _analyze(restriction, depth, cfg, memo)
+    res = _analyze(restriction, depth, memo)
 
     if res.status == NOT_EXPANSIVE:
-        return _lift_restriction_obstruction(action, space, res, depth, cfg)
+        return _lift_restriction_obstruction(action, space, res, depth)
 
     if res.status != EXPANSIVE:
         return None
 
     quo, comp, p = _quotient_action(action, space)
-    qres = _analyze(quo, depth, cfg, memo)
+    qres = _analyze(quo, depth, memo)
 
     if qres.status == EXPANSIVE:
         cert = {
@@ -827,15 +784,15 @@ def _split_analysis(
         return ExpansivenessVerdict(EXPANSIVE, None, cert, {"escape_words": words, "route": "split"}, depth)
 
     if qres.status == NOT_EXPANSIVE and quo.dim == 1:
-        return _one_dim_quotient_analysis(action, space, comp, p, res, depth, cfg)
+        return _one_dim_quotient_analysis(action, space, comp, p, res, depth)
 
     if qres.status == NOT_EXPANSIVE and quo.dim > 1:
-        return _graph_lift(action, space, p, quo, qres, depth, cfg)
+        return _graph_lift(action, space, p, quo, qres, depth)
     return None
 
 
 def _lift_restriction_obstruction(
-    action: SemigroupAction, space: Subspace, res: ExpansivenessVerdict, depth: int, cfg: EngineConfig
+    action: SemigroupAction, space: Subspace, res: ExpansivenessVerdict, depth: int
 ) -> Optional[ExpansivenessVerdict]:
     """Bounded orbits inside an invariant subspace are bounded orbits, full stop."""
     cert = res.certificate or {}
@@ -850,7 +807,7 @@ def _lift_restriction_obstruction(
     if res.witness is not None:
         ambient = _embed(space, res.witness)
         line = invariant_closure(action, [ambient])
-        bound = certify_bounded(action, line, cfg)
+        bound = certify_bounded(action, line)
         if bound is not None:
             return ExpansivenessVerdict(
                 NOT_EXPANSIVE,
@@ -859,7 +816,7 @@ def _lift_restriction_obstruction(
                 {"route": "bounded-subspace"},
                 depth,
             )
-    bound = certify_bounded(action, space, cfg)
+    bound = certify_bounded(action, space)
     if bound is not None:
         return ExpansivenessVerdict(
             NOT_EXPANSIVE,
@@ -889,7 +846,6 @@ def _one_dim_quotient_analysis(
     p: QMatrix,
     res: ExpansivenessVerdict,
     depth: int,
-    cfg: EngineConfig,
 ) -> Optional[ExpansivenessVerdict]:
     """Decide the extension when the quotient is a one dimensional action.
 
@@ -944,7 +900,7 @@ def _one_dim_quotient_analysis(
 
     ambient = p.apply(tuple(list(sol) + [Fraction(1)]))
     line = Subspace.from_vectors(action.dim, [ambient])
-    bound = certify_bounded(action, line, cfg)
+    bound = certify_bounded(action, line)
     if bound is None:
         return None
     return ExpansivenessVerdict(
@@ -963,7 +919,6 @@ def _graph_lift(
     quo: SemigroupAction,
     qres: ExpansivenessVerdict,
     depth: int,
-    cfg: EngineConfig,
 ) -> Optional[ExpansivenessVerdict]:
     """Lift a certified bounded quotient subspace to a bounded graph space.
 
@@ -1012,7 +967,7 @@ def _graph_lift(
         bottom = list(vq_rows[j])
         vectors.append(p.apply(tuple(top + bottom)))
     graph_space = Subspace.from_vectors(action.dim, vectors)
-    bound = certify_bounded(action, graph_space, cfg)
+    bound = certify_bounded(action, graph_space)
     if bound is None:
         return None
     return ExpansivenessVerdict(

@@ -21,8 +21,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (
+    DimensionMismatchError,
     QMatrix,
     RationalLike,
+    SelfCheckError,
     coordinates_in_span,
     to_fraction,
 )
@@ -45,6 +47,10 @@ class NotInSpanError(ValueError):
 
 
 class KExceededError(ValueError):
+    pass
+
+
+class InvalidDepthError(ValueError):
     pass
 
 
@@ -168,7 +174,8 @@ class DualModuleAction:
     ) -> "DualModuleAction":
         f = tuple(character(v) for v in module_generators)
         action = SemigroupAction.from_generators(list(named_matrices), mode)
-        assert action.dim == n
+        if action.dim != n:
+            raise DimensionMismatchError(f"the matrices act on Q^{action.dim}, not on Q^{n}")
         return DualModuleAction(n, f, action)
 
     @property
@@ -178,7 +185,8 @@ class DualModuleAction:
 
 def enumerate_basis(dm: DualModuleAction, depth: int) -> tuple[tuple[Character, ...], ...]:
     """Nested character sets A_m = images of the module generators by words of length <= m."""
-    assert depth >= 1
+    if depth < 1:
+        raise InvalidDepthError(f"the chain depth must be at least 1, got {depth}")
     current: list[Character] = []
     seen: set[Character] = set()
     for f in dm.module_generators:
@@ -330,12 +338,12 @@ def regular_chain(levels: Sequence[Sequence[Character]], k_max: int = 64) -> Rho
         for chi in levels[i]:
             if chi in prev_set:
                 continue
-            rel = _best_relation(chi, prev, i, k_max)
-            assert rel.holds()
-            relations.append(rel)
+            relations.append(_best_relation(chi, prev, i, k_max))
     k = max((r.cost for r in relations), default=1)
     chain = RhoBasisChain(tuple(tuple(level) for level in levels), k, tuple(relations))
-    assert chain.verify()
+    # verify() re-checks every relation exactly, so a chain that fails is never returned
+    if not chain.verify():
+        raise SelfCheckError("the built chain fails its own relation check")
     return chain
 
 

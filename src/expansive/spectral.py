@@ -19,6 +19,7 @@ from .exact import (
     NotInvertibleError,
     QMatrix,
     QPoly,
+    SelfCheckError,
     ZeroConstantTermError,
     ZeroPolynomialError,
     cauchy_index,
@@ -64,6 +65,13 @@ class DiskProfile:
     @property
     def degree(self) -> int:
         return self.at_zero + self.inside + self.on_circle + self.outside
+
+    def escapes(self, mode: str) -> bool:
+        """Whether a matrix with this profile is expansive on its own: no root
+        at zero or on the circle, and in semigroup mode none inside either."""
+        if self.at_zero or self.on_circle:
+            return False
+        return mode == GROUP or self.inside == 0
 
     def to_json(self) -> dict[str, int]:
         return {
@@ -195,7 +203,8 @@ def _inside_by_half_plane(q: QPoly) -> int:
         if c:
             f = f + (up * downs[m - k]).scale(c)
         up = up * one_plus
-    assert f.degree == m, "Cayley image must keep full degree"
+    if f.degree != m:
+        raise SelfCheckError("the Cayley image must keep full degree")
     even = [Fraction(0)] * (m + 1)
     odd = [Fraction(0)] * (m + 1)
     for j, c in enumerate(f.coeffs):
@@ -205,7 +214,8 @@ def _inside_by_half_plane(q: QPoly) -> int:
             odd[j] = c if j % 4 == 1 else -c
     real = QPoly.from_coeffs(even)
     imag = QPoly.from_coeffs(odd)
-    assert poly_gcd(real, imag).degree == 0, "half-plane split must be coprime"
+    if poly_gcd(real, imag).degree != 0:
+        raise SelfCheckError("the half-plane split must be coprime")
     if m % 2 == 0:
         return (m - cauchy_index(imag, real)) // 2
     return (m + cauchy_index(real, imag)) // 2
@@ -217,9 +227,7 @@ def unit_disk_profile(p: QPoly) -> DiskProfile:
         raise ZeroPolynomialError("disk profile of zero polynomial")
     at_zero, pt = _strip_origin(p)
     if pt.degree == 0:
-        prof = DiskProfile(at_zero, 0, 0, 0)
-        assert prof.degree == p.degree
-        return prof
+        return DiskProfile(at_zero, 0, 0, 0)
     g, q = reciprocal_split(pt)
     on_circle = _circle_count_of_closed_factor(g)
     # g's off-circle roots come in {w, 1/w} pairs with equal multiplicity,
@@ -229,10 +237,7 @@ def unit_disk_profile(p: QPoly) -> DiskProfile:
         inside += _schur_cohn_inside(q)
     except _SingularStep:
         inside += _inside_by_half_plane(q)
-    outside = pt.degree - on_circle - inside
-    prof = DiskProfile(at_zero, inside, on_circle, outside)
-    assert prof.degree == p.degree, "profile must partition the roots"
-    return prof
+    return DiskProfile(at_zero, inside, on_circle, pt.degree - on_circle - inside)
 
 
 def single_expansive(m: QMatrix, mode: str, poly: Optional[QPoly] = None) -> SingleVerdict:
@@ -246,9 +251,6 @@ def single_expansive(m: QMatrix, mode: str, poly: Optional[QPoly] = None) -> Sin
     check_mode(mode)
     p = char_poly(m) if poly is None else poly
     profile = unit_disk_profile(p)
-    if mode == GROUP:
-        if profile.at_zero > 0:
-            raise NotInvertibleError("group mode requires an invertible matrix")
-        return SingleVerdict(GROUP, profile.on_circle == 0, profile)
-    expansive = profile.at_zero == 0 and profile.inside == 0 and profile.on_circle == 0
-    return SingleVerdict(SEMIGROUP, expansive, profile)
+    if mode == GROUP and profile.at_zero > 0:
+        raise NotInvertibleError("group mode requires an invertible matrix")
+    return SingleVerdict(mode, profile.escapes(mode), profile)

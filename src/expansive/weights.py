@@ -17,6 +17,7 @@ from typing import Optional
 from .exact import (
     QMatrix,
     QPoly,
+    SelfCheckError,
     Subspace,
     char_poly,
     intersect,
@@ -178,10 +179,10 @@ def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
                 if piece.dim > 0:
                     refined.append(piece)
         blocks = refined
-    assert sum(b.dim for b in blocks) == n
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            assert intersect(blocks[i], blocks[j]).dim == 0
+    if sum(b.dim for b in blocks) != n or any(
+        intersect(blocks[i], blocks[j]).dim for i in range(len(blocks)) for j in range(i + 1, len(blocks))
+    ):
+        raise SelfCheckError("the primary blocks must split the space into a direct sum")
     out_blocks = []
     for b in blocks:
         restrictions = restrict_action(action, list(b.basis)).mats
@@ -208,18 +209,11 @@ class WeightsVerdict:
         return {"status": self.status, "blocks": list(self.block_reports)}
 
 
-def _word_escapes_block(m: QMatrix, mode: str) -> bool:
-    prof = unit_disk_profile(char_poly(m))
-    if mode == SEMIGROUP:
-        return prof.at_zero == 0 and prof.inside == 0 and prof.on_circle == 0
-    return prof.on_circle == 0 and prof.at_zero == 0
-
-
 def _block_escape_word(action: SemigroupAction, space: Subspace, mode: str, word_len: int = 3, budget: int = 80):
     """A word whose restriction to the block has every weight escaping."""
     restricted = restrict_action(action, list(space.basis))
     for word, m in iter_words(restricted, word_len, budget):
-        if _word_escapes_block(m, mode):
+        if unit_disk_profile(char_poly(m)).escapes(mode):
             return word
     return None
 
@@ -277,25 +271,14 @@ def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optio
     if verdict.status != EXPANSIVE:
         return None
 
-    block_restrictions = [
-        dict(zip(action.names, restrict_action(action, list(b.space.basis)).mats)) for b in decomp.blocks
-    ]
+    restrictions = [restrict_action(action, list(b.space.basis)) for b in decomp.blocks]
     escape_words = [tuple(rep["word"]) for rep in verdict.block_reports]
-
-    def restriction_of(word: tuple[str, ...], table: dict[str, QMatrix], dim: int) -> QMatrix:
-        out = QMatrix.identity(dim)
-        for name in word:
-            out = out @ table[name]
-        return out
 
     def off_circle(r: QMatrix) -> bool:
         return unit_disk_profile(char_poly(r)).on_circle == 0
 
     def cleared(word: tuple[str, ...]) -> list[bool]:
-        return [
-            off_circle(restriction_of(word, table, block.dim))
-            for block, table in zip(decomp.blocks, block_restrictions)
-        ]
+        return [off_circle(r.word_matrix(word)) for r in restrictions]
 
     best: tuple[str, ...] = (action.names[0],)
     best_count = sum(cleared(best))
@@ -315,18 +298,14 @@ def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optio
             if m * len(best) + len(repair) > word_cap or m > 2**40:
                 return None
             new_flags = [
-                off_circle(
-                    mat_power(restriction_of(best, table, block.dim), m)
-                    @ restriction_of(repair, table, block.dim)
-                )
-                for block, table in zip(decomp.blocks, block_restrictions)
+                off_circle(mat_power(r.word_matrix(best), m) @ r.word_matrix(repair)) for r in restrictions
             ]
             if all(nf for nf, old in zip(new_flags, flags) if old) and new_flags[target]:
-                assert sum(new_flags) > sum(flags)
                 best = best * m + repair
                 break
             m *= 2
 
     matrix = action.word_matrix(best)
-    assert single_expansive(matrix, GROUP).expansive
+    if not single_expansive(matrix, GROUP).expansive:
+        raise SelfCheckError(f"the word {best} must be expansive on the whole space")
     return {"word": list(best), "matrix": matrix}

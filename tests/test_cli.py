@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -377,7 +378,7 @@ def test_reports_are_deterministic_modulo_timings(capsys, tmp_path):
     assert reps[0] == reps[1]
 
 
-def test_lift_threads_flag_matches_sequential(capsys, tmp_path):
+def test_lift_of_two_windows_reports_both_and_its_chain_options(capsys, tmp_path):
     _, chain_rep = run(capsys, "solenoid-chain", FIXTURES / "dyadic_solenoid.json")
     w1 = dyadic_window(tmp_path, chain_rep, Fraction(1, 1024))
     w2 = tmp_path / "w2.json"
@@ -389,24 +390,88 @@ def test_lift_threads_flag_matches_sequential(capsys, tmp_path):
             ]
         )
     )
-    outs = []
-    for threads in ("1", "4"):
-        code, rep = run(
-            capsys,
-            "solenoid-lift",
-            FIXTURES / "dyadic_solenoid.json",
-            "--window",
-            w1,
-            "--window",
-            w2,
-            "--radius",
-            "3/10",
-            "--threads",
-            threads,
-        )
-        assert code == 0
-        outs.append(rep["lifts"])
-    assert outs[0] == outs[1]
+    code, rep = run(
+        capsys, "solenoid-lift", FIXTURES / "dyadic_solenoid.json",
+        "--window", w1, "--window", w2, "--radius", "3/10",
+    )
+    assert code == 0
+    assert rep["options"] == {"depth": 4, "kmax": 64, "radius": "3/10", "precision": 60}
+    assert rep["chain"] == chain_rep["chain"]
+    for entry, p in zip(rep["lifts"], (Fraction(1, 1024), Fraction(1, 4096))):
+        assert entry["lifted"] is True
+        for v in entry["values"]:
+            assert Fraction(v["mid"]) == Fraction(v["character"][0]) * p
+
+
+def test_lift_reusing_a_chain_records_no_chain_options(capsys, tmp_path):
+    _, chain_rep, chain_path = report_for(capsys, tmp_path, "solenoid-chain", FIXTURES / "dyadic_solenoid.json")
+    window = dyadic_window(tmp_path, chain_rep, Fraction(1, 1024))
+    code, rep = run(
+        capsys, "solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--chain", chain_path, "--window", window
+    )
+    assert code == 0
+    assert rep["options"] == {"radius": "1/6", "precision": 60}
+
+
+def test_kmax_zero_is_honoured_by_chain_and_lift(capsys, tmp_path):
+    # every relation costs at least 1, so a cap of 0 is a cap error (exit 2)
+    window = tmp_path / "window.json"
+    window.write_text("[]")
+    for command, *extra in (["solenoid-chain"], ["solenoid-lift", "--window", window]):
+        code, rep = run(capsys, command, FIXTURES / "dyadic_solenoid.json", "--kmax", "0", *extra)
+        assert (code, rep["error"]["type"]) == (2, "KExceededError"), command
+
+
+# --- usage errors ---
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jsr", FIXTURES / "cat_map.json", "--depth", "abc"],
+        ["jsr", FIXTURES / "cat_map.json", "--depth", "0"],
+        ["analyze-semigroup", FIXTURES / "cat_map.json", "--no-such-flag"],
+        ["verify", FIXTURES / "cat_map.json", FIXTURES / "cat_map.json", "--threads", "9"],
+        ["verify", FIXTURES / "cat_map.json", FIXTURES / "cat_map.json", "--kmax", "3"],
+        ["analyze-matrix", FIXTURES / "cat_map.json", "--depth", "5"],
+        ["no-such-subcommand", FIXTURES / "cat_map.json"],
+        [],
+    ],
+    ids=["depth-abc", "depth-0", "unknown-flag", "threads", "kmax-on-verify",
+         "depth-on-analyze-matrix", "unknown-subcommand", "no-subcommand"],
+)
+def test_usage_errors_exit_1_with_a_json_error(capsys, argv):
+    code, rep = run(capsys, *argv)
+    assert code == 1
+    assert rep["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "optimized"])
+def test_chain_depth_zero_is_refused_with_and_without_asserts(optimize):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, *optimize, "-m", "expansive", "solenoid-chain", str(FIXTURES / "dyadic_solenoid.json"),
+         "--depth", "0"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "error" in json.loads(done.stdout)
+
+
+def test_verify_help_lists_only_its_own_arguments(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["verify", "--help"])
+    assert done.value.code == 0
+    help_text = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z-]+", help_text)) == {"--help", "--out"}
+    assert help_text.splitlines()[0].split()[-2:] == ["report", "case"]
+
+
+@pytest.mark.parametrize("half", [["--radius", "5"], ["--epsilon", "1/5"]], ids=["radius", "epsilon"])
+def test_torus_grid_oracle_needs_both_epsilon_and_radius(capsys, half):
+    code, rep = run(capsys, "torus-check", FIXTURES / "cat_map.json", *half)
+    assert code == 1
+    assert rep["error"]["type"] == "ParseError"
 
 
 # --- numpy loads only for the float stages ---

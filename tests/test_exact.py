@@ -36,7 +36,6 @@ from expansive.exact import (
     rref,
     solve_exact,
     squarefree_part,
-    sturm_count_real_roots,
     sturm_root_count,
     to_fraction,
 )
@@ -231,11 +230,6 @@ def test_sturm_interval_is_half_open_on_the_right():
     assert sturm_root_count(line, F(2), F(3)) == 0
 
 
-def test_sturm_count_real_roots():
-    assert sturm_count_real_roots(P(0, -1, 0, 1)) == 3
-    assert sturm_count_real_roots(P(1, 0, 1)) == 0
-
-
 def test_cauchy_index_examples():
     # 1/z jumps -inf -> +inf once
     assert cauchy_index(P(1), P(0, 1)) == 1
@@ -350,8 +344,10 @@ def test_sturm_agrees_with_sympy_on_real_root_count(p):
         return
     z = sp.Symbol("z")
     sp_poly = sp.Poly([sp.Rational(c) for c in reversed(p.coeffs)], z)
-    # both sides count distinct real roots
-    assert sturm_count_real_roots(p) == sp_poly.count_roots(-sp.oo, sp.oo)
+    # both sides count distinct real roots; a root p/q has q | leading <= 5, so
+    # no endpoint over 7 is a root, and every root has modulus <= 1 + 5 < 43/7
+    for lo, hi in ((F(-43, 7), F(43, 7)), (F(-22, 7), F(15, 7))):
+        assert sturm_root_count(p, lo, hi) == sp_poly.count_roots(sp.Rational(lo), sp.Rational(hi))
 
 
 @given(int_polys)

@@ -15,12 +15,9 @@ from expansive.exact import QMatrix, Subspace, is_invariant, is_positive_semidef
 from expansive.orbits import (
     EXPANSIVE,
     NOT_EXPANSIVE,
-    UNKNOWN,
-    EngineConfig,
     NotInvertibleGeneratorError,
     SemigroupAction,
     ZeroVectorError,
-    bounded_subspace_estimate,
     certify_bounded,
     expansiveness_check,
     find_expansive_word,
@@ -251,26 +248,21 @@ def test_jsr_matches_per_word_reference(mats, mode, depth, tol):
 
 def test_bounded_estimate_contracting_coordinate():
     a = act([("g", M([[2, 0], [0, F(1, 2)]]))], "semigroup")
-    out = bounded_subspace_estimate(a, depth=8)
-    assert out["candidate"].basis == ((F(0), F(1)),)
-    assert out["bounded_cert"] != UNKNOWN
-    assert out["bounded_cert"]["slack"] == "0"
-    assert out["complement_escape"]["word"] == ["g"]
+    candidate = orbits._bounded_directions(a, 8)
+    assert candidate.basis == ((F(0), F(1)),)
+    assert certify_bounded(a, candidate) is not None
 
 
 def test_bounded_estimate_rotation_is_everything():
     a = act([("r", ROTATION)], "group")
-    out = bounded_subspace_estimate(a, depth=8)
-    assert out["candidate"].dim == 2
-    assert out["bounded_cert"]["gram"] == QMatrix.identity(2).to_json()
-    assert out["complement_escape"] == {"trivial": True}
+    candidate = orbits._bounded_directions(a, 8)
+    assert candidate.dim == 2
+    assert certify_bounded(a, candidate)["gram"] == QMatrix.identity(2)
 
 
 def test_bounded_estimate_doubling_is_zero():
     a = act([("g", DOUBLING)], "semigroup")
-    out = bounded_subspace_estimate(a, depth=8)
-    assert out["candidate"].dim == 0
-    assert out["complement_escape"]["word"] == ["g"]
+    assert orbits._bounded_directions(a, 8).dim == 0
 
 
 @given(
@@ -284,9 +276,9 @@ def test_bounded_estimate_doubling_is_zero():
 def test_bounded_estimate_candidate_is_always_invariant(rows_list):
     gens = [(f"g{i}", M(rows)) for i, rows in enumerate(rows_list)]
     a = act(gens, "semigroup")
-    out = bounded_subspace_estimate(a, depth=6)
+    candidate = orbits._bounded_directions(a, 6)
     for g in a.mats:
-        assert is_invariant(out["candidate"], g)
+        assert is_invariant(candidate, g)
 
 
 # --- boundedness certificates ---

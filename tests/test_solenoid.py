@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansive.exact import QMatrix
+from expansive.exact import DimensionMismatchError, QMatrix
 from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE
 from expansive.spectral import GROUP, SEMIGROUP
 from expansive.solenoid import (
     Ball,
     DualModuleAction,
     HomVector,
+    InvalidDepthError,
     KExceededError,
     LiftOutOfRangeError,
     NotInSpanError,
@@ -332,3 +333,13 @@ class TestSolenoidExpansiveness:
         for C in (F("1/4"), F("1/64")):
             scaled = p.scale(C / (2 * sup))
             assert d_star_A(HomVector.zero(2), scaled, chars).mid <= C
+
+
+def test_enumerate_basis_refuses_depth_below_one():
+    with pytest.raises(InvalidDepthError):
+        enumerate_basis(dyadic_module(), 0)
+
+
+def test_dual_module_refuses_matrices_of_another_dimension():
+    with pytest.raises(DimensionMismatchError):
+        DualModuleAction.from_generators(2, [[1, 0]], [("g", M([[2]]))], GROUP)

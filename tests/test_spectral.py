@@ -235,3 +235,16 @@ def test_semigroup_expansive_implies_group_expansive(entries):
         return
     if single_expansive(a, "semigroup").expansive:
         assert single_expansive(a, "group").expansive
+
+
+def test_escapes_reads_each_mode_off_the_profile():
+    # (at_zero, inside, on_circle, outside) -> (semigroup, group)
+    cases = {
+        (0, 0, 0, 2): (True, True),
+        (0, 1, 0, 1): (False, True),
+        (0, 0, 1, 1): (False, False),
+        (1, 0, 0, 1): (False, False),
+    }
+    for counts, expected in cases.items():
+        prof = DiskProfile(*counts)
+        assert (prof.escapes("semigroup"), prof.escapes("group")) == expected, counts
