@@ -1,0 +1,165 @@
+"""Exact checks of the certificates that decisive reports carry.
+
+Each certificate kind proves one status, named in ``CHECKS`` beside the
+check that re-derives the proof in rational arithmetic.  A certificate
+offered for the other status is refused, so a flipped report cannot
+verify, and ``split`` and ``affine_obstruction`` ask their
+sub-certificates for ``Expansive`` proofs the same way.  No check
+searches, except that ``irreducible_fast_path`` re-runs the torus
+irreducibility test: the certificate stores no spanning words yet.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from .exact import QMatrix, Subspace, char_poly, coordinates_in_span, is_positive_definite, to_fraction
+from .orbits import (
+    EXPANSIVE,
+    NOT_EXPANSIVE,
+    SemigroupAction,
+    _adapted_blocks,
+    _gram_nonincreasing,
+    generated_by,
+    invariant_line,
+    keeps_bounded,
+    restrict_action,
+)
+from .solenoid import Ball, RhoBasisChain, character
+from .spectral import unit_disk_profile
+from .torus import has_infinite_order, irreducibility_check
+
+Witness = Optional[tuple[Fraction, ...]]
+
+
+def _rows(rows) -> list[tuple[Fraction, ...]]:
+    return [tuple(to_fraction(x) for x in row) for row in rows]
+
+
+def _word_spectrum(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
+    """A word whose spectrum escapes the unit circle (and disk, for a semigroup)."""
+    profile = unit_disk_profile(char_poly(action.word_matrix(cert["word"])))
+    return profile.to_json() == cert["profile"] and profile.escapes(action.mode)
+
+
+def _spectral_obstruction(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
+    """A word that generates the whole action, with a spectrum that does not
+    escape; a witness is an eigenvector of an eigenvalue that keeps it bounded."""
+    m = action.word_matrix(cert["word"])
+    profile = unit_disk_profile(char_poly(m))
+    if profile.to_json() != cert["profile"] or profile.escapes(action.mode) or not generated_by(action, m):
+        return False
+    if witness is None:
+        return True
+    lam = to_fraction(cert["witness_eigenvalue"])
+    return keeps_bounded(lam, action.mode) and any(witness) and m.apply(witness) == tuple(lam * x for x in witness)
+
+
+def _invariant_norm(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
+    """A positive definite form on a nonzero invariant subspace that no generator increases."""
+    rows = _rows(cert["space"])
+    gram = QMatrix.from_json(cert["gram"])
+    if not rows or gram.rows != len(rows) or Subspace.from_vectors(action.dim, rows).dim != len(rows):
+        return False
+    if not is_positive_definite(gram) or not _gram_nonincreasing(restrict_action(action, rows).mats, gram):
+        return False
+    return witness is None or (any(witness) and coordinates_in_span(rows, witness) is not None)
+
+
+def _proved_subspace(cert: dict, action: SemigroupAction) -> tuple[int, list]:
+    """The dimension k of the certificate's invariant subspace and every
+    generator's adapted blocks; ValueError unless the restriction is proved expansive."""
+    rows, comp = _rows(cert["space"]), _rows(cert["complement"])
+    p = QMatrix.from_columns(rows + comp)
+    if len(rows) + len(comp) != action.dim or p.det() == 0:
+        raise ValueError("space and complement do not form a basis")
+    # restrict_action raises unless the rows span an invariant subspace
+    if not check_certificate(cert["restriction"], restrict_action(action, rows), EXPANSIVE):
+        raise ValueError("the restriction is not proved expansive")
+    return len(rows), list(_adapted_blocks(action, len(rows), p))
+
+
+def _split(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
+    """Expansive on an invariant subspace and on the quotient by it."""
+    k, blocks = _proved_subspace(cert, action)
+    quotient = SemigroupAction(action.dim - k, action.names, tuple(d for _, _, d in blocks), action.mode)
+    return check_certificate(cert["quotient"], quotient, EXPANSIVE)
+
+
+def _affine_obstruction(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
+    """Expansive on an invariant hyperplane, and no invariant line off it: a
+    vector off it with a bounded orbit would span one."""
+    k, blocks = _proved_subspace(cert, action)
+    scalars = cert["scalars"]
+    if k != action.dim - 1 or any(to_fraction(scalars[nm]) != d[0, 0] for nm, (_, _, d) in zip(action.names, blocks)):
+        return False
+    return invariant_line(blocks, k) is None
+
+
+def _irreducible_fast_path(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
+    """An infinite integer action that is irreducible is expansive on the torus."""
+    infinite = has_infinite_order(action.word_matrix(cert["infinite_order_word"]))
+    return infinite and irreducibility_check(action).conclusion == "Irreducible"
+
+
+# kind -> (the status it proves, its check)
+CHECKS = {
+    "empty_space": (EXPANSIVE, lambda cert, action, witness: action.dim == 0),
+    "word_spectrum": (EXPANSIVE, _word_spectrum),
+    "split": (EXPANSIVE, _split),
+    "affine_obstruction": (EXPANSIVE, _affine_obstruction),
+    "irreducible_fast_path": (EXPANSIVE, _irreducible_fast_path),
+    "spectral_obstruction": (NOT_EXPANSIVE, _spectral_obstruction),
+    "InvariantNormFound": (NOT_EXPANSIVE, _invariant_norm),
+}
+
+
+def check_certificate(cert, action: SemigroupAction, status: str, witness=None) -> bool:
+    """Whether ``cert`` proves ``status`` for ``action``, re-derived exactly.
+
+    ``witness``, a vector of rationals when given, must be nonzero and have
+    an orbit the certificate bounds.  A certificate whose data does not
+    parse, or does not fit the action, proves nothing.
+    """
+    try:
+        proves, check = CHECKS[cert["kind"]]
+        vector = None if witness is None else tuple(to_fraction(x) for x in witness)
+        return proves == status and check(cert, action, vector)
+    except (ArithmeticError, LookupError, TypeError, ValueError):
+        return False
+
+
+def check_chain(data: dict, k: Optional[int] = None) -> bool:
+    """Whether the chain's relations hold within its cost bound (and, given, that bound is ``k``)."""
+    chain = RhoBasisChain.from_json(data)
+    return chain.verify() and (k is None or chain.k == k)
+
+
+def check_lifts(data: dict, lifts: list) -> bool:
+    """Whether the chain checks and each lift gives every chain character a
+    value below its bound, itself below 1/k, that satisfies every chain relation."""
+    chain = RhoBasisChain.from_json(data)
+    if not chain.verify():
+        return False
+    chars = [chi for level in chain.levels for chi in level]
+    for entry in lifts:
+        if not entry.get("lifted"):
+            continue
+        bound = to_fraction(entry["bound"])
+        values = {
+            character(item["character"]): Ball(to_fraction(item["mid"]), to_fraction(item["rad"]))
+            for item in entry["values"]
+        }
+        if not 0 < bound * chain.k < 1 or any(chi not in values for chi in chars):
+            return False
+        if any(v.abs_upper() >= bound for v in values.values()):
+            return False
+        for rel in chain.relations:
+            ball = values[rel.target].scale(rel.n0)
+            for coef, a in rel.terms:
+                ball = ball - values[a].scale(coef)
+            # a true functional satisfies the relation exactly
+            if abs(ball.mid) > ball.rad:
+                return False
+    return True

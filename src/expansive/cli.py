@@ -3,8 +3,8 @@
 A case file holds ``{"n": int, "F": [[rationals]], "generators":
 {name: [[rationals]]}, "mode": "group"|"semigroup"}``; rationals may be
 ints or strings like ``"3/7"``.  Every subcommand emits a report whose
-exact certificates the ``verify`` subcommand can re-check against the
-case file without re-running any search.
+exact certificates the ``verify`` subcommand re-checks against the case
+file with ``expansive.certificates``.
 
 Exit codes: 0 decisive, 1 malformed input or failed verification,
 2 inconclusive (Unknown verdicts, exhausted enumeration caps).
@@ -15,25 +15,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .exact import (
-    ParseError,
-    QMatrix,
-    Subspace,
-    char_poly,
-    coordinates_in_span,
-    is_invariant,
-    is_positive_definite,
-    is_positive_semidefinite,
-    mat_power,
-    solve_exact,
-    to_fraction,
-)
+from .certificates import check_certificate, check_chain, check_lifts
+from .exact import ParseError, QMatrix, char_poly, to_fraction
 from .orbits import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction, expansiveness_check, jsr_bounds
 from .solenoid import (
     Ball,
@@ -41,7 +31,6 @@ from .solenoid import (
     KExceededError,
     LiftOutOfRangeError,
     PrecisionExhaustedError,
-    Relation,
     RhoBasisChain,
     SolenoidWindow,
     character,
@@ -52,13 +41,7 @@ from .solenoid import (
     span_restriction,
 )
 from .spectral import GROUP, SEMIGROUP, check_mode, single_expansive, unit_disk_profile
-from .torus import (
-    GridTooLargeError,
-    _finite_order_exponent,
-    irreducibility_check,
-    rational_orbit_oracle,
-    torus_expansive,
-)
+from .torus import GridTooLargeError, rational_orbit_oracle, torus_expansive
 from .weights import find_expansive_element
 
 TOOL_NAME = "expansive"
@@ -296,30 +279,18 @@ def parse_window(data, precision: int) -> SolenoidWindow:
     return SolenoidWindow(tuple(values))
 
 
-def chain_from_json(data) -> RhoBasisChain:
-    levels = tuple(tuple(character(c) for c in lvl) for lvl in data["levels"])
-    first_level = {}
-    for i, lvl in enumerate(levels):
-        for chi in lvl:
-            first_level.setdefault(chi, i)
-    rels = []
-    for r in data["relations"]:
-        target = character(r["target"])
-        terms = tuple((int(t["coef"]), character(t["character"])) for t in r["terms"])
-        rels.append(Relation(target, int(r["n0"]), terms, first_level.get(target, 0)))
-    return RhoBasisChain(levels, int(data["k"]), tuple(rels))
-
-
 def cmd_solenoid_lift(args) -> tuple[dict, int]:
     case = load_json(args.case)
     options = {}
     if args.chain:
+        if (args.depth, args.kmax, args.mode) != (None, None, None):
+            raise UsageError("--depth, --kmax and --mode shape only a chain solenoid-lift builds, not one from --chain")
         data = load_json(args.chain)
-        chain = chain_from_json(data.get("chain", data))
+        chain = RhoBasisChain.from_json(data.get("chain", data))
     else:
         dm = parse_dual_module(case, args.mode)
-        chain = regular_chain(enumerate_basis(dm, args.depth), k_max=args.kmax)
-        options = {"depth": args.depth, "kmax": args.kmax}
+        options = {"depth": args.depth or 4, "kmax": 64 if args.kmax is None else args.kmax}
+        chain = regular_chain(enumerate_basis(dm, options["depth"]), k_max=options["kmax"])
     if not args.window:
         raise ParseError("solenoid-lift needs at least one --window file")
     bound = to_fraction(args.radius) if args.radius is not None else Fraction(1, 2 * chain.k)
@@ -359,178 +330,6 @@ def cmd_solenoid_check(args) -> tuple[dict, int]:
 # ------------------------------------------------------------ the verifier
 
 
-def _parse_rows(rows) -> list[tuple[Fraction, ...]]:
-    return [tuple(to_fraction(x) for x in row) for row in rows]
-
-
-def _restricted_lookup(lookup: dict[str, QMatrix], rows: list[tuple[Fraction, ...]]) -> Optional[dict]:
-    out = {}
-    for name, m in lookup.items():
-        cols = []
-        for row in rows:
-            coords = coordinates_in_span(rows, m.apply(row))
-            if coords is None:
-                return None
-            cols.append(coords)
-        out[name] = QMatrix.from_columns(cols)
-    return out
-
-
-def _word_product(lookup: dict[str, QMatrix], word: Sequence[str]) -> Optional[QMatrix]:
-    if not word or any(name not in lookup for name in word):
-        return None
-    m = lookup[word[0]]
-    for name in word[1:]:
-        m = m @ lookup[name]
-    return m
-
-
-def _adapted(lookup: dict[str, QMatrix], p: QMatrix, k: int):
-    pinv = p.inverse()
-    n = p.rows
-    for name, g in lookup.items():
-        t = pinv @ g @ p
-        a = QMatrix.from_rows([[t[i, j] for j in range(k)] for i in range(k)])
-        b = QMatrix.from_rows([[t[i, j] for j in range(k, n)] for i in range(k)])
-        d = QMatrix.from_rows([[t[i, j] for j in range(k, n)] for i in range(k, n)])
-        yield name, a, b, d
-
-
-def check_certificate(
-    cert: dict,
-    lookup: dict[str, QMatrix],
-    mode: str,
-    witness: Optional[tuple[Fraction, ...]],
-    dim: int,
-) -> bool:
-    """Exact re-validation of a decisive certificate, no searching involved."""
-    kind = cert.get("kind")
-
-    if kind == "empty_space":
-        return dim == 0
-
-    if kind in ("word_spectrum", "spectral_obstruction"):
-        m = _word_product(lookup, cert.get("word", []))
-        if m is None:
-            return False
-        profile = unit_disk_profile(char_poly(m))
-        if profile.to_json() != cert.get("profile"):
-            return False
-        if kind == "word_spectrum":
-            return profile.escapes(mode)
-        if profile.escapes(mode):
-            return False
-        lam = cert.get("witness_eigenvalue")
-        if lam is not None and witness is not None:
-            f = to_fraction(lam)
-            if all(x == 0 for x in witness):
-                return False
-            if m.apply(witness) != tuple(f * x for x in witness):
-                return False
-        return True
-
-    if kind == "InvariantNormFound":
-        rows = _parse_rows(cert["space"])
-        gram = QMatrix.from_json(cert["gram"])
-        if not rows or gram.rows != len(rows):
-            return False
-        space = Subspace.from_vectors(dim, rows)
-        if space.dim != len(rows):
-            return False
-        if not all(is_invariant(space, m) for m in lookup.values()):
-            return False
-        restricted = _restricted_lookup(lookup, rows)
-        if restricted is None or not is_positive_definite(gram):
-            return False
-        for m in restricted.values():
-            if not is_positive_semidefinite(gram - (m.transpose() @ gram @ m)):
-                return False
-        if witness is not None:
-            if all(x == 0 for x in witness):
-                return False
-            if coordinates_in_span(rows, witness) is None:
-                return False
-        return True
-
-    if kind in ("split", "affine_obstruction"):
-        rows = _parse_rows(cert["space"])
-        comp = _parse_rows(cert["complement"])
-        k = len(rows)
-        if k + len(comp) != dim:
-            return False
-        space = Subspace.from_vectors(dim, rows)
-        if not all(is_invariant(space, m) for m in lookup.values()):
-            return False
-        restricted = _restricted_lookup(lookup, rows)
-        inner = cert.get("restriction")
-        if restricted is None or inner is None:
-            return False
-        if not check_certificate(inner, restricted, mode, None, k):
-            return False
-        p = QMatrix.from_columns([list(r) for r in rows] + [list(c) for c in comp])
-        if p.det() == 0:
-            return False
-        blocks = list(_adapted(lookup, p, k))
-        if kind == "split":
-            quo = cert.get("quotient")
-            if quo is None:
-                return False
-            quotient_lookup = {name: d for name, _, _, d in blocks}
-            return check_certificate(quo, quotient_lookup, mode, None, dim - k)
-        scalars = cert.get("scalars") or {}
-        sys_rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for name, a, b, d in blocks:
-            if name not in scalars:
-                return False
-            mu = to_fraction(scalars[name])
-            if d.rows != 1 or d[0, 0] != mu:
-                return False
-            shifted = a - QMatrix.identity(k).scale(mu)
-            for i in range(k):
-                sys_rows.append([shifted[i, j] for j in range(k)])
-                rhs.append(-b[i, 0])
-        # the obstruction claims the joint affine system has no solution
-        return solve_exact(QMatrix.from_rows(sys_rows), rhs) is None
-
-    return False
-
-
-def _verify_chain(rep: dict) -> bool:
-    chain = chain_from_json(rep["chain"])
-    if not chain.verify():
-        return False
-    return rep.get("k") is None or chain.k == rep["k"]
-
-
-def _verify_lifts(rep: dict) -> bool:
-    chain = chain_from_json(rep["chain"])
-    if not chain.verify():
-        return False
-    chars = [chi for level in chain.levels for chi in level]
-    for entry in rep.get("lifts", []):
-        if not entry.get("lifted"):
-            continue
-        bound = to_fraction(entry["bound"])
-        values: dict = {}
-        for item in entry["values"]:
-            values[character(item["character"])] = Ball(
-                to_fraction(item["mid"]), to_fraction(item["rad"])
-            )
-        if any(chi not in values for chi in chars):
-            return False
-        if any(v.abs_upper() >= bound for v in values.values()):
-            return False
-        for rel in chain.relations:
-            ball = values[rel.target].scale(rel.n0)
-            for coef, a in rel.terms:
-                ball = ball - values[a].scale(coef)
-            # a true functional satisfies the relation exactly
-            if abs(ball.mid) > ball.rad:
-                return False
-    return True
-
-
 def verify_report(rep: dict, case: dict) -> bool:
     version = rep.get("tool", {}).get("version")
     if version != __version__:
@@ -539,36 +338,19 @@ def verify_report(rep: dict, case: dict) -> bool:
         return False
     command = rep.get("command")
     if command == "solenoid-chain":
-        return _verify_chain(rep)
+        return check_chain(rep["chain"], rep.get("k"))
     if command == "solenoid-lift":
-        return _verify_lifts(rep)
-    cert = rep.get("certificate")
-    status = rep.get("status")
-    if status in (EXPANSIVE, NOT_EXPANSIVE):
-        if cert is None:
-            return False
-        if command in ("solenoid-check",):
-            dm = parse_dual_module(case, rep.get("options", {}).get("mode"))
-            _, action = span_restriction(dm)
-        else:
-            action = parse_action(case, rep.get("options", {}).get("mode"))
-        lookup = dict(zip(action.names, action.mats))
-        witness = None
-        if rep.get("witness") is not None:
-            witness = tuple(to_fraction(x) for x in rep["witness"])
-        if cert.get("kind") == "irreducible_fast_path":
-            m = _word_product(lookup, cert.get("infinite_order_word", []))
-            if m is None:
-                return False
-            exponent = _finite_order_exponent(action.dim)
-            infinite = (
-                unit_disk_profile(char_poly(m)).outside > 0
-                or mat_power(m, exponent) != QMatrix.identity(action.dim)
-            )
-            return infinite and irreducibility_check(action).conclusion == "Irreducible"
-        return check_certificate(cert, lookup, action.mode, witness, action.dim)
-    # inconclusive and advisory reports claim nothing exact
-    return cert is None
+        return check_lifts(rep["chain"], rep.get("lifts", []))
+    status, cert = rep.get("status"), rep.get("certificate")
+    if status not in (EXPANSIVE, NOT_EXPANSIVE):
+        # inconclusive and advisory reports claim nothing exact
+        return cert is None
+    mode = rep.get("options", {}).get("mode")
+    if command == "solenoid-check":
+        action = span_restriction(parse_dual_module(case, mode))[1]
+    else:
+        action = parse_action(case, mode)
+    return check_certificate(cert, action, status, rep.get("witness"))
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -605,14 +387,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(kind, holds, need: str):
+    """An argparse type: ``kind(text)``, a usage error unless it ``holds``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {'an integer' if kind is int else 'a number'}: {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+        return value
+
+    return parse
+
+
+positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+non_negative_int = _checked(int, lambda v: v >= 0, "at least 0")
+finite_float = _checked(float, math.isfinite, "finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -638,13 +430,19 @@ def build_parser() -> argparse.ArgumentParser:
     torus.add_argument("--epsilon", help="separation radius of the grid oracle (with --radius)")
     torus.add_argument("--radius", help="grid denominator q of the grid oracle (with --epsilon)")
     jsr = add("jsr", "joint spectral radius bracket", 6, "word length")
-    jsr.add_argument("--epsilon", type=float, default=1e-4, help="branch-and-bound tolerance (default 1e-4)")
+    jsr.add_argument(
+        "--epsilon", type=finite_float, default=1e-4, help="branch-and-bound tolerance (default 1e-4)"
+    )
     chain = add("solenoid-chain", "build and verify a bounded-cost character chain", 4, "chain levels")
-    lift_cmd = add("solenoid-lift", "lift windows through a chain to functional values", 4, "chain levels")
-    for p in (chain, lift_cmd):
-        p.add_argument("--kmax", type=int, default=64, help="largest admissible relation cost (default 64)")
+    # the lift's chain flags default to None: they are refused alongside --chain
+    lift_cmd = add("solenoid-lift", "lift windows through a chain to functional values")
+    lift_cmd.add_argument("--depth", type=positive_int, help="chain levels (default 4)")
+    for p, kmax in ((chain, 64), (lift_cmd, None)):
+        p.add_argument("--kmax", type=int, default=kmax, help="largest admissible relation cost (default 64)")
     lift_cmd.add_argument("--radius", help="lift bound C < 1/k (default 1/(2k))")
-    lift_cmd.add_argument("--precision", type=int, default=60, help="radius 2^-P of window entries without one")
+    lift_cmd.add_argument(
+        "--precision", type=non_negative_int, default=60, help="radius 2^-P of window entries without one"
+    )
     lift_cmd.add_argument("--window", action="append", help="window file, repeatable")
     lift_cmd.add_argument("--chain", help="reuse a chain from a solenoid-chain report")
     add("solenoid-check", "expansiveness of a solenoidal action", 10)

@@ -100,15 +100,19 @@ class SemigroupAction:
         return SemigroupAction(dim, tuple(names), tuple(mats), mode)
 
     def matrix_for(self, name: str) -> QMatrix:
-        if name in self.names:
-            return self.mats[self.names.index(name)]
-        base = name.removesuffix(INVERSE_SUFFIX)
-        return self.mats[self.names.index(base)].inverse()
+        """The matrix of one of the action's own generator names."""
+        if name not in self.names:
+            raise ValueError(f"{name!r} names no generator of this action")
+        return self.mats[self.names.index(name)]
 
     def word_matrix(self, word: Iterable[str]) -> QMatrix:
-        out = QMatrix.identity(self.dim)
-        for name in word:
-            out = out @ self.matrix_for(name)
+        """The product of a nonempty word of generator names (so no inverse in semigroup mode)."""
+        mats = [self.matrix_for(name) for name in word]
+        if not mats:
+            raise ValueError("the empty word names no element of the action")
+        out = mats[0]
+        for m in mats[1:]:
+            out = out @ m
         return out
 
 
@@ -422,16 +426,8 @@ def _quotient_action(
     """
     comp = _complete_basis(space)
     p = QMatrix.from_columns(list(space.basis) + comp)
-    pinv = p.inverse()
-    k = space.dim
-    mats = []
-    for g in action.mats:
-        t = pinv @ g @ p
-        if any(t[i, j] != 0 for i in range(k, action.dim) for j in range(k)):
-            raise ValueError("space must be invariant")
-        mats.append(QMatrix.from_rows([[t[i, j] for j in range(k, action.dim)] for i in range(k, action.dim)]))
-    quo = SemigroupAction(action.dim - k, action.names, tuple(mats), action.mode)
-    return quo, comp, p
+    mats = tuple(d for _, _, d in _adapted_blocks(action, space.dim, p))
+    return SemigroupAction(action.dim - space.dim, action.names, mats, action.mode), comp, p
 
 
 # ------------------------------------------------ boundedness certificates
@@ -644,10 +640,14 @@ def _norm_bound_from_cert(cert: dict, witness: tuple[Fraction, ...]) -> float:
     return math.sqrt(hi / lo) * wnorm * (1 + 1e-9)
 
 
+def keeps_bounded(lam: Fraction, mode: str) -> bool:
+    """Whether eigenvalue ``lam`` bounds its eigenvector's orbit: |lam| <= 1, in group mode |lam| = 1."""
+    return lam * lam <= 1 if mode == SEMIGROUP else lam * lam == 1
+
+
 def _spectral_witness(m: QMatrix, mode: str) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
     for lam in rational_roots(char_poly(m)):
-        ok = (lam * lam <= 1) if mode == SEMIGROUP else (lam * lam == 1)
-        if not ok:
+        if not keeps_bounded(lam, mode):
             continue
         eig = kernel(m - QMatrix.identity(m.rows).scale(lam))
         if eig.dim > 0:
@@ -742,19 +742,17 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
     return ExpansivenessVerdict(UNKNOWN, None, None, {"route": "inconclusive"}, depth)
 
 
+def generated_by(action: SemigroupAction, m: QMatrix) -> bool:
+    """Whether every generator is ``m``, its inverse (group mode only) or the identity."""
+    ident = QMatrix.identity(action.dim)
+    return all(g in (m, ident) or (action.mode == GROUP and g @ m == ident) for g in action.mats)
+
+
 def _cyclic_generator(action: SemigroupAction) -> Optional[tuple[str, QMatrix]]:
     """The generating matrix when the action is generated by one element."""
     ident = QMatrix.identity(action.dim)
-    named = list(dict.fromkeys(zip(action.names, action.mats)))
-    nontrivial = [(nm, m) for nm, m in named if m != ident]
-    if not nontrivial:
-        return named[0][0], ident
-    distinct = list(dict.fromkeys(m for _, m in nontrivial))
-    if len(distinct) == 1:
-        return nontrivial[0]
-    if action.mode == GROUP and len(distinct) == 2 and distinct[0] @ distinct[1] == ident:
-        return nontrivial[0]
-    return None
+    first = next(((nm, m) for nm, m in zip(action.names, action.mats) if m != ident), (action.names[0], ident))
+    return first if generated_by(action, first[1]) else None
 
 
 def _split_analysis(
@@ -828,15 +826,32 @@ def _lift_restriction_obstruction(
     return None
 
 
-def _adapted_blocks(action: SemigroupAction, space: Subspace, p: QMatrix):
+def _adapted_blocks(action: SemigroupAction, k: int, p: QMatrix):
+    """Per generator, the blocks of P^-1 g P = [[A, B], [0, D]], A k x k; raises
+    ValueError unless the span of P's first k columns is invariant."""
     pinv = p.inverse()
-    k = space.dim
     for g in action.mats:
         t = pinv @ g @ p
+        if any(t[i, j] != 0 for i in range(k, action.dim) for j in range(k)):
+            raise ValueError("space must be invariant")
         a = QMatrix.from_rows([[t[i, j] for j in range(k)] for i in range(k)])
         b = QMatrix.from_rows([[t[i, j] for j in range(k, action.dim)] for i in range(k)])
         d = QMatrix.from_rows([[t[i, j] for j in range(k, action.dim)] for i in range(k, action.dim)])
         yield a, b, d
+
+
+def invariant_line(blocks, k: int) -> Optional[tuple[Fraction, ...]]:
+    """A solution u of (A_g - mu_g I) u = -B_g over every generator's adapted
+    blocks, D_g = (mu_g) on a one dimensional quotient, or None; exactly then
+    u + e spans an invariant line, e the completion vector."""
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for a, b, d in blocks:
+        shifted = a - QMatrix.identity(k).scale(d[0, 0])
+        for i in range(k):
+            rows.append(list(shifted.row(i)))
+            rhs.append(-b[i, 0])
+    return solve_exact(QMatrix.from_rows(rows), rhs)
 
 
 def _one_dim_quotient_analysis(
@@ -857,7 +872,7 @@ def _one_dim_quotient_analysis(
     bounded line.
     """
     k = space.dim
-    blocks = list(_adapted_blocks(action, space, p))
+    blocks = list(_adapted_blocks(action, k, p))
     scalars = [d[0, 0] for _, _, d in blocks]
     space_json = [[str(x) for x in b] for b in space.basis]
     comp_json = [[str(x) for x in b] for b in comp]
@@ -876,15 +891,7 @@ def _one_dim_quotient_analysis(
         words = (res.evidence.get("escape_words") or []) + [[action.names[big]]]
         return ExpansivenessVerdict(EXPANSIVE, None, cert, {"escape_words": words, "route": "split"}, depth)
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for (a, b, _), mu in zip(blocks, scalars):
-        shifted = a - QMatrix.identity(k).scale(mu)
-        for i in range(k):
-            rows.append([shifted[i, j] for j in range(k)])
-            rhs.append(-b[i, 0])
-    sol = solve_exact(QMatrix.from_rows(rows), rhs)
-
+    sol = invariant_line(blocks, k)
     if sol is None:
         cert = {
             "kind": "affine_obstruction",
@@ -933,7 +940,7 @@ def _graph_lift(
     vq_rows = [tuple(Fraction(x) for x in row) for row in cert["space"]]
     q2 = len(vq_rows)
     k = space.dim
-    blocks = list(_adapted_blocks(action, space, p))
+    blocks = list(_adapted_blocks(action, space.dim, p))
     basis_mat = QMatrix.from_columns(vq_rows)
     dprime = []
     for _, _, d in blocks:

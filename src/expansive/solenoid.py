@@ -270,6 +270,20 @@ class RhoBasisChain:
             "relations": [r.to_json() for r in self.relations],
         }
 
+    @staticmethod
+    def from_json(data: dict) -> "RhoBasisChain":
+        levels = tuple(tuple(character(c) for c in lvl) for lvl in data["levels"])
+        first_level: dict[Character, int] = {}
+        for i, lvl in enumerate(levels):
+            for chi in lvl:
+                first_level.setdefault(chi, i)
+        rels = []
+        for r in data["relations"]:
+            target = character(r["target"])
+            terms = tuple((int(t["coef"]), character(t["character"])) for t in r["terms"])
+            rels.append(Relation(target, int(r["n0"]), terms, first_level.get(target, 0)))
+        return RhoBasisChain(levels, int(data["k"]), tuple(rels))
+
 
 def _integer_relation(target: Character, coeffs: Sequence[Fraction], chars: Sequence[Character], level: int) -> Relation:
     n0 = 1

@@ -10,6 +10,7 @@ rational grid points gives desk-scale ground truth for small cases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -189,6 +190,7 @@ def _totient(d: int) -> int:
     return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
 
 
+@functools.cache
 def _finite_order_exponent(n: int) -> int:
     """Every finite-order integer n x n matrix M satisfies M^L = I.
 
@@ -204,15 +206,21 @@ def _finite_order_exponent(n: int) -> int:
     return out
 
 
+def has_infinite_order(m: QMatrix) -> bool:
+    """Whether an integer matrix has infinitely many powers: a root outside the
+    unit circle, or M^(n+L) != M^n.  M^n kills the nilpotent part, and on the
+    rest a finite order divides L (``_finite_order_exponent``); M^L != I alone
+    would call a singular M with finitely many powers infinite."""
+    if unit_disk_profile(char_poly(m)).outside > 0:
+        return True
+    head = mat_power(m, m.rows)
+    return head @ mat_power(m, _finite_order_exponent(m.rows)) != head
+
+
 def certified_infinite_word(action: SemigroupAction, word_len: int = 3, budget: int = 200):
     """A word of infinite order, or None when no cheap certificate exists."""
-    n = action.dim
-    exponent = _finite_order_exponent(n)
-    ident = QMatrix.identity(n)
     for word, m in iter_words(action, word_len, budget):
-        if unit_disk_profile(char_poly(m)).outside > 0:
-            return word
-        if mat_power(m, exponent) != ident:
+        if has_infinite_order(m):
             return word
     return None
 

@@ -1,0 +1,269 @@
+"""The certificate checker against honest and adversarial reports.
+
+Every case below runs through every subcommand whose report claims a
+status, in the case's own mode and in semigroup mode; the decisive reports
+are the honest ones.  Each must verify as it stands, and no mutation of one
+that claims the opposite status may verify.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from expansive.certificates import CHECKS, check_certificate, check_lifts
+from expansive.cli import main, parse_action, parse_dual_module, verify_report
+from expansive.exact import QMatrix, char_poly
+from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction
+from expansive.solenoid import span_restriction
+from expansive.spectral import GROUP, SEMIGROUP, unit_disk_profile
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+OPPOSITE = {EXPANSIVE: NOT_EXPANSIVE, NOT_EXPANSIVE: EXPANSIVE}
+DECIDING = [
+    ["analyze-matrix"],
+    ["analyze-semigroup"],
+    ["find-expansive"],
+    ["torus-check"],
+    ["solenoid-check"],
+]
+# beyond the fixtures: a split with no single escaping word, and an empty span
+EXTRA_CASES = {
+    "opposed_diagonals": {
+        "n": 2, "mode": "semigroup", "generators": {"a": [[2, 0], [0, "1/2"]], "b": [["1/2", 0], [0, 2]]}
+    },
+    "zero_module": {"n": 1, "F": [[0]], "generators": {"g": [[2]]}, "mode": "group"},
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def honest(tmp_path_factory):
+    """name -> (report, case) for every decisive report of every case."""
+    paths = {p.stem: p for p in FIXTURES.glob("*.json") if p.stem != "dyadic_window"}
+    for name, case in EXTRA_CASES.items():
+        paths[name] = tmp_path_factory.mktemp("cases") / f"{name}.json"
+        paths[name].write_text(json.dumps(case))
+    out = {}
+    for name, path in sorted(paths.items()):
+        case = json.loads(path.read_text())
+        for command in DECIDING:
+            for mode in ([], ["--mode", SEMIGROUP]):
+                code, rep = _run([command[0], path, *command[1:], *mode])
+                if code == 0 and rep.get("status") in OPPOSITE:
+                    out[" ".join([*command, name, *mode])] = (rep, case)
+    return out
+
+
+def _action(rep: dict, case: dict) -> SemigroupAction:
+    mode = rep["options"].get("mode")
+    if rep["command"] == "solenoid-check":
+        return span_restriction(parse_dual_module(case, mode))[1]
+    return parse_action(case, mode)
+
+
+def _verifies(rep: dict, case: dict) -> bool:
+    try:
+        return verify_report(rep, case)
+    except (KeyError, TypeError, ValueError):  # what main() reports as exit 1
+        return False
+
+
+def _kinds(cert) -> set:
+    if not isinstance(cert, dict):
+        return set()
+    return {cert["kind"]} | _kinds(cert.get("restriction")) | _kinds(cert.get("quotient"))
+
+
+def test_every_honest_report_verifies_and_every_kind_occurs(honest):
+    assert [name for name, (rep, case) in honest.items() if not verify_report(rep, case)] == []
+    assert set().union(*(_kinds(rep["certificate"]) for rep, _ in honest.values())) == set(CHECKS)
+
+
+# ------------------------------------------------------------ mutations
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _at(node, path):
+    for step in path:
+        node = node[step]
+    return node
+
+
+def _mutated_value(draw, value, letters):
+    """A changed copy of one certificate or witness value."""
+    if isinstance(value, bool) or value is None:
+        return draw(st.sampled_from([None, not value, 0]))
+    if isinstance(value, int):
+        return value + draw(st.sampled_from([-1, 1, 2]))
+    if isinstance(value, str):
+        try:
+            x = Fraction(value)
+        except ValueError:
+            return draw(st.sampled_from(letters + ["", "x"]))
+        delta = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), -2 * x, -x]))
+        return str(x + delta)
+    if isinstance(value, list):
+        choice = draw(st.sampled_from(["drop", "double", "reverse", "empty"]))
+        if choice == "empty" or not value:
+            return []
+        i = draw(st.integers(0, len(value) - 1))
+        if choice == "drop":
+            return value[:i] + value[i + 1 :]
+        if choice == "double":
+            return value[: i + 1] + value[i:]
+        return value[::-1]
+    key = draw(st.sampled_from(sorted(value)))
+    return {k: v for k, v in value.items() if k != key}
+
+
+def _forgeries(action: SemigroupAction) -> list:
+    """Certificates of every kind whose data is true of the action wherever it can be."""
+    n = action.dim
+    ident = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    out = [
+        {"kind": "empty_space"},
+        {"kind": "InvariantNormFound", "space": ident, "gram": ident},
+        {"kind": "InvariantNormFound", "space": [], "gram": []},
+    ]
+    for name, m in zip(action.names, action.mats):
+        profile = unit_disk_profile(char_poly(m)).to_json()
+        out += [
+            {"kind": "word_spectrum", "word": [name], "profile": profile},
+            {"kind": "spectral_obstruction", "word": [name], "profile": profile},
+            {"kind": "irreducible_fast_path", "algebra_dim": n * n, "infinite_order_word": [name]},
+        ]
+    return out
+
+
+def test_no_forged_certificate_proves_the_opposite_status(honest):
+    accepted = []
+    for name, (rep, case) in honest.items():
+        for cert in _forgeries(_action(rep, case)):
+            bad = {**rep, "status": OPPOSITE[rep["status"]], "certificate": cert}
+            if _verifies(bad, case):
+                accepted.append((name, cert))
+    assert accepted == []
+
+
+def _mutate(draw, rep: dict, action: SemigroupAction, pool: list) -> None:
+    letters = list(action.names) + [name + "^-1" for name in action.names]
+    op = draw(st.sampled_from(["value", "value", "value", "certificate", "kind", "witness"]))
+    if op == "certificate":
+        rep["certificate"] = copy.deepcopy(draw(st.sampled_from(pool + _forgeries(action))))
+    elif op == "kind" and isinstance(rep.get("certificate"), dict):
+        rep["certificate"]["kind"] = draw(st.sampled_from(sorted(CHECKS)))
+    elif op == "witness":
+        vectors = [None, [0] * action.dim] + [[int(i == j) for j in range(action.dim)] for i in range(action.dim)]
+        rep["witness"] = draw(st.sampled_from(vectors))
+    else:
+        tree = {"certificate": rep.get("certificate"), "witness": rep.get("witness")}
+        path = draw(st.sampled_from([p for p in _paths(tree) if len(p) > 1]))
+        new = _mutated_value(draw, _at(tree, path), letters)
+        _at(rep, path[:-1])[path[-1]] = new
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_no_mutation_claiming_the_opposite_status_verifies(honest, data):
+    name = data.draw(st.sampled_from(sorted(honest)))
+    rep, case = honest[name]
+    action = _action(rep, case)
+    pool = [r["certificate"] for r, _ in honest.values()]
+    bad = copy.deepcopy(rep)
+    bad["status"] = OPPOSITE[rep["status"]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(data.draw, bad, action, pool)
+    assert not _verifies(bad, case), (name, bad.get("certificate"), bad.get("witness"))
+
+
+# ------------------------------------------------------------ polarity
+
+
+def _action_of(mode, **gens):
+    return SemigroupAction.from_generators([(k, QMatrix.from_rows(v)) for k, v in gens.items()], mode)
+
+
+def _profile(*rows):
+    return unit_disk_profile(char_poly(QMatrix.from_rows(rows))).to_json()
+
+
+def test_split_needs_an_expansive_quotient_proof():
+    # diag(2, 1) fixes e2; its quotient by e1 is the identity, which an
+    # obstruction rightly calls not expansive, so it proves no Expansive split
+    action = _action_of(GROUP, g=[[2, 0], [0, 1]])
+    cert = {
+        "kind": "split",
+        "space": [["1", "0"]],
+        "complement": [["0", "1"]],
+        "restriction": {"kind": "word_spectrum", "word": ["g"], "profile": _profile([2])},
+        "quotient": {"kind": "spectral_obstruction", "word": ["g"], "profile": _profile([1])},
+    }
+    assert check_certificate(cert["quotient"], _action_of(GROUP, g=[[1]]), NOT_EXPANSIVE)
+    assert not check_certificate(cert, action, EXPANSIVE)
+
+
+def test_affine_obstruction_needs_an_expansive_restriction_proof():
+    # the shear fixes e1, and its line system (1 - 1) u = -1 has no solution
+    action = _action_of(GROUP, g=[[1, 1], [0, 1]])
+    restriction = {"kind": "spectral_obstruction", "word": ["g"], "profile": _profile([1])}
+    cert = {
+        "kind": "affine_obstruction",
+        "space": [["1", "0"]],
+        "complement": [["0", "1"]],
+        "restriction": restriction,
+        "scalars": {"g": "1", "g^-1": "1"},
+    }
+    assert check_certificate(restriction, _action_of(GROUP, g=[[1]]), NOT_EXPANSIVE)
+    assert not check_certificate(cert, action, EXPANSIVE)
+
+
+def test_an_obstruction_needs_a_cyclic_action():
+    # the order-4 rotation s does not generate the action of s and t
+    action = _action_of(GROUP, s=[[0, -1], [1, 0]], t=[[1, 1], [0, 1]])
+    cert = {"kind": "spectral_obstruction", "word": ["s"], "profile": _profile([0, -1], [1, 0])}
+    assert not check_certificate(cert, action, NOT_EXPANSIVE)
+    assert check_certificate(cert, _action_of(GROUP, s=[[0, -1], [1, 0]]), NOT_EXPANSIVE)
+
+
+def test_an_obstruction_witness_needs_a_bounded_eigenvalue():
+    # diag(2, 1/2) does not escape as a semigroup, but e1 is no bounded witness
+    action = _action_of(SEMIGROUP, g=[[2, 0], [0, "1/2"]])
+    cert = {"kind": "spectral_obstruction", "word": ["g"], "profile": _profile([2, 0], [0, "1/2"])}
+    assert check_certificate(cert, action, NOT_EXPANSIVE)
+    assert check_certificate({**cert, "witness_eigenvalue": "1/2"}, action, NOT_EXPANSIVE, ["0", "1"])
+    assert not check_certificate({**cert, "witness_eigenvalue": "2"}, action, NOT_EXPANSIVE, ["1", "0"])
+    assert not check_certificate(cert, action, NOT_EXPANSIVE, ["0", "1"])
+
+
+def test_a_lift_bound_must_stay_below_1_over_k():
+    window = FIXTURES / "dyadic_window.json"
+    code, rep = _run(["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", window, "--radius", "3/10"])
+    assert code == 0 and check_lifts(rep["chain"], rep["lifts"])
+    # the functional x -> 7x satisfies every relation, but no bound below 1/k holds it
+    entry = rep["lifts"][0]
+    entry["bound"] = "1000"
+    for value in entry["values"]:
+        value["mid"] = str(7 * Fraction(value["character"][0]))
+    assert not check_lifts(rep["chain"], rep["lifts"])

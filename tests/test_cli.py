@@ -15,13 +15,13 @@ import expansive
 from expansive.cli import (
     VersionMismatch,
     case_id,
-    chain_from_json,
     main,
     parse_action,
     parse_dual_module,
     verify_report,
 )
 from expansive.exact import ParseError
+from expansive.solenoid import RhoBasisChain
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(expansive.__file__).resolve().parent.parent
@@ -179,7 +179,7 @@ def test_solenoid_chain_dyadic(capsys):
     assert code == 0
     assert rep["k"] == 3
     assert rep["verified"] is True
-    chain = chain_from_json(rep["chain"])
+    chain = RhoBasisChain.from_json(rep["chain"])
     assert chain.verify()
 
 
@@ -334,6 +334,29 @@ def test_verify_report_function_raises_on_version(tmp_path):
         verify_report(rep, {"n": 1, "generators": {"g": [[2]]}, "mode": "group"})
 
 
+def _flip_status(rep):
+    rep["status"] = {"Expansive": "NotExpansive", "NotExpansive": "Expansive"}[rep["status"]]
+
+
+def _obstruction_on_s(rep):
+    rep["status"] = "NotExpansive"
+    rotation = {"at_zero": 0, "inside": 0, "on_circle": 2, "outside": 0}
+    rep["certificate"] = {"kind": "spectral_obstruction", "word": ["s"], "profile": rotation}
+
+
+@pytest.mark.parametrize(
+    "fixture, forge",
+    [("cat_map", _flip_status), ("rotation", _flip_status), ("sl2_generators", _obstruction_on_s)],
+    ids=["cat-map-flipped", "rotation-flipped", "sl2-obstruction-on-s"],
+)
+def test_verify_rejects_a_certificate_of_the_other_status(capsys, tmp_path, fixture, forge):
+    _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / f"{fixture}.json")
+    forge(rep)
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, FIXTURES / f"{fixture}.json")
+    assert (code, out["verified"]) == (1, False)
+
+
 def test_unknown_report_carries_no_certificate_and_verifies(capsys, tmp_path):
     _, rep, path = report_for(
         capsys, tmp_path, "analyze-semigroup", "--depth", "1", FIXTURES / "sl2_generators.json"
@@ -413,6 +436,16 @@ def test_lift_reusing_a_chain_records_no_chain_options(capsys, tmp_path):
     assert rep["options"] == {"radius": "1/6", "precision": 60}
 
 
+@pytest.mark.parametrize("flag", [["--depth", "9"], ["--kmax", "1"], ["--mode", "semigroup"]], ids=lambda f: f[0])
+def test_lift_refuses_chain_flags_alongside_a_chain(capsys, tmp_path, flag):
+    _, chain_rep, chain_path = report_for(capsys, tmp_path, "solenoid-chain", FIXTURES / "dyadic_solenoid.json")
+    window = dyadic_window(tmp_path, chain_rep, Fraction(1, 1024))
+    code, rep = run(
+        capsys, "solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--chain", chain_path, "--window", window, *flag
+    )
+    assert (code, rep["error"]["type"]) == (1, "UsageError")
+
+
 def test_kmax_zero_is_honoured_by_chain_and_lift(capsys, tmp_path):
     # every relation costs at least 1, so a cap of 0 is a cap error (exit 2)
     window = tmp_path / "window.json"
@@ -436,9 +469,13 @@ def test_kmax_zero_is_honoured_by_chain_and_lift(capsys, tmp_path):
         ["analyze-matrix", FIXTURES / "cat_map.json", "--depth", "5"],
         ["no-such-subcommand", FIXTURES / "cat_map.json"],
         [],
+        ["jsr", FIXTURES / "cat_map.json", "--epsilon", "nan"],
+        ["jsr", FIXTURES / "cat_map.json", "--epsilon", "inf"],
+        ["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--precision", "-5"],
     ],
     ids=["depth-abc", "depth-0", "unknown-flag", "threads", "kmax-on-verify",
-         "depth-on-analyze-matrix", "unknown-subcommand", "no-subcommand"],
+         "depth-on-analyze-matrix", "unknown-subcommand", "no-subcommand",
+         "epsilon-nan", "epsilon-inf", "precision-negative"],
 )
 def test_usage_errors_exit_1_with_a_json_error(capsys, argv):
     code, rep = run(capsys, *argv)

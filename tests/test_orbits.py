@@ -89,6 +89,12 @@ def test_word_matrix_composes_left_to_right():
     assert st_mat == a.matrix_for("s") @ a.matrix_for("t")
 
 
+@pytest.mark.parametrize("word", [["s^-1"], [], ["s", "w"]], ids=["inverse-in-semigroup", "empty", "unknown"])
+def test_word_matrix_takes_only_the_actions_own_letters(word):
+    with pytest.raises(ValueError):
+        act(AFFINE_GENS, "semigroup").word_matrix(word)
+
+
 def test_iter_words_deduplicates_matrices():
     a = act([("r", ROTATION)], "semigroup")
     words = list(iter_words(a, 10, 100))

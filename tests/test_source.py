@@ -17,3 +17,36 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# the searches of the engine; a certificate check that called one would be no check
+SEARCHES = {
+    "expansiveness_check",
+    "find_expansive_word",
+    "iter_words",
+    "jsr_bounds",
+    "torus_expansive",
+    "solenoid_expansive",
+    "certify_bounded",
+    "certified_infinite_word",
+    "find_expansive_element",
+    "regular_chain",
+    "enumerate_basis",
+    "lift",
+}
+
+
+def test_certificate_checker_imports_no_numpy_and_runs_no_search():
+    tree = ast.parse((SRC / "certificates.py").read_text())
+    top_imports = {alias.name for node in tree.body if isinstance(node, ast.Import) for alias in node.names}
+    top_imports |= {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.module}
+    assert not any(name.split(".")[0] == "numpy" for name in top_imports)
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert called & SEARCHES == set()
+    # the one search left: irreducible_fast_path re-runs the irreducibility
+    # test until its certificate stores spanning words (ROADMAP item 1)
+    assert "irreducibility_check" in called

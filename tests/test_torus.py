@@ -106,6 +106,12 @@ class TestInfiniteOrderCertificate:
         neg = [[-1, 0], [0, -1]]
         assert certified_infinite_word(act([flip, neg], GROUP)) is None
 
+    def test_singular_words_with_finitely_many_powers_yield_nothing(self):
+        # the matrix units generate a finite semigroup although each E_ij^L != I
+        units = act([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]], SEMIGROUP)
+        assert certified_infinite_word(units) is None
+        assert torus_expansive(units).status == NOT_EXPANSIVE
+
 
 class TestTorusVerdicts:
     def test_sl2_semigroup_uses_fast_path(self):
