@@ -10,6 +10,18 @@ orbit, so the engine hunts for one of two kinds of exact evidence:
 * a nonzero invariant subspace carrying an exactly verified invariant
   norm, which bounds every orbit inside it (NotExpansive witness).
 
+The stages run in the order of what they can prove.  One breadth-first walk
+of distinct words feeds the word search (stage 1, Expansive only).  Its first
+``EARLY_WORDS`` words come first; then the cyclic obstruction (stage 2) and
+the bounded subspace (stage 3), which prove only NotExpansive, and the split
+(stage 4), which proves either.  A NotExpansive split returns at once; an
+Expansive one is held while the same walk resumes to its budget, and the
+first expansive word still wins, so every verdict and certificate is the one
+the walk-first order gives.  ``EARLY_WORDS`` exists because a NotExpansive
+action has no expansive word at all: without the cut its walk would drain
+the whole budget before stages 2-4 could decide it, while the winning word
+of an Expansive action almost always sits among the first few dozen.
+
 Floating point appears only in search heuristics (eigenvalue prescreens,
 Gram-matrix growth statistics, JSR bounds), and numpy is imported only
 inside those stages; every verdict-bearing claim is re-derived in rational
@@ -21,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .exact import (
@@ -118,6 +131,7 @@ class SemigroupAction:
 
 # search limits of the engine
 WORD_BUDGET = 4000  # distinct words the word search walks
+EARLY_WORDS = 64  # of those, the words walked before stages 2-4
 CLOSURE_CAP = 400  # elements of a finite product closure
 GRAM_DEPTH = 12  # longest word length of the float Gram form
 EXACT_GRAM_DEPTH = 4  # word length of the exact Gram partial sum
@@ -193,12 +207,15 @@ class ExpansiveWord(tuple):
         return hit
 
 
-def find_expansive_word(action: SemigroupAction, max_len: int, budget: int) -> Optional[ExpansiveWord]:
-    """First word whose single matrix is expansive in the action's mode."""
+def find_expansive_word(
+    action: SemigroupAction, walk: Iterable[tuple[tuple[str, ...], QMatrix]]
+) -> Optional[ExpansiveWord]:
+    """First word of ``walk``, (word, matrix) pairs as ``iter_words`` yields
+    them, whose single matrix is expansive in the action's mode."""
     # group mode refutes a word only by a modulus of exactly 1, which a float
     # screen cannot tell from one merely near 1, so there it rejects nothing
     screen = action.mode == SEMIGROUP
-    for word, m in iter_words(action, max_len, budget):
+    for word, m in walk:
         if screen and not _word_prescreen(m):
             continue
         p = char_poly(m)
@@ -692,13 +709,11 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
     if n == 0:
         return ExpansivenessVerdict(EXPANSIVE, None, {"kind": "empty_space"}, {"route": "empty"}, 0)
 
-    # 1. single-element spectral certificate
-    found = find_expansive_word(action, depth, WORD_BUDGET)
+    # 1. single-element spectral certificate, over the first EARLY_WORDS words
+    walk = iter_words(action, depth, WORD_BUDGET)
+    found = find_expansive_word(action, islice(walk, EARLY_WORDS))
     if found is not None:
-        word = found[0]
-        cert = {"kind": "word_spectrum", "word": list(word), "profile": found.profile.to_json()}
-        ev = {"escape_words": [list(word)], "route": "word-spectrum"}
-        return ExpansivenessVerdict(EXPANSIVE, None, cert, ev, depth)
+        return _word_verdict(found, depth)
 
     # 2. cyclic actions are decided outright by one spectrum
     held: Optional[ExpansivenessVerdict] = None
@@ -731,15 +746,32 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
                 depth,
             )
 
-    # 4. split along proper invariant subspaces
+    # 4. split along proper invariant subspaces; an Expansive split waits for the walk
+    split: Optional[ExpansivenessVerdict] = None
     for space in _proper_invariant_subspaces(action, depth):
         resolved = _split_analysis(action, space, depth, memo)
         if resolved is not None and resolved.status != UNKNOWN:
-            return resolved
+            if resolved.status == NOT_EXPANSIVE:
+                return resolved
+            split = resolved
+            break
 
+    # 1, resumed: the rest of the same walk
+    found = find_expansive_word(action, walk)
+    if found is not None:
+        return _word_verdict(found, depth)
+    if split is not None:
+        return split
     if held is not None:
         return held
     return ExpansivenessVerdict(UNKNOWN, None, None, {"route": "inconclusive"}, depth)
+
+
+def _word_verdict(found: ExpansiveWord, depth: int) -> ExpansivenessVerdict:
+    word = found[0]
+    cert = {"kind": "word_spectrum", "word": list(word), "profile": found.profile.to_json()}
+    ev = {"escape_words": [list(word)], "route": "word-spectrum"}
+    return ExpansivenessVerdict(EXPANSIVE, None, cert, ev, depth)
 
 
 def generated_by(action: SemigroupAction, m: QMatrix) -> bool:

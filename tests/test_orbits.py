@@ -344,19 +344,21 @@ def test_invariant_closure_grows_until_stable():
 
 def test_find_expansive_word_doubling():
     a = act([("g", DOUBLING)], "semigroup")
-    word, m = find_expansive_word(a, 5, 100)
+    word, m = find_expansive_word(a, iter_words(a, 5, 100))
     assert word == ("g",)
     assert m == DOUBLING
 
 
 def test_find_expansive_word_cat_group_only():
-    assert find_expansive_word(act([("a", CAT)], "group"), 6, 200) is not None
-    assert find_expansive_word(act([("a", CAT)], "semigroup"), 6, 200) is None
+    for mode, expansive in (("group", True), ("semigroup", False)):
+        a = act([("a", CAT)], mode)
+        assert (find_expansive_word(a, iter_words(a, 6, 200)) is not None) == expansive
 
 
 def test_find_expansive_word_in_generated_sl2():
     gens = [("s", M([[0, -1], [1, 0]])), ("t", SHEAR)]
-    found = find_expansive_word(act(gens, "group"), 6, 2000)
+    a = act(gens, "group")
+    found = find_expansive_word(a, iter_words(a, 6, 2000))
     assert found is not None
     word, m = found
     assert abs(m.trace()) > 2
@@ -499,7 +501,7 @@ def first_accepted_word(action, max_len, budget):
 
 
 def assert_search_matches_exact_scan(action, max_len, budget):
-    found = find_expansive_word(action, max_len, budget)
+    found = find_expansive_word(action, iter_words(action, max_len, budget))
     expected = first_accepted_word(action, max_len, budget)
     if expected is None:
         assert found is None
