@@ -2,8 +2,8 @@
 
 The lower bound is the best averaged spectral radius over enumerated
 words; the upper bound comes from branch-and-bound on averaged norms.
-Watching the bracket tighten with depth shows what the boundedness
-heuristics inside the engine have to work with.
+Watching the bracket tighten with depth shows how fast the words of an
+action grow; the engine never computes this bracket, no verdict uses it.
 
 Usage: python3 scripts/jsr_demo.py [--max-depth 8] [case.json ...]
 """

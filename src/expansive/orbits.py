@@ -23,9 +23,12 @@ the whole budget before stages 2-4 could decide it, while the winning word
 of an Expansive action almost always sits among the first few dozen.
 
 Floating point appears only in search heuristics (eigenvalue prescreens,
-Gram-matrix growth statistics, JSR bounds), and numpy is imported only
-inside those stages; every verdict-bearing claim is re-derived in rational
-arithmetic.  Unknown is an honest third answer.
+Gram-matrix growth statistics) and in the orbit norm bound a NotExpansive
+report carries, and numpy is imported only inside those stages; every
+verdict-bearing claim is re-derived in rational arithmetic.  Unknown is an
+honest third answer.  ``jsr_bounds``, the joint spectral radius bracket, is
+float evidence that no verdict uses, so the engine never calls it; the
+``jsr`` subcommand computes it on request.
 """
 
 from __future__ import annotations
@@ -139,8 +142,6 @@ BOUND_CAP = 2.0  # Gram eigenvalues at most this flag bounded directions
 SNAP_DENOMINATOR = 10**6  # largest denominator of a snapped direction
 MAX_SUBSPACES = 8  # invariant subspaces the split tries
 METRIC_TRIES = 6  # extra combinations tried for an invariant metric
-JSR_DEPTH = 5  # word length of the advisory JSR bracket
-JSR_TOL = 1e-4  # its branch-and-bound tolerance
 
 
 @dataclass
@@ -685,13 +686,6 @@ def expansiveness_check(action: SemigroupAction, depth: int = 10) -> Expansivene
             evidence["norm_bound"] = _norm_bound_from_cert(res.certificate, res.witness)
         else:
             evidence["norm_bound"] = math.sqrt(sum(float(x) ** 2 for x in res.witness))
-    if res.status != NOT_EXPANSIVE:
-        try:
-            evidence["jsr"] = jsr_bounds(action, min(depth, JSR_DEPTH), JSR_TOL)
-        except Exception as exc:  # the bracket is advisory: record the failure, keep the verdict
-            evidence.setdefault("errors", []).append(
-                {"stage": "jsr_bounds", "type": type(exc).__name__, "message": str(exc)}
-            )
     return replace(res, evidence=evidence)
 
 

@@ -538,16 +538,20 @@ def test_import_does_not_load_numpy():
         (["analyze-matrix", FIXTURES / "cat_map.json"], False),
         (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], False),
         (["jsr", FIXTURES / "cat_map.json"], True),
+        # the engine deciding by a word spectrum in group mode runs no float stage
+        (["analyze-semigroup", FIXTURES / "cat_map.json"], False),
+        (["analyze-semigroup", FIXTURES / "sl2_generators.json"], False),
     ],
-    ids=["analyze-matrix", "solenoid-chain", "jsr"],
+    ids=["analyze-matrix", "solenoid-chain", "jsr", "analyze-semigroup-cat_map", "analyze-semigroup-sl2_generators"],
 )
 def test_numpy_loads_only_for_float_subcommands(tmp_path, argv, uses_floats):
     assert numpy_loaded_after(RUN_MAIN, *argv, "--out", tmp_path / "report.json") == uses_floats
 
 
 def test_verify_of_honest_report_does_not_load_numpy(capsys, tmp_path):
-    _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / "cat_map.json")
-    assert "jsr" in rep["evidence"]
+    # the report carries float evidence, the orbit norm bound, which verify ignores
+    _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / "rotation.json")
+    assert "norm_bound" in rep["evidence"]
     verdict = tmp_path / "verdict.json"
-    assert not numpy_loaded_after(RUN_MAIN, "verify", path, FIXTURES / "cat_map.json", "--out", verdict)
+    assert not numpy_loaded_after(RUN_MAIN, "verify", path, FIXTURES / "rotation.json", "--out", verdict)
     assert json.loads(verdict.read_text())["verified"] is True

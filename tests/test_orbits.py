@@ -373,7 +373,8 @@ def test_engine_doubling_expansive():
     assert res.certificate["kind"] == "word_spectrum"
     assert res.certificate["word"] == ["g"]
     assert res.evidence["escape_words"] == [["g"]]
-    assert res.evidence["jsr"]["lower"] == pytest.approx(2.0)
+    # the bracket (2.0 here) is computed on request, not by the engine
+    assert "jsr" not in res.evidence
 
 
 def test_engine_rotation_not_expansive_with_witness():
@@ -531,19 +532,14 @@ def test_group_word_search_matches_exact_scan(mats):
     assert_search_matches_exact_scan(action, 4, 60)
 
 
-def test_jsr_failure_is_recorded_and_keeps_the_verdict(monkeypatch):
+def test_a_failing_jsr_bracket_leaves_the_engine_untouched(monkeypatch):
     action = act([("a", CAT), ("s", SHEAR)], "group")
     honest = expansiveness_check(action, depth=6)
-    assert "jsr" in honest.evidence and "errors" not in honest.evidence
 
     def broken(*args, **kwargs):
         raise FloatingPointError("overflow in the bracket")
 
     monkeypatch.setattr(orbits, "jsr_bounds", broken)
     res = expansiveness_check(action, depth=6)
-    assert res.status == honest.status
-    assert res.certificate == honest.certificate
-    assert "jsr" not in res.evidence
-    assert res.evidence["errors"] == [
-        {"stage": "jsr_bounds", "type": "FloatingPointError", "message": "overflow in the bracket"}
-    ]
+    assert res == honest
+    assert "jsr" not in res.evidence and "errors" not in res.evidence
