@@ -26,7 +26,7 @@ from .orbits import (
     keeps_bounded,
     restrict_action,
 )
-from .solenoid import Ball, RhoBasisChain, character
+from .solenoid import Ball, DualModuleAction, RhoBasisChain, character
 from .spectral import unit_disk_profile
 from .torus import has_infinite_order, irreducibility_check
 
@@ -130,17 +130,37 @@ def check_certificate(cert, action: SemigroupAction, status: str, witness=None) 
         return False
 
 
-def check_chain(data: dict, k: Optional[int] = None) -> bool:
-    """Whether the chain's relations hold within its cost bound (and, given, that bound is ``k``)."""
+def _module_chain(data: dict, module: DualModuleAction) -> Optional[RhoBasisChain]:
+    """The chain, if its relations hold within its cost bound and its
+    characters are the module's: the first level holds every module
+    generator, and each character of a level is a module generator or the
+    image of a character of the level before (for the first level, of a
+    module generator) under one of the action's matrices."""
     chain = RhoBasisChain.from_json(data)
-    return chain.verify() and (k is None or chain.k == k)
+    generators = set(module.module_generators)
+    if not chain.levels or not generators <= set(chain.levels[0]) or not chain.verify():
+        return None
+    previous = generators
+    for level in chain.levels:
+        reached = generators | {g.apply(chi) for chi in previous for g in module.action.mats}
+        if not reached.issuperset(level):
+            return None
+        previous = level
+    return chain
 
 
-def check_lifts(data: dict, lifts: list) -> bool:
-    """Whether the chain checks and each lift gives every chain character a
-    value below its bound, itself below 1/k, that satisfies every chain relation."""
-    chain = RhoBasisChain.from_json(data)
-    if not chain.verify():
+def check_chain(data: dict, module: DualModuleAction, k: Optional[int] = None) -> bool:
+    """Whether the chain is one of ``module`` and its relations hold within
+    its cost bound (and, given, that bound is ``k``)."""
+    chain = _module_chain(data, module)
+    return chain is not None and (k is None or chain.k == k)
+
+
+def check_lifts(data: dict, lifts: list, module: DualModuleAction) -> bool:
+    """Whether the chain checks as in ``check_chain`` and each lift gives every chain
+    character a value below its bound, itself below 1/k, that satisfies every chain relation."""
+    chain = _module_chain(data, module)
+    if chain is None:
         return False
     chars = [chi for level in chain.levels for chi in level]
     for entry in lifts:

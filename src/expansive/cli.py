@@ -337,15 +337,15 @@ def verify_report(rep: dict, case: dict) -> bool:
     if rep.get("case") != case_id(case):
         return False
     command = rep.get("command")
+    mode = rep.get("options", {}).get("mode")
     if command == "solenoid-chain":
-        return check_chain(rep["chain"], rep.get("k"))
+        return check_chain(rep["chain"], parse_dual_module(case, mode), rep.get("k"))
     if command == "solenoid-lift":
-        return check_lifts(rep["chain"], rep.get("lifts", []))
+        return check_lifts(rep["chain"], rep.get("lifts", []), parse_dual_module(case, mode))
     status, cert = rep.get("status"), rep.get("certificate")
     if status not in (EXPANSIVE, NOT_EXPANSIVE):
         # inconclusive and advisory reports claim nothing exact
         return cert is None
-    mode = rep.get("options", {}).get("mode")
     if command == "solenoid-check":
         action = span_restriction(parse_dual_module(case, mode))[1]
     else:

@@ -260,10 +260,11 @@ def test_an_obstruction_witness_needs_a_bounded_eigenvalue():
 def test_a_lift_bound_must_stay_below_1_over_k():
     window = FIXTURES / "dyadic_window.json"
     code, rep = _run(["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", window, "--radius", "3/10"])
-    assert code == 0 and check_lifts(rep["chain"], rep["lifts"])
+    dyadic = parse_dual_module(json.loads((FIXTURES / "dyadic_solenoid.json").read_text()))
+    assert code == 0 and check_lifts(rep["chain"], rep["lifts"], dyadic)
     # the functional x -> 7x satisfies every relation, but no bound below 1/k holds it
     entry = rep["lifts"][0]
     entry["bound"] = "1000"
     for value in entry["values"]:
         value["mid"] = str(7 * Fraction(value["character"][0]))
-    assert not check_lifts(rep["chain"], rep["lifts"])
+    assert not check_lifts(rep["chain"], rep["lifts"], dyadic)

@@ -313,6 +313,33 @@ def test_verify_rejects_tampered_relation(capsys, tmp_path):
     assert code == 1 and out["verified"] is False
 
 
+def test_verify_rejects_a_chain_of_another_module(capsys, tmp_path):
+    # the sixth_solenoid chain's relations hold, but 3, 1/3, 6, ... are not dyadic characters
+    _, rep, path = report_for(capsys, tmp_path, "solenoid-chain", FIXTURES / "sixth_solenoid.json")
+    assert rep["verified"] is True
+    rep["case"] = case_id(json.loads((FIXTURES / "dyadic_solenoid.json").read_text()))
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, FIXTURES / "dyadic_solenoid.json")
+    assert (code, out["verified"]) == (1, False)
+
+
+@pytest.mark.parametrize("fixture", ["dyadic_solenoid", "sixth_solenoid"])
+def test_verify_accepts_chain_and_lift_reports_of_both_solenoids(capsys, tmp_path, fixture):
+    case = FIXTURES / f"{fixture}.json"
+    _, chain_rep, chain_path = report_for(capsys, tmp_path, "solenoid-chain", case, "--depth", "2")
+    # the window of the functional x -> x/4096 on every chain character
+    window = tmp_path / "window.json"
+    chars = chain_rep["chain"]["levels"][-1]
+    window.write_text(json.dumps([{"character": chi, "mid": str(Fraction(chi[0]) / 4096 % 1)} for chi in chars]))
+    lift_path = tmp_path / "lift.json"
+    code = main(["solenoid-lift", str(case), "--chain", str(chain_path), "--window", str(window), "--out", str(lift_path)])
+    capsys.readouterr()
+    assert code == 0 and json.loads(lift_path.read_text())["lifts"][0]["lifted"] is True
+    for path in (chain_path, lift_path):
+        code, out = run(capsys, "verify", path, case)
+        assert (code, out["verified"]) == (0, True), path.name
+
+
 def test_verify_rejects_wrong_case(capsys, tmp_path):
     _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / "cat_map.json")
     code, out = run(capsys, "verify", path, FIXTURES / "rotation.json")
