@@ -161,19 +161,32 @@ def test_a_word_past_the_early_words_beats_a_held_split(monkeypatch):
         ("g1", with_line([[-1, Fraction(3, 2)], [Fraction(1, 2), Fraction(1, 2)]])),
     ]
     action = SemigroupAction.from_generators(gens, "semigroup")
-    splits = []
-    split_analysis = orbits._split_analysis
+    words = [word for word, _ in orbits.iter_words(action, 6, WORD_BUDGET)]
+    splits, walks = [], []
+    split_analysis, iter_words = orbits._split_analysis, orbits.iter_words
 
-    def spied(action, *args):
-        out = split_analysis(action, *args)
-        if action.dim == 3 and out is not None:
+    def spied_split(analyzed, *args):
+        out = split_analysis(analyzed, *args)
+        if analyzed is action and out is not None:
             splits.append(out.certificate["kind"])
         return out
 
-    monkeypatch.setattr(orbits, "_split_analysis", spied)
+    def spied_walk(walked, max_len, budget):
+        yielded = []
+        if walked is action and budget == WORD_BUDGET:
+            walks.append(yielded)
+        for item in iter_words(walked, max_len, budget):
+            yielded.append(item[0])
+            yield item
+
+    monkeypatch.setattr(orbits, "_split_analysis", spied_split)
+    monkeypatch.setattr(orbits, "iter_words", spied_walk)
     res = expansiveness_check(action, 6)
     assert splits == ["split"]
     assert res.certificate["kind"] == "word_spectrum"
-    words = [word for word, _ in orbits.iter_words(action, 6, WORD_BUDGET)]
-    assert words.index(tuple(res.certificate["word"])) >= EARLY_WORDS
+    hit = words.index(tuple(res.certificate["word"]))
+    assert hit >= EARLY_WORDS
+    # one walk, resumed after the split, stopped at the winning word
+    assert walks == [words[: hit + 1]]
+    monkeypatch.undo()
     assert_same_as_walk_first(action, 6)
