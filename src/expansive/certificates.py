@@ -11,6 +11,7 @@ irreducibility test: the certificate stores no spanning words yet.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -19,9 +20,9 @@ from .orbits import (
     EXPANSIVE,
     NOT_EXPANSIVE,
     SemigroupAction,
-    _adapted_blocks,
-    _gram_nonincreasing,
+    adapted_blocks,
     generated_by,
+    gram_nonincreasing,
     invariant_line,
     keeps_bounded,
     restrict_action,
@@ -62,28 +63,27 @@ def _invariant_norm(cert: dict, action: SemigroupAction, witness: Witness) -> bo
     gram = QMatrix.from_json(cert["gram"])
     if not rows or gram.rows != len(rows) or Subspace.from_vectors(action.dim, rows).dim != len(rows):
         return False
-    if not is_positive_definite(gram) or not _gram_nonincreasing(restrict_action(action, rows).mats, gram):
+    if not is_positive_definite(gram) or not gram_nonincreasing(restrict_action(action, rows).mats, gram):
         return False
     return witness is None or (any(witness) and coordinates_in_span(rows, witness) is not None)
 
 
 def _proved_subspace(cert: dict, action: SemigroupAction) -> tuple[int, list]:
     """The dimension k of the certificate's invariant subspace and every
-    generator's adapted blocks; ValueError unless the restriction is proved expansive."""
-    rows, comp = _rows(cert["space"]), _rows(cert["complement"])
-    p = QMatrix.from_columns(rows + comp)
-    if len(rows) + len(comp) != action.dim or p.det() == 0:
-        raise ValueError("space and complement do not form a basis")
-    # restrict_action raises unless the rows span an invariant subspace
-    if not check_certificate(cert["restriction"], restrict_action(action, rows), EXPANSIVE):
+    generator's adapted blocks; ValueError unless [space | complement] is a
+    basis, the space is invariant and the restriction is proved expansive."""
+    rows = _rows(cert["space"])
+    _, blocks = adapted_blocks(action, rows, _rows(cert["complement"]))
+    restriction = replace(action, dim=len(rows), mats=tuple(a for a, _, _ in blocks))
+    if not check_certificate(cert["restriction"], restriction, EXPANSIVE):
         raise ValueError("the restriction is not proved expansive")
-    return len(rows), list(_adapted_blocks(action, len(rows), p))
+    return len(rows), blocks
 
 
 def _split(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
     """Expansive on an invariant subspace and on the quotient by it."""
     k, blocks = _proved_subspace(cert, action)
-    quotient = SemigroupAction(action.dim - k, action.names, tuple(d for _, _, d in blocks), action.mode)
+    quotient = replace(action, dim=action.dim - k, mats=tuple(d for _, _, d in blocks))
     return check_certificate(cert["quotient"], quotient, EXPANSIVE)
 
 

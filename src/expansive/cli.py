@@ -287,6 +287,9 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
             raise UsageError("--depth, --kmax and --mode shape only a chain solenoid-lift builds, not one from --chain")
         data = load_json(args.chain)
         chain = RhoBasisChain.from_json(data.get("chain", data))
+        if "mode" in data.get("options", {}):
+            # verify checks the chain against the module in the mode it was built in
+            options = {"mode": check_mode(data["options"]["mode"])}
     else:
         dm = parse_dual_module(case, args.mode)
         options = {"depth": args.depth or 4, "kmax": 64 if args.kmax is None else args.kmax}

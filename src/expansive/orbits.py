@@ -10,6 +10,11 @@ orbit, so the engine hunts for one of two kinds of exact evidence:
 * a nonzero invariant subspace carrying an exactly verified invariant
   norm, which bounds every orbit inside it (NotExpansive witness).
 
+A split along an invariant subspace W reads the restriction to W and the
+quotient by it off the diagonal blocks of one conjugation P^-1 g P per
+generator, P = [basis of W | complement] (``adapted_blocks``), in the engine
+and in the certificate checker alike.
+
 The stages run in the order of what they can prove.  One breadth-first walk
 of distinct words feeds the word search (stage 1, Expansive only).  Its first
 ``EARLY_WORDS`` words come first; then the cyclic obstruction (stage 2) and
@@ -434,24 +439,36 @@ def _complete_basis(space: Subspace) -> list[tuple[Fraction, ...]]:
     return comp
 
 
-def _quotient_action(
-    action: SemigroupAction, space: Subspace
-) -> tuple[SemigroupAction, list[tuple[Fraction, ...]], QMatrix]:
-    """Quotient by an invariant subspace via an adapted basis.
+def adapted_blocks(
+    action: SemigroupAction, rows: list[tuple[Fraction, ...]], comp: list[tuple[Fraction, ...]]
+) -> tuple[QMatrix, list[tuple[QMatrix, QMatrix, QMatrix]]]:
+    """P = [rows | comp] and, per generator, the blocks of P^-1 g P = [[A, B], [0, D]].
 
-    Returns (quotient action, completion vectors, change-of-basis P whose
-    columns are the space basis followed by the completion).
+    The A blocks (k x k, k = len(rows)) act on the span of ``rows`` in its
+    basis, as ``restrict_action`` does, and the D blocks on the quotient by
+    it in the basis of ``comp``.  Raises ValueError unless P is an
+    invertible square matrix and the span is invariant.
     """
-    comp = _complete_basis(space)
-    p = QMatrix.from_columns(list(space.basis) + comp)
-    mats = tuple(d for _, _, d in _adapted_blocks(action, space.dim, p))
-    return SemigroupAction(action.dim - space.dim, action.names, mats, action.mode), comp, p
+    n, k = action.dim, len(rows)
+    p = QMatrix.from_rows(list(rows) + list(comp)).transpose()
+    pinv = p.inverse()
+    blocks = []
+    for g in action.mats:
+        t = pinv @ g @ p
+        if any(t[i, j] != 0 for i in range(k, n) for j in range(k)):
+            raise ValueError("space must be invariant")
+        a = QMatrix.from_rows([[t[i, j] for j in range(k)] for i in range(k)])
+        b = QMatrix.from_rows([[t[i, j] for j in range(k, n)] for i in range(k)])
+        d = QMatrix.from_rows([[t[i, j] for j in range(k, n)] for i in range(k, n)])
+        blocks.append((a, b, d))
+    return p, blocks
 
 
 # ------------------------------------------------ boundedness certificates
 
 
-def _gram_nonincreasing(mats: Iterable[QMatrix], q: QMatrix) -> bool:
+def gram_nonincreasing(mats: Iterable[QMatrix], q: QMatrix) -> bool:
+    """Whether no matrix of ``mats`` increases the form ``q``: every q - g'qg is PSD."""
     return all(is_positive_semidefinite(q - (g.transpose() @ q @ g)) for g in mats)
 
 
@@ -472,7 +489,7 @@ def certify_bounded(action: SemigroupAction, space: Subspace) -> Optional[dict]:
     ident = QMatrix.identity(k)
     if all(m == ident for m in res.mats):
         return {"gram": ident, "method": "identity"}
-    if _gram_nonincreasing(res.mats, ident):
+    if gram_nonincreasing(res.mats, ident):
         return {"gram": ident, "method": "euclidean"}
     closure = _finite_closure(res)
     if closure is not None:
@@ -480,12 +497,11 @@ def certify_bounded(action: SemigroupAction, space: Subspace) -> Optional[dict]:
         # a finite right-closed set this form is exactly nonincreasing
         q = ident
         for s in closure:
-            if s != ident:
-                q = q + (s.transpose() @ s)
-        if _gram_nonincreasing(res.mats, q):
+            q = q + (s.transpose() @ s)
+        if gram_nonincreasing(res.mats, q):
             return {"gram": q, "method": "finite_closure"}
     q = _exact_gram_sum(res)
-    if _gram_nonincreasing(res.mats, q):
+    if gram_nonincreasing(res.mats, q):
         return {"gram": q, "method": "word_gram"}
     solved = _solve_invariant_metric(res)
     if solved is not None:
@@ -494,22 +510,12 @@ def certify_bounded(action: SemigroupAction, space: Subspace) -> Optional[dict]:
 
 
 def _finite_closure(action: SemigroupAction) -> Optional[list[QMatrix]]:
-    seen = set(action.mats)
-    frontier = list(dict.fromkeys(action.mats))
-    out = list(frontier)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in action.mats:
-                w = m @ g
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    out.append(w)
-                    if len(out) > CLOSURE_CAP:
-                        return None
-        frontier = nxt
-    return out
+    """Every element of the product semigroup but the identity, or None when
+    it has more than CLOSURE_CAP elements."""
+    out = [m for _, m in iter_words(action, CLOSURE_CAP + 1, CLOSURE_CAP + 1)]
+    # a finite closure holds the identity exactly when some generator is invertible
+    has_identity = any(g.det() != 0 for g in action.mats)
+    return None if len(out) + has_identity > CLOSURE_CAP else out
 
 
 def _exact_gram_sum(action: SemigroupAction) -> QMatrix:
@@ -729,16 +735,9 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
 
     # 3. bounded invariant subspace, numerically guessed then exactly certified
     candidate = _bounded_directions(action, min(depth + 2, GRAM_DEPTH))
-    if candidate.dim > 0:
-        cert = certify_bounded(action, candidate)
-        if cert is not None:
-            return ExpansivenessVerdict(
-                NOT_EXPANSIVE,
-                candidate.basis[0],
-                _norm_cert(list(candidate.basis), cert["gram"], cert["method"]),
-                {"route": "bounded-subspace"},
-                depth,
-            )
+    bounded = _bounded_verdict(action, candidate, "bounded-subspace", depth) if candidate.dim else None
+    if bounded is not None:
+        return bounded
 
     # 4. split along proper invariant subspaces; an Expansive split waits for the walk
     split: Optional[ExpansivenessVerdict] = None
@@ -781,11 +780,48 @@ def _cyclic_generator(action: SemigroupAction) -> Optional[tuple[str, QMatrix]]:
     return first if generated_by(action, first[1]) else None
 
 
+def _bounded_verdict(
+    action: SemigroupAction, space: Subspace, route: str, depth: int, witness: Optional[tuple[Fraction, ...]] = None
+) -> Optional[ExpansivenessVerdict]:
+    """NotExpansive by an invariant norm on ``space``, if one is certified;
+    the witness defaults to the space's first basis vector."""
+    bound = certify_bounded(action, space)
+    if bound is None:
+        return None
+    cert = _norm_cert(list(space.basis), bound["gram"], bound["method"])
+    return ExpansivenessVerdict(
+        NOT_EXPANSIVE, space.basis[0] if witness is None else witness, cert, {"route": route}, depth
+    )
+
+
+def _extension(
+    kind: str,
+    space: Subspace,
+    comp: list[tuple[Fraction, ...]],
+    res: ExpansivenessVerdict,
+    words: list,
+    depth: int,
+    **fields,
+) -> ExpansivenessVerdict:
+    """Expansive by a ``split`` or ``affine_obstruction`` over the expansive
+    restriction ``res``; ``words`` are escape words beyond the restriction's."""
+    cert = {
+        "kind": kind,
+        "space": [[str(x) for x in b] for b in space.basis],
+        "complement": [[str(x) for x in b] for b in comp],
+        "restriction": res.certificate,
+        **fields,
+    }
+    ev = {"escape_words": (res.evidence.get("escape_words") or []) + words, "route": kind.replace("_", "-")}
+    return ExpansivenessVerdict(EXPANSIVE, None, cert, ev, depth)
+
+
 def _split_analysis(
     action: SemigroupAction, space: Subspace, depth: int, memo: dict
 ) -> Optional[ExpansivenessVerdict]:
-    restriction = restrict_action(action, list(space.basis))
-    res = _analyze(restriction, depth, memo)
+    comp = _complete_basis(space)
+    p, blocks = adapted_blocks(action, list(space.basis), comp)
+    res = _analyze(replace(action, dim=space.dim, mats=tuple(a for a, _, _ in blocks)), depth, memo)
 
     if res.status == NOT_EXPANSIVE:
         return _lift_restriction_obstruction(action, space, res, depth)
@@ -793,25 +829,18 @@ def _split_analysis(
     if res.status != EXPANSIVE:
         return None
 
-    quo, comp, p = _quotient_action(action, space)
+    quo = replace(action, dim=action.dim - space.dim, mats=tuple(d for _, _, d in blocks))
     qres = _analyze(quo, depth, memo)
 
     if qres.status == EXPANSIVE:
-        cert = {
-            "kind": "split",
-            "space": [[str(x) for x in b] for b in space.basis],
-            "complement": [[str(x) for x in b] for b in comp],
-            "restriction": res.certificate,
-            "quotient": qres.certificate,
-        }
-        words = (res.evidence.get("escape_words") or []) + (qres.evidence.get("escape_words") or [])
-        return ExpansivenessVerdict(EXPANSIVE, None, cert, {"escape_words": words, "route": "split"}, depth)
+        words = qres.evidence.get("escape_words") or []
+        return _extension("split", space, comp, res, words, depth, quotient=qres.certificate)
 
     if qres.status == NOT_EXPANSIVE and quo.dim == 1:
-        return _one_dim_quotient_analysis(action, space, comp, p, res, depth)
+        return _one_dim_quotient_analysis(action, space, comp, p, blocks, res, depth)
 
     if qres.status == NOT_EXPANSIVE and quo.dim > 1:
-        return _graph_lift(action, space, p, quo, qres, depth)
+        return _graph_lift(action, space, p, blocks, quo, qres, depth)
     return None
 
 
@@ -831,39 +860,10 @@ def _lift_restriction_obstruction(
     if res.witness is not None:
         ambient = _embed(space, res.witness)
         line = invariant_closure(action, [ambient])
-        bound = certify_bounded(action, line)
-        if bound is not None:
-            return ExpansivenessVerdict(
-                NOT_EXPANSIVE,
-                ambient,
-                _norm_cert(list(line.basis), bound["gram"], bound["method"]),
-                {"route": "bounded-subspace"},
-                depth,
-            )
-    bound = certify_bounded(action, space)
-    if bound is not None:
-        return ExpansivenessVerdict(
-            NOT_EXPANSIVE,
-            space.basis[0],
-            _norm_cert(list(space.basis), bound["gram"], bound["method"]),
-            {"route": "bounded-subspace"},
-            depth,
-        )
-    return None
-
-
-def _adapted_blocks(action: SemigroupAction, k: int, p: QMatrix):
-    """Per generator, the blocks of P^-1 g P = [[A, B], [0, D]], A k x k; raises
-    ValueError unless the span of P's first k columns is invariant."""
-    pinv = p.inverse()
-    for g in action.mats:
-        t = pinv @ g @ p
-        if any(t[i, j] != 0 for i in range(k, action.dim) for j in range(k)):
-            raise ValueError("space must be invariant")
-        a = QMatrix.from_rows([[t[i, j] for j in range(k)] for i in range(k)])
-        b = QMatrix.from_rows([[t[i, j] for j in range(k, action.dim)] for i in range(k)])
-        d = QMatrix.from_rows([[t[i, j] for j in range(k, action.dim)] for i in range(k, action.dim)])
-        yield a, b, d
+        bounded = _bounded_verdict(action, line, "bounded-subspace", depth, ambient)
+        if bounded is not None:
+            return bounded
+    return _bounded_verdict(action, space, "bounded-subspace", depth)
 
 
 def invariant_line(blocks, k: int) -> Optional[tuple[Fraction, ...]]:
@@ -885,6 +885,7 @@ def _one_dim_quotient_analysis(
     space: Subspace,
     comp: list[tuple[Fraction, ...]],
     p: QMatrix,
+    blocks: list[tuple[QMatrix, QMatrix, QMatrix]],
     res: ExpansivenessVerdict,
     depth: int,
 ) -> Optional[ExpansivenessVerdict]:
@@ -897,58 +898,30 @@ def _one_dim_quotient_analysis(
     means no bounded vector anywhere; solvable hands over an explicit
     bounded line.
     """
-    k = space.dim
-    blocks = list(_adapted_blocks(action, k, p))
     scalars = [d[0, 0] for _, _, d in blocks]
-    space_json = [[str(x) for x in b] for b in space.basis]
-    comp_json = [[str(x) for x in b] for b in comp]
 
     big = next((i for i, mu in enumerate(scalars) if mu * mu > 1), None)
     if big is not None:
         # the quotient escapes by that generator alone, so the extension splits
         quo_prof = unit_disk_profile(char_poly(QMatrix.from_rows([[scalars[big]]])))
-        cert = {
-            "kind": "split",
-            "space": space_json,
-            "complement": comp_json,
-            "restriction": res.certificate,
-            "quotient": {"kind": "word_spectrum", "word": [action.names[big]], "profile": quo_prof.to_json()},
-        }
-        words = (res.evidence.get("escape_words") or []) + [[action.names[big]]]
-        return ExpansivenessVerdict(EXPANSIVE, None, cert, {"escape_words": words, "route": "split"}, depth)
+        name = action.names[big]
+        quotient = {"kind": "word_spectrum", "word": [name], "profile": quo_prof.to_json()}
+        return _extension("split", space, comp, res, [[name]], depth, quotient=quotient)
 
-    sol = invariant_line(blocks, k)
+    sol = invariant_line(blocks, space.dim)
     if sol is None:
-        cert = {
-            "kind": "affine_obstruction",
-            "space": space_json,
-            "complement": comp_json,
-            "restriction": res.certificate,
-            "scalars": {name: str(mu) for name, mu in zip(action.names, scalars)},
-        }
-        words = res.evidence.get("escape_words") or []
-        return ExpansivenessVerdict(
-            EXPANSIVE, None, cert, {"escape_words": words, "route": "affine-obstruction"}, depth
-        )
+        scalars_json = {name: str(mu) for name, mu in zip(action.names, scalars)}
+        return _extension("affine_obstruction", space, comp, res, [], depth, scalars=scalars_json)
 
-    ambient = p.apply(tuple(list(sol) + [Fraction(1)]))
-    line = Subspace.from_vectors(action.dim, [ambient])
-    bound = certify_bounded(action, line)
-    if bound is None:
-        return None
-    return ExpansivenessVerdict(
-        NOT_EXPANSIVE,
-        line.basis[0],
-        _norm_cert(list(line.basis), bound["gram"], bound["method"]),
-        {"route": "invariant-line"},
-        depth,
-    )
+    line = Subspace.from_vectors(action.dim, [p.apply(tuple(list(sol) + [Fraction(1)]))])
+    return _bounded_verdict(action, line, "invariant-line", depth)
 
 
 def _graph_lift(
     action: SemigroupAction,
     space: Subspace,
     p: QMatrix,
+    blocks: list[tuple[QMatrix, QMatrix, QMatrix]],
     quo: SemigroupAction,
     qres: ExpansivenessVerdict,
     depth: int,
@@ -966,17 +939,9 @@ def _graph_lift(
     vq_rows = [tuple(Fraction(x) for x in row) for row in cert["space"]]
     q2 = len(vq_rows)
     k = space.dim
-    blocks = list(_adapted_blocks(action, space.dim, p))
     basis_mat = QMatrix.from_columns(vq_rows)
-    dprime = []
-    for _, _, d in blocks:
-        cols = []
-        for b in vq_rows:
-            coords = coordinates_in_span(vq_rows, d.apply(b))
-            if coords is None:
-                return None
-            cols.append(coords)
-        dprime.append(QMatrix.from_columns(cols))
+    # the quotient's certificate was checked on an invariant space of quo
+    dprime = restrict_action(quo, vq_rows).mats
     nvars = k * q2
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -999,14 +964,4 @@ def _graph_lift(
         top = [sol[i * q2 + j] for i in range(k)]
         bottom = list(vq_rows[j])
         vectors.append(p.apply(tuple(top + bottom)))
-    graph_space = Subspace.from_vectors(action.dim, vectors)
-    bound = certify_bounded(action, graph_space)
-    if bound is None:
-        return None
-    return ExpansivenessVerdict(
-        NOT_EXPANSIVE,
-        graph_space.basis[0],
-        _norm_cert(list(graph_space.basis), bound["gram"], bound["method"]),
-        {"route": "graph-lift"},
-        depth,
-    )
+    return _bounded_verdict(action, Subspace.from_vectors(action.dim, vectors), "graph-lift", depth)

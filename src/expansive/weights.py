@@ -64,6 +64,7 @@ class GeneratorWeightData:
 class WeightBlock:
     space: Subspace
     per_generator: dict[str, GeneratorWeightData]
+    restriction: SemigroupAction  # the action on the block, in the basis of ``space``
 
     @property
     def dim(self) -> int:
@@ -185,9 +186,9 @@ def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
         raise SelfCheckError("the primary blocks must split the space into a direct sum")
     out_blocks = []
     for b in blocks:
-        restrictions = restrict_action(action, list(b.basis)).mats
+        restriction = restrict_action(action, list(b.basis))
         per_gen = {}
-        for name, r in zip(action.names, restrictions):
+        for name, r in zip(action.names, restriction.mats):
             mp = minimal_poly(r)
             ep = squarefree_part(mp)
             per_gen[name] = GeneratorWeightData(
@@ -196,7 +197,7 @@ def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
                 modulus_interval=_modulus_interval(ep),
                 modulus_is_one=_modulus_flag(ep),
             )
-        out_blocks.append(WeightBlock(space=b, per_generator=per_gen))
+        out_blocks.append(WeightBlock(space=b, per_generator=per_gen, restriction=restriction))
     return WeightDecomposition(action=action, blocks=tuple(out_blocks))
 
 
@@ -209,10 +210,9 @@ class WeightsVerdict:
         return {"status": self.status, "blocks": list(self.block_reports)}
 
 
-def _block_escape_word(action: SemigroupAction, space: Subspace, mode: str, word_len: int = 3, budget: int = 80):
+def _block_escape_word(block: WeightBlock, mode: str, word_len: int = 3, budget: int = 80):
     """A word whose restriction to the block has every weight escaping."""
-    restricted = restrict_action(action, list(space.basis))
-    for word, m in iter_words(restricted, word_len, budget):
+    for word, m in iter_words(block.restriction, word_len, budget):
         if unit_disk_profile(char_poly(m)).escapes(mode):
             return word
     return None
@@ -240,7 +240,7 @@ def expansive_by_weights(decomp: WeightDecomposition, mode: str) -> WeightsVerdi
     reports = []
     overall = EXPANSIVE
     for block in decomp.blocks:
-        word = _block_escape_word(decomp.action, block.space, mode)
+        word = _block_escape_word(block, mode)
         if word is not None:
             reports.append({"dim": block.dim, "status": "escapes", "word": list(word)})
             continue
@@ -271,7 +271,7 @@ def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optio
     if verdict.status != EXPANSIVE:
         return None
 
-    restrictions = [restrict_action(action, list(b.space.basis)) for b in decomp.blocks]
+    restrictions = [b.restriction for b in decomp.blocks]
     escape_words = [tuple(rep["word"]) for rep in verdict.block_reports]
 
     def off_circle(r: QMatrix) -> bool:

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from expansive.certificates import CHECKS, check_certificate, check_lifts
 from expansive.cli import main, parse_action, parse_dual_module, verify_report
-from expansive.exact import QMatrix, char_poly
-from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction
+from expansive.exact import NotInvertibleError, QMatrix, char_poly
+from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction, adapted_blocks
 from expansive.solenoid import span_restriction
 from expansive.spectral import GROUP, SEMIGROUP, unit_disk_profile
 
@@ -222,6 +222,23 @@ def test_split_needs_an_expansive_quotient_proof():
     }
     assert check_certificate(cert["quotient"], _action_of(GROUP, g=[[1]]), NOT_EXPANSIVE)
     assert not check_certificate(cert, action, EXPANSIVE)
+
+
+def test_a_split_needs_space_and_complement_to_form_a_basis():
+    # the cat map splits trivially along 0 or along everything, but a space
+    # and a complement on one line are no basis
+    action = _action_of(GROUP, cat=[[2, 1], [1, 1]])
+    cat = {"kind": "word_spectrum", "word": ["cat"], "profile": _profile([2, 1], [1, 1])}
+    empty = {"kind": "empty_space"}
+    everything = [["1", "0"], ["0", "1"]]
+    along_zero = {"kind": "split", "space": [], "complement": everything, "restriction": empty, "quotient": cat}
+    along_all = {"kind": "split", "space": everything, "complement": [], "restriction": cat, "quotient": empty}
+    assert check_certificate(along_zero, action, EXPANSIVE)
+    assert check_certificate(along_all, action, EXPANSIVE)
+    parallel = {**along_zero, "space": [["1", "0"]], "complement": [["2", "0"]], "restriction": cat}
+    assert not check_certificate(parallel, action, EXPANSIVE)
+    with pytest.raises(NotInvertibleError):
+        adapted_blocks(action, [(Fraction(1), Fraction(0))], [(Fraction(2), Fraction(0))])
 
 
 def test_affine_obstruction_needs_an_expansive_restriction_proof():

@@ -460,7 +460,32 @@ def test_lift_reusing_a_chain_records_no_chain_options(capsys, tmp_path):
         capsys, "solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--chain", chain_path, "--window", window
     )
     assert code == 0
-    assert rep["options"] == {"radius": "1/6", "precision": 60}
+    assert rep["options"] == {"mode": chain_rep["options"]["mode"], "radius": "1/6", "precision": 60}
+
+
+def test_lift_through_a_chain_of_another_mode_verifies(capsys, tmp_path):
+    # doubling is a semigroup case; its group-mode chain has the characters 1/2 and 1/4
+    case = FIXTURES / "doubling.json"
+    _, chain_rep, chain_path = report_for(capsys, tmp_path, "solenoid-chain", case, "--mode", "group", "--depth", "2")
+    chars = sorted({tuple(c) for lvl in chain_rep["chain"]["levels"] for c in lvl}, key=lambda c: Fraction(c[0]))
+    assert [Fraction(c[0]) for c in chars] == [Fraction(1, 4), Fraction(1, 2), 1, 2, 4]
+    # the window of the functional x -> x/100
+    window = write_case(
+        tmp_path, "window.json", [{"character": list(c), "mid": str(Fraction(c[0]) / 100)} for c in chars]
+    )
+    lift_path = tmp_path / "lift.json"
+    code = main(["solenoid-lift", str(case), "--chain", str(chain_path), "--window", str(window),
+                 "--out", str(lift_path)])
+    capsys.readouterr()
+    lift_rep = json.loads(lift_path.read_text())
+    assert code == 0 and lift_rep["lifts"][0]["lifted"] is True
+    assert lift_rep["options"]["mode"] == "group"
+    code, out = run(capsys, "verify", lift_path, case)
+    assert (code, out["verified"]) == (0, True)
+    chain_rep["options"]["mode"] = "bogus"
+    chain_path.write_text(json.dumps(chain_rep))
+    code, out = run(capsys, "solenoid-lift", case, "--chain", chain_path, "--window", window)
+    assert (code, out["error"]["type"]) == (1, "InvalidModeError")
 
 
 @pytest.mark.parametrize("flag", [["--depth", "9"], ["--kmax", "1"], ["--mode", "semigroup"]], ids=lambda f: f[0])

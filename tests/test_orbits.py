@@ -318,7 +318,7 @@ def test_certify_finite_closure_for_conjugated_rotation():
     "use_space",
     [
         lambda a, sp: restrict_action(a, list(sp.basis)),
-        lambda a, sp: orbits._quotient_action(a, sp),
+        lambda a, sp: orbits.adapted_blocks(a, list(sp.basis), orbits._complete_basis(sp)),
         lambda a, sp: certify_bounded(a, sp),
     ],
     ids=["restrict", "quotient", "certify"],
@@ -330,6 +330,35 @@ def test_non_invariant_space_raises_value_error(use_space):
     use_space(a, Subspace.from_vectors(2, [(F(1), F(0))]))
     with pytest.raises(ValueError, match="invariant"):
         use_space(a, Subspace.from_vectors(2, [(F(0), F(1))]))
+
+
+@st.composite
+def conjugated_triangular(draw):
+    """(P, k, T's): generators P T P^-1 with every T block upper triangular, [[A, B], [0, D]], A k x k."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    p = draw(int_matrices(n).filter(lambda m: m.det() != 0))
+    ts = []
+    for m in draw(st.lists(int_matrices(n), min_size=1, max_size=3)):
+        ts.append(M([[0 if i >= k and j < k else m[i, j] for j in range(n)] for i in range(n)]))
+    return p, k, ts
+
+
+@given(conjugated_triangular())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_adapted_blocks_read_restriction_and_quotient_off_one_conjugation(drawn):
+    p, k, ts = drawn
+    n = p.rows
+    pinv = p.inverse()
+    a = act([(f"g{i}", p @ t @ pinv) for i, t in enumerate(ts)], "semigroup")
+    cols = [p.col(j) for j in range(n)]
+    p_out, blocks = orbits.adapted_blocks(a, cols[:k], cols[k:])
+    assert p_out == p
+    assert [blk for blk, _, _ in blocks] == list(restrict_action(a, cols[:k]).mats)
+    for g, (blk_a, blk_b, blk_d) in zip(a.mats, blocks):
+        rows = [list(blk_a.row(i)) + list(blk_b.row(i)) for i in range(k)]
+        rows += [[F(0)] * k + list(blk_d.row(i)) for i in range(n - k)]
+        assert p @ M(rows) @ pinv == g
 
 
 def test_invariant_closure_grows_until_stable():

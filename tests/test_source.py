@@ -50,3 +50,17 @@ def test_certificate_checker_imports_no_numpy_and_runs_no_search():
     # the one search left: irreducible_fast_path re-runs the irreducibility
     # test until its certificate stores spanning words (ROADMAP item 1)
     assert "irreducibility_check" in called
+
+
+def test_certificate_checker_imports_only_public_names():
+    # the checker reads the engine through its public helpers, so a private
+    # engine function can change without changing what a certificate means
+    tree = ast.parse((SRC / "certificates.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
