@@ -8,6 +8,7 @@ root counting, and the reciprocal (self-inverse factor) split.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -370,6 +371,58 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 def rank(m: QMatrix) -> int:
     return len(rref(m)[1])
+
+
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries (the zero vector as is)."""
+    g = math.gcd(*v)
+    return tuple(v) if g in (0, 1) else tuple(x // g for x in v)
+
+
+def primitive_integer(v: Iterable[RationalLike]) -> tuple[int, ...]:
+    """The primitive integer multiple of a rational vector (the zero vector stays zero)."""
+    fs = [to_fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in fs))
+    return _primitive([x.numerator * (den // x.denominator) for x in fs])
+
+
+class IntEchelon:
+    """Row echelon basis of a growing subspace of Q^n, in integers.
+
+    ``rows`` are primitive integer vectors in increasing pivot order, a
+    pivot being a row's first nonzero entry, which is positive.  ``add``
+    reduces a vector fraction-free, cross-multiplying by pivots and
+    dividing by the gcd (Bareiss, Math. Comp. 22, 1968), so no entry is
+    ever a Fraction.  ``len`` is the rank.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.rows: list[tuple[int, ...]] = []
+        self._pivots: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Add an integer vector of length n; whether it was outside the span."""
+        if len(v) != self.n:
+            raise DimensionMismatchError("vector length mismatch")
+        v = _primitive(v)
+        for piv, row in zip(self._pivots, self.rows):
+            c = v[piv]
+            if c:
+                p = row[piv]
+                v = _primitive([p * x - c * y for x, y in zip(v, row)])
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        if v[piv] < 0:
+            v = tuple(-x for x in v)
+        at = bisect.bisect(self._pivots, piv)
+        self._pivots.insert(at, piv)
+        self.rows.insert(at, v)
+        return True
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,11 @@ first expansive word still wins, so every verdict and certificate is the one
 the walk-first order gives.  ``EARLY_WORDS`` exists because a NotExpansive
 action has no expansive word at all: without the cut its walk would drain
 the whole budget before stages 2-4 could decide it, while the winning word
-of an Expansive action almost always sits among the first few dozen.
+of an Expansive action almost always sits among the first few dozen.  The
+walk does not resume when no word can win it: when a held split's
+affine obstruction traps every word (each word's eigenvalue on that one
+dimensional quotient keeps an orbit bounded), the held split is the answer,
+and in semigroup mode generators with |det| <= 1 allow no expansive word.
 
 Floating point appears only in search heuristics (eigenvalue prescreens,
 Gram-matrix growth statistics) and in the orbit norm bound a NotExpansive
@@ -42,9 +46,13 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .exact import (
+    DimensionMismatchError,
+    IntEchelon,
+    NotInvertibleError,
     QMatrix,
     Subspace,
     char_poly,
@@ -54,6 +62,7 @@ from .exact import (
     is_positive_definite,
     is_positive_semidefinite,
     kernel,
+    primitive_integer,
     rational_roots,
     solve_exact,
 )
@@ -111,7 +120,7 @@ class SemigroupAction:
             for name, m in list(zip(names, mats)):
                 try:
                     inv = m.inverse()
-                except Exception as exc:
+                except NotInvertibleError as exc:
                     raise NotInvertibleGeneratorError(
                         f"group mode requires invertible generators; {name!r} is singular"
                     ) from exc
@@ -347,18 +356,25 @@ def snap_vector(v: np.ndarray, max_den: int) -> Optional[tuple[Fraction, ...]]:
 
 
 def invariant_closure(action: SemigroupAction, vectors: Iterable[Iterable[Fraction]]) -> Subspace:
-    """Smallest exactly invariant subspace containing the given vectors."""
-    space = Subspace.from_vectors(action.dim, [tuple(v) for v in vectors])
-    while True:
-        extra = []
-        for b in space.basis:
-            for g in action.mats:
-                w = g.apply(b)
-                if not space.contains(w):
-                    extra.append(w)
-        if not extra:
-            return space
-        space = Subspace.from_vectors(action.dim, list(space.basis) + extra)
+    """Smallest exactly invariant subspace containing the given vectors.
+
+    A worklist over integer vectors: each vector, scaled to integers, goes
+    into one ``IntEchelon``, and every vector it accepts sends its images
+    under the generators' integer numerators back to the list (a span does
+    not depend on the common denominator).  The accepted vectors span the
+    closure, whose canonical basis is built once at the end.
+    """
+    n = action.dim
+    todo = [primitive_integer(v) for v in vectors]
+    if any(len(v) != n for v in todo):
+        raise DimensionMismatchError("vector length mismatch")
+    gens = [g.num for g in action.mats]
+    echelon = IntEchelon(n)
+    while todo and len(echelon) < n:
+        v = todo.pop()
+        if echelon.add(v):
+            todo.extend([sum(map(mul, g[i * n : (i + 1) * n], v)) for i in range(n)] for g in gens)
+    return Subspace.from_vectors(n, echelon.rows)
 
 
 def _growth_normalized_gram(action: SemigroupAction, depth: int) -> np.ndarray:
@@ -749,15 +765,45 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
             split = resolved
             break
 
-    # 1, resumed: the rest of the same walk
-    found = find_expansive_word(action, walk)
-    if found is not None:
-        return _word_verdict(found, depth)
+    # 1, resumed: the rest of the same walk, unless no word can win it
+    if not _no_word_can_win(action, split):
+        found = find_expansive_word(action, walk)
+        if found is not None:
+            return _word_verdict(found, depth)
     if split is not None:
         return split
     if held is not None:
         return held
     return ExpansivenessVerdict(UNKNOWN, None, None, {"route": "inconclusive"}, depth)
+
+
+def _no_word_can_win(action: SemigroupAction, split: Optional[ExpansivenessVerdict]) -> bool:
+    """Whether no word of ``action`` is expansive, so the word search would
+    return None: by the generators' determinants in semigroup mode (every
+    word then has |det| <= 1, hence an eigenvalue in the closed unit disk),
+    or by an affine obstruction in the held split's certificate."""
+    if action.mode == SEMIGROUP and all(abs(g.det()) <= 1 for g in action.mats):
+        return True
+    return split is not None and _traps_every_word(split.certificate, action.mode)
+
+
+def _traps_every_word(cert: Optional[dict], mode: str) -> bool:
+    """Whether the Expansive certificate tree ``cert`` (the node, or any node
+    under ``restriction`` or ``quotient``) holds an ``affine_obstruction``
+    whose quotient scalars all keep an orbit bounded in ``mode``.
+
+    A word's eigenvalues include those of its restriction and quotient
+    blocks, and on that one dimensional quotient its eigenvalue is the
+    product of its letters' scalars, so every word has an eigenvalue that
+    refutes it and the word search cannot succeed.
+    """
+    if not cert:
+        return False
+    if cert.get("kind") == "affine_obstruction" and all(
+        keeps_bounded(Fraction(mu), mode) for mu in cert["scalars"].values()
+    ):
+        return True
+    return any(_traps_every_word(cert.get(key), mode) for key in ("restriction", "quotient"))
 
 
 def _word_verdict(found: ExpansiveWord, depth: int) -> ExpansivenessVerdict:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from expansive.exact import (
     DimensionMismatchError,
+    IntEchelon,
     NotInvertibleError,
     ParseError,
     QMatrix,
@@ -29,6 +30,7 @@ from expansive.exact import (
     minimal_poly,
     poly_gcd,
     poly_of_matrix,
+    primitive_integer,
     rank,
     rational_roots,
     reciprocal_split,
@@ -523,3 +525,54 @@ def test_matrix_is_immutable_and_copies():
         a.num = (1, 2, 3, 4)
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a)
+
+
+# ------------------------------------------------ the integer echelon basis
+
+
+@st.composite
+def dependent_rows(draw):
+    """Integer rows of length n, many of them combinations of a few others."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-6, max_value=6)
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n))
+    coeffs = st.lists(st.integers(min_value=-2, max_value=2), min_size=len(base), max_size=len(base))
+    combos = [[sum(c * b[i] for c, b in zip(cs, base)) for i in range(n)] for cs in draw(st.lists(coeffs, max_size=5))]
+    return n, draw(st.permutations(base + combos))
+
+
+@given(dependent_rows())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_int_echelon_add_and_rank_match_sympy(drawn):
+    n, rows = drawn
+    echelon = IntEchelon(n)
+    ranks = [0] + [sp.Matrix(rows[: i + 1]).rank() for i in range(len(rows))]
+    for i, v in enumerate(rows):
+        assert echelon.add(v) is (ranks[i + 1] > ranks[i])
+        assert len(echelon) == ranks[i + 1]
+    pivots = [next(j for j, x in enumerate(r) if x) for r in echelon.rows]
+    assert pivots == sorted(set(pivots))
+    for r, p in zip(echelon.rows, pivots):
+        assert all(type(x) is int for x in r)
+        assert r[p] > 0 and math.gcd(*r) == 1
+    # the rows span what was added
+    assert sp.Matrix(rows + echelon.rows).rank() == len(echelon)
+    assert Subspace.from_vectors(n, echelon.rows) == Subspace.from_vectors(n, rows)
+
+
+def test_int_echelon_refuses_a_wrong_length_and_ignores_zero():
+    echelon = IntEchelon(3)
+    assert echelon.add((0, 0, 0)) is False
+    assert echelon.add((0, 4, -6)) is True
+    assert echelon.rows == [(0, 2, -3)]
+    assert echelon.add((0, -2, 3)) is False
+    with pytest.raises(DimensionMismatchError):
+        echelon.add((1, 0))
+
+
+def test_primitive_integer_clears_denominators_and_the_gcd():
+    assert primitive_integer([F(1, 2), F(-1, 3), 0]) == (3, -2, 0)
+    assert primitive_integer(["4", 6, F(-8)]) == (2, 3, -4)
+    assert primitive_integer([0, F(0)]) == (0, 0)
+    with pytest.raises(ParseError):
+        primitive_integer([0.5])

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from expansive import orbits
 from expansive.cli import parse_action
-from expansive.exact import QMatrix, Subspace, is_invariant, is_positive_semidefinite
+from expansive.exact import (
+    DimensionMismatchError,
+    ParseError,
+    QMatrix,
+    Subspace,
+    is_invariant,
+    is_positive_semidefinite,
+)
 from expansive.orbits import (
     EXPANSIVE,
     NOT_EXPANSIVE,
@@ -81,6 +88,15 @@ def test_semigroup_mode_keeps_generators_as_given():
 def test_group_mode_rejects_singular_generator():
     with pytest.raises(NotInvertibleGeneratorError):
         act([("g", M([[1, 1], [1, 1]]))], "group")
+
+
+def test_group_mode_passes_on_a_failure_that_is_not_singularity(monkeypatch):
+    def broken(self):
+        raise RuntimeError("inverse broke")
+
+    monkeypatch.setattr(QMatrix, "inverse", broken)
+    with pytest.raises(RuntimeError, match="inverse broke"):
+        act([("a", CAT)], "group")
 
 
 def test_word_matrix_composes_left_to_right():
@@ -366,6 +382,53 @@ def test_invariant_closure_grows_until_stable():
     assert invariant_closure(a, [(F(1), F(0))]).dim == 2
     b = act([("d", M([[2, 0], [0, 3]]))], "semigroup")
     assert invariant_closure(b, [(F(1), F(0))]).basis == ((F(1), F(0)),)
+
+
+def closure_by_fixed_point(action, vectors):
+    """The reference closure: add every image the span misses until none is missed."""
+    space = Subspace.from_vectors(action.dim, [tuple(v) for v in vectors])
+    while True:
+        extra = []
+        for b in space.basis:
+            for g in action.mats:
+                w = g.apply(b)
+                if not space.contains(w):
+                    extra.append(w)
+        if not extra:
+            return space
+        space = Subspace.from_vectors(action.dim, list(space.basis) + extra)
+
+
+@st.composite
+def closure_inputs(draw):
+    # mostly zero entries, so that proper invariant subspaces occur
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    row = st.lists(entry, min_size=n, max_size=n)
+    gens = draw(st.lists(st.lists(row, min_size=n, max_size=n).map(M), min_size=1, max_size=3))
+    vector = st.one_of(st.just((F(0),) * n), row.map(tuple))
+    return act([(f"g{i}", g) for i, g in enumerate(gens)], "semigroup"), draw(st.lists(vector, max_size=3))
+
+
+@given(closure_inputs())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_invariant_closure_matches_the_fixed_point_loop(drawn):
+    action, seeds = drawn
+    space = invariant_closure(action, seeds)
+    assert space == closure_by_fixed_point(action, seeds)
+    assert all(is_invariant(space, g) for g in action.mats)
+
+
+@pytest.mark.parametrize("closure", [invariant_closure, closure_by_fixed_point])
+def test_invariant_closure_refuses_a_wrong_length_and_a_float(closure):
+    a = act([("a", CAT)], "semigroup")
+    with pytest.raises(DimensionMismatchError):
+        closure(a, [(F(1), F(0)), (F(1), F(0), F(0))])
+    with pytest.raises(ParseError):
+        closure(a, [(0.5, F(0))])
+    # every entry is read before any length is checked
+    with pytest.raises(ParseError):
+        closure(a, [(F(1),), (F(0), 0.5)])
 
 
 # --- expansive word search ---

@@ -190,3 +190,51 @@ def test_a_word_past_the_early_words_beats_a_held_split(monkeypatch):
     assert walks == [words[: hit + 1]]
     monkeypatch.undo()
     assert_same_as_walk_first(action, 6)
+
+
+@pytest.mark.parametrize("mode", ["group", "semigroup"])
+def test_affine_sl2_walks_only_the_early_words(mode, monkeypatch):
+    # every word has the eigenvalue 1: in group mode the held split is an
+    # affine obstruction with all quotient scalars 1, in semigroup mode every
+    # generator has determinant 1; the walk-first order drained the budget
+    action = parse_action(json.loads((FIXTURES / "affine_sl2.json").read_text()), mode)
+    assert len(list(islice(orbits.iter_words(action, 10, WORD_BUDGET), EARLY_WORDS + 1))) > EARLY_WORDS
+    walked = []
+    iter_words = orbits.iter_words
+
+    def counted(walked_action, max_len, budget):
+        for item in iter_words(walked_action, max_len, budget):
+            if walked_action is action and budget == WORD_BUDGET:
+                walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(orbits, "iter_words", counted)
+    res = expansiveness_check(action, 10)
+    assert (res.status, (res.certificate or {}).get("kind")) == (
+        (EXPANSIVE, "affine_obstruction") if mode == "group" else (UNKNOWN, None)
+    )
+    assert len(walked) <= EARLY_WORDS
+    monkeypatch.undo()
+    assert_same_as_walk_first(action, 10)
+
+
+def affine(*scalars):
+    return {"kind": "affine_obstruction", "scalars": {f"g{i}": mu for i, mu in enumerate(scalars)}}
+
+
+@pytest.mark.parametrize(
+    "cert, group, semigroup",
+    [
+        (affine("1", "-1"), True, True),
+        (affine("1", "1/2"), False, True),
+        (affine("1", "2"), False, False),
+        ({"kind": "split", "restriction": {"kind": "word_spectrum"}, "quotient": affine("-1")}, True, True),
+        ({"kind": "split", "restriction": affine("1/3"), "quotient": {"kind": "word_spectrum"}}, False, True),
+        ({"kind": "affine_obstruction", "scalars": {"g": "3"}, "restriction": affine("1")}, True, True),
+        ({"kind": "word_spectrum"}, False, False),
+        (None, False, False),
+    ],
+)
+def test_an_affine_obstruction_anywhere_in_the_tree_traps_every_word(cert, group, semigroup):
+    assert orbits._traps_every_word(cert, "group") is group
+    assert orbits._traps_every_word(cert, "semigroup") is semigroup
