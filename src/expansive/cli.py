@@ -76,6 +76,14 @@ def load_json(path: str):
             raise ParseError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
 
 
+def load_object(path: str) -> dict:
+    """A JSON file that must hold an object: a case, a report or a chain."""
+    data = load_json(path)
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def named_generators(case: dict) -> list[tuple[str, QMatrix]]:
     gens = case.get("generators")
     if not isinstance(gens, dict) or not gens:
@@ -160,7 +168,7 @@ def _exit_for(status: str) -> int:
 
 
 def cmd_analyze_matrix(args) -> tuple[dict, int]:
-    case = load_json(args.case)
+    case = load_object(args.case)
     named = named_generators(case)
     if len(named) != 1:
         raise ParseError("analyze-matrix expects exactly one generator")
@@ -183,7 +191,7 @@ def single_matrix_report(name: str, m: QMatrix, mode: str) -> dict:
 
 
 def cmd_analyze_semigroup(args) -> tuple[dict, int]:
-    case = load_json(args.case)
+    case = load_object(args.case)
     action = parse_action(case, args.mode)
     res = expansiveness_check(action, args.depth)
     rep = _report(
@@ -196,7 +204,7 @@ def cmd_analyze_semigroup(args) -> tuple[dict, int]:
 
 
 def cmd_find_expansive(args) -> tuple[dict, int]:
-    case = load_json(args.case)
+    case = load_object(args.case)
     action = parse_action(case, args.mode)
     found = find_expansive_element(action, word_cap=args.depth)
     options = {"mode": action.mode, "depth": args.depth}
@@ -219,7 +227,7 @@ def cmd_find_expansive(args) -> tuple[dict, int]:
 
 
 def cmd_torus_check(args) -> tuple[dict, int]:
-    case = load_json(args.case)
+    case = load_object(args.case)
     if (args.epsilon is None) != (args.radius is None):
         raise ParseError("the grid oracle needs both --epsilon and --radius")
     action = parse_action(case, args.mode)
@@ -240,7 +248,7 @@ def cmd_torus_check(args) -> tuple[dict, int]:
 
 
 def cmd_jsr(args) -> tuple[dict, int]:
-    case = load_json(args.case)
+    case = load_object(args.case)
     action = parse_action(case, args.mode)
     bounds = jsr_bounds(action, args.depth, args.epsilon)
     rep = _report(
@@ -253,7 +261,7 @@ def cmd_jsr(args) -> tuple[dict, int]:
 
 
 def cmd_solenoid_chain(args) -> tuple[dict, int]:
-    case = load_json(args.case)
+    case = load_object(args.case)
     dm = parse_dual_module(case, args.mode)
     chain = regular_chain(enumerate_basis(dm, args.depth), k_max=args.kmax)
     rep = _report(
@@ -280,12 +288,12 @@ def parse_window(data, precision: int) -> SolenoidWindow:
 
 
 def cmd_solenoid_lift(args) -> tuple[dict, int]:
-    case = load_json(args.case)
+    case = load_object(args.case)
     options = {}
     if args.chain:
         if (args.depth, args.kmax, args.mode) != (None, None, None):
             raise UsageError("--depth, --kmax and --mode shape only a chain solenoid-lift builds, not one from --chain")
-        data = load_json(args.chain)
+        data = load_object(args.chain)
         chain = RhoBasisChain.from_json(data.get("chain", data))
         if "mode" in data.get("options", {}):
             # verify checks the chain against the module in the mode it was built in
@@ -318,7 +326,7 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
 
 
 def cmd_solenoid_check(args) -> tuple[dict, int]:
-    case = load_json(args.case)
+    case = load_object(args.case)
     dm = parse_dual_module(case, args.mode)
     res = solenoid_expansive(dm, args.depth)
     rep = _report(
@@ -357,8 +365,8 @@ def verify_report(rep: dict, case: dict) -> bool:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    rep = load_json(args.report)
-    case = load_json(args.case)
+    rep = load_object(args.report)
+    case = load_object(args.case)
     ok = verify_report(rep, case)
     out = _report("verify", case, {}, verified=ok, checked_command=rep.get("command"))
     return out, 0 if ok else 1

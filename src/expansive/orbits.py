@@ -31,10 +31,13 @@ affine obstruction traps every word (each word's eigenvalue on that one
 dimensional quotient keeps an orbit bounded), the held split is the answer,
 and in semigroup mode generators with |det| <= 1 allow no expansive word.
 
-Floating point appears only in search heuristics (eigenvalue prescreens,
-Gram-matrix growth statistics) and in the orbit norm bound a NotExpansive
-report carries, and numpy is imported only inside those stages; every
-verdict-bearing claim is re-derived in rational arithmetic.  Unknown is an
+Floating point only proposes: stage 3's bounded-direction screen guesses a
+subspace from a float Gram form, and ``certify_bounded`` proves a bound on it
+exactly or drops it.  The word search screens each word exactly, by its
+characteristic polynomial, so no float can veto an expansive word.  Floats
+also give the orbit norm bound a NotExpansive report carries as evidence;
+numpy is imported only inside those functions and ``jsr_bounds``, and every
+verdict-bearing claim is derived in rational arithmetic.  Unknown is an
 honest third answer.  ``jsr_bounds``, the joint spectral radius bracket, is
 float evidence that no verdict uses, so the engine never calls it; the
 ``jsr`` subcommand computes it on request.
@@ -54,6 +57,7 @@ from .exact import (
     IntEchelon,
     NotInvertibleError,
     QMatrix,
+    QPoly,
     Subspace,
     char_poly,
     coordinates_in_span,
@@ -76,10 +80,6 @@ NOT_EXPANSIVE = "NotExpansive"
 UNKNOWN = "Unknown"
 
 INVERSE_SUFFIX = "^-1"
-
-
-class ZeroVectorError(ValueError):
-    pass
 
 
 class NotInvertibleGeneratorError(ValueError):
@@ -203,13 +203,15 @@ def iter_words(action: SemigroupAction, max_len: int, budget: int):
         frontier = nxt
 
 
-def _word_prescreen(m: QMatrix) -> bool:
-    """Cheap float filter for semigroup mode: drops words with an eigenvalue
-    clearly inside the unit disk; anything within 1e-9 of it survives."""
-    import numpy as np
-
-    mods = np.abs(np.linalg.eigvals(np.array(m.to_floats(), dtype=float)))
-    return bool(np.min(mods) > 1 - 1e-9)
+def _word_prescreen(p: QPoly, mode: str) -> bool:
+    """Exact screen on a word's characteristic polynomial ``p``: False when a
+    root at 0 or +-1 already refutes the word, or, in semigroup mode, when
+    |p(0)| = |det| <= 1 puts a root in the closed unit disk."""
+    cs = p.coeffs
+    # p(0), p(1) and p(-1) are the constant, the sum and the alternating sum
+    if p.constant == 0 or sum(cs) == 0 or sum(cs[::2]) == sum(cs[1::2]):
+        return False
+    return mode != SEMIGROUP or abs(p.constant) > 1
 
 
 class ExpansiveWord(tuple):
@@ -226,18 +228,14 @@ def find_expansive_word(
     action: SemigroupAction, walk: Iterable[tuple[tuple[str, ...], QMatrix]]
 ) -> Optional[ExpansiveWord]:
     """First word of ``walk``, (word, matrix) pairs as ``iter_words`` yields
-    them, whose single matrix is expansive in the action's mode."""
-    # group mode refutes a word only by a modulus of exactly 1, which a float
-    # screen cannot tell from one merely near 1, so there it rejects nothing
-    screen = action.mode == SEMIGROUP
+    them, whose single matrix is expansive in the action's mode.
+
+    Every word's characteristic polynomial goes through the exact
+    ``_word_prescreen`` before the full spectral test; the screen drops only
+    words that test would refute, so no expansive word is skipped."""
     for word, m in walk:
-        if screen and not _word_prescreen(m):
-            continue
         p = char_poly(m)
-        cs = p.coeffs
-        # an exact root at 0 or +-1 already refutes expansiveness of the word;
-        # p(0), p(1) and p(-1) are the constant, the sum and the alternating sum
-        if p.constant == 0 or sum(cs) == 0 or sum(cs[::2]) == sum(cs[1::2]):
+        if not _word_prescreen(p, action.mode):
             continue
         verdict = single_expansive(m, action.mode, p)
         if verdict.expansive:
@@ -245,55 +243,7 @@ def find_expansive_word(
     return None
 
 
-# --------------------------------------------------------- orbit probing
-
-
-def orbit_simulate(
-    action: SemigroupAction,
-    v: tuple[Fraction, ...],
-    max_depth: int,
-    escape_radius: float,
-) -> dict:
-    """Breadth-first orbit exploration with direction-based pruning.
-
-    States are stored as (unit direction, norm); a state whose direction
-    lies within 2^-20 of a previously expanded one with at least the same
-    norm is not re-expanded.
-    """
-    import numpy as np
-
-    vec = np.array([float(x) for x in v], dtype=float)
-    norm0 = float(np.linalg.norm(vec))
-    if norm0 == 0:
-        raise ZeroVectorError("orbit simulation needs a nonzero start vector")
-    if escape_radius <= norm0:
-        raise ValueError("escape radius must exceed the start norm")
-    gens = list(zip(action.names, _float_mats(action)))
-    seen: list[tuple[np.ndarray, float]] = []
-    frontier: list[tuple[tuple[str, ...], np.ndarray]] = [((), vec)]
-    max_norm = norm0
-    tol = 2.0**-20
-    for _ in range(max_depth):
-        nxt = []
-        for word, x in frontier:
-            for name, g in gens:
-                y = g @ x
-                ny = float(np.linalg.norm(y))
-                max_norm = max(max_norm, ny)
-                w = word + (name,)
-                if ny > escape_radius:
-                    return {"escaped": True, "word": list(w), "max_norm": max_norm}
-                if ny == 0:
-                    continue
-                d = y / ny
-                if any(np.linalg.norm(d - sd) <= tol and sn >= ny * (1 - tol) for sd, sn in seen):
-                    continue
-                seen.append((d, ny))
-                nxt.append((w, y))
-        if not nxt:
-            break
-        frontier = nxt
-    return {"escaped": False, "word": None, "max_norm": max_norm}
+# ------------------------------------------------- joint spectral radius
 
 
 def jsr_bounds(action: SemigroupAction, depth: int, tol: float) -> dict:
@@ -611,22 +561,15 @@ def _eigenvector_seeds(action: SemigroupAction, word_len: int, budget: int) -> l
     return out
 
 
-def _proper_invariant_subspaces(action: SemigroupAction, depth: int) -> list[Subspace]:
-    import numpy as np
-
+def _proper_invariant_subspaces(action: SemigroupAction) -> list[Subspace]:
+    """Proper invariant subspaces for the split, smallest first: the
+    closures of the exact eigenvectors of the generators and short words,
+    and the invariant intersections of those closures."""
     n = action.dim
     seeds = _eigenvector_seeds(action, 2, 40)
-    s = _growth_normalized_gram(action, min(depth, GRAM_DEPTH))
-    eigvals, eigvecs = np.linalg.eigh((s + s.T) / 2)
-    for i in range(len(eigvals)):
-        sv = snap_vector(eigvecs[:, i], SNAP_DENOMINATOR)
-        if sv is not None:
-            seeds.append(sv)
     spaces: list[Subspace] = []
     seen = set()
     for v in seeds:
-        if all(x == 0 for x in v):
-            continue
         sp = invariant_closure(action, [v])
         if 0 < sp.dim < n and sp.basis not in seen:
             seen.add(sp.basis)
@@ -757,7 +700,7 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
 
     # 4. split along proper invariant subspaces; an Expansive split waits for the walk
     split: Optional[ExpansivenessVerdict] = None
-    for space in _proper_invariant_subspaces(action, depth):
+    for space in _proper_invariant_subspaces(action):
         resolved = _split_analysis(action, space, depth, memo)
         if resolved is not None and resolved.status != UNKNOWN:
             if resolved.status == NOT_EXPANSIVE:

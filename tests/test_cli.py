@@ -409,6 +409,29 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     assert rep["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze-semigroup", FIXTURES / "dyadic_window.json"],
+        ["verify", "LIST", FIXTURES / "doubling.json"],
+        ["verify", "OBJECT", "LIST"],
+        ["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--chain", "LIST",
+         "--window", FIXTURES / "dyadic_window.json"],
+    ],
+    ids=["case", "verify-report", "verify-case", "lift-chain"],
+)
+def test_json_that_is_not_an_object_is_a_parse_error(tmp_path, argv):
+    files = {"LIST": write_case(tmp_path, "list.json", [1, 2]), "OBJECT": write_case(tmp_path, "object.json", {})}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "expansive", *(str(files.get(a, a)) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["error"]["type"] == "ParseError"
+    assert "Traceback" not in done.stderr
+
+
 def test_out_flag_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
     out = tmp_path / "rep.json"
     code = main(["analyze-matrix", "--mode", "semigroup", str(FIXTURES / "doubling.json"), "--out", str(out)])
@@ -593,8 +616,19 @@ def test_import_does_not_load_numpy():
         # the engine deciding by a word spectrum in group mode runs no float stage
         (["analyze-semigroup", FIXTURES / "cat_map.json"], False),
         (["analyze-semigroup", FIXTURES / "sl2_generators.json"], False),
+        # nor does a word spectrum in semigroup mode: the word screen is exact
+        (["analyze-semigroup", FIXTURES / "doubling.json"], False),
+        (["solenoid-check", FIXTURES / "doubling.json"], False),
     ],
-    ids=["analyze-matrix", "solenoid-chain", "jsr", "analyze-semigroup-cat_map", "analyze-semigroup-sl2_generators"],
+    ids=[
+        "analyze-matrix",
+        "solenoid-chain",
+        "jsr",
+        "analyze-semigroup-cat_map",
+        "analyze-semigroup-sl2_generators",
+        "analyze-semigroup-doubling",
+        "solenoid-check-doubling",
+    ],
 )
 def test_numpy_loads_only_for_float_subcommands(tmp_path, argv, uses_floats):
     assert numpy_loaded_after(RUN_MAIN, *argv, "--out", tmp_path / "report.json") == uses_floats

@@ -48,7 +48,7 @@ def test_certificate_checker_imports_no_numpy_and_runs_no_search():
     }
     assert called & SEARCHES == set()
     # the one search left: irreducible_fast_path re-runs the irreducibility
-    # test until its certificate stores spanning words (ROADMAP item 1)
+    # test until its certificate stores spanning words (ROADMAP item 2)
     assert "irreducibility_check" in called
 
 
@@ -64,3 +64,42 @@ def test_certificate_checker_imports_only_public_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# the float stages: the bounded-direction screen, the norm bound evidence and
+# the jsr bracket; numpy loads inside these and nowhere else
+FLOAT_FUNCTIONS = {
+    "_float_mats",
+    "snap_vector",
+    "_growth_normalized_gram",
+    "_bounded_directions",
+    "_norm_bound_from_cert",
+    "jsr_bounds",
+}
+
+
+def numpy_importers(path):
+    """Where a module imports numpy: the top-level function or class that
+    does, ``TYPE_CHECKING`` for the typing-only import, else ``<module>``."""
+    out = set()
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if not any(name.split(".")[0] == "numpy" for name in names):
+                continue
+            if isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name) and stmt.test.id == "TYPE_CHECKING":
+                out.add("TYPE_CHECKING")
+            else:
+                out.add(getattr(stmt, "name", "<module>"))
+    return out
+
+
+def test_numpy_is_imported_only_by_the_float_functions_of_orbits():
+    importers = {path.name: numpy_importers(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, where in importers.items() if where} == {"orbits.py"}
+    assert importers["orbits.py"] <= FLOAT_FUNCTIONS | {"TYPE_CHECKING"}

@@ -71,7 +71,7 @@ def walk_first(action, depth, memo):
                 {"route": "bounded-subspace"},
                 depth,
             )
-    for space in orbits._proper_invariant_subspaces(action, depth):
+    for space in orbits._proper_invariant_subspaces(action):
         resolved = orbits._split_analysis(action, space, depth, memo)
         if resolved is not None and resolved.status != UNKNOWN:
             return resolved
