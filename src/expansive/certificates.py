@@ -7,13 +7,15 @@ verify, and ``split`` and ``affine_obstruction`` ask their
 sub-certificates for ``Expansive`` proofs the same way.  No check
 searches, except that ``irreducible_fast_path`` re-runs the torus
 irreducibility test: the certificate stores no spanning words yet.
+The torus and solenoid modules load only inside the checks that read them,
+so checking a real-space certificate imports neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .exact import QMatrix, Subspace, char_poly, coordinates_in_span, is_positive_definite, to_fraction
 from .orbits import (
@@ -27,9 +29,10 @@ from .orbits import (
     keeps_bounded,
     restrict_action,
 )
-from .solenoid import Ball, DualModuleAction, RhoBasisChain, character
 from .spectral import unit_disk_profile
-from .torus import has_infinite_order, irreducibility_check
+
+if TYPE_CHECKING:
+    from .solenoid import DualModuleAction, RhoBasisChain
 
 Witness = Optional[tuple[Fraction, ...]]
 
@@ -99,6 +102,8 @@ def _affine_obstruction(cert: dict, action: SemigroupAction, witness: Witness) -
 
 def _irreducible_fast_path(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
     """An infinite integer action that is irreducible is expansive on the torus."""
+    from .torus import has_infinite_order, irreducibility_check
+
     infinite = has_infinite_order(action.word_matrix(cert["infinite_order_word"]))
     return infinite and irreducibility_check(action).conclusion == "Irreducible"
 
@@ -136,6 +141,8 @@ def _module_chain(data: dict, module: DualModuleAction) -> Optional[RhoBasisChai
     generator, and each character of a level is a module generator or the
     image of a character of the level before (for the first level, of a
     module generator) under one of the action's matrices."""
+    from .solenoid import RhoBasisChain
+
     chain = RhoBasisChain.from_json(data)
     generators = set(module.module_generators)
     if not chain.levels or not generators <= set(chain.levels[0]) or not chain.verify():
@@ -159,6 +166,8 @@ def check_chain(data: dict, module: DualModuleAction, k: Optional[int] = None) -
 def check_lifts(data: dict, lifts: list, module: DualModuleAction) -> bool:
     """Whether the chain checks as in ``check_chain`` and each lift gives every chain
     character a value below its bound, itself below 1/k, that satisfies every chain relation."""
+    from .solenoid import Ball, character
+
     chain = _module_chain(data, module)
     if chain is None:
         return False

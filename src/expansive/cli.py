@@ -6,6 +6,10 @@ ints or strings like ``"3/7"``.  Every subcommand emits a report whose
 exact certificates the ``verify`` subcommand re-checks against the case
 file with ``expansive.certificates``.
 
+The torus, solenoid and weights layers are imported inside the handlers
+that run them, so a process loads them only for the subcommands that use
+them; ``analyze-semigroup`` loads none of the three.
+
 Exit codes: 0 decisive, 1 malformed input or failed verification,
 2 inconclusive (Unknown verdicts, exhausted enumeration caps).
 """
@@ -19,34 +23,18 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .certificates import check_certificate, check_chain, check_lifts
-from .exact import ParseError, QMatrix, char_poly, to_fraction
+from .exact import CapExceededError, ParseError, QMatrix, char_poly, to_fraction
 from .orbits import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction, expansiveness_check, jsr_bounds
-from .solenoid import (
-    Ball,
-    DualModuleAction,
-    KExceededError,
-    LiftOutOfRangeError,
-    PrecisionExhaustedError,
-    RhoBasisChain,
-    SolenoidWindow,
-    character,
-    enumerate_basis,
-    lift,
-    regular_chain,
-    solenoid_expansive,
-    span_restriction,
-)
 from .spectral import GROUP, SEMIGROUP, check_mode, single_expansive, unit_disk_profile
-from .torus import GridTooLargeError, rational_orbit_oracle, torus_expansive
-from .weights import find_expansive_element
+
+if TYPE_CHECKING:
+    from .solenoid import DualModuleAction, SolenoidWindow
 
 TOOL_NAME = "expansive"
-
-CAP_ERRORS = (KExceededError, GridTooLargeError, PrecisionExhaustedError)
 
 
 class VersionMismatch(ValueError):
@@ -84,6 +72,15 @@ def load_object(path: str) -> dict:
     return data
 
 
+def object_field(data: dict, key: str) -> dict:
+    """The field ``key`` of a report or chain file, which must hold an object
+    when present; an absent field reads as an empty one."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ParseError(f"field {key!r} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def named_generators(case: dict) -> list[tuple[str, QMatrix]]:
     gens = case.get("generators")
     if not isinstance(gens, dict) or not gens:
@@ -109,6 +106,8 @@ def parse_action(case: dict, override: Optional[str] = None) -> SemigroupAction:
 
 
 def parse_dual_module(case: dict, override: Optional[str] = None) -> DualModuleAction:
+    from .solenoid import DualModuleAction
+
     if "F" not in case:
         raise ParseError("solenoid cases need the module generator field 'F'")
     if "n" not in case:
@@ -204,6 +203,8 @@ def cmd_analyze_semigroup(args) -> tuple[dict, int]:
 
 
 def cmd_find_expansive(args) -> tuple[dict, int]:
+    from .weights import find_expansive_element
+
     case = load_object(args.case)
     action = parse_action(case, args.mode)
     found = find_expansive_element(action, word_cap=args.depth)
@@ -227,6 +228,8 @@ def cmd_find_expansive(args) -> tuple[dict, int]:
 
 
 def cmd_torus_check(args) -> tuple[dict, int]:
+    from .torus import rational_orbit_oracle, torus_expansive
+
     case = load_object(args.case)
     if (args.epsilon is None) != (args.radius is None):
         raise ParseError("the grid oracle needs both --epsilon and --radius")
@@ -261,6 +264,8 @@ def cmd_jsr(args) -> tuple[dict, int]:
 
 
 def cmd_solenoid_chain(args) -> tuple[dict, int]:
+    from .solenoid import enumerate_basis, regular_chain
+
     case = load_object(args.case)
     dm = parse_dual_module(case, args.mode)
     chain = regular_chain(enumerate_basis(dm, args.depth), k_max=args.kmax)
@@ -277,6 +282,8 @@ def cmd_solenoid_chain(args) -> tuple[dict, int]:
 
 
 def parse_window(data, precision: int) -> SolenoidWindow:
+    from .solenoid import Ball, SolenoidWindow, character
+
     if not isinstance(data, list):
         raise ParseError("a window file holds a list of {character, mid, rad} entries")
     values = []
@@ -288,6 +295,8 @@ def parse_window(data, precision: int) -> SolenoidWindow:
 
 
 def cmd_solenoid_lift(args) -> tuple[dict, int]:
+    from .solenoid import LiftOutOfRangeError, RhoBasisChain, enumerate_basis, lift, regular_chain
+
     case = load_object(args.case)
     options = {}
     if args.chain:
@@ -295,9 +304,10 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
             raise UsageError("--depth, --kmax and --mode shape only a chain solenoid-lift builds, not one from --chain")
         data = load_object(args.chain)
         chain = RhoBasisChain.from_json(data.get("chain", data))
-        if "mode" in data.get("options", {}):
+        chain_options = object_field(data, "options")
+        if "mode" in chain_options:
             # verify checks the chain against the module in the mode it was built in
-            options = {"mode": check_mode(data["options"]["mode"])}
+            options = {"mode": check_mode(chain_options["mode"])}
     else:
         dm = parse_dual_module(case, args.mode)
         options = {"depth": args.depth or 4, "kmax": 64 if args.kmax is None else args.kmax}
@@ -326,6 +336,8 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
 
 
 def cmd_solenoid_check(args) -> tuple[dict, int]:
+    from .solenoid import solenoid_expansive
+
     case = load_object(args.case)
     dm = parse_dual_module(case, args.mode)
     res = solenoid_expansive(dm, args.depth)
@@ -342,13 +354,14 @@ def cmd_solenoid_check(args) -> tuple[dict, int]:
 
 
 def verify_report(rep: dict, case: dict) -> bool:
-    version = rep.get("tool", {}).get("version")
+    tool, options = object_field(rep, "tool"), object_field(rep, "options")
+    version = tool.get("version")
     if version != __version__:
         raise VersionMismatch(f"report written by version {version!r}, tool is {__version__!r}")
     if rep.get("case") != case_id(case):
         return False
     command = rep.get("command")
-    mode = rep.get("options", {}).get("mode")
+    mode = options.get("mode")
     if command == "solenoid-chain":
         return check_chain(rep["chain"], parse_dual_module(case, mode), rep.get("k"))
     if command == "solenoid-lift":
@@ -358,6 +371,8 @@ def verify_report(rep: dict, case: dict) -> bool:
         # inconclusive and advisory reports claim nothing exact
         return cert is None
     if command == "solenoid-check":
+        from .solenoid import span_restriction
+
         action = span_restriction(parse_dual_module(case, mode))[1]
     else:
         action = parse_action(case, mode)
@@ -489,7 +504,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VersionMismatch as exc:
         emit({"command": args.command, "error": {"type": "VersionMismatch", "message": str(exc)}}, args.out)
         return 1
-    except CAP_ERRORS as exc:
+    except CapExceededError as exc:
         emit({"command": args.command, "error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
         return 2
     except (OSError, KeyError, TypeError, ValueError) as exc:

@@ -40,6 +40,10 @@ class ParseError(ValueError):
     pass
 
 
+class CapExceededError(Exception):
+    """A search hit one of its resource caps; the question stays open."""
+
+
 class SelfCheckError(ValueError):
     """An exact check of a result the library just built failed; nothing is returned."""
 
@@ -272,26 +276,28 @@ class QMatrix:
         return Fraction(sum(num[:: self.rows + 1]), den)
 
     def det(self) -> Fraction:
+        """Fraction-free (Bareiss) elimination on the integer numerators:
+        each step's division by the previous pivot is exact."""
         if not self.is_square:
             raise NonSquareError("det of non-square matrix")
+        num, den = self._ints()
         n = self.rows
-        a = [list(self.row(i)) for i in range(n)]
-        det = Fraction(1)
+        a = [list(num[i * n : (i + 1) * n]) for i in range(n)]
+        sign, prev = 1, 1
         for c in range(n):
             piv = next((r for r in range(c, n) if a[r][c]), None)
             if piv is None:
                 return Fraction(0)
             if piv != c:
                 a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / a[c][c]
+                sign = -sign
+            top, p = a[c], a[c][c]
             for r in range(c + 1, n):
-                if a[r][c]:
-                    f = a[r][c] * inv
-                    for j in range(c, n):
-                        a[r][j] -= f * a[c][j]
-        return det
+                row, f = a[r], a[r][c]
+                for j in range(c + 1, n):
+                    row[j] = (p * row[j] - f * top[j]) // prev
+            prev = p
+        return Fraction(sign * prev, den**n)
 
     def inverse(self) -> "QMatrix":
         if not self.is_square:

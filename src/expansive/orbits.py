@@ -28,8 +28,9 @@ the whole budget before stages 2-4 could decide it, while the winning word
 of an Expansive action almost always sits among the first few dozen.  The
 walk does not resume when no word can win it: when a held split's
 affine obstruction traps every word (each word's eigenvalue on that one
-dimensional quotient keeps an orbit bounded), the held split is the answer,
-and in semigroup mode generators with |det| <= 1 allow no expansive word.
+dimensional quotient keeps an orbit bounded), the held split is the answer.
+In semigroup mode generators with |det| <= 1 allow no expansive word, so
+there the walk does not start at all.
 
 Floating point only proposes: stage 3's bounded-direction screen guesses a
 subspace from a float Gram form, and ``certify_bounded`` proves a bound on it
@@ -668,11 +669,13 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
     if n == 0:
         return ExpansivenessVerdict(EXPANSIVE, None, {"kind": "empty_space"}, {"route": "empty"}, 0)
 
-    # 1. single-element spectral certificate, over the first EARLY_WORDS words
-    walk = iter_words(action, depth, WORD_BUDGET)
-    found = find_expansive_word(action, islice(walk, EARLY_WORDS))
-    if found is not None:
-        return _word_verdict(found, depth)
+    # 1. single-element spectral certificate, over the first EARLY_WORDS words,
+    # unless the determinants already rule out every word
+    walk = None if _determinants_trap_every_word(action) else iter_words(action, depth, WORD_BUDGET)
+    if walk is not None:
+        found = find_expansive_word(action, islice(walk, EARLY_WORDS))
+        if found is not None:
+            return _word_verdict(found, depth)
 
     # 2. cyclic actions are decided outright by one spectrum
     held: Optional[ExpansivenessVerdict] = None
@@ -709,7 +712,7 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
             break
 
     # 1, resumed: the rest of the same walk, unless no word can win it
-    if not _no_word_can_win(action, split):
+    if walk is not None and (split is None or not _traps_every_word(split.certificate, action.mode)):
         found = find_expansive_word(action, walk)
         if found is not None:
             return _word_verdict(found, depth)
@@ -720,14 +723,11 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
     return ExpansivenessVerdict(UNKNOWN, None, None, {"route": "inconclusive"}, depth)
 
 
-def _no_word_can_win(action: SemigroupAction, split: Optional[ExpansivenessVerdict]) -> bool:
-    """Whether no word of ``action`` is expansive, so the word search would
-    return None: by the generators' determinants in semigroup mode (every
-    word then has |det| <= 1, hence an eigenvalue in the closed unit disk),
-    or by an affine obstruction in the held split's certificate."""
-    if action.mode == SEMIGROUP and all(abs(g.det()) <= 1 for g in action.mats):
-        return True
-    return split is not None and _traps_every_word(split.certificate, action.mode)
+def _determinants_trap_every_word(action: SemigroupAction) -> bool:
+    """Whether, in semigroup mode, every generator has |det| <= 1: every
+    word then has |det| <= 1, hence an eigenvalue in the closed unit disk,
+    so no word is expansive and the word search would return None."""
+    return action.mode == SEMIGROUP and all(abs(g.det()) <= 1 for g in action.mats)
 
 
 def _traps_every_word(cert: Optional[dict], mode: str) -> bool:

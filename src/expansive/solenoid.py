@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (
+    CapExceededError,
     DimensionMismatchError,
     QMatrix,
     RationalLike,
@@ -46,7 +47,7 @@ class NotInSpanError(ValueError):
         self.char = char
 
 
-class KExceededError(ValueError):
+class KExceededError(CapExceededError, ValueError):
     pass
 
 
@@ -62,7 +63,7 @@ class LiftOutOfRangeError(ValueError):
     pass
 
 
-class PrecisionExhaustedError(ArithmeticError):
+class PrecisionExhaustedError(CapExceededError, ArithmeticError):
     pass
 
 

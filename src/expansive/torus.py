@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (
+    CapExceededError,
     QMatrix,
     RationalLike,
     Subspace,
@@ -51,7 +52,7 @@ class NotUnimodularError(ValueError):
     pass
 
 
-class GridTooLargeError(ValueError):
+class GridTooLargeError(CapExceededError, ValueError):
     pass
 
 

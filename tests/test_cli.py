@@ -417,11 +417,19 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
         ["verify", "OBJECT", "LIST"],
         ["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--chain", "LIST",
          "--window", FIXTURES / "dyadic_window.json"],
+        # a report field that must be an object
+        ["verify", "TOOL", FIXTURES / "doubling.json"],
+        ["verify", "OPTIONS", FIXTURES / "doubling.json"],
     ],
-    ids=["case", "verify-report", "verify-case", "lift-chain"],
+    ids=["case", "verify-report", "verify-case", "lift-chain", "report-tool", "report-options"],
 )
 def test_json_that_is_not_an_object_is_a_parse_error(tmp_path, argv):
-    files = {"LIST": write_case(tmp_path, "list.json", [1, 2]), "OBJECT": write_case(tmp_path, "object.json", {})}
+    files = {
+        "LIST": write_case(tmp_path, "list.json", [1, 2]),
+        "OBJECT": write_case(tmp_path, "object.json", {}),
+        "TOOL": write_case(tmp_path, "tool.json", {"tool": 3}),
+        "OPTIONS": write_case(tmp_path, "options.json", {"tool": {"version": expansive.__version__}, "options": 5}),
+    }
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-m", "expansive", *(str(files.get(a, a)) for a in argv)],
@@ -530,6 +538,22 @@ def test_kmax_zero_is_honoured_by_chain_and_lift(capsys, tmp_path):
         assert (code, rep["error"]["type"]) == (2, "KExceededError"), command
 
 
+def test_a_grid_past_its_cap_is_a_cap_error(capsys):
+    # 10000^2 grid states exceed GRID_STATE_CAP before any is visited
+    code, rep = run(capsys, "torus-check", FIXTURES / "cat_map.json", "--epsilon", "1/5", "--radius", "10000")
+    assert (code, rep["error"]["type"]) == (2, "GridTooLargeError")
+
+
+def test_a_window_too_coarse_to_lift_is_a_cap_error(capsys, tmp_path):
+    # without their radii the window's entries get radius 2^-0 = 1, too wide to place any value
+    entries = json.loads((FIXTURES / "dyadic_window.json").read_text())
+    window = write_case(tmp_path, "coarse.json", [{k: v for k, v in e.items() if k != "rad"} for e in entries])
+    code, rep = run(
+        capsys, "solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", window, "--precision", "0"
+    )
+    assert (code, rep["error"]["type"]) == (2, "PrecisionExhaustedError")
+
+
 # --- usage errors ---
 
 
@@ -586,21 +610,94 @@ def test_torus_grid_oracle_needs_both_epsilon_and_radius(capsys, half):
     assert rep["error"]["type"] == "ParseError"
 
 
-# --- numpy loads only for the float stages ---
+# --- each subcommand loads only the modules it runs ---
 
 
-def numpy_loaded_after(script, *args):
-    """Whether a fresh interpreter has imported numpy after running ``script``."""
-    probe = script + "\nimport sys\nprint('numpy' in sys.modules)"
+def loaded_after(script, *args):
+    """The names of the modules a fresh interpreter holds after running ``script``."""
+    probe = script + "\nimport sys\nprint(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", probe, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.split()[-1] == "True"
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def numpy_loaded_after(script, *args):
+    return "numpy" in loaded_after(script, *args)
+
+
+def submodules_loaded_after(script, *args):
+    """The ``expansive.*`` modules loaded, without the package prefix."""
+    prefix = "expansive."
+    return {name[len(prefix):] for name in loaded_after(script, *args) if name.startswith(prefix)}
 
 
 RUN_MAIN = "import sys\nfrom expansive.cli import main\nassert main(sys.argv[1:]) == 0"
+
+# what `import expansive.cli` loads, whatever the subcommand
+CLI_CORE = {"cli", "certificates", "exact", "orbits", "spectral"}
+
+
+def test_import_expansive_loads_no_submodule():
+    assert submodules_loaded_after("import expansive") == set()
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    for name in expansive.__all__:
+        value = getattr(expansive, name)
+        assert value.__module__.startswith("expansive."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert name in dir(expansive), name
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        expansive.no_such_name
+    assert not hasattr(expansive, "check_certificate")
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["analyze-matrix", FIXTURES / "cat_map.json"], set()),
+        (["analyze-semigroup", FIXTURES / "cat_map.json"], set()),
+        (["find-expansive", FIXTURES / "cat_map.json"], {"weights"}),
+        (["torus-check", FIXTURES / "cat_map.json"], {"torus"}),
+        (["jsr", FIXTURES / "cat_map.json"], set()),
+        (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], {"solenoid"}),
+        (["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", FIXTURES / "dyadic_window.json"],
+         {"solenoid"}),
+        (["solenoid-check", FIXTURES / "dyadic_solenoid.json"], {"solenoid"}),
+    ],
+    ids=["analyze-matrix", "analyze-semigroup", "find-expansive", "torus-check", "jsr", "solenoid-chain",
+         "solenoid-lift", "solenoid-check"],
+)
+def test_each_subcommand_loads_only_its_layers(tmp_path, argv, layers):
+    assert submodules_loaded_after(RUN_MAIN, *argv, "--out", tmp_path / "report.json") == CLI_CORE | layers
+
+
+@pytest.mark.parametrize(
+    "argv, kind, layers",
+    [
+        (["analyze-semigroup", FIXTURES / "cat_map.json"], "word_spectrum", set()),
+        (["torus-check", FIXTURES / "sl2_generators.json"], "irreducible_fast_path", {"torus"}),
+        (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], None, {"solenoid"}),
+        (["solenoid-check", FIXTURES / "dyadic_solenoid.json"], "word_spectrum", {"solenoid"}),
+    ],
+    ids=["word-spectrum", "torus-fast-path", "chain", "solenoid-check"],
+)
+def test_verify_loads_only_the_layers_its_report_needs(capsys, tmp_path, argv, kind, layers):
+    _, rep, path = report_for(capsys, tmp_path, *argv)
+    assert rep.get("certificate", {}).get("kind") == kind
+    verdict = tmp_path / "verdict.json"
+    loaded = submodules_loaded_after(RUN_MAIN, "verify", path, argv[1], "--out", verdict)
+    assert loaded == CLI_CORE | layers
+    assert json.loads(verdict.read_text())["verified"] is True
+
+
+# --- numpy loads only for the float stages ---
 
 
 def test_import_does_not_load_numpy():

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import expansive
+from expansive import cli
 
 SRC = Path(expansive.__file__).resolve().parent
 
@@ -103,3 +104,28 @@ def test_numpy_is_imported_only_by_the_float_functions_of_orbits():
     importers = {path.name: numpy_importers(path) for path in sorted(SRC.glob("*.py"))}
     assert {name for name, where in importers.items() if where} == {"orbits.py"}
     assert importers["orbits.py"] <= FLOAT_FUNCTIONS | {"TYPE_CHECKING"}
+
+
+def top_level_relative_imports(path):
+    """The package modules a module imports at its top level, ``if
+    TYPE_CHECKING:`` blocks aside; ``from . import name`` counts only when
+    ``name`` is a module file of the package."""
+    modules = set()
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.level:
+            names = [stmt.module] if stmt.module else [alias.name for alias in stmt.names]
+            modules |= {name for name in names if (SRC / f"{name.split('.')[0]}.py").exists()}
+    return modules
+
+
+# the names perfbench/spans.py patches on expansive.cli to trace it
+CLI_SPANNED = ("verify_report", "check_certificate", "emit")
+
+
+def test_each_module_imports_at_top_level_only_what_every_caller_needs():
+    # a subcommand should load only the layers it runs; the others are
+    # imported inside the handlers and checks that call them
+    assert top_level_relative_imports(SRC / "__init__.py") == set()
+    assert top_level_relative_imports(SRC / "cli.py") <= {"certificates", "exact", "orbits", "spectral"}
+    assert top_level_relative_imports(SRC / "certificates.py").isdisjoint({"solenoid", "torus"})
+    assert all(callable(getattr(cli, name, None)) for name in CLI_SPANNED)

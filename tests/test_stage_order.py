@@ -238,3 +238,34 @@ def affine(*scalars):
 def test_an_affine_obstruction_anywhere_in_the_tree_traps_every_word(cert, group, semigroup):
     assert orbits._traps_every_word(cert, "group") is group
     assert orbits._traps_every_word(cert, "semigroup") is semigroup
+
+
+@pytest.mark.parametrize(
+    "generators, status",
+    [
+        ([[[3, 1, 0], [1, 1, 0], [0, 0, 0]]], NOT_EXPANSIVE),
+        ([[[2, 1], [1, 1]], [[1, 0], [0, 0]]], UNKNOWN),
+    ],
+    ids=["cyclic", "two-generators"],
+)
+def test_semigroup_determinants_at_most_one_walk_no_word(generators, status, monkeypatch):
+    # every word has |det| <= 1, so an eigenvalue in the closed unit disk:
+    # no word can win, and the walk neither starts nor resumes
+    named = [(f"g{i}", QMatrix.from_rows(rows)) for i, rows in enumerate(generators)]
+    action = SemigroupAction.from_generators(named, SEMIGROUP)
+    assert min(abs(m.det()) for _, m in named) == 0
+    walked = []
+    iter_words = orbits.iter_words
+
+    def counted(walked_action, max_len, budget):
+        # the word search's walk; the subspace stages seed from short walks of their own
+        for item in iter_words(walked_action, max_len, budget):
+            if budget == WORD_BUDGET:
+                walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(orbits, "iter_words", counted)
+    assert expansiveness_check(action, 10).status == status
+    assert walked == []
+    monkeypatch.undo()
+    assert_same_as_walk_first(action, 10)
