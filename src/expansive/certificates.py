@@ -5,10 +5,10 @@ check that re-derives the proof in rational arithmetic.  A certificate
 offered for the other status is refused, so a flipped report cannot
 verify, and ``split`` and ``affine_obstruction`` ask their
 sub-certificates for ``Expansive`` proofs the same way.  No check
-searches, except that ``irreducible_fast_path`` re-runs the torus
-irreducibility test: the certificate stores no spanning words yet.
-The torus and solenoid modules load only inside the checks that read them,
-so checking a real-space certificate imports neither.
+searches: each re-derives its claim from the words, spaces and forms the
+certificate stores.  The torus and solenoid modules load only inside
+the checks that read them, so checking a real-space certificate imports
+neither.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .exact import QMatrix, Subspace, char_poly, coordinates_in_span, is_positive_definite, to_fraction
+from .exact import IntEchelon, QMatrix, Subspace, char_poly, coordinates_in_span, is_positive_definite, to_fraction
 from .orbits import (
     EXPANSIVE,
     NOT_EXPANSIVE,
@@ -101,11 +101,18 @@ def _affine_obstruction(cert: dict, action: SemigroupAction, witness: Witness) -
 
 
 def _irreducible_fast_path(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
-    """An infinite integer action that is irreducible is expansive on the torus."""
-    from .torus import has_infinite_order, irreducibility_check
+    """An infinite integer action that is irreducible is expansive on the torus.
+    The identity and the n^2 - 1 ``words`` span M_n(Q), so no proper subspace
+    is invariant over any field; one word has infinite order."""
+    from .torus import has_infinite_order
 
-    infinite = has_infinite_order(action.word_matrix(cert["infinite_order_word"]))
-    return infinite and irreducibility_check(action).conclusion == "Irreducible"
+    n, words = action.dim, cert["words"]
+    if cert["algebra_dim"] != n * n or len(words) != n * n - 1 or not all(g.is_integer() for g in action.mats):
+        return False
+    span = IntEchelon(n * n)
+    for m in [QMatrix.identity(n), *map(action.word_matrix, words)]:
+        span.add(m.num)
+    return len(span) == n * n and has_infinite_order(action.word_matrix(cert["infinite_order_word"]))
 
 
 # kind -> (the status it proves, its check)

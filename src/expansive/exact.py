@@ -877,8 +877,25 @@ def root_multiplicity(p: QPoly, r: RationalLike) -> tuple[int, QPoly]:
     return mult, p
 
 
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, from its factorization by trial
+    division; each prime is divided out as it is found."""
+    out = [1]
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        out = [x * d**k for x in out for k in range(e + 1)]
+        d += 1
+    return out + [x * n for x in out] if n > 1 else out
+
+
 def rational_roots(p: QPoly) -> list[Fraction]:
-    """All rational roots, by the rational root test on the integer form."""
+    """All rational roots, by the rational root test on the integer form:
+    a root num/den in lowest terms has num | a0 and den | an, and makes
+    sum a_i num^i den^(n-i) vanish."""
     if p.is_zero:
         raise ZeroPolynomialError("rational roots of zero polynomial")
     ints = list(p.primitive_int())
@@ -889,18 +906,19 @@ def rational_roots(p: QPoly) -> list[Fraction]:
     roots = [Fraction(0)] if shift else []
     if len(ints) == 1:
         return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
-    ps = [d for d in range(1, a0 + 1) if a0 % d == 0]
-    qs = [d for d in range(1, an + 1) if an % d == 0]
-    q = QPoly.from_coeffs(ints)
-    seen = set()
-    for num in ps:
-        for den in qs:
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in seen:
-                    seen.add(cand)
-                    if q(cand) == 0:
-                        roots.append(cand)
+
+    def vanishes(num: int, den: int) -> bool:
+        total, den_power = 0, 1
+        for a in reversed(ints):
+            total = total * num + a * den_power
+            den_power *= den
+        return total == 0
+
+    dens = _divisors(abs(ints[-1]))
+    for num in _divisors(abs(ints[0])):
+        for den in dens:
+            if math.gcd(num, den) == 1:
+                roots += [Fraction(s * num, den) for s in (1, -1) if vanishes(s * num, den)]
     return sorted(roots)
 
 

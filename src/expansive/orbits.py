@@ -548,10 +548,10 @@ def _solve_invariant_metric(action: SemigroupAction) -> Optional[QMatrix]:
 # --------------------------------------------- invariant subspace search
 
 
-def _eigenvector_seeds(action: SemigroupAction, word_len: int, budget: int) -> list[tuple[Fraction, ...]]:
+def _eigenvector_seeds(action: SemigroupAction) -> list[tuple[Fraction, ...]]:
     out: list[tuple[Fraction, ...]] = []
     mats = list(dict.fromkeys(action.mats))
-    for _, m in iter_words(action, word_len, budget):
+    for _, m in iter_words(action, 2, 40):
         if m not in mats:
             mats.append(m)
     for m in mats:
@@ -567,7 +567,7 @@ def _proper_invariant_subspaces(action: SemigroupAction) -> list[Subspace]:
     closures of the exact eigenvectors of the generators and short words,
     and the invariant intersections of those closures."""
     n = action.dim
-    seeds = _eigenvector_seeds(action, 2, 40)
+    seeds = _eigenvector_seeds(action)
     spaces: list[Subspace] = []
     seen = set()
     for v in seeds:

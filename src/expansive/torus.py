@@ -24,11 +24,7 @@ from .exact import (
     Subspace,
     char_poly,
     coordinates_in_span,
-    intersect,
-    is_invariant,
-    kernel,
     mat_power,
-    rational_roots,
     to_fraction,
 )
 from .orbits import (
@@ -36,6 +32,7 @@ from .orbits import (
     INVERSE_SUFFIX,
     ExpansivenessVerdict,
     SemigroupAction,
+    _proper_invariant_subspaces,
     expansiveness_check,
     iter_words,
 )
@@ -114,76 +111,52 @@ class IrreducibilityReport:
         }
 
 
-def _flatten(m: QMatrix) -> tuple[Fraction, ...]:
-    return m.entries
-
-
-def algebra_dimension(action: SemigroupAction) -> int:
-    """Dimension of the unital algebra spanned by all word matrices.
+def _algebra_basis(action: SemigroupAction) -> list[tuple[str, ...]]:
+    """Words whose matrices form a basis of the unital algebra spanned by all
+    word matrices, the empty word (the identity) first.
 
     Closure under right multiplication by generators, starting from the
     identity, reaches the span of every word; linearity makes checking
     products of basis elements sufficient.
     """
     n = action.dim
-    basis_vectors: list[tuple[Fraction, ...]] = []
-    basis_mats: list[QMatrix] = []
-
-    def try_add(m: QMatrix) -> bool:
-        if coordinates_in_span(basis_vectors, _flatten(m)) is not None:
-            return False
-        basis_vectors.append(_flatten(m))
-        basis_mats.append(m)
-        return True
-
-    queue = [QMatrix.identity(n)]
-    try_add(queue[0])
-    while queue:
-        m = queue.pop()
-        for g in action.mats:
-            p = m @ g
-            if try_add(p):
-                queue.append(p)
-        if len(basis_mats) == n * n:
-            break
-    return len(basis_mats)
+    vectors: list[tuple[Fraction, ...]] = []
+    words: list[tuple[str, ...]] = []
+    stack: list[tuple[tuple[str, ...], QMatrix]] = []
+    candidates = [((), QMatrix.identity(n))]
+    while True:
+        for word, m in candidates:
+            if coordinates_in_span(vectors, m.entries) is None:
+                vectors.append(m.entries)
+                words.append(word)
+                stack.append((word, m))
+        if not stack or len(words) == n * n:
+            return words
+        word, m = stack.pop()
+        candidates = [(word + (name,), m @ g) for name, g in zip(action.names, action.mats)]
 
 
-def _invariant_subspace_candidates(action: SemigroupAction, word_len: int, budget: int) -> list[Subspace]:
-    n = action.dim
-    seeds: list[Subspace] = []
-    for _word, m in iter_words(action, word_len, budget):
-        k = kernel(m)
-        if 0 < k.dim < n:
-            seeds.append(k)
-        for lam in rational_roots(char_poly(m)):
-            eig = kernel(m - QMatrix.identity(n).scale(lam))
-            if 0 < eig.dim < n:
-                seeds.append(eig)
-    out = list(seeds)
-    for a, b in itertools.combinations(seeds[:12], 2):
-        cut = intersect(a, b)
-        if 0 < cut.dim < n:
-            out.append(cut)
-    out.sort(key=lambda s: s.dim)
-    return out
+def algebra_dimension(action: SemigroupAction) -> int:
+    """Dimension of the unital algebra spanned by all word matrices."""
+    return len(_algebra_basis(action))
 
 
-def irreducibility_check(action: SemigroupAction, word_len: int = 2, budget: int = 60) -> IrreducibilityReport:
+def irreducibility_check(action: SemigroupAction) -> IrreducibilityReport:
     """Decide irreducibility of the linear span where cheap tests suffice.
 
     A full matrix algebra leaves no invariant subspace over any field
-    extension; below that threshold only rational witnesses are sought,
-    so an R-irreducible action with a small algebra stays Unknown.
+    extension; below that threshold only the engine's exact rational
+    invariant subspaces are sought, so an R-irreducible action with a small
+    algebra stays Unknown.
     """
     _check_integer_generators(action)
     n = action.dim
     dim = algebra_dimension(action)
     if dim == n * n:
         return IrreducibilityReport(dim, True, None, "Irreducible")
-    for cand in _invariant_subspace_candidates(action, word_len, budget):
-        if all(is_invariant(cand, g) for g in action.mats):
-            return IrreducibilityReport(dim, False, cand, "Reducible")
+    spaces = _proper_invariant_subspaces(action)
+    if spaces:
+        return IrreducibilityReport(dim, False, spaces[0], "Reducible")
     return IrreducibilityReport(dim, False, None, "Unknown")
 
 
@@ -218,9 +191,10 @@ def has_infinite_order(m: QMatrix) -> bool:
     return head @ mat_power(m, _finite_order_exponent(m.rows)) != head
 
 
-def certified_infinite_word(action: SemigroupAction, word_len: int = 3, budget: int = 200):
-    """A word of infinite order, or None when no cheap certificate exists."""
-    for word, m in iter_words(action, word_len, budget):
+def certified_infinite_word(action: SemigroupAction):
+    """A word of infinite order among the first 200 words of length at most
+    3, or None when no cheap certificate exists."""
+    for word, m in iter_words(action, 3, 200):
         if has_infinite_order(m):
             return word
     return None
@@ -230,24 +204,27 @@ def torus_expansive(action: SemigroupAction, depth: int = 10) -> ExpansivenessVe
     """Expansiveness of the induced torus action.
 
     Fast path: an infinite semigroup acting irreducibly on R^n is
-    expansive on T^n.  Anything else falls back to the linear orbit
-    engine, since torus expansiveness is equivalent to every nonzero
-    covering-space vector escaping.
+    expansive on T^n.  Its certificate stores a word of infinite order and
+    the n^2 - 1 words whose matrices span M_n(Q) with the identity, so a
+    checker confirms both without a search.  Anything else falls back to
+    the linear orbit engine, since torus expansiveness is equivalent to
+    every nonzero covering-space vector escaping.
     """
     _check_integer_generators(action)
     if action.mode == GROUP:
         _check_unimodular(action)
     infinite_word = certified_infinite_word(action)
     if infinite_word is not None:
-        report = irreducibility_check(action)
-        if report.conclusion == "Irreducible":
+        words = _algebra_basis(action)
+        if len(words) == action.dim**2:
             return ExpansivenessVerdict(
                 status=EXPANSIVE,
                 witness=None,
                 certificate={
                     "kind": "irreducible_fast_path",
-                    "algebra_dim": report.algebra_dim,
+                    "algebra_dim": len(words),
                     "infinite_order_word": list(infinite_word),
+                    "words": [list(w) for w in words[1:]],
                 },
                 evidence={"route": "irreducible-fast-path"},
                 search_depth=depth,

@@ -10,7 +10,7 @@ sound here because every criterion below depends only on moduli.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -29,7 +29,7 @@ from .exact import (
     root_multiplicity,
     squarefree_part,
 )
-from .orbits import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction, iter_words, restrict_action
+from .orbits import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction, find_expansive_word, iter_words, restrict_action
 from .spectral import GROUP, SEMIGROUP, check_mode, circle_root_count, single_expansive, unit_disk_profile
 
 
@@ -124,8 +124,9 @@ def _count_below(eigen_poly: QPoly, r: Fraction) -> tuple[int, int]:
     return prof.at_zero + prof.inside, prof.on_circle
 
 
-def _modulus_interval(eigen_poly: QPoly, steps: int = 16) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket [lo, hi] around every root modulus."""
+def _modulus_interval(eigen_poly: QPoly) -> tuple[Fraction, Fraction]:
+    """Certified rational bracket [lo, hi] around every root modulus, by 16
+    bisection steps on each side."""
     deg = eigen_poly.degree
     roots = rational_roots(eigen_poly)
     if len(roots) == deg:
@@ -140,7 +141,7 @@ def _modulus_interval(eigen_poly: QPoly, steps: int = 16) -> tuple[Fraction, Fra
         lo = Fraction(0)
     else:
         a, b = Fraction(0), bound
-        for _ in range(steps):
+        for _ in range(16):
             mid = (a + b) / 2
             below, _on = _count_below(eigen_poly, mid)
             if below == 0:
@@ -149,7 +150,7 @@ def _modulus_interval(eigen_poly: QPoly, steps: int = 16) -> tuple[Fraction, Fra
                 b = mid
         lo = a
     a, b = Fraction(0), bound
-    for _ in range(steps):
+    for _ in range(16):
         mid = (a + b) / 2
         below, on = _count_below(eigen_poly, mid)
         if below + on == deg:
@@ -210,14 +211,6 @@ class WeightsVerdict:
         return {"status": self.status, "blocks": list(self.block_reports)}
 
 
-def _block_escape_word(block: WeightBlock, mode: str, word_len: int = 3, budget: int = 80):
-    """A word whose restriction to the block has every weight escaping."""
-    for word, m in iter_words(block.restriction, word_len, budget):
-        if unit_disk_profile(char_poly(m)).escapes(mode):
-            return word
-    return None
-
-
 def _block_is_stuck(block: WeightBlock, mode: str) -> bool:
     """Exact certificate that every weight on the block stays bounded."""
     if mode == SEMIGROUP:
@@ -240,9 +233,10 @@ def expansive_by_weights(decomp: WeightDecomposition, mode: str) -> WeightsVerdi
     reports = []
     overall = EXPANSIVE
     for block in decomp.blocks:
-        word = _block_escape_word(block, mode)
-        if word is not None:
-            reports.append({"dim": block.dim, "status": "escapes", "word": list(word)})
+        r = replace(block.restriction, mode=mode)
+        found = find_expansive_word(r, iter_words(r, 3, 80))
+        if found is not None:
+            reports.append({"dim": block.dim, "status": "escapes", "word": list(found[0])})
             continue
         if _block_is_stuck(block, mode):
             reports.append({"dim": block.dim, "status": "stuck"})

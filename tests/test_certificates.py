@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from expansive.certificates import CHECKS, check_certificate, check_lifts
 from expansive.cli import main, parse_action, parse_dual_module, verify_report
-from expansive.exact import NotInvertibleError, QMatrix, char_poly
-from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction, adapted_blocks
+from expansive.exact import IntEchelon, NotInvertibleError, QMatrix, char_poly
+from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction, adapted_blocks, iter_words
 from expansive.solenoid import span_restriction
 from expansive.spectral import GROUP, SEMIGROUP, unit_disk_profile
+from expansive.torus import has_infinite_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 OPPOSITE = {EXPANSIVE: NOT_EXPANSIVE, NOT_EXPANSIVE: EXPANSIVE}
@@ -285,3 +286,81 @@ def test_a_lift_bound_must_stay_below_1_over_k():
     for value in entry["values"]:
         value["mid"] = str(7 * Fraction(value["character"][0]))
     assert not check_lifts(rep["chain"], rep["lifts"], dyadic)
+
+
+# ------------------------------------------------------------ torus fast path
+
+# cases whose word matrices span all of M_n, so torus-check takes the fast path
+FAST_PATH_CASES = {
+    "sl2_generators": json.loads((FIXTURES / "sl2_generators.json").read_text()),
+    "selmer_and_cycle": {
+        "n": 3,
+        "mode": "group",
+        "generators": {"a": [[0, 0, 1], [1, 0, 1], [0, 1, 0]], "p": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]},
+    },
+}
+
+
+def _in_span_of_the_rest(action: SemigroupAction, words: list, k: int) -> list:
+    """A word not in ``words`` whose matrix lies in the span of the identity and every word but the k-th."""
+    n = action.dim
+    mats = [QMatrix.identity(n)] + [action.word_matrix(w) for i, w in enumerate(words) if i != k]
+    for word, m in iter_words(action, 4, 400):
+        rest = IntEchelon(n * n)
+        for r in mats:
+            rest.add(r.num)
+        if list(word) not in words and not rest.add(m.num):
+            return list(word)
+    raise LookupError("no word of length 4 or less lies in the span of the rest")
+
+
+def _fast_path_forgeries(cert: dict, action: SemigroupAction) -> dict:
+    """Name -> the certificate with one change that leaves its words no proof."""
+    n, words = action.dim, cert["words"]
+    finite = next(name for name, m in zip(action.names, action.mats) if not has_infinite_order(m))
+    return {
+        "a word of finite order": {**cert, "infinite_order_word": [finite]},
+        "a word dropped": {**cert, "words": words[:-1]},
+        "a word repeated in place of another": {**cert, "words": [words[0], words[0], *words[2:]]},
+        "a word in the span of the rest": {**cert, "words": [_in_span_of_the_rest(action, words, 0), *words[1:]]},
+        "a word naming no generator": {**cert, "words": [["x"], *words[1:]]},
+        "an empty word": {**cert, "words": [[], *words[1:]]},
+        "an extra word": {**cert, "words": [*words, words[0]]},
+        "algebra_dim below n^2": {**cert, "algebra_dim": n * n - 1},
+        "algebra_dim above n^2": {**cert, "algebra_dim": n * n + 1},
+        "no words (an older report)": {k: v for k, v in cert.items() if k != "words"},
+    }
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+@pytest.mark.parametrize("name", sorted(FAST_PATH_CASES))
+def test_every_fast_path_forgery_fails_verify(name, mode, tmp_path):
+    case = FAST_PATH_CASES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(case))
+    code, rep = _run(["torus-check", path, "--mode", mode])
+    cert, action = rep["certificate"], _action(rep, case)
+    assert code == 0 and cert["kind"] == "irreducible_fast_path" and verify_report(rep, case)
+    assert len(cert["words"]) == action.dim**2 - 1
+    accepted = [why for why, bad in _fast_path_forgeries(cert, action).items()
+                if _verifies({**rep, "certificate": bad}, case)]
+    assert accepted == []
+    # g g^-1 leaves a word's matrix as it is, but only a group has the letter g^-1
+    g = action.names[0]
+    with_inverse = {**cert, "words": [[*cert["words"][0], g, g + "^-1"], *cert["words"][1:]]}
+    assert _verifies({**rep, "certificate": with_inverse}, case) is (mode == GROUP)
+
+
+def test_a_fast_path_needs_integer_matrices():
+    # the rotation by 3/5 + 4/5 i has infinite order and spans M_2 with a
+    # reflection, yet the two generate isometries: only integer matrices make
+    # the fast path a proof
+    words = [["r"], ["f"], ["r", "f"]]
+    cert = {"kind": "irreducible_fast_path", "algebra_dim": 4, "infinite_order_word": ["r"], "words": words}
+    isometries = _action_of(GROUP, r=[["3/5", "-4/5"], ["4/5", "3/5"]], f=[[1, 0], [0, -1]])
+    assert not check_certificate(cert, isometries, EXPANSIVE)
+    # an integer generator of determinant 2 has no integer inverse in group mode
+    doubling = {"r": [[0, -1], [1, 0]], "f": [[2, 1], [0, 1]]}
+    cert = {**cert, "infinite_order_word": ["f"]}
+    assert check_certificate(cert, _action_of(SEMIGROUP, **doubling), EXPANSIVE)
+    assert not check_certificate(cert, _action_of(GROUP, **doubling), EXPANSIVE)

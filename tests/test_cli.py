@@ -594,6 +594,26 @@ def test_chain_depth_zero_is_refused_with_and_without_asserts(optimize):
     assert "error" in json.loads(done.stdout)
 
 
+def test_jordan_block_near_one_is_decided_within_the_timeout(capsys, tmp_path):
+    # the rational root test once listed the divisors of 9999^k and 10^(4k)
+    # by trial division up to the numbers themselves, and never answered;
+    # a child process lets the timeout fail the test instead of hanging it
+    lam = "9999/10000"
+    jordan = [[lam if i == j else int(j == i + 1) for j in range(4)] for i in range(4)]
+    case = write_case(tmp_path, "jordan.json", {"n": 4, "mode": "semigroup", "generators": {"j": jordan}})
+    report = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "expansive", "analyze-semigroup", str(case), "--depth", "3", "--out", str(report)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rep = json.loads(report.read_text())
+    assert (rep["status"], rep["certificate"]["kind"]) == ("NotExpansive", "spectral_obstruction")
+    code, out = run(capsys, "verify", report, case)
+    assert code == 0 and out["verified"] is True
+
+
 def test_verify_help_lists_only_its_own_arguments(capsys):
     with pytest.raises(SystemExit) as done:
         main(["verify", "--help"])

@@ -200,6 +200,31 @@ def test_rational_roots():
     assert rational_roots(P(0, -1, 1)) == [F(0), F(1)]
     assert rational_roots(P(-2, 0, 1)) == []
     assert rational_roots(P(1, 1) * P(-1, 2) * P(1, 1)) == [F(-1), F(1, 2)]
+    jordan = P(-9999, 10000)
+    assert rational_roots(jordan * jordan * jordan * jordan) == [F(9999, 10000)]
+
+
+# large constant and leading terms with few prime factors: the divisor lists
+# stay short although trial division up to the numbers themselves would not end
+SMOOTH = [1, 2, 3, 7, 12, 2**40, 3**25, 10**8, 9999**4]
+
+
+@st.composite
+def polys_with_rational_roots(draw):
+    """(den x - num) factors of smooth num and den, times a small cofactor that may have no rational root."""
+    p = P(*draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4).filter(any)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        num, den = draw(st.sampled_from(SMOOTH)), draw(st.sampled_from(SMOOTH))
+        p = p * P(-num * draw(st.sampled_from([1, -1])), den)
+    return p
+
+
+@given(polys_with_rational_roots())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_rational_roots_match_sympy(p):
+    expected = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], sp.Symbol("x"))
+    want = sorted(F(int(r.p), int(r.q)) for r in expected.ground_roots())
+    assert rational_roots(p) == want
 
 
 def test_root_multiplicity_and_squarefree():

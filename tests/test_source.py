@@ -30,6 +30,8 @@ SEARCHES = {
     "solenoid_expansive",
     "certify_bounded",
     "certified_infinite_word",
+    "irreducibility_check",
+    "algebra_dimension",
     "find_expansive_element",
     "regular_chain",
     "enumerate_basis",
@@ -48,9 +50,6 @@ def test_certificate_checker_imports_no_numpy_and_runs_no_search():
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
     }
     assert called & SEARCHES == set()
-    # the one search left: irreducible_fast_path re-runs the irreducibility
-    # test until its certificate stores spanning words (ROADMAP item 2)
-    assert "irreducibility_check" in called
 
 
 def test_certificate_checker_imports_only_public_names():
