@@ -6,9 +6,8 @@ offered for the other status is refused, so a flipped report cannot
 verify, and ``split`` and ``affine_obstruction`` ask their
 sub-certificates for ``Expansive`` proofs the same way.  No check
 searches: each re-derives its claim from the words, spaces and forms the
-certificate stores.  The torus and solenoid modules load only inside
-the checks that read them, so checking a real-space certificate imports
-neither.
+certificate stores.  The checker never imports the torus module, and the
+solenoid module loads only inside the checks that read it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .orbits import (
     keeps_bounded,
     restrict_action,
 )
-from .spectral import unit_disk_profile
+from .spectral import has_unbounded_powers, unit_disk_profile
 
 if TYPE_CHECKING:
     from .solenoid import DualModuleAction, RhoBasisChain
@@ -103,16 +102,15 @@ def _affine_obstruction(cert: dict, action: SemigroupAction, witness: Witness) -
 def _irreducible_fast_path(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
     """An infinite integer action that is irreducible is expansive on the torus.
     The identity and the n^2 - 1 ``words`` span M_n(Q), so no proper subspace
-    is invariant over any field; one word has infinite order."""
-    from .torus import has_infinite_order
-
+    is invariant over any field; one word has unbounded powers, which for an
+    integer matrix is infinite order."""
     n, words = action.dim, cert["words"]
     if cert["algebra_dim"] != n * n or len(words) != n * n - 1 or not all(g.is_integer() for g in action.mats):
         return False
     span = IntEchelon(n * n)
     for m in [QMatrix.identity(n), *map(action.word_matrix, words)]:
         span.add(m.num)
-    return len(span) == n * n and has_infinite_order(action.word_matrix(cert["infinite_order_word"]))
+    return len(span) == n * n and has_unbounded_powers(action.word_matrix(cert["infinite_order_word"]))
 
 
 # kind -> (the status it proves, its check)

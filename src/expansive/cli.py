@@ -108,13 +108,14 @@ def parse_action(case: dict, override: Optional[str] = None) -> SemigroupAction:
 def parse_dual_module(case: dict, override: Optional[str] = None) -> DualModuleAction:
     from .solenoid import DualModuleAction
 
-    if "F" not in case:
+    n, rows = case.get("n"), case.get("F")
+    if not isinstance(rows, list) or not rows:
         raise ParseError("solenoid cases need the module generator field 'F'")
-    if "n" not in case:
+    if type(n) is not int or n < 1:
         raise ParseError("solenoid cases need the dimension field 'n'")
-    return DualModuleAction.from_generators(
-        case["n"], case["F"], named_generators(case), case_mode(case, override)
-    )
+    if any(not isinstance(row, list) or len(row) != n for row in rows):
+        raise ParseError(f"each row of the field 'F' must be a list of n = {n} rationals")
+    return DualModuleAction.from_generators(n, rows, named_generators(case), case_mode(case, override))
 
 
 # --------------------------------------------------------------- reports
@@ -295,7 +296,7 @@ def parse_window(data, precision: int) -> SolenoidWindow:
 
 
 def cmd_solenoid_lift(args) -> tuple[dict, int]:
-    from .solenoid import LiftOutOfRangeError, RhoBasisChain, enumerate_basis, lift, regular_chain
+    from .solenoid import LiftOutOfRangeError, PrecisionExhaustedError, RhoBasisChain, enumerate_basis, lift, regular_chain
 
     case = load_object(args.case)
     options = {}
@@ -317,22 +318,27 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
     bound = to_fraction(args.radius) if args.radius is not None else Fraction(1, 2 * chain.k)
     windows = [parse_window(load_json(path), args.precision) for path in args.window]
 
-    def one(window: SolenoidWindow) -> dict:
+    lifts, code = [], 0
+    for window in windows:
         try:
             lifted = lift(window, chain, bound)
+        except PrecisionExhaustedError as exc:
+            # a cap leaves this window open; the other windows keep their lifts
+            lifts.append({"lifted": False, "reason": str(exc)})
+            code = 2
         except LiftOutOfRangeError as exc:
-            return {"lifted": False, "reason": str(exc)}
-        return {"lifted": True, "values": lifted.to_json(), "bound": str(lifted.bound)}
-
+            lifts.append({"lifted": False, "reason": str(exc)})
+        else:
+            lifts.append({"lifted": True, "values": lifted.to_json(), "bound": str(lifted.bound)})
     rep = _report(
         "solenoid-lift",
         case,
         {**options, "radius": str(bound), "precision": args.precision},
         chain=chain.to_json(),
         k=chain.k,
-        lifts=[one(w) for w in windows],
+        lifts=lifts,
     )
-    return rep, 0
+    return rep, code
 
 
 def cmd_solenoid_check(args) -> tuple[dict, int]:
@@ -361,6 +367,9 @@ def verify_report(rep: dict, case: dict) -> bool:
     if rep.get("case") != case_id(case):
         return False
     command = rep.get("command")
+    if not isinstance(command, str) or command == "verify" or command not in HANDLERS:
+        # only a subcommand that writes reports makes a claim to check
+        return False
     mode = options.get("mode")
     if command == "solenoid-chain":
         return check_chain(rep["chain"], parse_dual_module(case, mode), rep.get("k"))

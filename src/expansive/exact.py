@@ -304,17 +304,8 @@ class QMatrix:
             raise NonSquareError("inverse of non-square matrix")
         n = self.rows
         a = [list(self.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c]), None)
-            if piv is None:
-                raise NotInvertibleError("singular matrix")
-            a[c], a[piv] = a[piv], a[c]
-            inv = 1 / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for r in range(n):
-                if r != c and a[r][c]:
-                    f = a[r][c]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+        if len(_gauss_jordan(a, n)) < n:
+            raise NotInvertibleError("singular matrix")
         return QMatrix.from_rows([row[n:] for row in a])
 
     def is_integer(self) -> bool:
@@ -352,26 +343,33 @@ def mat_power(m: QMatrix, e: int) -> QMatrix:
 # === row reduction, kernels, subspaces ===
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    a = [list(m.row(i)) for i in range(m.rows)]
+def _gauss_jordan(a: list[list[Fraction]], ncols: int) -> list[int]:
+    """Bring the rows ``a`` to reduced row echelon form in place, pivoting
+    in the first ``ncols`` columns only; the pivot columns."""
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, m.rows) if a[i][c]), None)
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = 1 / a[r][c]
         a[r] = [x * inv for x in a[r]]
-        for i in range(m.rows):
+        for i in range(len(a)):
             if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == len(a):
             break
+    return pivots
+
+
+def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot column indices."""
+    a = [list(m.row(i)) for i in range(m.rows)]
+    pivots = _gauss_jordan(a, m.cols)
     return QMatrix.from_rows(a), tuple(pivots)
 
 
@@ -691,24 +689,6 @@ class QPoly:
             raise ZeroPolynomialError("monic of zero polynomial")
         return self.scale(1 / self.leading)
 
-    def primitive_int(self) -> tuple[int, ...]:
-        """Primitive integer coefficient tuple with positive leading sign."""
-        if self.is_zero:
-            raise ZeroPolynomialError("primitive form of zero polynomial")
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*(abs(i) for i in ints))
-        ints = [i // g for i in ints]
-        if ints[-1] < 0:
-            ints = [-i for i in ints]
-        return tuple(ints)
-
-    def compose(self, inner: "QPoly") -> "QPoly":
-        acc = QPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + QPoly.from_coeffs([c])
-        return acc
-
     def to_json(self) -> list[str]:
         return [format_fraction(c) for c in self.coeffs]
 
@@ -787,6 +767,11 @@ def minimal_poly(m: QMatrix) -> QPoly:
 # === integer polynomial gcd (subresultant PRS) and Sturm machinery ===
 
 
+def _int_scaled(p: QPoly) -> list[int]:
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * den) for c in p.coeffs]
+
+
 def _int_prim(cs: Sequence[int], keep_sign: bool = False) -> tuple[int, ...]:
     cs = list(cs)
     while cs and cs[-1] == 0:
@@ -853,7 +838,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    g = _int_gcd(a.primitive_int(), b.primitive_int())
+    g = _int_gcd(_int_prim(_int_scaled(a)), _int_prim(_int_scaled(b)))
     return QPoly.from_coeffs(g).monic()
 
 
@@ -898,7 +883,7 @@ def rational_roots(p: QPoly) -> list[Fraction]:
     sum a_i num^i den^(n-i) vanish."""
     if p.is_zero:
         raise ZeroPolynomialError("rational roots of zero polynomial")
-    ints = list(p.primitive_int())
+    ints = list(_int_prim(_int_scaled(p)))
     shift = 0
     while ints[0] == 0:
         ints.pop(0)
@@ -926,11 +911,6 @@ def _sign(x: Fraction | int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _int_scaled(p: QPoly) -> list[int]:
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [int(c * den) for c in p.coeffs]
-
-
 def _neg_rem_int(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Primitive integer form of -(a mod b), scaled by positive rationals only."""
     r = QPoly.from_coeffs(a).divmod(QPoly.from_coeffs(b))[1]
@@ -939,17 +919,14 @@ def _neg_rem_int(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return _int_prim(_int_scaled(-r), keep_sign=True)
 
 
-def _sturm_chain(p: QPoly) -> list[tuple[int, ...]]:
-    """Sturm chain of a squarefree p, on primitive integer forms.
+def _remainder_chain(f0: QPoly, f1: QPoly) -> list[tuple[int, ...]]:
+    """The chain f0, f1, f_{k+1} = -(f_{k-1} mod f_k), up to the last nonzero
+    remainder, on primitive integer forms; f1 must be nonzero.
 
     Each entry is rescaled by a positive rational only, so the sign
     structure of the classical chain is preserved.
     """
-    chain = [_int_prim(_int_scaled(p), keep_sign=True)]
-    dp = p.derivative()
-    if dp.is_zero:
-        return chain
-    chain.append(_int_prim(_int_scaled(dp), keep_sign=True))
+    chain = [_int_prim(_int_scaled(f), keep_sign=True) for f in (f0, f1)]
     while len(chain[-1]) > 1:
         r = _neg_rem_int(chain[-2], chain[-1])
         if not r:
@@ -1006,7 +983,7 @@ def sturm_root_count(p: QPoly, lo: RationalLike, hi: RationalLike) -> int:
     f = squarefree_part(p)
     if f.degree < 1:
         return 0
-    chain = _sturm_chain(f)
+    chain = _remainder_chain(f, f.derivative())
     # dropping zeros in the variation count evaluates right-hand limits, so
     # V(lo) - V(hi) counts roots in (lo, hi] with no endpoint special cases
     vlo = _variations(_chain_signs_at(chain, lo))
@@ -1025,12 +1002,7 @@ def cauchy_index(num: QPoly, den: QPoly) -> int:
         raise ZeroPolynomialError("Cauchy index with zero denominator")
     if num.is_zero:
         return 0
-    chain = [_int_prim(_int_scaled(den), keep_sign=True), _int_prim(_int_scaled(num), keep_sign=True)]
-    while len(chain[-1]) > 1:
-        r = _neg_rem_int(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(r)
+    chain = _remainder_chain(den, num)
     return _variations(_chain_signs_at_inf(chain, False)) - _variations(_chain_signs_at_inf(chain, True))
 
 
@@ -1064,15 +1036,16 @@ def is_symmetric(m: QMatrix) -> bool:
     )
 
 
-def is_positive_semidefinite(m: QMatrix) -> bool:
-    """Exact PSD test for a symmetric rational matrix via congruence elimination."""
+def _is_positive(m: QMatrix, strict: bool) -> bool:
+    """Exact definiteness of a symmetric rational matrix by congruence
+    elimination: every pivot nonnegative, and with ``strict`` positive."""
     if not is_symmetric(m):
         raise NonSquareError("definiteness test requires a symmetric matrix")
     n = m.rows
     a = [[m[i, j] for j in range(n)] for i in range(n)]
     for i in range(n):
         piv = a[i][i]
-        if piv < 0:
+        if piv < 0 or (strict and piv == 0):
             return False
         if piv == 0:
             # a zero diagonal pivot forces its whole row to vanish
@@ -1088,20 +1061,11 @@ def is_positive_semidefinite(m: QMatrix) -> bool:
     return True
 
 
+def is_positive_semidefinite(m: QMatrix) -> bool:
+    """Exact PSD test for a symmetric rational matrix."""
+    return _is_positive(m, False)
+
+
 def is_positive_definite(m: QMatrix) -> bool:
-    """Exact PD test: all elimination pivots strictly positive."""
-    if not is_symmetric(m):
-        raise NonSquareError("definiteness test requires a symmetric matrix")
-    n = m.rows
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        piv = a[i][i]
-        if piv <= 0:
-            return False
-        for r in range(i + 1, n):
-            f = a[r][i] / piv
-            if f == 0:
-                continue
-            for c in range(i, n):
-                a[r][c] -= f * a[i][c]
-    return True
+    """Exact PD test for a symmetric rational matrix."""
+    return _is_positive(m, True)

@@ -6,7 +6,8 @@ reciprocal-closed factor and the substitution w = z + 1/z, which turns
 conjugate circle pairs into real roots in (-2, 2) countable by Sturm
 sequences.  Open-disk counts run the Schur-Cohn reduction; its rare
 singular steps fall back to an exact half-plane count after a Cayley
-transform.
+transform.  Unbounded powers are read off the same counts and the
+minimal polynomial.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .exact import (
     ZeroPolynomialError,
     cauchy_index,
     char_poly,
+    minimal_poly,
     poly_gcd,
     reciprocal_split,
     root_multiplicity,
@@ -254,3 +256,20 @@ def single_expansive(m: QMatrix, mode: str, poly: Optional[QPoly] = None) -> Sin
     if mode == GROUP and profile.at_zero > 0:
         raise NotInvertibleError("group mode requires an invertible matrix")
     return SingleVerdict(mode, profile.escapes(mode), profile)
+
+
+def has_unbounded_powers(m: QMatrix) -> bool:
+    """Whether the powers of m are unbounded: a root lies outside the unit
+    circle, or a root on the circle is repeated in the minimal polynomial,
+    which is a Jordan block of size two or more.  By Kronecker's theorem an
+    integer matrix with bounded powers has finitely many of them, so on
+    integer matrices this is the test for infinite order."""
+    profile = unit_disk_profile(char_poly(m))
+    if profile.outside:
+        return True
+    if not profile.on_circle:
+        return False
+    mu = minimal_poly(m)
+    # roots at zero are divided out: a nilpotent part leaves the powers bounded
+    _, repeated = _strip_origin(poly_gcd(mu, mu.derivative()))
+    return circle_root_count(repeated) > 0

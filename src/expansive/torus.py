@@ -10,23 +10,12 @@ rational grid points gives desk-scale ground truth for small cases.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (
-    CapExceededError,
-    QMatrix,
-    RationalLike,
-    Subspace,
-    char_poly,
-    coordinates_in_span,
-    mat_power,
-    to_fraction,
-)
+from .exact import CapExceededError, QMatrix, RationalLike, Subspace, coordinates_in_span, to_fraction
 from .orbits import (
     EXPANSIVE,
     INVERSE_SUFFIX,
@@ -36,7 +25,7 @@ from .orbits import (
     expansiveness_check,
     iter_words,
 )
-from .spectral import GROUP, unit_disk_profile
+from .spectral import GROUP, has_unbounded_powers
 
 GRID_STATE_CAP = 10**7
 
@@ -160,42 +149,12 @@ def irreducibility_check(action: SemigroupAction) -> IrreducibilityReport:
     return IrreducibilityReport(dim, False, None, "Unknown")
 
 
-def _totient(d: int) -> int:
-    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
-
-
-@functools.cache
-def _finite_order_exponent(n: int) -> int:
-    """Every finite-order integer n x n matrix M satisfies M^L = I.
-
-    The characteristic polynomial of such M is a product of cyclotomic
-    polynomials Phi_d with phi(d) <= n, and M is diagonalizable, so its
-    order divides L = lcm of those d.  phi(d) >= sqrt(d/2) bounds the
-    search range.
-    """
-    out = 1
-    for d in range(1, 2 * n * n + 2):
-        if _totient(d) <= n:
-            out = math.lcm(out, d)
-    return out
-
-
-def has_infinite_order(m: QMatrix) -> bool:
-    """Whether an integer matrix has infinitely many powers: a root outside the
-    unit circle, or M^(n+L) != M^n.  M^n kills the nilpotent part, and on the
-    rest a finite order divides L (``_finite_order_exponent``); M^L != I alone
-    would call a singular M with finitely many powers infinite."""
-    if unit_disk_profile(char_poly(m)).outside > 0:
-        return True
-    head = mat_power(m, m.rows)
-    return head @ mat_power(m, _finite_order_exponent(m.rows)) != head
-
-
 def certified_infinite_word(action: SemigroupAction):
     """A word of infinite order among the first 200 words of length at most
-    3, or None when no cheap certificate exists."""
+    3, or None when no cheap certificate exists.  Integer matrices have
+    infinite order exactly when their powers are unbounded."""
     for word, m in iter_words(action, 3, 200):
-        if has_infinite_order(m):
+        if has_unbounded_powers(m):
             return word
     return None
 

@@ -22,8 +22,7 @@ from expansive.cli import main, parse_action, parse_dual_module, verify_report
 from expansive.exact import IntEchelon, NotInvertibleError, QMatrix, char_poly
 from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction, adapted_blocks, iter_words
 from expansive.solenoid import span_restriction
-from expansive.spectral import GROUP, SEMIGROUP, unit_disk_profile
-from expansive.torus import has_infinite_order
+from expansive.spectral import GROUP, SEMIGROUP, has_unbounded_powers, unit_disk_profile
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 OPPOSITE = {EXPANSIVE: NOT_EXPANSIVE, NOT_EXPANSIVE: EXPANSIVE}
@@ -317,7 +316,7 @@ def _in_span_of_the_rest(action: SemigroupAction, words: list, k: int) -> list:
 def _fast_path_forgeries(cert: dict, action: SemigroupAction) -> dict:
     """Name -> the certificate with one change that leaves its words no proof."""
     n, words = action.dim, cert["words"]
-    finite = next(name for name, m in zip(action.names, action.mats) if not has_infinite_order(m))
+    finite = next(name for name, m in zip(action.names, action.mats) if not has_unbounded_powers(m))
     return {
         "a word of finite order": {**cert, "infinite_order_word": [finite]},
         "a word dropped": {**cert, "words": words[:-1]},

@@ -340,6 +340,14 @@ def test_verify_accepts_chain_and_lift_reports_of_both_solenoids(capsys, tmp_pat
         assert (code, out["verified"]) == (0, True), path.name
 
 
+@pytest.mark.parametrize("command", ["made-up", "verify", None, ["analyze-semigroup"]])
+def test_verify_refuses_a_report_of_no_subcommand(capsys, tmp_path, command):
+    _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / "cat_map.json")
+    path.write_text(json.dumps({**rep, "command": command}))
+    code, out = run(capsys, "verify", path, FIXTURES / "cat_map.json")
+    assert code == 1 and out["verified"] is False
+
+
 def test_verify_rejects_wrong_case(capsys, tmp_path):
     _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / "cat_map.json")
     code, out = run(capsys, "verify", path, FIXTURES / "rotation.json")
@@ -438,6 +446,35 @@ def test_json_that_is_not_an_object_is_a_parse_error(tmp_path, argv):
     assert done.returncode == 1
     assert json.loads(done.stdout)["error"]["type"] == "ParseError"
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"F": 7},
+        {"F": []},
+        {"F": [1]},
+        {"F": [[1, 2]]},
+        {"F": [[1], [2, 3]]},
+        {"F": {"a": [1]}},
+        {"F": [[1.5]]},
+        {"F": [["x"]]},
+        {"F": [[None]]},
+        {"n": "1"},
+        {"n": 0},
+        {"n": True},
+        {"n": [1]},
+    ],
+    ids=["F-int", "F-empty", "F-flat", "F-row-too-long", "F-ragged", "F-object", "F-float", "F-word",
+         "F-null", "n-string", "n-zero", "n-bool", "n-list"],
+)
+@pytest.mark.parametrize("command", ["solenoid-check", "solenoid-chain"])
+def test_a_malformed_solenoid_case_is_a_parse_error(capsys, tmp_path, command, fields):
+    case = write_case(tmp_path, "case.json", {"n": 1, "generators": {"g": [[2]]}, "mode": "group", "F": [[1]], **fields})
+    code = main([command, str(case)])
+    out, err = capsys.readouterr()
+    assert code == 1 and json.loads(out)["error"]["type"] == "ParseError"
+    assert "Traceback" not in err
 
 
 def test_out_flag_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
@@ -544,14 +581,33 @@ def test_a_grid_past_its_cap_is_a_cap_error(capsys):
     assert (code, rep["error"]["type"]) == (2, "GridTooLargeError")
 
 
-def test_a_window_too_coarse_to_lift_is_a_cap_error(capsys, tmp_path):
+def coarse_window(tmp_path):
     # without their radii the window's entries get radius 2^-0 = 1, too wide to place any value
     entries = json.loads((FIXTURES / "dyadic_window.json").read_text())
-    window = write_case(tmp_path, "coarse.json", [{k: v for k, v in e.items() if k != "rad"} for e in entries])
+    return write_case(tmp_path, "coarse.json", [{k: v for k, v in e.items() if k != "rad"} for e in entries])
+
+
+def test_a_window_too_coarse_to_lift_is_a_cap_error(capsys, tmp_path):
     code, rep = run(
-        capsys, "solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", window, "--precision", "0"
+        capsys, "solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", coarse_window(tmp_path),
+        "--precision", "0",
     )
-    assert (code, rep["error"]["type"]) == (2, "PrecisionExhaustedError")
+    # reported like a refusal, but the window stays open: exit 2
+    assert code == 2 and "error" not in rep
+    [entry] = rep["lifts"]
+    assert entry["lifted"] is False and "cannot be placed" in entry["reason"]
+
+
+def test_a_capped_window_keeps_the_lifts_of_the_others(capsys, tmp_path):
+    window = FIXTURES / "dyadic_window.json"
+    code, rep, path = report_for(
+        capsys, tmp_path, "solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", window,
+        "--window", coarse_window(tmp_path), "--precision", "0", "--radius", "3/10",
+    )
+    assert code == 2
+    assert [entry["lifted"] for entry in rep["lifts"]] == [True, False]
+    code, out = run(capsys, "verify", path, FIXTURES / "dyadic_solenoid.json")
+    assert code == 0 and out["verified"] is True
 
 
 # --- usage errors ---
@@ -702,7 +758,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, argv, layers):
     "argv, kind, layers",
     [
         (["analyze-semigroup", FIXTURES / "cat_map.json"], "word_spectrum", set()),
-        (["torus-check", FIXTURES / "sl2_generators.json"], "irreducible_fast_path", {"torus"}),
+        (["torus-check", FIXTURES / "sl2_generators.json"], "irreducible_fast_path", set()),
         (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], None, {"solenoid"}),
         (["solenoid-check", FIXTURES / "dyadic_solenoid.json"], "word_spectrum", {"solenoid"}),
     ],

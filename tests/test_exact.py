@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from expansive.exact import (
     coordinates_in_span,
     intersect,
     is_invariant,
+    is_positive_definite,
+    is_positive_semidefinite,
     kernel,
     mat_power,
     minimal_poly,
@@ -166,11 +169,10 @@ def test_poly_arithmetic():
     assert P(1, 2, 3)(F(2)) == F(17)
 
 
-def test_poly_reverse_and_compose():
+def test_poly_reverse_and_scaled_argument():
     p = P(2, 0, 1)
     assert p.reverse() == P(1, 0, 2)
     assert p.reverse().reverse() == p
-    assert P(0, 1, 1).compose(P(0, 2)) == P(0, 2, 4)
     assert P(1, 1, 1).shift_scale_arg(F(2)) == P(1, 2, 4)
     with pytest.raises(ZeroPolynomialError):
         QPoly.zero().reverse()
@@ -601,3 +603,40 @@ def test_primitive_integer_clears_denominators_and_the_gcd():
     assert primitive_integer([0, F(0)]) == (0, 0)
     with pytest.raises(ParseError):
         primitive_integer([0.5])
+
+
+def seeded_symmetric_matrices(seed: int, count: int):
+    """Symmetric rational matrices of sizes 1 to 4: Gram matrices B^T B of
+    B with fewer, as many or more rows than columns (singular PSD ones among
+    them), the same shifted by a small multiple of a diagonal, and plain
+    symmetric ones."""
+    rng = random.Random(seed)
+
+    def frac():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        b = QMatrix.from_rows([[frac() for _ in range(n)] for _ in range(rng.randint(1, n + 1))])
+        gram = b.transpose() @ b
+        shift = QMatrix.from_rows([[F(rng.randint(-1, 1), 4) if i == j else 0 for j in range(n)] for i in range(n)])
+        upper = [[frac() for _ in range(n)] for _ in range(n)]
+        plain = QMatrix.from_rows([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+        yield from (gram, gram + shift, plain)
+
+
+def test_definiteness_matches_sympy_on_seeded_symmetric_matrices():
+    seen = {"singular psd": 0, "pd": 0, "neither": 0}
+    for m in seeded_symmetric_matrices(seed=7, count=150):
+        want = sp.Matrix(m.rows, m.cols, [sp.Rational(x.numerator, x.denominator) for x in m.entries])
+        psd, pd = is_positive_semidefinite(m), is_positive_definite(m)
+        assert (psd, pd) == (want.is_positive_semidefinite, want.is_positive_definite)
+        seen["pd" if pd else "singular psd" if psd else "neither"] += 1
+    # every branch of the elimination is exercised
+    assert min(seen.values()) >= 20, seen
+
+
+def test_definiteness_needs_a_symmetric_matrix():
+    for test in (is_positive_semidefinite, is_positive_definite):
+        with pytest.raises(ValueError):
+            test(M([[1, 2], [0, 1]]))

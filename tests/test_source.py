@@ -105,6 +105,20 @@ def test_numpy_is_imported_only_by_the_float_functions_of_orbits():
     assert importers["orbits.py"] <= FLOAT_FUNCTIONS | {"TYPE_CHECKING"}
 
 
+def test_certificate_checker_never_imports_torus():
+    # the fast path's infinite-order word is checked spectrally, so no check
+    # loads the torus layer, at top level or inside a function
+    tree = ast.parse((SRC / "certificates.py").read_text())
+    imported = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for name in [node.module or "", *(alias.name for alias in node.names)]
+    }
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not any("torus" in name.split(".") for name in imported)
+
+
 def top_level_relative_imports(path):
     """The package modules a module imports at its top level, ``if
     TYPE_CHECKING:`` blocks aside; ``from . import name`` counts only when

@@ -4,6 +4,9 @@ Expected partitions were frozen from tests/oracle_roots.py, an independent
 sympy + mpmath implementation.
 """
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,8 @@ from expansive.exact import (
     QPoly,
     ZeroConstantTermError,
     ZeroPolynomialError,
+    char_poly,
+    mat_power,
     reciprocal_split,
 )
 from expansive.spectral import (
@@ -25,6 +30,7 @@ from expansive.spectral import (
     _inside_by_half_plane,
     _schur_cohn_inside,
     circle_root_count,
+    has_unbounded_powers,
     single_expansive,
     unit_disk_profile,
 )
@@ -248,3 +254,108 @@ def test_escapes_reads_each_mode_off_the_profile():
     for counts, expected in cases.items():
         prof = DiskProfile(*counts)
         assert (prof.escapes("semigroup"), prof.escapes("group")) == expected, counts
+
+
+# ------------------------------------------------------------ unbounded powers
+
+
+def finite_order_exponent(n: int) -> int:
+    """L = lcm{d : phi(d) <= n}: a finite-order integer n x n matrix is
+    diagonalizable with cyclotomic roots of such orders d, so M^L = I.
+    phi(d) >= sqrt(d/2) bounds the search range."""
+    out = 1
+    for d in range(1, 2 * n * n + 2):
+        if sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1) <= n:
+            out = math.lcm(out, d)
+    return out
+
+
+def has_infinite_order_by_powers(m: QMatrix) -> bool:
+    """The reference oracle for integer matrices: a root outside the unit
+    circle, or M^(n+L) != M^n.  M^n kills the nilpotent part, and on the rest
+    a finite order divides L."""
+    if unit_disk_profile(char_poly(m)).outside > 0:
+        return True
+    head = mat_power(m, m.rows)
+    return head @ mat_power(m, finite_order_exponent(m.rows)) != head
+
+
+# companion matrices of the cyclotomic polynomials of degree at most 2
+CYCLOTOMIC_BLOCKS = ([[1]], [[-1]], [[0, -1], [1, -1]], [[0, -1], [1, 0]], [[0, -1], [1, 1]])
+
+
+def block_upper(blocks, rng, couple: bool) -> QMatrix:
+    """Block upper triangular, the given diagonal blocks and, when ``couple``,
+    random integer blocks above them."""
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+            if couple:
+                rows[at + i][at + len(b) :] = [rng.randint(-1, 1) for _ in range(n - at - len(b))]
+        at += len(b)
+    return QMatrix.from_rows(rows)
+
+
+def unimodular_conjugate(m: QMatrix, rng) -> QMatrix:
+    """U M U^-1 for a random product U of elementary integer matrices."""
+    n = m.rows
+    u = QMatrix.identity(n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        e = QMatrix.identity(n).to_rows()
+        e[i][j] += rng.choice((-1, 1)) if i != j else 0
+        u = u @ QMatrix.from_rows(e)
+    return u @ m @ u.inverse()
+
+
+def seeded_integer_matrices(seed: int, count: int):
+    """(kind, matrix) pairs: finite order (cyclotomic blocks, coupled or not),
+    unipotent and nilpotent (triangular), each conjugated by a random
+    unimodular matrix, and hyperbolic (random small entries)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        blocks = [rng.choice(CYCLOTOMIC_BLOCKS) for _ in range(rng.randint(1, 3))]
+        blocks = blocks if sum(map(len, blocks)) <= 4 else blocks[:1]
+        yield "finite order", unimodular_conjugate(block_upper(blocks, rng, False), rng)
+        yield "cyclotomic, coupled", unimodular_conjugate(block_upper(blocks, rng, True), rng)
+        repeated = [blocks[0]] * (4 // len(blocks[0]))
+        yield "one cyclotomic block repeated, coupled", unimodular_conjugate(block_upper(repeated, rng, True), rng)
+        n = rng.randint(1, 4)
+        yield "unipotent", unimodular_conjugate(block_upper([[[1]]] * n, rng, True), rng)
+        yield "nilpotent", unimodular_conjugate(block_upper([[[0]]] * n, rng, True), rng)
+        yield "nilpotent and finite order", unimodular_conjugate(block_upper([[[0]], *blocks[:1]], rng, True), rng)
+        yield "hyperbolic", QMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+
+def signed_permutation_matrices(n: int):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield QMatrix.from_rows([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+
+
+def test_unbounded_powers_match_the_power_oracle_on_integer_matrices():
+    bounded = 0
+    for kind, m in seeded_integer_matrices(seed=11, count=60):
+        expected = has_infinite_order_by_powers(m)
+        assert has_unbounded_powers(m) is expected, (kind, m.to_json())
+        bounded += not expected
+    for n in range(1, 5):
+        for m in signed_permutation_matrices(n):
+            assert has_unbounded_powers(m) is False is has_infinite_order_by_powers(m), m.to_json()
+    # the finite-order and nilpotent families keep the bounded side well covered
+    assert bounded >= 150
+
+
+def test_unbounded_powers_of_rational_matrices():
+    rotation = M([["3/5", "-4/5"], ["4/5", "3/5"]])
+    # the rotation has infinite order, yet its powers stay bounded
+    assert mat_power(rotation, 2 + finite_order_exponent(2)) != mat_power(rotation, 2)
+    assert has_unbounded_powers(rotation) is False
+    coupled = M([["3/5", "-4/5", 1, 0], ["4/5", "3/5", 0, 1], [0, 0, "3/5", "-4/5"], [0, 0, "4/5", "3/5"]])
+    assert has_unbounded_powers(coupled) is True
+    # a root inside the disk, repeated or not, leaves the powers bounded
+    assert has_unbounded_powers(M([["1/2", 1], [0, "1/2"]])) is False
+    assert has_unbounded_powers(M([["1/2", 0, 0], [0, 1, 1], [0, 0, 1]])) is True
