@@ -12,7 +12,9 @@ decisive report is also passed to ``verify``, on a line whose id ends in
   perfbench/cases.py;
 - every fixture that holds a case, under ``analyze-semigroup``,
   ``torus-check`` and ``solenoid-check`` in group and in semigroup mode;
-- the commands of the README.
+- the commands of the README;
+- the ``find_expansive`` cases of ``torus_solenoid`` seeds 2 and 3, and the
+  ``find-expansive`` pairs of ``cli_fixtures``.
 
 Usage: python3 scripts/report_digests.py > digests.txt
 Run it in two checkouts and compare the outputs with diff.
@@ -101,6 +103,13 @@ def main_digests() -> int:
                     d.run(f"fixture:{path.stem}:{command}:{mode}", [command, path, "--mode", mode])
         for k, argv in enumerate(README):
             d.run(f"readme:{k}:{argv[0]}", [ROOT / a if a.startswith("fixtures/") else a for a in argv])
+        for seed in (2, 3):
+            for op in cases.torus_solenoid_cases(seed):
+                if op["kind"] == "find_expansive":
+                    d.workload_case(f"torus_solenoid:{seed}:{op['id']}", op)
+        for sub, fixture, args in cases.CLI_PAIRS:
+            if sub == "find-expansive":
+                d.run(f"cli_fixtures:{fixture}:{sub}", [sub, FIXTURES / f"{fixture}.json", *args])
     return 0
 
 

@@ -2,10 +2,12 @@
 
 A commuting family splits the space into joint primary blocks; on each
 block the expansiveness question reduces to the moduli of the (possibly
-irrational) eigenvalues, which are bracketed by certified rational
-intervals and compared to 1 only through the exact circle-root test.
-Blocks may keep several conjugate eigenvalue families together; that is
-sound here because every criterion below depends only on moduli.
+irrational) eigenvalues, which are compared to 1 only through the exact
+circle-root test.  Certified rational brackets around the moduli are
+computed on request, when ``GeneratorWeightData.modulus_interval`` is read;
+no verdict reads them.  Blocks may keep several conjugate eigenvalue
+families together; that is sound here because every criterion below
+depends only on moduli.
 """
 
 from __future__ import annotations
@@ -45,12 +47,25 @@ class NotGroupModeError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorWeightData:
-    """Eigenvalue summary of one generator's restriction to one block."""
+    """Eigenvalue summary of one generator's restriction to one block.
+
+    ``modulus_interval`` and ``modulus_is_one`` are computed from
+    ``eigen_poly`` each time they are read, so a decomposition that no one
+    inspects costs no bracket.
+    """
 
     minimal_poly: QPoly
     eigen_poly: QPoly  # squarefree part; its roots are the eigenvalues
-    modulus_interval: tuple[Fraction, Fraction]
-    modulus_is_one: str  # "yes" | "no" | "mixed"
+
+    @property
+    def modulus_interval(self) -> tuple[Fraction, Fraction]:
+        """Certified rational bracket [lo, hi] around every eigenvalue modulus."""
+        return _modulus_interval(self.eigen_poly)
+
+    @property
+    def modulus_is_one(self) -> str:
+        """One of "yes", "no" or "mixed": all, none or some eigenvalues lie on the unit circle."""
+        return _modulus_flag(self.eigen_poly)
 
     def to_json(self) -> dict:
         return {
@@ -161,6 +176,13 @@ def _modulus_interval(eigen_poly: QPoly) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _check_direct_sum(blocks: list[Subspace], n: int) -> None:
+    """Raise SelfCheckError unless the blocks split Q^n into a direct sum:
+    their dimensions add up to n and their bases together span Q^n."""
+    if sum(b.dim for b in blocks) != n or Subspace.from_vectors(n, [v for b in blocks for v in b.basis]).dim != n:
+        raise SelfCheckError("the primary blocks must split the space into a direct sum")
+
+
 def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
     """Joint primary decomposition of a commuting family.
 
@@ -181,23 +203,14 @@ def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
                 if piece.dim > 0:
                     refined.append(piece)
         blocks = refined
-    if sum(b.dim for b in blocks) != n or any(
-        intersect(blocks[i], blocks[j]).dim for i in range(len(blocks)) for j in range(i + 1, len(blocks))
-    ):
-        raise SelfCheckError("the primary blocks must split the space into a direct sum")
+    _check_direct_sum(blocks, n)
     out_blocks = []
     for b in blocks:
         restriction = restrict_action(action, list(b.basis))
         per_gen = {}
         for name, r in zip(action.names, restriction.mats):
             mp = minimal_poly(r)
-            ep = squarefree_part(mp)
-            per_gen[name] = GeneratorWeightData(
-                minimal_poly=mp,
-                eigen_poly=ep,
-                modulus_interval=_modulus_interval(ep),
-                modulus_is_one=_modulus_flag(ep),
-            )
+            per_gen[name] = GeneratorWeightData(minimal_poly=mp, eigen_poly=squarefree_part(mp))
         out_blocks.append(WeightBlock(space=b, per_generator=per_gen, restriction=restriction))
     return WeightDecomposition(action=action, blocks=tuple(out_blocks))
 
@@ -275,16 +288,13 @@ def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optio
         return [off_circle(r.word_matrix(word)) for r in restrictions]
 
     best: tuple[str, ...] = (action.names[0],)
-    best_count = sum(cleared(best))
+    flags = cleared(best)
     for name in action.names[1:]:
-        c = sum(cleared((name,)))
-        if c > best_count:
-            best, best_count = (name,), c
+        c = cleared((name,))
+        if sum(c) > sum(flags):
+            best, flags = (name,), c
 
-    while True:
-        flags = cleared(best)
-        if all(flags):
-            break
+    while not all(flags):
         target = flags.index(False)
         repair = escape_words[target]
         m = 1
@@ -295,7 +305,8 @@ def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optio
                 off_circle(mat_power(r.word_matrix(best), m) @ r.word_matrix(repair)) for r in restrictions
             ]
             if all(nf for nf, old in zip(new_flags, flags) if old) and new_flags[target]:
-                best = best * m + repair
+                # new_flags are the flags of the new word: its matrix is W(best)^m W(repair)
+                best, flags = best * m + repair, new_flags
                 break
             m *= 2
 

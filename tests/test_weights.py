@@ -1,12 +1,16 @@
 """Weight decomposition and commuting-family expansiveness tests."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansive.exact import QMatrix, char_poly
+from expansive import weights
+from expansive.cli import parse_action
+from expansive.exact import QMatrix, SelfCheckError, Subspace, char_poly, intersect
 from expansive.orbits import (
     EXPANSIVE,
     NOT_EXPANSIVE,
@@ -39,6 +43,16 @@ def act(gens, mode, names=None):
 
 CAT = [[2, 1], [1, 1]]
 ROTATION = [[0, -1], [1, 0]]
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def block_pair(a, b):
+    """The commuting generators diag(A, I) and diag(I, B)."""
+    ka, kb = len(a), len(b)
+    n = ka + kb
+    first = [[a[i][j] if i < ka and j < ka else int(i == j) for j in range(n)] for i in range(n)]
+    second = [[b[i - ka][j - ka] if i >= ka and j >= ka else int(i == j) for j in range(n)] for i in range(n)]
+    return first, second
 
 
 class TestDecomposition:
@@ -95,6 +109,19 @@ class TestDecomposition:
         with pytest.raises(NotCommutingError) as e:
             weight_decomposition(act([CAT, ROTATION], SEMIGROUP))
         assert set(e.value.pair) == {"g1", "g2"}
+
+    def test_three_lines_in_a_plane_are_not_a_direct_sum(self):
+        lines = [Subspace.from_vectors(3, [v]) for v in ([1, 0, 0], [0, 1, 0], [1, 1, 0])]
+        # dimensions add up to 3 and every pair meets in 0, yet they span a plane
+        assert all(intersect(a, b).dim == 0 for i, a in enumerate(lines) for b in lines[i + 1:])
+        with pytest.raises(SelfCheckError):
+            weights._check_direct_sum(lines, 3)
+
+    def test_direct_sum_check_accepts_an_honest_split(self):
+        blocks = [Subspace.from_vectors(3, [[1, 0, 0]]), Subspace.from_vectors(3, [[0, 1, 0], [1, 1, 1]])]
+        weights._check_direct_sum(blocks, 3)
+        with pytest.raises(SelfCheckError):
+            weights._check_direct_sum(blocks[:1], 3)
 
     def test_json_round_trip_shape(self):
         d = weight_decomposition(act([[[2, 0], [0, 3]]], SEMIGROUP))
@@ -165,6 +192,23 @@ class TestFindExpansiveElement:
     def test_word_cap_respected(self):
         a = act([[[2, 0], [0, 1]], [[1, 0], [0, 2]]], GROUP)
         assert find_expansive_element(a, word_cap=1) is None
+
+    def test_decision_path_computes_no_modulus_bracket(self, monkeypatch):
+        cat_map = parse_action(json.loads((FIXTURES / "cat_map.json").read_text()))
+        actions = [cat_map] + [
+            act(list(block_pair(a, b)), GROUP) for a, b in ((CAT, [[0, -2], [1, 0]]), ([[0, -2], [1, 0]], [[3]]))
+        ]
+        expected = [find_expansive_element(a) for a in actions]
+
+        def refuse(*_args):
+            raise AssertionError("the decision read a modulus bracket")
+
+        monkeypatch.setattr(weights, "_modulus_interval", refuse)
+        monkeypatch.setattr(weights, "_modulus_flag", refuse)
+        found = [find_expansive_element(a) for a in actions]
+        assert all(res is not None for res in found)
+        assert [res["word"] for res in found] == [res["word"] for res in expected]
+        assert [res["matrix"] for res in found] == [res["matrix"] for res in expected]
 
     def test_found_word_always_verifies(self):
         for gens in ([CAT], [[[2, 0], [0, 1]], [[1, 0], [0, 2]]], [[[0, -2], [1, 0]]]):
