@@ -297,19 +297,34 @@ def _integer_relation(target: Character, coeffs: Sequence[Fraction], chars: Sequ
 
 
 def _pair_relation(target: Character, a: Character, b: Character, level: int, budget: int) -> Optional[Relation]:
-    """Small integer combination n0*target = ni*a + nj*b within the cost budget."""
-    dim = len(target)
+    """Small integer combination n0*target = ni*a + nj*b within the cost budget.
+
+    The first hit in the order n0, ni, nj ascending, with |ni| < budget - n0
+    and |ni| + |nj| <= budget - n0.  For each (n0, ni), nj is solved for on
+    a coordinate where b is non-zero, in integers after clearing the
+    denominators, so the cost grows with budget**2 rather than budget**3.
+    """
+    den = 1
+    for x in (*target, *a, *b):
+        den = den * x.denominator // math.gcd(den, x.denominator)
+    t, va, vb = ([x.numerator * (den // x.denominator) for x in v] for v in (target, a, b))
+    pivot = next((d for d, x in enumerate(vb) if x), None)
     for n0 in range(1, budget - 1):
         rest = budget - n0
         for ni in range(-rest + 1, rest):
-            for nj in range(-(rest - abs(ni)), rest - abs(ni) + 1):
-                if ni == 0 and nj == 0:
+            span = rest - abs(ni)
+            r = [n0 * x - ni * y for x, y in zip(t, va)]  # must equal nj * b
+            if pivot is None:
+                # b = 0: any nj in range works, and the first is -span, never (0, 0) as span >= 2 when ni = 0
+                if any(r):
                     continue
-                if all(n0 * target[d] == ni * a[d] + nj * b[d] for d in range(dim)):
-                    terms = tuple(
-                        (c, chi) for c, chi in ((ni, a), (nj, b)) if c != 0
-                    )
-                    return Relation(target, n0, terms, level)
+                nj = -span
+            else:
+                nj, rem = divmod(r[pivot], vb[pivot])
+                if rem or abs(nj) > span or (ni == 0 and nj == 0) or any(x != nj * y for x, y in zip(r, vb)):
+                    continue
+            terms = tuple((c, chi) for c, chi in ((ni, a), (nj, b)) if c != 0)
+            return Relation(target, n0, terms, level)
     return None
 
 
