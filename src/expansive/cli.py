@@ -288,7 +288,9 @@ def parse_window(data, precision: int) -> SolenoidWindow:
     if not isinstance(data, list):
         raise ParseError("a window file holds a list of {character, mid, rad} entries")
     values = []
-    for entry in data:
+    for i, entry in enumerate(data):
+        if not isinstance(entry, dict) or not {"character", "mid"} <= entry.keys():
+            raise ParseError(f"window entry {i} must be an object with the fields 'character' and 'mid'")
         chi = character(entry["character"])
         rad = to_fraction(entry["rad"]) if "rad" in entry else Fraction(1, 2**precision)
         values.append((chi, Ball(to_fraction(entry["mid"]), rad).angle()))
@@ -305,6 +307,8 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
             raise UsageError("--depth, --kmax and --mode shape only a chain solenoid-lift builds, not one from --chain")
         data = load_object(args.chain)
         chain = RhoBasisChain.from_json(data.get("chain", data))
+        if not chain.levels or chain.k < 1 or not chain.verify():
+            raise ParseError("a --chain needs a first level, a cost bound k >= 1 and relations that verify")
         chain_options = object_field(data, "options")
         if "mode" in chain_options:
             # verify checks the chain against the module in the mode it was built in

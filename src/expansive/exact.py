@@ -184,14 +184,20 @@ class QMatrix:
         return h
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "QMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
+    def _lines(lines: Sequence[Sequence[RationalLike]], what: str) -> tuple[int, int, list[Fraction]]:
+        """Count, common length and entries (as Fractions, line after line) of equal-length lines."""
+        count = len(lines)
+        length = len(lines[0]) if count else 0
         ents: list[Fraction] = []
-        for r in rows:
-            if len(r) != nc:
-                raise DimensionMismatchError("ragged rows")
-            ents.extend(to_fraction(x) for x in r)
+        for line in lines:
+            if len(line) != length:
+                raise DimensionMismatchError(f"ragged {what}")
+            ents.extend(map(to_fraction, line))
+        return count, length, ents
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "QMatrix":
+        nr, nc, ents = QMatrix._lines(rows, "rows")
         return QMatrix(nr, nc, ents)
 
     @staticmethod
@@ -203,10 +209,9 @@ class QMatrix:
         return QMatrix._make(rows, cols, (0,) * (rows * cols), 1)
 
     @staticmethod
-    def from_columns(cols: Sequence[Sequence[Fraction]]) -> "QMatrix":
-        nc = len(cols)
-        nr = len(cols[0]) if nc else 0
-        return QMatrix(nr, nc, [cols[j][i] for i in range(nr) for j in range(nc)])
+    def from_columns(cols: Sequence[Sequence[RationalLike]]) -> "QMatrix":
+        nc, nr, ents = QMatrix._lines(cols, "columns")
+        return QMatrix(nr, nc, [x for i in range(nr) for x in ents[i::nr]])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -489,8 +494,7 @@ def coordinates_in_span(
     """Coordinates of v over the given independent vectors, or None."""
     if not basis:
         return () if not any(v) else None
-    a = QMatrix.from_columns([tuple(b) for b in basis])
-    return solve_exact(a, tuple(v))
+    return solve_exact(QMatrix.from_columns(basis), tuple(v))
 
 
 def solve_exact(a: QMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
@@ -528,13 +532,11 @@ def kernel(m: QMatrix) -> Subspace:
 
 
 def is_invariant(space: Subspace, m: QMatrix) -> bool:
-    """Exact test that m maps the subspace into itself."""
+    """Exact test that m maps the subspace into itself: [basis | images]
+    has rank dim, by one ``rref``."""
     if not m.is_square or m.cols != space.ambient_dim:
         raise DimensionMismatchError("matrix and subspace dimensions differ")
-    for b in space.basis:
-        if coordinates_in_span(space.basis, m.apply(b)) is None:
-            return False
-    return True
+    return rank(QMatrix.from_columns(space.basis + tuple(map(m.apply, space.basis)))) == space.dim
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -747,21 +749,20 @@ def char_poly(m: QMatrix) -> QPoly:
 
 
 def minimal_poly(m: QMatrix) -> QPoly:
-    """Monic minimal polynomial, by the first linear dependency among powers."""
+    """Monic minimal polynomial, by the first linear dependency among powers.
+
+    One ``rref`` of the columns I, M, ..., M^n: its pivots are the first d
+    powers, which are independent, and the column of M^d holds the
+    coordinates of M^d over them (d <= n by Cayley-Hamilton).
+    """
     if not m.is_square:
         raise NonSquareError("minimal polynomial of non-square matrix")
-    n = m.rows
-    powers = [QMatrix.identity(n)]
-    for d in range(1, n + 1):
+    powers = [QMatrix.identity(m.rows)]
+    for _ in range(m.rows):
         powers.append(powers[-1] @ m)
-        stack = QMatrix.from_columns([p.entries for p in powers])
-        coords = kernel(stack)
-        if coords.dim > 0:
-            for k in coords.basis:
-                if k[d] != 0:
-                    coeffs = [k[i] / k[d] for i in range(d + 1)]
-                    return QPoly.from_coeffs(coeffs)
-    raise AssertionError("no annihilating polynomial of degree <= n")
+    red, pivots = rref(QMatrix.from_columns([p.entries for p in powers]))
+    d = len(pivots)
+    return QPoly.from_coeffs([-red[i, d] for i in range(d)] + [1])
 
 
 # === integer polynomial gcd (subresultant PRS) and Sturm machinery ===

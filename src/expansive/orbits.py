@@ -61,14 +61,13 @@ from .exact import (
     QPoly,
     Subspace,
     char_poly,
-    coordinates_in_span,
     intersect,
-    is_invariant,
     is_positive_definite,
     is_positive_semidefinite,
     kernel,
     primitive_integer,
     rational_roots,
+    rref,
     solve_exact,
 )
 from .spectral import GROUP, SEMIGROUP, DiskProfile, check_mode, single_expansive, unit_disk_profile
@@ -375,35 +374,36 @@ def _bounded_directions(action: SemigroupAction, depth: int) -> Subspace:
 
 
 def restrict_action(action: SemigroupAction, basis: list[tuple[Fraction, ...]]) -> SemigroupAction:
-    """The action on the span of ``basis``, in the coordinates of that basis.
+    """The action on the span of the independent ``basis``, in its coordinates.
 
-    Raises ValueError when some generator maps a basis vector out of the span.
+    One ``rref`` of [basis | every generator's image of every basis vector]:
+    the span is invariant exactly when the pivots are the k basis columns,
+    and then each image's coordinates are its column in the first k rows.
+    Raises ValueError when some generator maps a basis vector out of the
+    span (or the basis is dependent).
     """
-    mats = []
-    for g in action.mats:
-        cols = []
-        for b in basis:
-            coords = coordinates_in_span(basis, g.apply(b))
-            if coords is None:
-                raise ValueError("space must be invariant")
-            cols.append(coords)
-        mats.append(QMatrix.from_columns(cols))
-    return SemigroupAction(len(basis), action.names, tuple(mats), action.mode)
+    k = len(basis)
+    images = [g.apply(b) for g in action.mats for b in basis]
+    red, pivots = rref(QMatrix.from_columns(list(basis) + images))
+    if pivots != tuple(range(k)):
+        raise ValueError("space must be invariant, with an independent basis")
+    mats = tuple(
+        QMatrix.from_rows([[red[i, k * (t + 1) + j] for j in range(k)] for i in range(k)])
+        for t in range(len(action.mats))
+    )
+    return SemigroupAction(k, action.names, mats, action.mode)
 
 
 def _complete_basis(space: Subspace) -> list[tuple[Fraction, ...]]:
-    n = space.ambient_dim
-    chosen: list[tuple[Fraction, ...]] = list(space.basis)
-    comp = []
-    for i in range(n):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        trial = Subspace.from_vectors(n, chosen + [e])
-        if trial.dim > len(chosen):
-            chosen.append(e)
-            comp.append(e)
-    if len(chosen) != n:
+    """The unit vectors e_i that extend the space's basis to one of Q^n, each
+    taken when it leaves the span of the basis and the e_j before it: the
+    pivots past the first k of one ``rref`` of [basis | e_1 ... e_n]."""
+    n, k = space.ambient_dim, space.dim
+    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    _, pivots = rref(QMatrix.from_columns(space.basis + tuple(units)))
+    if pivots[:k] != tuple(range(k)):
         raise ValueError("basis does not extend to the ambient space")
-    return comp
+    return [units[c - k] for c in pivots[k:]]
 
 
 def adapted_blocks(
@@ -565,7 +565,8 @@ def _eigenvector_seeds(action: SemigroupAction) -> list[tuple[Fraction, ...]]:
 def _proper_invariant_subspaces(action: SemigroupAction) -> list[Subspace]:
     """Proper invariant subspaces for the split, smallest first: the
     closures of the exact eigenvectors of the generators and short words,
-    and the invariant intersections of those closures."""
+    and the pairwise intersections of those closures, which are invariant
+    as intersections of invariant subspaces."""
     n = action.dim
     seeds = _eigenvector_seeds(action)
     spaces: list[Subspace] = []
@@ -579,7 +580,7 @@ def _proper_invariant_subspaces(action: SemigroupAction) -> list[Subspace]:
     for a in list(spaces):
         for b in list(spaces):
             c = intersect(a, b)
-            if 0 < c.dim < n and c.basis not in seen and all(is_invariant(c, g) for g in action.mats):
+            if 0 < c.dim < n and c.basis not in seen:
                 seen.add(c.basis)
                 spaces.append(c)
     spaces.sort(key=lambda sp: (sp.dim, sp.basis))

@@ -23,10 +23,12 @@ from typing import Optional, Sequence
 from .exact import (
     CapExceededError,
     DimensionMismatchError,
+    ParseError,
     QMatrix,
     RationalLike,
     SelfCheckError,
     coordinates_in_span,
+    rref,
     to_fraction,
 )
 from .orbits import (
@@ -68,6 +70,8 @@ class PrecisionExhaustedError(CapExceededError, ArithmeticError):
 
 
 def character(coords: Sequence[RationalLike]) -> Character:
+    if not isinstance(coords, (list, tuple)):
+        raise ParseError(f"a character is a list of rationals, got {type(coords).__name__}")
     return tuple(to_fraction(c) for c in coords)
 
 
@@ -273,23 +277,36 @@ class RhoBasisChain:
 
     @staticmethod
     def from_json(data: dict) -> "RhoBasisChain":
-        levels = tuple(tuple(character(c) for c in lvl) for lvl in data["levels"])
+        """The chain ``to_json`` wrote; a ParseError naming the field on any other shape."""
+        levels = _json_field(data, "levels", list, "the chain")
+        if not all(isinstance(lvl, list) for lvl in levels):
+            raise ParseError("each of the chain's levels must be a list of characters")
+        levels = tuple(tuple(map(character, lvl)) for lvl in levels)
         first_level: dict[Character, int] = {}
         for i, lvl in enumerate(levels):
             for chi in lvl:
                 first_level.setdefault(chi, i)
         rels = []
-        for r in data["relations"]:
-            target = character(r["target"])
-            terms = tuple((int(t["coef"]), character(t["character"])) for t in r["terms"])
-            rels.append(Relation(target, int(r["n0"]), terms, first_level.get(target, 0)))
-        return RhoBasisChain(levels, int(data["k"]), tuple(rels))
+        for r in _json_field(data, "relations", list, "the chain"):
+            target = character(_json_field(r, "target", list, "a relation"))
+            terms = tuple(
+                (_json_field(t, "coef", int, "a term"), character(_json_field(t, "character", list, "a term")))
+                for t in _json_field(r, "terms", list, "a relation")
+            )
+            rels.append(Relation(target, _json_field(r, "n0", int, "a relation"), terms, first_level.get(target, 0)))
+        return RhoBasisChain(levels, _json_field(data, "k", int, "the chain"), tuple(rels))
+
+
+def _json_field(obj, key: str, kind: type, where: str):
+    """``obj[key]``, a JSON value of type ``kind`` (a bool is no int); a ParseError naming the field otherwise."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"{where} must be an object whose field {key!r} is of type {kind.__name__}")
+    return value
 
 
 def _integer_relation(target: Character, coeffs: Sequence[Fraction], chars: Sequence[Character], level: int) -> Relation:
-    n0 = 1
-    for c in coeffs:
-        n0 = n0 * c.denominator // math.gcd(n0, c.denominator)
+    n0 = math.lcm(*(c.denominator for c in coeffs))
     terms = tuple(
         (int(c * n0), chars[j]) for j, c in enumerate(coeffs) if c != 0
     )
@@ -304,9 +321,7 @@ def _pair_relation(target: Character, a: Character, b: Character, level: int, bu
     a coordinate where b is non-zero, in integers after clearing the
     denominators, so the cost grows with budget**2 rather than budget**3.
     """
-    den = 1
-    for x in (*target, *a, *b):
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in (*target, *a, *b)))
     t, va, vb = ([x.numerator * (den // x.denominator) for x in v] for v in (target, a, b))
     pivot = next((d for d, x in enumerate(vb) if x), None)
     for n0 in range(1, budget - 1):
@@ -487,22 +502,19 @@ class ChainLift:
 
 
 def _base_level_plan(level: Sequence[Character]) -> tuple[list[int], list[tuple[int, Fraction, list[tuple[Fraction, int]]]]]:
-    """Split the first level into a Q-basis and exact expansions of the rest."""
-    basis_idx: list[int] = []
-    basis_vecs: list[Character] = []
+    """Split the first level into a Q-basis and exact expansions of the rest.
+
+    One ``rref`` of the characters as columns: the pivots are the first
+    independent characters, and every other column holds its coordinates
+    over the pivots before it.  A dependent's n0 clears their denominators.
+    """
+    red, pivots = rref(QMatrix.from_columns(level))
     dependents: list[tuple[int, Fraction, list[tuple[Fraction, int]]]] = []
-    for i, chi in enumerate(level):
-        coords = coordinates_in_span(basis_vecs, chi)
-        if coords is None:
-            basis_idx.append(i)
-            basis_vecs.append(chi)
-        else:
-            terms = [(c, basis_idx[j]) for j, c in enumerate(coords) if c != 0]
-            n0 = 1
-            for c, _ in terms:
-                n0 = n0 * c.denominator // math.gcd(n0, c.denominator)
-            dependents.append((i, Fraction(n0), terms))
-    return basis_idx, dependents
+    for i in range(len(level)):
+        if i not in pivots:
+            terms = [(red[r, i], j) for r, j in enumerate(pivots) if red[r, i] != 0]
+            dependents.append((i, Fraction(math.lcm(*(c.denominator for c, _ in terms))), terms))
+    return list(pivots), dependents
 
 
 def _check_below(value: Ball, bound: Fraction, what: str) -> None:
@@ -592,12 +604,12 @@ def span_restriction(dm: DualModuleAction) -> tuple[list[Character], SemigroupAc
 
     The span of all word images of the module generators is the smallest
     invariant subspace containing them; the functional space of the
-    solenoid is its real dual, on which matrices act by transposes.
+    solenoid is its real dual, on which matrices act by transposes.  The
+    closure starts from the first independent module generators, the pivot
+    columns of one ``rref`` of F.
     """
-    basis: list[Character] = []
-    for f in dm.module_generators:
-        if coordinates_in_span(basis, f) is None:
-            basis.append(f)
+    F = dm.module_generators
+    basis = [F[c] for c in rref(QMatrix.from_columns(F))[1]]
     queue = list(basis)
     while queue:
         v = queue.pop()

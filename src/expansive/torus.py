@@ -195,16 +195,15 @@ def _reduce_mod_1(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c % 1 for c in vec)
 
 
-def orbit_closure(action: SemigroupAction, point: TorusPoint, cap: int = GRID_STATE_CAP) -> set:
-    """All torus points reachable from the given one, exact and finite.
-
-    Integer matrices keep denominators bounded, so the orbit of a
-    rational point lies on a fixed finite grid.
-    """
+def _orbit_walk(action: SemigroupAction, point: TorusPoint, cap: int):
+    """Depth-first walk of the torus points reachable from the given one,
+    each yielded once before its images are visited; GridTooLargeError
+    once more than ``cap`` points are found."""
     seen = {point.coords}
     stack = [point.coords]
     while stack:
         coords = stack.pop()
+        yield coords
         for g in action.mats:
             nxt = _reduce_mod_1(g.apply(coords))
             if nxt not in seen:
@@ -212,7 +211,15 @@ def orbit_closure(action: SemigroupAction, point: TorusPoint, cap: int = GRID_ST
                     raise GridTooLargeError(f"orbit closure exceeded {cap} states")
                 seen.add(nxt)
                 stack.append(nxt)
-    return seen
+
+
+def orbit_closure(action: SemigroupAction, point: TorusPoint, cap: int = GRID_STATE_CAP) -> set:
+    """All torus points reachable from the given one, exact and finite.
+
+    Integer matrices keep denominators bounded, so the orbit of a
+    rational point lies on a fixed finite grid.
+    """
+    return set(_orbit_walk(action, point, cap))
 
 
 def orbit_spread(action: SemigroupAction, point: TorusPoint, cap: int = GRID_STATE_CAP) -> Fraction:
@@ -273,17 +280,5 @@ def rational_orbit_oracle(
 
 
 def _point_separates(action: SemigroupAction, point: TorusPoint, eps: Fraction, cap: int) -> bool:
-    seen = {point.coords}
-    stack = [point.coords]
-    while stack:
-        coords = stack.pop()
-        if TorusPoint(coords).distance_to_zero() >= eps:
-            return True
-        for g in action.mats:
-            nxt = _reduce_mod_1(g.apply(coords))
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise GridTooLargeError(f"orbit closure exceeded {cap} states")
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+    """Whether the orbit reaches torus distance eps from zero; the walk stops at the first such point."""
+    return any(TorusPoint(c).distance_to_zero() >= eps for c in _orbit_walk(action, point, cap))

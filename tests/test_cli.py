@@ -477,6 +477,45 @@ def test_a_malformed_solenoid_case_is_a_parse_error(capsys, tmp_path, command, f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "window",
+    [[{"mid": "1/3"}], [5], [{"character": ["1"]}], [{"character": 5, "mid": "0"}]],
+    ids=["no-character", "not-an-object", "no-mid", "character-not-a-list"],
+)
+def test_a_malformed_window_is_a_parse_error(capsys, tmp_path, window):
+    path = write_case(tmp_path, "window.json", window)
+    code = main(["solenoid-lift", str(FIXTURES / "dyadic_solenoid.json"), "--window", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and json.loads(out)["error"]["type"] == "ParseError"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        {},
+        5,
+        {"levels": [[["1"]]], "k": 3},
+        {"levels": [[5]], "k": 3, "relations": []},
+        {"levels": [[["1"]]], "k": "3", "relations": []},
+        {"levels": [[["1"]], [["1"], ["2"]]], "k": 3, "relations": [{"target": ["2"], "n0": 1, "terms": [{"coef": 2}]}]},
+        # well-formed, but not a chain a lift can use
+        {"levels": [], "k": 1, "relations": []},
+        {"levels": [[["1"]]], "k": 0, "relations": []},
+        {"levels": [[["1"]], [["1"], ["2"]]], "k": 3, "relations": []},
+    ],
+    ids=["empty", "not-an-object", "no-relations", "character-not-a-list", "k-string", "term-no-character",
+         "no-levels", "k-zero", "missing-relation"],
+)
+def test_a_malformed_chain_file_is_a_parse_error(capsys, tmp_path, chain):
+    path = write_case(tmp_path, "chain.json", {"chain": chain})
+    code = main(["solenoid-lift", str(FIXTURES / "dyadic_solenoid.json"), "--chain", str(path),
+                 "--window", str(FIXTURES / "dyadic_window.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and json.loads(out)["error"]["type"] == "ParseError"
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
     out = tmp_path / "rep.json"
     code = main(["analyze-matrix", "--mode", "semigroup", str(FIXTURES / "doubling.json"), "--out", str(out)])

@@ -147,6 +147,47 @@ def test_invariance_checks():
     assert is_invariant(x_axis, shear)
 
 
+def test_from_columns_makes_fractions_and_refuses_ragged_columns():
+    # int entries must not reach the elimination, whose 1 / pivot would make floats
+    m = QMatrix.from_columns([(1, 0), (0, 2)])
+    assert m == M([[1, 0], [0, 2]]) and all(type(x) is Fraction for x in m.entries)
+    assert m.inverse() == M([[1, 0], [0, F(1, 2)]])
+    assert rref(m) == (QMatrix.identity(2), (0, 1))
+    assert kernel(QMatrix.from_columns([(1, 2), (2, 4)])) == Subspace.from_vectors(2, [(F(-2), F(1))])
+    assert QMatrix.from_columns([("1/2", 3)]) == M([[F(1, 2)], [3]])
+    assert QMatrix.from_columns([(), ()]).rows == 0
+    with pytest.raises(DimensionMismatchError, match="ragged columns"):
+        QMatrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ParseError):
+        QMatrix.from_columns([(1.0, 2)])
+
+
+def invariant_by_coordinates(space, m):
+    """The replaced invariance test: every image of a basis vector has coordinates over the basis."""
+    return all(coordinates_in_span(space.basis, m.apply(b)) is not None for b in space.basis)
+
+
+def vectors(n, entries, **size):
+    return st.lists(st.lists(st.sampled_from(entries), min_size=n, max_size=n), **size)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            vectors(n, [0, 0, 1, -1, 2, F(1, 2)], min_size=n, max_size=n),
+            vectors(n, [0, 0, 0, 1, -2, F(-1, 3)], max_size=n),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_is_invariant_matches_the_per_vector_loop(drawn):
+    rows, vectors = drawn
+    m = M(rows)
+    space = Subspace.from_vectors(m.rows, vectors)
+    assert is_invariant(space, m) == invariant_by_coordinates(space, m)
+    assert is_invariant(kernel(m), m) and is_invariant(Subspace.full(m.rows), m)
+
+
 def test_solve_exact_and_coordinates():
     a = M([[1, 1], [0, 1]])
     assert solve_exact(a, (F(3), F(2))) == (F(1), F(2))
@@ -190,6 +231,73 @@ def test_minimal_poly():
     assert minimal_poly(QMatrix.identity(3)) == P(-1, 1)
     assert minimal_poly(M([[1, 1], [0, 1]])) == P(1, -2, 1)
     assert minimal_poly(M([[2, 0], [0, 3]])) == P(6, -5, 1)
+
+
+def minimal_poly_by_kernels(m):
+    """The replaced loop: the first d at which I, M, ..., M^d have a kernel, normalized at M^d."""
+    n = m.rows
+    powers = [QMatrix.identity(n)]
+    for d in range(1, n + 1):
+        powers.append(powers[-1] @ m)
+        for k in kernel(QMatrix.from_columns([p.entries for p in powers])).basis:
+            if k[d] != 0:
+                return QPoly.from_coeffs([k[i] / k[d] for i in range(d + 1)])
+    raise AssertionError("no annihilating polynomial of degree <= n")
+
+
+def block_diag(*blocks):
+    n = sum(b.rows for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i in range(b.rows):
+            rows[at + i][at : at + b.rows] = b.row(i)
+        at += b.rows
+    return M(rows)
+
+
+def jordan(lam, k):
+    return M([[lam if i == j else 1 if j == i + 1 else 0 for j in range(k)] for i in range(k)])
+
+
+def minimal_poly_cases():
+    """250 seeded matrices, most of them derogatory: diag(A, A), sums of Jordan
+    blocks, nilpotent and scalar matrices, each conjugated by an integer
+    matrix, and plain integer and rational matrices."""
+    rng = random.Random(20)
+
+    def small(n, pool=(-2, -1, 0, 0, 0, 1, 2, 3)):
+        return M([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+
+    def conjugated(t):
+        while True:
+            p = small(t.rows)
+            if p.det() != 0:
+                return p @ t @ p.inverse()
+
+    cases = []
+    for _ in range(50):
+        a = small(rng.randint(1, 3))
+        cases.append(conjugated(block_diag(a, a)))
+        lam = F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        cases.append(conjugated(block_diag(*(jordan(lam, k) for k in sizes))))
+        n = rng.randint(1, 5)
+        cases.append(conjugated(M([[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)])))
+        cases.append(QMatrix.identity(rng.randint(1, 5)).scale(F(rng.randint(-4, 4), rng.randint(1, 3))))
+        cases.append(small(rng.randint(1, 5), (0, 0, 1, -1, F(1, 2), F(-2, 3), F(5, 4))))
+    return cases
+
+
+def test_minimal_poly_matches_the_first_dependent_power_loop():
+    cases = minimal_poly_cases()
+    assert len(cases) >= 200
+    derogatory = 0
+    for m in cases:
+        mu = minimal_poly(m)
+        assert mu == minimal_poly_by_kernels(m), m
+        assert poly_of_matrix(mu, m) == QMatrix.zero(m.rows, m.rows)
+        derogatory += mu.degree < m.rows
+    assert derogatory >= 100
 
 
 def test_cayley_hamilton_spot_check():

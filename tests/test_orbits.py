@@ -1,5 +1,6 @@
 """Tests for the expansiveness semi-decision engine."""
 
+import importlib.util
 import json
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from expansive.exact import (
     ParseError,
     QMatrix,
     Subspace,
+    coordinates_in_span,
     is_invariant,
     is_positive_semidefinite,
 )
@@ -374,6 +376,94 @@ def test_invariant_closure_matches_the_fixed_point_loop(drawn):
     space = invariant_closure(action, seeds)
     assert space == closure_by_fixed_point(action, seeds)
     assert all(is_invariant(space, g) for g in action.mats)
+
+
+def restriction_by_coordinates(action, basis):
+    """The replaced loop: the coordinates of each image over the basis, one
+    solve per image; None when an image leaves the span."""
+    mats = []
+    for g in action.mats:
+        cols = [coordinates_in_span(basis, g.apply(b)) for b in basis]
+        if None in cols:
+            return None
+        mats.append(QMatrix.from_columns(cols) if cols else QMatrix.zero(0, 0))
+    return mats
+
+
+@given(closure_inputs())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_restrict_action_matches_the_per_image_loop(drawn):
+    action, seeds = drawn
+    closure = invariant_closure(action, seeds)
+    spaces = [closure, Subspace.from_vectors(action.dim, seeds)]
+    for space in spaces:
+        basis = list(space.basis)
+        expected = restriction_by_coordinates(action, basis)
+        assert all(is_invariant(space, g) for g in action.mats) == (expected is not None)
+        if expected is None:
+            with pytest.raises(ValueError, match="invariant"):
+                restrict_action(action, basis)
+        else:
+            assert list(restrict_action(action, basis).mats) == expected
+    assert restriction_by_coordinates(action, list(closure.basis)) is not None
+
+
+def complement_by_greedy_loop(space):
+    """The replaced loop: each unit vector that raises the dimension of the span so far."""
+    n = space.ambient_dim
+    chosen, comp = list(space.basis), []
+    for i in range(n):
+        e = tuple(F(int(i == j)) for j in range(n))
+        if Subspace.from_vectors(n, chosen + [e]).dim > len(chosen):
+            chosen.append(e)
+            comp.append(e)
+    return comp
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2)]), min_size=n, max_size=n), max_size=n + 1
+        ).map(lambda vecs: Subspace.from_vectors(n, vecs) if vecs else Subspace.zero(n))
+    )
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_complete_basis_matches_the_greedy_unit_vector_loop(space):
+    comp = orbits._complete_basis(space)
+    assert comp == complement_by_greedy_loop(space)
+    assert Subspace.from_vectors(space.ambient_dim, list(space.basis) + comp) == Subspace.full(space.ambient_dim)
+
+
+def perfbench_cases():
+    """perfbench/cases.py, the seeded case generator of the benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_cases", Path(__file__).resolve().parent.parent / "perfbench" / "cases.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_proper_invariant_subspace_is_invariant_on_the_engine_cases(monkeypatch):
+    # the split keeps pairwise intersections of invariant closures unchecked;
+    # every space the engine splits on, at every depth, must be invariant
+    found = []
+    original = orbits._proper_invariant_subspaces
+
+    def recording(action):
+        spaces = original(action)
+        found.extend((action, sp) for sp in spaces)
+        return spaces
+
+    monkeypatch.setattr(orbits, "_proper_invariant_subspaces", recording)
+    cases = perfbench_cases()
+    for seed in (1, 2, 3):
+        for op in cases.engine_cases(seed):
+            expansiveness_check(parse_action(op["case"]), 10)
+    assert len(found) >= 10
+    for action, space in found:
+        assert 0 < space.dim < action.dim
+        assert all(coordinates_in_span(space.basis, g.apply(b)) is not None for g in action.mats for b in space.basis)
 
 
 @pytest.mark.parametrize("closure", [invariant_closure, closure_by_fixed_point])

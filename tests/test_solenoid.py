@@ -1,12 +1,13 @@
 """Dual-module solenoid tests: chains, windows, lifting, expansiveness."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansive.exact import DimensionMismatchError, QMatrix
+from expansive.exact import DimensionMismatchError, QMatrix, coordinates_in_span
 from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE
 from expansive.spectral import GROUP, SEMIGROUP
 from expansive.solenoid import (
@@ -21,6 +22,7 @@ from expansive.solenoid import (
     Relation,
     RhoBasisChain,
     E_window,
+    _base_level_plan,
     _pair_relation,
     character,
     circle_gap,
@@ -377,3 +379,77 @@ def test_enumerate_basis_refuses_depth_below_one():
 def test_dual_module_refuses_matrices_of_another_dimension():
     with pytest.raises(DimensionMismatchError):
         DualModuleAction.from_generators(2, [[1, 0]], [("g", M([[2]]))], GROUP)
+
+
+# --- the greedy loops one rref replaced, kept as oracles ---
+
+
+def base_plan_by_greedy_loop(level):
+    """Each character joins the basis unless it has coordinates over the basis so far."""
+    basis_idx, basis_vecs, dependents = [], [], []
+    for i, chi in enumerate(level):
+        coords = coordinates_in_span(basis_vecs, chi)
+        if coords is None:
+            basis_idx.append(i)
+            basis_vecs.append(chi)
+        else:
+            terms = [(c, basis_idx[j]) for j, c in enumerate(coords) if c != 0]
+            n0 = 1
+            for c, _ in terms:
+                n0 = n0 * c.denominator // math.gcd(n0, c.denominator)
+            dependents.append((i, Fraction(n0), terms))
+    return basis_idx, dependents
+
+
+def span_basis_by_greedy_loop(dm):
+    """The module generators outside the span so far, then the images outside it."""
+    basis = []
+    for f in dm.module_generators:
+        if coordinates_in_span(basis, f) is None:
+            basis.append(f)
+    queue = list(basis)
+    while queue:
+        v = queue.pop()
+        for g in dm.action.mats:
+            img = g.apply(v)
+            if coordinates_in_span(basis, img) is None:
+                basis.append(img)
+                queue.append(img)
+    return basis
+
+
+def characters_with_zeros_and_repeats(dim):
+    entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), Fraction(1, 2), Fraction(-2, 3)])
+    pool = st.lists(st.lists(entry, min_size=dim, max_size=dim).map(tuple), min_size=1, max_size=4)
+    # the zero character and repeats of the pool's characters
+    return pool.flatmap(lambda chars: st.lists(st.sampled_from(chars + [(F(0),) * dim]), max_size=7))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(characters_with_zeros_and_repeats))
+def test_base_level_plan_matches_the_greedy_loop(level):
+    assert _base_level_plan(level) == base_plan_by_greedy_loop(level)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            characters_with_zeros_and_repeats(n),
+            st.lists(
+                st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n),
+                min_size=1,
+                max_size=2,
+            ),
+        )
+    )
+)
+def test_span_restriction_matches_the_greedy_loop(drawn):
+    chars, gens = drawn
+    n = len(gens[0])
+    dm = DualModuleAction.from_generators(n, chars, [(f"g{i}", M(g)) for i, g in enumerate(gens)], SEMIGROUP)
+    basis, adjoint = span_restriction(dm)
+    assert basis == span_basis_by_greedy_loop(dm)
+    for g, adj in zip(dm.action.mats, adjoint.mats):
+        cols = [coordinates_in_span(basis, g.apply(b)) for b in basis]
+        assert adj == (QMatrix.from_columns(cols).transpose() if cols else QMatrix.identity(0))

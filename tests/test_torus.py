@@ -14,9 +14,11 @@ from expansive.torus import (
     NonIntegerEntriesError,
     NotUnimodularError,
     TorusPoint,
+    _point_separates,
     algebra_dimension,
     certified_infinite_word,
     irreducibility_check,
+    orbit_closure,
     orbit_spread,
     rational_orbit_oracle,
     torus_expansive,
@@ -167,6 +169,23 @@ class TestOrbitGeometry:
         ]
         assert spreads == [F("1/8"), F("1/16"), F("1/32")]
         assert spreads[0] > spreads[1] > spreads[2]
+
+
+    def test_the_oracle_and_the_closure_walk_the_same_orbits_under_the_same_cap(self):
+        a = act([CAT, [[0, -1], [1, 0]]], GROUP)
+        for q in (3, 5, 6):
+            for i in range(q):
+                for j in range(q):
+                    point = TorusPoint.from_coords([Fraction(i, q), Fraction(j, q)])
+                    size = len(orbit_closure(a, point))
+                    for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+                        assert _point_separates(a, point, eps, size) == (orbit_spread(a, point, size) >= eps)
+                    if size > 1:
+                        with pytest.raises(GridTooLargeError):
+                            orbit_closure(a, point, size - 1)
+                        with pytest.raises(GridTooLargeError):
+                            # no orbit point is as far as 1: the walk visits them all
+                            _point_separates(a, point, Fraction(1), size - 1)
 
 
 class TestRationalOrbitOracle:
