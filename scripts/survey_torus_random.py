@@ -12,8 +12,8 @@ import argparse
 import random
 from fractions import Fraction
 
+from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
 from expansive.exact import QMatrix
-from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
 from expansive.torus import rational_orbit_oracle, torus_expansive
 
 

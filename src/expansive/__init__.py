@@ -18,7 +18,7 @@ _SOURCES = {
     "circle_root_count": "spectral",
     "single_expansive": "spectral",
     "unit_disk_profile": "spectral",
-    "SemigroupAction": "orbits",
+    "SemigroupAction": "actions",
     "ExpansivenessVerdict": "orbits",
     "expansiveness_check": "orbits",
     "jsr_bounds": "orbits",

@@ -6,7 +6,8 @@ offered for the other status is refused, so a flipped report cannot
 verify, and ``split`` and ``affine_obstruction`` ask their
 sub-certificates for ``Expansive`` proofs the same way.  No check
 searches: each re-derives its claim from the words, spaces and forms the
-certificate stores.  The checker never imports the torus module, and the
+certificate stores.  The checker imports only ``actions``, ``exact`` and
+``spectral``, never the search in ``orbits`` nor the torus module, and the
 solenoid module loads only inside the checks that read it.
 """
 
@@ -16,8 +17,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .exact import IntEchelon, QMatrix, Subspace, char_poly, coordinates_in_span, is_positive_definite, to_fraction
-from .orbits import (
+from .actions import (
     EXPANSIVE,
     NOT_EXPANSIVE,
     SemigroupAction,
@@ -27,6 +27,16 @@ from .orbits import (
     invariant_line,
     keeps_bounded,
     restrict_action,
+)
+from .exact import (
+    IntEchelon,
+    ParseError,
+    QMatrix,
+    Subspace,
+    char_poly,
+    coordinates_in_span,
+    is_positive_definite,
+    to_fraction,
 )
 from .spectral import has_unbounded_powers, unit_disk_profile
 
@@ -170,16 +180,24 @@ def check_chain(data: dict, module: DualModuleAction, k: Optional[int] = None) -
 
 def check_lifts(data: dict, lifts: list, module: DualModuleAction) -> bool:
     """Whether the chain checks as in ``check_chain`` and each lift gives every chain
-    character a value below its bound, itself below 1/k, that satisfies every chain relation."""
+    character a value below its bound, itself below 1/k, that satisfies every chain relation.
+    Lifts that are not lift objects are a ParseError naming the field."""
     from .solenoid import Ball, character
 
+    if not isinstance(lifts, list) or not all(isinstance(entry, dict) for entry in lifts):
+        raise ParseError("the field 'lifts' must be a list of objects")
+    lifted = [entry for entry in lifts if entry.get("lifted")]
+    for entry in lifted:
+        items = entry.get("values")
+        if "bound" not in entry or not isinstance(items, list) or not all(
+            isinstance(item, dict) and {"character", "mid", "rad"} <= item.keys() for item in items
+        ):
+            raise ParseError("a lift needs the field 'bound' and a field 'values' of {character, mid, rad} objects")
     chain = _module_chain(data, module)
     if chain is None:
         return False
     chars = [chi for level in chain.levels for chi in level]
-    for entry in lifts:
-        if not entry.get("lifted"):
-            continue
+    for entry in lifted:
         bound = to_fraction(entry["bound"])
         values = {
             character(item["character"]): Ball(to_fraction(item["mid"]), to_fraction(item["rad"]))

@@ -6,9 +6,10 @@ ints or strings like ``"3/7"``.  Every subcommand emits a report whose
 exact certificates the ``verify`` subcommand re-checks against the case
 file with ``expansive.certificates``.
 
-The torus, solenoid and weights layers are imported inside the handlers
-that run them, so a process loads them only for the subcommands that use
-them; ``analyze-semigroup`` loads none of the three.
+The search engine (``orbits``) and the torus, solenoid and weights layers
+are imported inside the handlers that run them: beyond this module,
+``certificates``, ``actions``, ``exact`` and ``spectral``, a process loads
+only the layers its subcommand runs, so ``verify`` never loads the engine.
 
 Exit codes: 0 decisive, 1 malformed input or failed verification,
 2 inconclusive (Unknown verdicts, exhausted enumeration caps).
@@ -26,9 +27,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
+from .actions import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction
 from .certificates import check_certificate, check_chain, check_lifts
 from .exact import CapExceededError, ParseError, QMatrix, char_poly, to_fraction
-from .orbits import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction, expansiveness_check, jsr_bounds
 from .spectral import GROUP, SEMIGROUP, check_mode, single_expansive, unit_disk_profile
 
 if TYPE_CHECKING:
@@ -191,6 +192,8 @@ def single_matrix_report(name: str, m: QMatrix, mode: str) -> dict:
 
 
 def cmd_analyze_semigroup(args) -> tuple[dict, int]:
+    from .orbits import expansiveness_check
+
     case = load_object(args.case)
     action = parse_action(case, args.mode)
     res = expansiveness_check(action, args.depth)
@@ -252,6 +255,8 @@ def cmd_torus_check(args) -> tuple[dict, int]:
 
 
 def cmd_jsr(args) -> tuple[dict, int]:
+    from .orbits import jsr_bounds
+
     case = load_object(args.case)
     action = parse_action(case, args.mode)
     bounds = jsr_bounds(action, args.depth, args.epsilon)

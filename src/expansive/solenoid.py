@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from .actions import SemigroupAction, restrict_action
 from .exact import (
     CapExceededError,
     DimensionMismatchError,
@@ -31,12 +32,9 @@ from .exact import (
     rref,
     to_fraction,
 )
-from .orbits import (
-    ExpansivenessVerdict,
-    SemigroupAction,
-    expansiveness_check,
-    restrict_action,
-)
+
+if TYPE_CHECKING:
+    from .orbits import ExpansivenessVerdict
 
 Character = tuple[Fraction, ...]
 
@@ -571,7 +569,9 @@ def lift(window: SolenoidWindow, chain: RhoBasisChain, C: RationalLike) -> Chain
         for chi in chain.levels[level_index]:
             if chi in prev:
                 continue
-            rel = by_target[chi]
+            rel = by_target.get(chi)
+            if rel is None:
+                raise ValueError(f"character {tuple(map(str, chi))} at level {level_index} has no relation in the chain")
             s = Ball.exact(0)
             for coef, a in rel.terms:
                 s = s + values[a].scale(coef)
@@ -632,15 +632,9 @@ def solenoid_expansive(dm: DualModuleAction, depth: int = 10) -> ExpansivenessVe
     every nonzero functional has an unbounded adjoint orbit, which is
     the orbit engine's question verbatim.
     """
+    from .orbits import expansiveness_check
+
     basis, adjoint = span_restriction(dm)
     verdict = expansiveness_check(adjoint, depth)
-    evidence = dict(verdict.evidence)
-    evidence["finitely_generated"] = "by presentation"
-    evidence["span_dim"] = len(basis)
-    return ExpansivenessVerdict(
-        status=verdict.status,
-        witness=verdict.witness,
-        certificate=verdict.certificate,
-        evidence=evidence,
-        search_depth=verdict.search_depth,
-    )
+    evidence = {**verdict.evidence, "finitely_generated": "by presentation", "span_dim": len(basis)}
+    return replace(verdict, evidence=evidence)

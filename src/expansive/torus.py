@@ -15,16 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .actions import EXPANSIVE, INVERSE_SUFFIX, SemigroupAction
 from .exact import CapExceededError, QMatrix, RationalLike, Subspace, coordinates_in_span, to_fraction
-from .orbits import (
-    EXPANSIVE,
-    INVERSE_SUFFIX,
-    ExpansivenessVerdict,
-    SemigroupAction,
-    _proper_invariant_subspaces,
-    expansiveness_check,
-    iter_words,
-)
+from .orbits import ExpansivenessVerdict, _proper_invariant_subspaces, expansiveness_check, iter_words
 from .spectral import GROUP, has_unbounded_powers
 
 GRID_STATE_CAP = 10**7

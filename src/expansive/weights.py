@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
+from .actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction, restrict_action
 from .exact import (
     QMatrix,
     QPoly,
@@ -31,7 +32,7 @@ from .exact import (
     root_multiplicity,
     squarefree_part,
 )
-from .orbits import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction, find_expansive_word, iter_words, restrict_action
+from .orbits import find_expansive_word, iter_words
 from .spectral import GROUP, SEMIGROUP, check_mode, circle_root_count, single_expansive, unit_disk_profile
 
 

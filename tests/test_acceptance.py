@@ -16,14 +16,9 @@ import numpy as np
 
 from oracle_roots import disk_profile_oracle
 
+from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
 from expansive.exact import QMatrix, QPoly, char_poly, poly_of_matrix
-from expansive.orbits import (
-    EXPANSIVE,
-    NOT_EXPANSIVE,
-    UNKNOWN,
-    SemigroupAction,
-    expansiveness_check,
-)
+from expansive.orbits import expansiveness_check
 from expansive.solenoid import (
     Ball,
     DualModuleAction,

@@ -516,6 +516,34 @@ def test_a_malformed_chain_file_is_a_parse_error(capsys, tmp_path, chain):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "mangle, field",
+    [
+        (lambda lifts: 5, "'lifts'"),
+        (lambda lifts: [5], "'lifts'"),
+        (lambda lifts: [{**lifts[0], "values": [5]}], "'values'"),
+        (lambda lifts: [{**lifts[0], "values": 5}], "'values'"),
+        (lambda lifts: [{**lifts[0], "values": [{"character": ["1"], "mid": "0"}]}], "'values'"),
+        (lambda lifts: [{k: v for k, v in lifts[0].items() if k != "bound"}], "'bound'"),
+    ],
+    ids=["lifts-not-a-list", "lift-not-an-object", "value-not-an-object", "values-not-a-list", "value-no-rad",
+         "no-bound"],
+)
+def test_verify_of_malformed_lifts_is_a_parse_error(capsys, tmp_path, mangle, field):
+    case = FIXTURES / "dyadic_solenoid.json"
+    _, rep, path = report_for(
+        capsys, tmp_path, "solenoid-lift", case, "--window", FIXTURES / "dyadic_window.json", "--radius", "3/10"
+    )
+    assert rep["lifts"][0]["lifted"] is True
+    rep["lifts"] = mangle(rep["lifts"])
+    path.write_text(json.dumps(rep))
+    code = main(["verify", str(path), str(case)])
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert (code, error["type"]) == (1, "ParseError") and field in error["message"]
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
     out = tmp_path / "rep.json"
     code = main(["analyze-matrix", "--mode", "semigroup", str(FIXTURES / "doubling.json"), "--out", str(out)])
@@ -751,8 +779,9 @@ def submodules_loaded_after(script, *args):
 
 RUN_MAIN = "import sys\nfrom expansive.cli import main\nassert main(sys.argv[1:]) == 0"
 
-# what `import expansive.cli` loads, whatever the subcommand
-CLI_CORE = {"cli", "certificates", "exact", "orbits", "spectral"}
+# what `import expansive.cli` loads, whatever the subcommand: the checker and
+# the search-free layers under it, never the search engine `orbits`
+CLI_CORE = {"cli", "actions", "certificates", "exact", "spectral"}
 
 
 def test_import_expansive_loads_no_submodule():
@@ -777,14 +806,14 @@ def test_an_unknown_package_name_is_an_attribute_error():
     "argv, layers",
     [
         (["analyze-matrix", FIXTURES / "cat_map.json"], set()),
-        (["analyze-semigroup", FIXTURES / "cat_map.json"], set()),
-        (["find-expansive", FIXTURES / "cat_map.json"], {"weights"}),
-        (["torus-check", FIXTURES / "cat_map.json"], {"torus"}),
-        (["jsr", FIXTURES / "cat_map.json"], set()),
+        (["analyze-semigroup", FIXTURES / "cat_map.json"], {"orbits"}),
+        (["find-expansive", FIXTURES / "cat_map.json"], {"orbits", "weights"}),
+        (["torus-check", FIXTURES / "cat_map.json"], {"orbits", "torus"}),
+        (["jsr", FIXTURES / "cat_map.json"], {"orbits"}),
         (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], {"solenoid"}),
         (["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", FIXTURES / "dyadic_window.json"],
          {"solenoid"}),
-        (["solenoid-check", FIXTURES / "dyadic_solenoid.json"], {"solenoid"}),
+        (["solenoid-check", FIXTURES / "dyadic_solenoid.json"], {"orbits", "solenoid"}),
     ],
     ids=["analyze-matrix", "analyze-semigroup", "find-expansive", "torus-check", "jsr", "solenoid-chain",
          "solenoid-lift", "solenoid-check"],
@@ -799,9 +828,11 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, argv, layers):
         (["analyze-semigroup", FIXTURES / "cat_map.json"], "word_spectrum", set()),
         (["torus-check", FIXTURES / "sl2_generators.json"], "irreducible_fast_path", set()),
         (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], None, {"solenoid"}),
+        (["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", FIXTURES / "dyadic_window.json"], None,
+         {"solenoid"}),
         (["solenoid-check", FIXTURES / "dyadic_solenoid.json"], "word_spectrum", {"solenoid"}),
     ],
-    ids=["word-spectrum", "torus-fast-path", "chain", "solenoid-check"],
+    ids=["word-spectrum", "torus-fast-path", "chain", "lift", "solenoid-check"],
 )
 def test_verify_loads_only_the_layers_its_report_needs(capsys, tmp_path, argv, kind, layers):
     _, rep, path = report_for(capsys, tmp_path, *argv)

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansive import orbits
+from expansive import actions, orbits
+from expansive.actions import (
+    EXPANSIVE,
+    NOT_EXPANSIVE,
+    UNKNOWN,
+    NotInvertibleGeneratorError,
+    SemigroupAction,
+    restrict_action,
+)
 from expansive.certificates import check_certificate
 from expansive.cli import parse_action
 from expansive.exact import (
@@ -24,18 +32,12 @@ from expansive.exact import (
     is_positive_semidefinite,
 )
 from expansive.orbits import (
-    EXPANSIVE,
-    NOT_EXPANSIVE,
-    UNKNOWN,
-    NotInvertibleGeneratorError,
-    SemigroupAction,
     certify_bounded,
     expansiveness_check,
     find_expansive_word,
     invariant_closure,
     iter_words,
     jsr_bounds,
-    restrict_action,
 )
 from expansive.spectral import single_expansive
 
@@ -293,7 +295,7 @@ def test_certify_finite_closure_for_conjugated_rotation():
     "use_space",
     [
         lambda a, sp: restrict_action(a, list(sp.basis)),
-        lambda a, sp: orbits.adapted_blocks(a, list(sp.basis), orbits._complete_basis(sp)),
+        lambda a, sp: actions.adapted_blocks(a, list(sp.basis), actions._complete_basis(sp)),
         lambda a, sp: certify_bounded(a, sp),
     ],
     ids=["restrict", "quotient", "certify"],
@@ -327,7 +329,7 @@ def test_adapted_blocks_read_restriction_and_quotient_off_one_conjugation(drawn)
     pinv = p.inverse()
     a = act([(f"g{i}", p @ t @ pinv) for i, t in enumerate(ts)], "semigroup")
     cols = [p.col(j) for j in range(n)]
-    p_out, blocks = orbits.adapted_blocks(a, cols[:k], cols[k:])
+    p_out, blocks = actions.adapted_blocks(a, cols[:k], cols[k:])
     assert p_out == p
     assert [blk for blk, _, _ in blocks] == list(restrict_action(a, cols[:k]).mats)
     for g, (blk_a, blk_b, blk_d) in zip(a.mats, blocks):
@@ -429,7 +431,7 @@ def complement_by_greedy_loop(space):
 )
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_complete_basis_matches_the_greedy_unit_vector_loop(space):
-    comp = orbits._complete_basis(space)
+    comp = actions._complete_basis(space)
     assert comp == complement_by_greedy_loop(space)
     assert Subspace.from_vectors(space.ambient_dim, list(space.basis) + comp) == Subspace.full(space.ambient_dim)
 

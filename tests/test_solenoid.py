@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expansive.actions import EXPANSIVE, NOT_EXPANSIVE
 from expansive.exact import DimensionMismatchError, QMatrix, coordinates_in_span
-from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE
 from expansive.spectral import GROUP, SEMIGROUP
 from expansive.solenoid import (
     Ball,
@@ -322,6 +322,13 @@ class TestLift:
         a = lift(window, chain, F("3/10"))
         b = lift(window, chain, F("3/10"))
         assert a == b
+
+    def test_a_character_with_no_relation_is_named(self):
+        # levels [[1]], [[1], [2]] and no relation for the new character 2
+        chain = RhoBasisChain((((F(1),),), ((F(1),), (F(2),))), 3, ())
+        window = E_window(HomVector.from_exact([F("1/100")]), [(F(1),), (F(2),)])
+        with pytest.raises(ValueError, match=r"character \('2',\) at level 1 has no relation"):
+            lift(window, chain, F("1/4"))
 
     def test_two_generator_chain_lift(self):
         chain = regular_chain(enumerate_basis(sixth_module(), 2))

@@ -53,8 +53,8 @@ def test_certificate_checker_imports_no_numpy_and_runs_no_search():
 
 
 def test_certificate_checker_imports_only_public_names():
-    # the checker reads the engine through its public helpers, so a private
-    # engine function can change without changing what a certificate means
+    # the checker reads the actions layer through its public names, so a
+    # private helper there can change without changing what a certificate means
     tree = ast.parse((SRC / "certificates.py").read_text())
     private = [
         f"{node.module}.{alias.name}"
@@ -119,26 +119,39 @@ def test_certificate_checker_never_imports_torus():
     assert not any("torus" in name.split(".") for name in imported)
 
 
-def top_level_relative_imports(path):
-    """The package modules a module imports at its top level, ``if
-    TYPE_CHECKING:`` blocks aside; ``from . import name`` counts only when
-    ``name`` is a module file of the package."""
+def relative_imports(path, top_level_only):
+    """The package modules a module imports, at its top level only (``if
+    TYPE_CHECKING:`` blocks aside) or anywhere; ``from . import name`` counts
+    only when ``name`` is a module file of the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
     modules = set()
-    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-        if isinstance(stmt, ast.ImportFrom) and stmt.level:
-            names = [stmt.module] if stmt.module else [alias.name for alias in stmt.names]
+    for node in tree.body if top_level_only else ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
             modules |= {name for name in names if (SRC / f"{name.split('.')[0]}.py").exists()}
     return modules
 
+
+# module -> the package modules it may import at top level, and those it may
+# import besides only inside a function (or for type checking): a subcommand
+# loads only the layers it runs, and the checker never loads the search
+ALLOWED_IMPORTS = {
+    "__init__": (set(), set()),
+    "exact": (set(), set()),
+    "spectral": ({"exact"}, set()),
+    "actions": ({"exact", "spectral"}, set()),
+    "certificates": ({"actions", "exact", "spectral"}, {"solenoid"}),
+    "cli": ({"actions", "certificates", "exact", "spectral"}, {"orbits", "solenoid", "torus", "weights"}),
+    "solenoid": ({"actions", "exact"}, {"orbits"}),
+}
 
 # the names perfbench/spans.py patches on expansive.cli to trace it
 CLI_SPANNED = ("verify_report", "check_certificate", "emit")
 
 
 def test_each_module_imports_at_top_level_only_what_every_caller_needs():
-    # a subcommand should load only the layers it runs; the others are
-    # imported inside the handlers and checks that call them
-    assert top_level_relative_imports(SRC / "__init__.py") == set()
-    assert top_level_relative_imports(SRC / "cli.py") <= {"certificates", "exact", "orbits", "spectral"}
-    assert top_level_relative_imports(SRC / "certificates.py").isdisjoint({"solenoid", "torus"})
+    for name, (top_level, inside) in ALLOWED_IMPORTS.items():
+        path = SRC / f"{name}.py"
+        assert relative_imports(path, top_level_only=True) <= top_level, name
+        assert relative_imports(path, top_level_only=False) <= top_level | inside, name
     assert all(callable(getattr(cli, name, None)) for name in CLI_SPANNED)

@@ -19,16 +19,8 @@ from hypothesis import strategies as st
 from expansive import orbits
 from expansive.cli import parse_action
 from expansive.exact import QMatrix
-from expansive.orbits import (
-    EARLY_WORDS,
-    EXPANSIVE,
-    NOT_EXPANSIVE,
-    UNKNOWN,
-    WORD_BUDGET,
-    ExpansivenessVerdict,
-    SemigroupAction,
-    expansiveness_check,
-)
+from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
+from expansive.orbits import EARLY_WORDS, WORD_BUDGET, ExpansivenessVerdict, expansiveness_check
 from expansive.spectral import SEMIGROUP, single_expansive
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

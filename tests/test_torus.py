@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
 from expansive.exact import QMatrix, is_invariant
-from expansive.orbits import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
 from expansive.spectral import GROUP, SEMIGROUP
 from expansive.torus import (
     GridTooLargeError,

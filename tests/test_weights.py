@@ -9,15 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansive import weights
+from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
 from expansive.cli import parse_action
 from expansive.exact import QMatrix, SelfCheckError, Subspace, char_poly, intersect
-from expansive.orbits import (
-    EXPANSIVE,
-    NOT_EXPANSIVE,
-    UNKNOWN,
-    SemigroupAction,
-    expansiveness_check,
-)
+from expansive.orbits import expansiveness_check
 from expansive.spectral import GROUP, SEMIGROUP, single_expansive
 from expansive.weights import (
     NotCommutingError,
