@@ -6,15 +6,17 @@ offered for the other status is refused, so a flipped report cannot
 verify, and ``split`` and ``affine_obstruction`` ask their
 sub-certificates for ``Expansive`` proofs the same way.  No check
 searches: each re-derives its claim from the words, spaces and forms the
-certificate stores.  The checker imports only ``actions``, ``exact`` and
-``spectral``, never the search in ``orbits`` nor the torus module, and the
-solenoid module loads only inside the checks that read it.
+certificate stores; ``CLAIMS`` checks, per command, the other top-level
+result fields of a decisive report.  The checker imports only ``actions``,
+``exact`` and ``spectral``, never the search in ``orbits`` nor the torus
+module, and the solenoid module loads only inside the checks that read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 from .actions import (
@@ -38,7 +40,7 @@ from .exact import (
     is_positive_definite,
     to_fraction,
 )
-from .spectral import has_unbounded_powers, unit_disk_profile
+from .spectral import GROUP, has_unbounded_powers, unit_disk_profile
 
 if TYPE_CHECKING:
     from .solenoid import DualModuleAction, RhoBasisChain
@@ -146,6 +148,46 @@ def check_certificate(cert, action: SemigroupAction, status: str, witness=None) 
         proves, check = CHECKS[cert["kind"]]
         vector = None if witness is None else tuple(to_fraction(x) for x in witness)
         return proves == status and check(cert, action, vector)
+    except (ArithmeticError, LookupError, TypeError, ValueError):
+        return False
+
+
+def _analyze_matrix_claims(rep: dict, case: dict, action: SemigroupAction) -> bool:
+    """A case of one generator; ``expansive`` says what the status says, and
+    ``profile`` is the certificate's, which the certificate check re-derives."""
+    return (
+        len(case["generators"]) == 1
+        and rep["expansive"] is (rep["status"] == EXPANSIVE)
+        and rep["profile"] == rep["certificate"]["profile"]
+    )
+
+
+def _find_expansive_claims(rep: dict, case: dict, action: SemigroupAction) -> bool:
+    """A commuting group action; ``word`` is the certificate's word, and ``matrix`` its product."""
+    return (
+        rep["found"] is True
+        and action.mode == GROUP
+        and all(a @ b == b @ a for a, b in combinations(action.mats, 2))
+        and rep["word"] == rep["certificate"]["word"]
+        and QMatrix.from_json(rep["matrix"]) == action.word_matrix(rep["word"])
+    )
+
+
+# command -> the check of the top-level result fields of its decisive reports
+CLAIMS = {
+    "analyze-matrix": _analyze_matrix_claims,
+    "find-expansive": _find_expansive_claims,
+}
+
+
+def check_claims(rep: dict, case: dict, action: SemigroupAction) -> bool:
+    """Whether the top-level result fields of a decisive report hold for its
+    case and ``action`` (the case's, in the report's mode), as ``CLAIMS``
+    checks them; a command with no entry claims nothing beyond its
+    certificate, and fields that are missing or do not parse prove nothing."""
+    claims = CLAIMS.get(rep.get("command"))
+    try:
+        return claims is None or claims(rep, case, action)
     except (ArithmeticError, LookupError, TypeError, ValueError):
         return False
 

@@ -28,9 +28,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .actions import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction
-from .certificates import check_certificate, check_chain, check_lifts
-from .exact import CapExceededError, ParseError, QMatrix, char_poly, to_fraction
-from .spectral import GROUP, SEMIGROUP, check_mode, single_expansive, unit_disk_profile
+from .certificates import check_certificate, check_chain, check_claims, check_lifts
+from .exact import CapExceededError, ParseError, QMatrix, to_fraction
+from .spectral import GROUP, SEMIGROUP, check_mode, single_expansive
 
 if TYPE_CHECKING:
     from .solenoid import DualModuleAction, SolenoidWindow
@@ -216,8 +216,7 @@ def cmd_find_expansive(args) -> tuple[dict, int]:
     if found is None:
         rep = _report("find-expansive", case, options, status="Unknown", found=False)
         return rep, 2
-    word, m = found["word"], found["matrix"]
-    profile = unit_disk_profile(char_poly(m)).to_json()
+    word, m, profile = found["word"], found["matrix"], found["profile"].to_json()
     rep = _report(
         "find-expansive",
         case,
@@ -380,6 +379,8 @@ def verify_report(rep: dict, case: dict) -> bool:
         # only a subcommand that writes reports makes a claim to check
         return False
     mode = options.get("mode")
+    if command in ("solenoid-chain", "solenoid-lift") and "chain" not in rep:
+        raise ParseError(f"a {command} report needs the field 'chain'")
     if command == "solenoid-chain":
         return check_chain(rep["chain"], parse_dual_module(case, mode), rep.get("k"))
     if command == "solenoid-lift":
@@ -394,7 +395,7 @@ def verify_report(rep: dict, case: dict) -> bool:
         action = span_restriction(parse_dual_module(case, mode))[1]
     else:
         action = parse_action(case, mode)
-    return check_certificate(cert, action, status, rep.get("witness"))
+    return check_certificate(cert, action, status, rep.get("witness")) and check_claims(rep, case, action)
 
 
 def cmd_verify(args) -> tuple[dict, int]:

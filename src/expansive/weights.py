@@ -1,13 +1,13 @@
 """Exact weight decomposition for commuting rational matrix families.
 
 A commuting family splits the space into joint primary blocks; on each
-block the expansiveness question reduces to the moduli of the (possibly
-irrational) eigenvalues, which are compared to 1 only through the exact
-circle-root test.  Certified rational brackets around the moduli are
-computed on request, when ``GeneratorWeightData.modulus_interval`` is read;
-no verdict reads them.  Blocks may keep several conjugate eigenvalue
-families together; that is sound here because every criterion below
-depends only on moduli.
+block the expansiveness question reduces to where the (possibly
+irrational) eigenvalues lie relative to the unit circle.  A block escapes
+by a word found by the engine's word search, and is stuck when the disk
+profile (``spectral.unit_disk_profile``) of every generator's restriction
+keeps every eigenvalue bounded; no modulus is approximated.  Blocks may
+keep several conjugate eigenvalue families together; that is sound here
+because every criterion below depends only on moduli.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from .exact import (
     intersect,
     kernel,
     mat_power,
-    minimal_poly,
     poly_of_matrix,
     rational_roots,
     root_multiplicity,
     squarefree_part,
 )
 from .orbits import find_expansive_word, iter_words
-from .spectral import GROUP, SEMIGROUP, check_mode, circle_root_count, single_expansive, unit_disk_profile
+from .spectral import GROUP, SEMIGROUP, check_mode, single_expansive, unit_disk_profile
 
 
 class NotCommutingError(ValueError):
@@ -47,60 +46,19 @@ class NotGroupModeError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneratorWeightData:
-    """Eigenvalue summary of one generator's restriction to one block.
-
-    ``modulus_interval`` and ``modulus_is_one`` are computed from
-    ``eigen_poly`` each time they are read, so a decomposition that no one
-    inspects costs no bracket.
-    """
-
-    minimal_poly: QPoly
-    eigen_poly: QPoly  # squarefree part; its roots are the eigenvalues
-
-    @property
-    def modulus_interval(self) -> tuple[Fraction, Fraction]:
-        """Certified rational bracket [lo, hi] around every eigenvalue modulus."""
-        return _modulus_interval(self.eigen_poly)
-
-    @property
-    def modulus_is_one(self) -> str:
-        """One of "yes", "no" or "mixed": all, none or some eigenvalues lie on the unit circle."""
-        return _modulus_flag(self.eigen_poly)
-
-    def to_json(self) -> dict:
-        return {
-            "minimal_poly": [str(c) for c in self.minimal_poly.coeffs],
-            "modulus_interval": [str(self.modulus_interval[0]), str(self.modulus_interval[1])],
-            "modulus_is_one": self.modulus_is_one,
-        }
-
-
-@dataclass(frozen=True)
 class WeightBlock:
     space: Subspace
-    per_generator: dict[str, GeneratorWeightData]
     restriction: SemigroupAction  # the action on the block, in the basis of ``space``
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "space": self.space.to_json(),
-            "per_generator": {name: d.to_json() for name, d in self.per_generator.items()},
-        }
-
 
 @dataclass(frozen=True)
 class WeightDecomposition:
     action: SemigroupAction
     blocks: tuple[WeightBlock, ...]
-
-    def to_json(self) -> dict:
-        return {"blocks": [b.to_json() for b in self.blocks]}
 
 
 def _check_commuting(action: SemigroupAction) -> None:
@@ -120,61 +78,6 @@ def _coprime_root_factors(p: QPoly) -> list[QPoly]:
     if s.degree > 0:
         out.append(s.monic())
     return out
-
-
-def _modulus_flag(eigen_poly: QPoly) -> str:
-    zeros, stripped = root_multiplicity(eigen_poly, Fraction(0))
-    if stripped.degree == 0:
-        return "no"
-    on = circle_root_count(stripped)
-    if on == 0:
-        return "no"
-    if on == stripped.degree and zeros == 0:
-        return "yes"
-    return "mixed"
-
-
-def _count_below(eigen_poly: QPoly, r: Fraction) -> tuple[int, int]:
-    """(#roots with modulus < r, #roots with modulus = r), exactly."""
-    prof = unit_disk_profile(eigen_poly.shift_scale_arg(r))
-    return prof.at_zero + prof.inside, prof.on_circle
-
-
-def _modulus_interval(eigen_poly: QPoly) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket [lo, hi] around every root modulus, by 16
-    bisection steps on each side."""
-    deg = eigen_poly.degree
-    roots = rational_roots(eigen_poly)
-    if len(roots) == deg:
-        mods = [abs(r) for r in roots]
-        return min(mods), max(mods)
-    if _modulus_flag(eigen_poly) == "yes":
-        return Fraction(1), Fraction(1)
-    mono = eigen_poly.monic()
-    bound = Fraction(1) + max(abs(c) for c in mono.coeffs[:-1])
-    zeros, _ = root_multiplicity(eigen_poly, Fraction(0))
-    if zeros > 0:
-        lo = Fraction(0)
-    else:
-        a, b = Fraction(0), bound
-        for _ in range(16):
-            mid = (a + b) / 2
-            below, _on = _count_below(eigen_poly, mid)
-            if below == 0:
-                a = mid
-            else:
-                b = mid
-        lo = a
-    a, b = Fraction(0), bound
-    for _ in range(16):
-        mid = (a + b) / 2
-        below, on = _count_below(eigen_poly, mid)
-        if below + on == deg:
-            b = mid
-        else:
-            a = mid
-    hi = b
-    return lo, hi
 
 
 def _check_direct_sum(blocks: list[Subspace], n: int) -> None:
@@ -205,15 +108,8 @@ def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
                     refined.append(piece)
         blocks = refined
     _check_direct_sum(blocks, n)
-    out_blocks = []
-    for b in blocks:
-        restriction = restrict_action(action, list(b.basis))
-        per_gen = {}
-        for name, r in zip(action.names, restriction.mats):
-            mp = minimal_poly(r)
-            per_gen[name] = GeneratorWeightData(minimal_poly=mp, eigen_poly=squarefree_part(mp))
-        out_blocks.append(WeightBlock(space=b, per_generator=per_gen, restriction=restriction))
-    return WeightDecomposition(action=action, blocks=tuple(out_blocks))
+    out_blocks = tuple(WeightBlock(space=b, restriction=restrict_action(action, list(b.basis))) for b in blocks)
+    return WeightDecomposition(action=action, blocks=out_blocks)
 
 
 @dataclass(frozen=True)
@@ -221,18 +117,15 @@ class WeightsVerdict:
     status: str
     block_reports: tuple[dict, ...]
 
-    def to_json(self) -> dict:
-        return {"status": self.status, "blocks": list(self.block_reports)}
-
 
 def _block_is_stuck(block: WeightBlock, mode: str) -> bool:
-    """Exact certificate that every weight on the block stays bounded."""
+    """Exact certificate that every weight on the block stays bounded: every
+    eigenvalue of every generator lies in the closed unit disk (semigroup
+    mode) or on the unit circle (group mode)."""
+    profiles = (unit_disk_profile(char_poly(g)) for g in block.restriction.mats)
     if mode == SEMIGROUP:
-        # all eigenvalues of every generator inside or on the unit circle
-        return all(
-            unit_disk_profile(d.eigen_poly).outside == 0 for d in block.per_generator.values()
-        )
-    return all(d.modulus_is_one == "yes" for d in block.per_generator.values())
+        return all(p.outside == 0 for p in profiles)
+    return all(p.on_circle == p.degree for p in profiles)
 
 
 def expansive_by_weights(decomp: WeightDecomposition, mode: str) -> WeightsVerdict:
@@ -263,7 +156,9 @@ def expansive_by_weights(decomp: WeightDecomposition, mode: str) -> WeightsVerdi
 
 
 def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optional[dict]:
-    """Constructive search for a single expansive element of a commuting group.
+    """Constructive search for a single expansive element of a commuting group:
+    ``{"word", "matrix", "profile"}``, the word's matrix and its ``DiskProfile``,
+    or None.
 
     Greedy repair: start from the generator clearing the most blocks off
     the unit circle; while some block still touches the circle, append a
@@ -312,6 +207,7 @@ def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optio
             m *= 2
 
     matrix = action.word_matrix(best)
-    if not single_expansive(matrix, GROUP).expansive:
+    single = single_expansive(matrix, GROUP)
+    if not single.expansive:
         raise SelfCheckError(f"the word {best} must be expansive on the whole space")
-    return {"word": list(best), "matrix": matrix}
+    return {"word": list(best), "matrix": matrix, "profile": single.profile}

@@ -20,8 +20,9 @@ from expansive.cli import (
     parse_dual_module,
     verify_report,
 )
-from expansive.exact import ParseError
+from expansive.exact import ParseError, QMatrix, char_poly
 from expansive.solenoid import RhoBasisChain
+from expansive.spectral import unit_disk_profile
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(expansive.__file__).resolve().parent.parent
@@ -390,6 +391,88 @@ def test_verify_rejects_a_certificate_of_the_other_status(capsys, tmp_path, fixt
     path.write_text(json.dumps(rep))
     code, out = run(capsys, "verify", path, FIXTURES / f"{fixture}.json")
     assert (code, out["verified"]) == (1, False)
+
+
+# the fixtures whose one-word reports exit 0 or 2, rather than refuse the case
+ONE_WORD_FIXTURES = {
+    "analyze-matrix": ["cat_map", "doubling", "dyadic_solenoid", "rotation"],
+    "find-expansive": ["cat_map", "dyadic_solenoid", "rotation", "sixth_solenoid"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, fixture", [(c, f) for c, fixtures in ONE_WORD_FIXTURES.items() for f in fixtures]
+)
+def test_honest_one_word_reports_verify(capsys, tmp_path, command, fixture):
+    case = FIXTURES / f"{fixture}.json"
+    code, rep, path = report_for(capsys, tmp_path, command, case)
+    assert code in (0, 2)
+    if command == "find-expansive" and rep["found"]:
+        matrix = QMatrix.from_json(rep["matrix"])
+        assert rep["certificate"]["profile"] == unit_disk_profile(char_poly(matrix)).to_json()
+    code, out = run(capsys, "verify", path, case)
+    assert (code, out["verified"]) == (0, True)
+
+
+def test_verify_rejects_a_find_expansive_report_of_a_non_commuting_action(capsys, tmp_path):
+    # cat and a shear do not commute, so find-expansive refuses the case
+    case = write_case(tmp_path, "pair.json", {"n": 2, "generators": {"a": [[2, 1], [1, 1]], "b": [[1, 1], [0, 1]]}})
+    assert main(["find-expansive", str(case)]) == 1
+    # an honest engine report, relabelled find-expansive
+    code, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", case)
+    assert code == 0 and rep["certificate"]["word"] == ["a"]
+    assert verify_report(rep, json.loads(case.read_text())) is True
+    rep.update(command="find-expansive", found=True, word=["a"], matrix=[["2", "1"], ["1", "1"]])
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, case)
+    assert (code, out["verified"]) == (1, False)
+
+
+def _two_generator_matrix_report(rep):
+    # an honest find-expansive report of two generators, relabelled a one-generator command
+    rep.update(command="analyze-matrix", expansive=True, profile=rep["certificate"]["profile"])
+
+
+@pytest.mark.parametrize(
+    "command, fixture, forge",
+    [
+        ("find-expansive", "cat_map", lambda rep: rep.update(matrix=[[9, 9], [9, 9]])),
+        ("find-expansive", "cat_map", lambda rep: rep.update(word=["cat", "cat", "nope"])),
+        ("find-expansive", "cat_map", lambda rep: rep.update(word=["cat", "cat"], matrix=[[5, 3], [3, 2]])),
+        ("find-expansive", "cat_map", lambda rep: rep.update(found=False)),
+        ("find-expansive", "cat_map", lambda rep: rep.pop("matrix")),
+        ("find-expansive", "dyadic_solenoid", lambda rep: rep["options"].update(mode="semigroup")),
+        ("analyze-matrix", "doubling", lambda rep: rep.update(expansive=False)),
+        ("analyze-matrix", "rotation", lambda rep: rep.update(expansive=True)),
+        ("analyze-matrix", "doubling", lambda rep: rep["profile"].update(outside=0, inside=1)),
+        ("analyze-matrix", "doubling", lambda rep: rep.pop("profile")),
+        ("find-expansive", "sixth_solenoid", _two_generator_matrix_report),
+    ],
+    ids=["fe-matrix", "fe-word", "fe-word-and-matrix", "fe-not-found", "fe-no-matrix", "fe-semigroup-mode",
+         "am-expansive-false", "am-rotation-expansive", "am-profile", "am-no-profile", "am-two-generators"],
+)
+def test_verify_rejects_forged_top_level_fields(capsys, tmp_path, command, fixture, forge):
+    case = FIXTURES / f"{fixture}.json"
+    code, rep, path = report_for(capsys, tmp_path, command, case)
+    assert code == 0 and verify_report(rep, json.loads(case.read_text())) is True
+    forge(rep)
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, case)
+    assert (code, out["verified"]) == (1, False)
+
+
+@pytest.mark.parametrize("command", ["solenoid-chain", "solenoid-lift"])
+def test_verify_of_a_report_without_a_chain_is_a_parse_error(capsys, tmp_path, command):
+    case = FIXTURES / "dyadic_solenoid.json"
+    window = ["--window", FIXTURES / "dyadic_window.json"] if command == "solenoid-lift" else []
+    _, rep, path = report_for(capsys, tmp_path, command, case, *window)
+    del rep["chain"]
+    path.write_text(json.dumps(rep))
+    code = main(["verify", str(path), str(case)])
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert (code, error["type"]) == (1, "ParseError") and "'chain'" in error["message"]
+    assert "Traceback" not in err
 
 
 def test_unknown_report_carries_no_certificate_and_verifies(capsys, tmp_path):

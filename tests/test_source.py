@@ -155,3 +155,18 @@ def test_each_module_imports_at_top_level_only_what_every_caller_needs():
         assert relative_imports(path, top_level_only=True) <= top_level, name
         assert relative_imports(path, top_level_only=False) <= top_level | inside, name
     assert all(callable(getattr(cli, name, None)) for name in CLI_SPANNED)
+
+
+def test_weights_asks_spectral_only_for_disk_profiles():
+    # a block is stuck by the disk profiles of its generators, so the weights
+    # layer computes no minimal polynomial and counts no circle roots itself
+    tree = ast.parse((SRC / "weights.py").read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not {name for _, name in imported} & {"circle_root_count", "minimal_poly"}
+    from_spectral = {name for module, name in imported if module == "spectral"}
+    assert from_spectral - {"GROUP", "SEMIGROUP", "check_mode"} == {"unit_disk_profile", "single_expansive"}

@@ -1,8 +1,7 @@
 """Weight decomposition and commuting-family expansiveness tests."""
 
-import json
+import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +9,18 @@ from hypothesis import strategies as st
 
 from expansive import weights
 from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
-from expansive.cli import parse_action
-from expansive.exact import QMatrix, SelfCheckError, Subspace, char_poly, intersect
+from expansive.exact import (
+    QMatrix,
+    SelfCheckError,
+    Subspace,
+    char_poly,
+    intersect,
+    minimal_poly,
+    root_multiplicity,
+    squarefree_part,
+)
 from expansive.orbits import expansiveness_check
-from expansive.spectral import GROUP, SEMIGROUP, single_expansive
+from expansive.spectral import GROUP, SEMIGROUP, circle_root_count, single_expansive, unit_disk_profile
 from expansive.weights import (
     NotCommutingError,
     NotGroupModeError,
@@ -38,54 +45,39 @@ def act(gens, mode, names=None):
 
 CAT = [[2, 1], [1, 1]]
 ROTATION = [[0, -1], [1, 0]]
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def block_pair(a, b):
-    """The commuting generators diag(A, I) and diag(I, B)."""
-    ka, kb = len(a), len(b)
-    n = ka + kb
-    first = [[a[i][j] if i < ka and j < ka else int(i == j) for j in range(n)] for i in range(n)]
-    second = [[b[i - ka][j - ka] if i >= ka and j >= ka else int(i == j) for j in range(n)] for i in range(n)]
-    return first, second
 
 
 class TestDecomposition:
     def test_diagonal_splits_into_lines(self):
         d = weight_decomposition(act([[[2, 0], [0, 3]]], SEMIGROUP))
         assert [b.dim for b in d.blocks] == [1, 1]
-        intervals = sorted(b.per_generator["g1"].modulus_interval for b in d.blocks)
-        assert intervals == [(F(2), F(2)), (F(3), F(3))]
-        for b in d.blocks:
-            assert b.per_generator["g1"].modulus_is_one == "no"
+        assert sorted(b.restriction.mats[0][0, 0] for b in d.blocks) == [F(2), F(3)]
+        for mode in (GROUP, SEMIGROUP):
+            assert not any(weights._block_is_stuck(b, mode) for b in d.blocks)
 
-    def test_irrational_modulus_bracketed(self):
+    def test_irrational_eigenvalues_share_one_block(self):
         d = weight_decomposition(act([[[0, -2], [1, 0]]], SEMIGROUP))
         assert len(d.blocks) == 1 and d.blocks[0].dim == 2
-        data = d.blocks[0].per_generator["g1"]
-        assert data.minimal_poly.coeffs == (F(2), F(0), F(1))
-        lo, hi = data.modulus_interval
-        assert lo * lo <= 2 <= hi * hi
-        assert hi - lo < Fraction(1, 4)
-        assert data.modulus_is_one == "no"
+        # z^2 + 2: both eigenvalues have modulus sqrt(2), off the circle
+        assert char_poly(d.blocks[0].restriction.mats[0]).coeffs == (F(2), F(0), F(1))
+        for mode in (GROUP, SEMIGROUP):
+            assert not weights._block_is_stuck(d.blocks[0], mode)
 
-    def test_squared_generator_squares_the_interval(self):
+    def test_squared_generator_shares_the_block(self):
         a = M(CAT)
         d = weight_decomposition(
             SemigroupAction.from_generators([("a", a), ("b", a @ a)], SEMIGROUP)
         )
-        assert len(d.blocks) == 1
-        lo_a, hi_a = d.blocks[0].per_generator["a"].modulus_interval
-        lo_b, hi_b = d.blocks[0].per_generator["b"].modulus_interval
-        assert abs(lo_b - lo_a * lo_a) < Fraction(1, 1000)
-        assert abs(hi_b - hi_a * hi_a) < Fraction(1, 1000)
+        assert len(d.blocks) == 1 and d.blocks[0].dim == 2
+        ra, rb = d.blocks[0].restriction.mats
+        assert rb == ra @ ra
 
     def test_rotation_block_sits_on_circle(self):
         d = weight_decomposition(act([ROTATION], GROUP))
         assert len(d.blocks) == 1 and d.blocks[0].dim == 2
-        data = d.blocks[0].per_generator["g1"]
-        assert data.modulus_interval == (F(1), F(1))
-        assert data.modulus_is_one == "yes"
+        for mode in (GROUP, SEMIGROUP):
+            assert weights._block_is_stuck(d.blocks[0], mode)
+            assert expansive_by_weights(d, mode).status == NOT_EXPANSIVE
 
     def test_mixed_moduli_inside_one_block(self):
         # companion of z^4 - 3z^3 + 3z^2 - 3z + 1: irreducible, one root
@@ -93,10 +85,8 @@ class TestDecomposition:
         companion = [[0, 0, 0, -1], [1, 0, 0, 3], [0, 1, 0, -3], [0, 0, 1, 3]]
         d = weight_decomposition(act([companion], SEMIGROUP))
         assert len(d.blocks) == 1 and d.blocks[0].dim == 4
-        data = d.blocks[0].per_generator["g1"]
-        assert data.modulus_is_one == "mixed"
-        lo, hi = data.modulus_interval
-        assert lo < 1 < hi
+        for mode in (GROUP, SEMIGROUP):
+            assert not weights._block_is_stuck(d.blocks[0], mode)
         v = expansive_by_weights(d, SEMIGROUP)
         assert v.status == UNKNOWN
 
@@ -117,14 +107,6 @@ class TestDecomposition:
         weights._check_direct_sum(blocks, 3)
         with pytest.raises(SelfCheckError):
             weights._check_direct_sum(blocks[:1], 3)
-
-    def test_json_round_trip_shape(self):
-        d = weight_decomposition(act([[[2, 0], [0, 3]]], SEMIGROUP))
-        blob = d.to_json()
-        assert len(blob["blocks"]) == 2
-        entry = blob["blocks"][0]["per_generator"]["g1"]
-        assert set(entry) == {"minimal_poly", "modulus_interval", "modulus_is_one"}
-        assert all(isinstance(s, str) for s in entry["modulus_interval"])
 
 
 class TestVerdicts:
@@ -167,12 +149,14 @@ class TestFindExpansiveElement:
         assert res is not None
         assert res["word"] == ["g1", "g2"]
         assert res["matrix"] == M([[2, 0], [0, 2]])
+        assert res["profile"] == unit_disk_profile(char_poly(res["matrix"]))
 
     def test_hyperbolic_generator_is_its_own_witness(self):
         res = find_expansive_element(act([CAT], GROUP, names=["a"]))
         assert res is not None
         assert res["word"] == ["a"]
         assert res["matrix"] == M(CAT)
+        assert res["profile"].to_json() == {"at_zero": 0, "inside": 1, "on_circle": 0, "outside": 1}
 
     def test_identity_has_no_witness(self):
         assert find_expansive_element(act([[[1, 0], [0, 1]]], GROUP)) is None
@@ -188,23 +172,6 @@ class TestFindExpansiveElement:
         a = act([[[2, 0], [0, 1]], [[1, 0], [0, 2]]], GROUP)
         assert find_expansive_element(a, word_cap=1) is None
 
-    def test_decision_path_computes_no_modulus_bracket(self, monkeypatch):
-        cat_map = parse_action(json.loads((FIXTURES / "cat_map.json").read_text()))
-        actions = [cat_map] + [
-            act(list(block_pair(a, b)), GROUP) for a, b in ((CAT, [[0, -2], [1, 0]]), ([[0, -2], [1, 0]], [[3]]))
-        ]
-        expected = [find_expansive_element(a) for a in actions]
-
-        def refuse(*_args):
-            raise AssertionError("the decision read a modulus bracket")
-
-        monkeypatch.setattr(weights, "_modulus_interval", refuse)
-        monkeypatch.setattr(weights, "_modulus_flag", refuse)
-        found = [find_expansive_element(a) for a in actions]
-        assert all(res is not None for res in found)
-        assert [res["word"] for res in found] == [res["word"] for res in expected]
-        assert [res["matrix"] for res in found] == [res["matrix"] for res in expected]
-
     def test_found_word_always_verifies(self):
         for gens in ([CAT], [[[2, 0], [0, 1]], [[1, 0], [0, 2]]], [[[0, -2], [1, 0]]]):
             a = act(gens, GROUP)
@@ -212,6 +179,43 @@ class TestFindExpansiveElement:
             if res is not None:
                 assert len(res["word"]) <= 64
                 assert single_expansive(a.word_matrix(tuple(res["word"])), GROUP).expansive
+
+
+def reference_stuck(block, mode):
+    """The stuck test by each generator's eigenvalue polynomial, the squarefree
+    part of its minimal polynomial: in semigroup mode no root outside the
+    unit disk; in group mode no root at zero and every other root on the
+    unit circle."""
+    for g in block.restriction.mats:
+        eigen = squarefree_part(minimal_poly(g))
+        if mode == SEMIGROUP:
+            if unit_disk_profile(eigen).outside:
+                return False
+            continue
+        zeros, stripped = root_multiplicity(eigen, F(0))
+        if zeros or stripped.degree == 0 or circle_root_count(stripped) != stripped.degree:
+            return False
+    return True
+
+
+def test_stuck_blocks_match_the_eigenvalue_polynomial_test():
+    # the pairs t, t^2 + ct (+ I) commute; entries in [-2, 2], n <= 3
+    rng = random.Random(22)
+    outcomes, blocks = set(), 0
+    while blocks < 1000:
+        n = rng.randint(1, 3)
+        t = M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        second = t @ t + t.scale(F(rng.randint(-2, 2)))
+        if rng.random() < 0.5:
+            second = second + QMatrix.identity(n)
+        d = weight_decomposition(SemigroupAction.from_generators([("t", t), ("p", second)], SEMIGROUP))
+        for block in d.blocks:
+            blocks += 1
+            for mode in (GROUP, SEMIGROUP):
+                stuck = weights._block_is_stuck(block, mode)
+                assert stuck == reference_stuck(block, mode), (t, second, mode)
+                outcomes.add((mode, stuck))
+    assert outcomes == {(m, s) for m in (GROUP, SEMIGROUP) for s in (True, False)}
 
 
 int_entries = st.integers(min_value=-2, max_value=2)
