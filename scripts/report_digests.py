@@ -13,8 +13,8 @@ decisive report is also passed to ``verify``, on a line whose id ends in
 - every fixture that holds a case, under ``analyze-semigroup``,
   ``torus-check`` and ``solenoid-check`` in group and in semigroup mode;
 - the commands of the README;
-- the ``find_expansive`` cases of ``torus_solenoid`` seeds 2 and 3, and the
-  ``find-expansive`` pairs of ``cli_fixtures``.
+- the ``find_expansive`` cases of ``torus_solenoid`` seeds 2 and 3;
+- every subcommand and fixture pair of the ``cli_fixtures`` workload.
 
 Usage: python3 scripts/report_digests.py > digests.txt
 Run it in two checkouts and compare the outputs with diff.
@@ -47,6 +47,11 @@ README = (
     ["solenoid-lift", "fixtures/dyadic_solenoid.json", "--window", "fixtures/dyadic_window.json", "--radius", "3/10"],
     ["solenoid-check", "fixtures/sixth_solenoid.json"],
 )
+
+
+def in_checkout(argv) -> list:
+    """The arguments with each ``fixtures/`` path made absolute."""
+    return [ROOT / a if isinstance(a, str) and a.startswith("fixtures/") else a for a in argv]
 
 
 class Digests:
@@ -102,14 +107,13 @@ def main_digests() -> int:
                 for mode in ("group", "semigroup"):
                     d.run(f"fixture:{path.stem}:{command}:{mode}", [command, path, "--mode", mode])
         for k, argv in enumerate(README):
-            d.run(f"readme:{k}:{argv[0]}", [ROOT / a if a.startswith("fixtures/") else a for a in argv])
+            d.run(f"readme:{k}:{argv[0]}", in_checkout(argv))
         for seed in (2, 3):
             for op in cases.torus_solenoid_cases(seed):
                 if op["kind"] == "find_expansive":
                     d.workload_case(f"torus_solenoid:{seed}:{op['id']}", op)
-        for sub, fixture, args in cases.CLI_PAIRS:
-            if sub == "find-expansive":
-                d.run(f"cli_fixtures:{fixture}:{sub}", [sub, FIXTURES / f"{fixture}.json", *args])
+        for k, (sub, fixture, args) in enumerate(cases.CLI_PAIRS):
+            d.run(f"cli_fixtures:{k}:{fixture}:{sub}", [sub, FIXTURES / f"{fixture}.json", *in_checkout(args)])
     return 0
 
 

@@ -12,8 +12,9 @@ import argparse
 import random
 from fractions import Fraction
 
-from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
+from expansive.actions import SemigroupAction
 from expansive.exact import QMatrix
+from expansive.spectral import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN
 from expansive.torus import rational_orbit_oracle, torus_expansive
 
 

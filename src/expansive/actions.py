@@ -9,16 +9,11 @@ and in the certificate checker alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exact import NotInvertibleError, QMatrix, Subspace, is_positive_semidefinite, rref, solve_exact
+from .exact import Frozen, NotInvertibleError, QMatrix, Subspace, _set, is_positive_semidefinite, rref, solve_exact
 from .spectral import GROUP, SEMIGROUP, check_mode
-
-EXPANSIVE = "Expansive"
-NOT_EXPANSIVE = "NotExpansive"
-UNKNOWN = "Unknown"
 
 INVERSE_SUFFIX = "^-1"
 
@@ -27,18 +22,20 @@ class NotInvertibleGeneratorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SemigroupAction:
+class SemigroupAction(Frozen):
     """A finite list of named square rational matrices plus the action mode.
 
     In group mode the generator list already contains the exact inverses,
     named with an ``^-1`` suffix; use ``from_generators`` to build one.
     """
 
-    dim: int
-    names: tuple[str, ...]
-    mats: tuple[QMatrix, ...]
-    mode: str
+    __slots__ = ("dim", "names", "mats", "mode")
+
+    def __init__(self, dim: int, names: tuple[str, ...], mats: tuple[QMatrix, ...], mode: str) -> None:
+        _set(self, "dim", dim)
+        _set(self, "names", names)
+        _set(self, "mats", mats)
+        _set(self, "mode", mode)
 
     @staticmethod
     def from_generators(named: Iterable[tuple[str, QMatrix]], mode: str) -> "SemigroupAction":
@@ -68,6 +65,10 @@ class SemigroupAction:
                 if inv not in mats:
                     names.append(name + INVERSE_SUFFIX)
                     mats.append(inv)
+        # a word names its letters, so one name must never stand for two matrices
+        clash = sorted({name for name in names if names.count(name) > 1})
+        if clash:
+            raise ValueError(f"generator names must differ; {', '.join(map(repr, clash))} names more than one matrix")
         return SemigroupAction(dim, tuple(names), tuple(mats), mode)
 
     def matrix_for(self, name: str) -> QMatrix:

@@ -14,14 +14,11 @@ module, and the solenoid module loads only inside the checks that read it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 from .actions import (
-    EXPANSIVE,
-    NOT_EXPANSIVE,
     SemigroupAction,
     adapted_blocks,
     generated_by,
@@ -40,7 +37,7 @@ from .exact import (
     is_positive_definite,
     to_fraction,
 )
-from .spectral import GROUP, has_unbounded_powers, unit_disk_profile
+from .spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, has_unbounded_powers, unit_disk_profile
 
 if TYPE_CHECKING:
     from .solenoid import DualModuleAction, RhoBasisChain
@@ -88,7 +85,7 @@ def _proved_subspace(cert: dict, action: SemigroupAction) -> tuple[int, list]:
     basis, the space is invariant and the restriction is proved expansive."""
     rows = _rows(cert["space"])
     _, blocks = adapted_blocks(action, rows, _rows(cert["complement"]))
-    restriction = replace(action, dim=len(rows), mats=tuple(a for a, _, _ in blocks))
+    restriction = SemigroupAction(len(rows), action.names, tuple(a for a, _, _ in blocks), action.mode)
     if not check_certificate(cert["restriction"], restriction, EXPANSIVE):
         raise ValueError("the restriction is not proved expansive")
     return len(rows), blocks
@@ -97,7 +94,7 @@ def _proved_subspace(cert: dict, action: SemigroupAction) -> tuple[int, list]:
 def _split(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
     """Expansive on an invariant subspace and on the quotient by it."""
     k, blocks = _proved_subspace(cert, action)
-    quotient = replace(action, dim=action.dim - k, mats=tuple(d for _, _, d in blocks))
+    quotient = SemigroupAction(action.dim - k, action.names, tuple(d for _, _, d in blocks), action.mode)
     return check_certificate(cert["quotient"], quotient, EXPANSIVE)
 
 

@@ -6,10 +6,12 @@ ints or strings like ``"3/7"``.  Every subcommand emits a report whose
 exact certificates the ``verify`` subcommand re-checks against the case
 file with ``expansive.certificates``.
 
-The search engine (``orbits``) and the torus, solenoid and weights layers
-are imported inside the handlers that run them: beyond this module,
-``certificates``, ``actions``, ``exact`` and ``spectral``, a process loads
-only the layers its subcommand runs, so ``verify`` never loads the engine.
+Beyond this module, ``exact`` and ``spectral``, every layer is imported
+inside the handlers that run it: ``actions`` where a case is parsed into an
+action, the checker ``certificates`` in ``verify``, and the search engine
+(``orbits``) and the torus, solenoid and weights layers in their
+subcommands.  So ``analyze-matrix`` loads nothing more, and ``verify`` never
+loads the engine.
 
 Exit codes: 0 decisive, 1 malformed input or failed verification,
 2 inconclusive (Unknown verdicts, exhausted enumeration caps).
@@ -27,12 +29,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .actions import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction
-from .certificates import check_certificate, check_chain, check_claims, check_lifts
 from .exact import CapExceededError, ParseError, QMatrix, to_fraction
-from .spectral import GROUP, SEMIGROUP, check_mode, single_expansive
+from .spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN, check_mode, single_expansive
 
 if TYPE_CHECKING:
+    from .actions import SemigroupAction
     from .solenoid import DualModuleAction, SolenoidWindow
 
 TOOL_NAME = "expansive"
@@ -103,6 +104,8 @@ def case_mode(case: dict, override: Optional[str]) -> str:
 
 
 def parse_action(case: dict, override: Optional[str] = None) -> SemigroupAction:
+    from .actions import SemigroupAction
+
     return SemigroupAction.from_generators(named_generators(case), case_mode(case, override))
 
 
@@ -214,7 +217,7 @@ def cmd_find_expansive(args) -> tuple[dict, int]:
     found = find_expansive_element(action, word_cap=args.depth)
     options = {"mode": action.mode, "depth": args.depth}
     if found is None:
-        rep = _report("find-expansive", case, options, status="Unknown", found=False)
+        rep = _report("find-expansive", case, options, status=UNKNOWN, found=False)
         return rep, 2
     word, m, profile = found["word"], found["matrix"], found["profile"].to_json()
     rep = _report(
@@ -367,7 +370,17 @@ def cmd_solenoid_check(args) -> tuple[dict, int]:
 # ------------------------------------------------------------ the verifier
 
 
+def check_certificate(cert, action: SemigroupAction, status: str, witness) -> bool:
+    """``certificates.check_certificate``, a function of this module so that
+    a trace of ``verify`` (perfbench/spans.py) sees each certificate check."""
+    from .certificates import check_certificate
+
+    return check_certificate(cert, action, status, witness)
+
+
 def verify_report(rep: dict, case: dict) -> bool:
+    from .certificates import check_chain, check_claims, check_lifts
+
     tool, options = object_field(rep, "tool"), object_field(rep, "options")
     version = tool.get("version")
     if version != __version__:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -72,9 +71,44 @@ def format_fraction(x: Fraction) -> str:
     return str(x)
 
 
-# === matrices ===
+# === immutable values ===
 
 _set = object.__setattr__
+
+
+class Frozen:
+    """Base of the library's immutable values: the fields are the
+    ``__slots__``, which ``__init__`` sets once through ``_set``.  Equal
+    fields compare and hash equal; ``repr``, copies and pickles read the
+    fields in order."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+
+# === matrices ===
 
 
 def _int_matmul(a: Sequence[int], b: Sequence[int], n: int, k: int, m: int) -> list[int]:
@@ -84,7 +118,7 @@ def _int_matmul(a: Sequence[int], b: Sequence[int], n: int, k: int, m: int) -> l
     return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
-class QMatrix:
+class QMatrix(Frozen):
     """Immutable rational matrix, row-major.
 
     Stored as integer numerators ``num`` over one positive common
@@ -151,12 +185,6 @@ class QMatrix:
             ents = tuple(map(Fraction, self._num)) if den == 1 else tuple(Fraction(x, den) for x in self._num)
             _set(self, "_entries", ents)
         return ents
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("QMatrix is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("QMatrix is immutable")
 
     def __reduce__(self):
         return QMatrix, (self.rows, self.cols, self.entries)
@@ -434,8 +462,7 @@ class IntEchelon:
         return True
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Subspace of Q^n given by an independent basis of column vectors.
 
     The basis is canonicalized (reduced column echelon form), so two
@@ -443,8 +470,19 @@ class Subspace:
     An empty basis is the zero subspace.
     """
 
-    ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: tuple[tuple[Fraction, ...], ...]) -> None:
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "basis", basis)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Subspace:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
 
     @staticmethod
     def from_vectors(ambient_dim: int, vecs: Iterable[Sequence[RationalLike]]) -> "Subspace":
@@ -564,15 +602,25 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 # === polynomials ===
 
 
-@dataclass(frozen=True)
-class QPoly:
+class QPoly(Frozen):
     """Rational polynomial; coeffs[i] is the coefficient of z^i.
 
     Trailing zero coefficients are stripped; the zero polynomial has an
     empty coefficient tuple.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not QPoly:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[RationalLike]) -> "QPoly":

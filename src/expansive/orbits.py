@@ -10,9 +10,10 @@ orbit, so the engine hunts for one of two kinds of exact evidence:
 * a nonzero invariant subspace carrying an exactly verified invariant
   norm, which bounds every orbit inside it (NotExpansive witness).
 
-The action type, the status names and the exact facts the certificate
-checker shares (restrictions, adapted blocks, nonincreasing forms) live in
-``expansive.actions``; this module is the search alone.
+The action type and the exact facts the certificate checker shares
+(restrictions, adapted blocks, nonincreasing forms) live in
+``expansive.actions``, and the verdict names in ``expansive.spectral``; this
+module is the search alone.
 
 The stages run in the order of what they can prove.  One breadth-first walk
 of distinct words feeds the word search (stage 1, Expansive only).  Its first
@@ -46,16 +47,12 @@ float evidence that no verdict uses, so the engine never calls it; the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .actions import (
-    EXPANSIVE,
-    NOT_EXPANSIVE,
-    UNKNOWN,
     SemigroupAction,
     _complete_basis,
     adapted_blocks,
@@ -67,6 +64,7 @@ from .actions import (
 )
 from .exact import (
     DimensionMismatchError,
+    Frozen,
     IntEchelon,
     QMatrix,
     QPoly,
@@ -78,8 +76,17 @@ from .exact import (
     primitive_integer,
     rational_roots,
     solve_exact,
+    _set,
 )
-from .spectral import SEMIGROUP, DiskProfile, single_expansive, unit_disk_profile
+from .spectral import (
+    EXPANSIVE,
+    NOT_EXPANSIVE,
+    SEMIGROUP,
+    UNKNOWN,
+    DiskProfile,
+    single_expansive,
+    unit_disk_profile,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,13 +103,22 @@ MAX_SUBSPACES = 8  # invariant subspaces the split tries
 METRIC_TRIES = 6  # extra combinations tried for an invariant metric
 
 
-@dataclass
-class ExpansivenessVerdict:
-    status: str
-    witness: Optional[tuple[Fraction, ...]]
-    certificate: Optional[dict]
-    evidence: dict
-    search_depth: int
+class ExpansivenessVerdict(Frozen):
+    __slots__ = ("status", "witness", "certificate", "evidence", "search_depth")
+
+    def __init__(
+        self,
+        status: str,
+        witness: Optional[tuple[Fraction, ...]],
+        certificate: Optional[dict],
+        evidence: dict,
+        search_depth: int,
+    ) -> None:
+        _set(self, "status", status)
+        _set(self, "witness", witness)
+        _set(self, "certificate", certificate)
+        _set(self, "evidence", evidence)
+        _set(self, "search_depth", search_depth)
 
 
 # ------------------------------------------------------------ word search
@@ -526,7 +542,7 @@ def expansiveness_check(action: SemigroupAction, depth: int = 10) -> Expansivene
             evidence["norm_bound"] = _norm_bound_from_cert(res.certificate, res.witness)
         else:
             evidence["norm_bound"] = math.sqrt(sum(float(x) ** 2 for x in res.witness))
-    return replace(res, evidence=evidence)
+    return ExpansivenessVerdict(res.status, res.witness, res.certificate, evidence, res.search_depth)
 
 
 def _analyze(action: SemigroupAction, depth: int, memo: dict) -> ExpansivenessVerdict:
@@ -678,7 +694,8 @@ def _split_analysis(
 ) -> Optional[ExpansivenessVerdict]:
     comp = _complete_basis(space)
     p, blocks = adapted_blocks(action, list(space.basis), comp)
-    res = _analyze(replace(action, dim=space.dim, mats=tuple(a for a, _, _ in blocks)), depth, memo)
+    restriction = SemigroupAction(space.dim, action.names, tuple(a for a, _, _ in blocks), action.mode)
+    res = _analyze(restriction, depth, memo)
 
     if res.status == NOT_EXPANSIVE:
         return _lift_restriction_obstruction(action, space, res, depth)
@@ -686,7 +703,7 @@ def _split_analysis(
     if res.status != EXPANSIVE:
         return None
 
-    quo = replace(action, dim=action.dim - space.dim, mats=tuple(d for _, _, d in blocks))
+    quo = SemigroupAction(action.dim - space.dim, action.names, tuple(d for _, _, d in blocks), action.mode)
     qres = _analyze(quo, depth, memo)
 
     if qres.status == EXPANSIVE:

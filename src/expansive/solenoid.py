@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -24,6 +23,7 @@ from .actions import SemigroupAction, restrict_action
 from .exact import (
     CapExceededError,
     DimensionMismatchError,
+    Frozen,
     ParseError,
     QMatrix,
     RationalLike,
@@ -31,6 +31,7 @@ from .exact import (
     coordinates_in_span,
     rref,
     to_fraction,
+    _set,
 )
 
 if TYPE_CHECKING:
@@ -76,12 +77,14 @@ def character(coords: Sequence[RationalLike]) -> Character:
 # ------------------------------------------------------------ ball arithmetic
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Frozen):
     """Exact rational midpoint with exact nonnegative error radius."""
 
-    mid: Fraction
-    rad: Fraction
+    __slots__ = ("mid", "rad")
+
+    def __init__(self, mid: Fraction, rad: Fraction) -> None:
+        _set(self, "mid", mid)
+        _set(self, "rad", rad)
 
     @staticmethod
     def exact(x: RationalLike) -> "Ball":
@@ -160,13 +163,15 @@ def circle_gap(angle: Ball) -> Ball:
 # ------------------------------------------------------------ dual module
 
 
-@dataclass(frozen=True)
-class DualModuleAction:
+class DualModuleAction(Frozen):
     """Invariant subgroup of Q^n given by module generators and matrices."""
 
-    n: int
-    module_generators: tuple[Character, ...]
-    action: SemigroupAction
+    __slots__ = ("n", "module_generators", "action")
+
+    def __init__(self, n: int, module_generators: tuple[Character, ...], action: SemigroupAction) -> None:
+        _set(self, "n", n)
+        _set(self, "module_generators", module_generators)
+        _set(self, "action", action)
 
     @staticmethod
     def from_generators(
@@ -213,14 +218,16 @@ def enumerate_basis(dm: DualModuleAction, depth: int) -> tuple[tuple[Character, 
 # ------------------------------------------------------------ regular chains
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Frozen):
     """Integer dependency n0 * target = sum(coef * char) over the previous level."""
 
-    target: Character
-    n0: int
-    terms: tuple[tuple[int, Character], ...]
-    level: int  # index of the level that introduced the target (0-based)
+    __slots__ = ("target", "n0", "terms", "level")
+
+    def __init__(self, target: Character, n0: int, terms: tuple[tuple[int, Character], ...], level: int) -> None:
+        _set(self, "target", target)
+        _set(self, "n0", n0)
+        _set(self, "terms", terms)
+        _set(self, "level", level)  # index of the level that introduced the target (0-based)
 
     @property
     def cost(self) -> int:
@@ -243,11 +250,13 @@ class Relation:
         }
 
 
-@dataclass(frozen=True)
-class RhoBasisChain:
-    levels: tuple[tuple[Character, ...], ...]
-    k: int
-    relations: tuple[Relation, ...]
+class RhoBasisChain(Frozen):
+    __slots__ = ("levels", "k", "relations")
+
+    def __init__(self, levels: tuple[tuple[Character, ...], ...], k: int, relations: tuple[Relation, ...]) -> None:
+        _set(self, "levels", levels)
+        _set(self, "k", k)
+        _set(self, "relations", relations)
 
     def verify(self) -> bool:
         for i in range(1, len(self.levels)):
@@ -393,11 +402,13 @@ def regular_chain(levels: Sequence[Sequence[Character]], k_max: int = 64) -> Rho
 # ------------------------------------------------------------ windows and metrics
 
 
-@dataclass(frozen=True)
-class HomVector:
+class HomVector(Frozen):
     """Real-valued functional on Q^n, coordinates carried as balls."""
 
-    coords: tuple[Ball, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Ball, ...]) -> None:
+        _set(self, "coords", coords)
 
     @staticmethod
     def from_rationals(values: Sequence[RationalLike], precision: int = PRECISION_EXP) -> "HomVector":
@@ -434,11 +445,13 @@ class HomVector:
         return HomVector(tuple(out))
 
 
-@dataclass(frozen=True)
-class SolenoidWindow:
+class SolenoidWindow(Frozen):
     """A group element seen through finitely many characters, as angles."""
 
-    values: tuple[tuple[Character, Ball], ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[tuple[Character, Ball], ...]) -> None:
+        _set(self, "values", values)
 
     def angle(self, chi: Character) -> Ball:
         for c, b in self.values:
@@ -482,12 +495,14 @@ def d_star_A(p: HomVector, q: HomVector, chars: Sequence[Character]) -> Ball:
 # ------------------------------------------------------------ lifting
 
 
-@dataclass(frozen=True)
-class ChainLift:
+class ChainLift(Frozen):
     """Functional values on every chain character, with error radii."""
 
-    values: tuple[tuple[Character, Ball], ...]
-    bound: Fraction
+    __slots__ = ("values", "bound")
+
+    def __init__(self, values: tuple[tuple[Character, Ball], ...], bound: Fraction) -> None:
+        _set(self, "values", values)
+        _set(self, "bound", bound)
 
     def value(self, chi: Character) -> Ball:
         for c, b in self.values:
@@ -632,9 +647,9 @@ def solenoid_expansive(dm: DualModuleAction, depth: int = 10) -> ExpansivenessVe
     every nonzero functional has an unbounded adjoint orbit, which is
     the orbit engine's question verbatim.
     """
-    from .orbits import expansiveness_check
+    from .orbits import ExpansivenessVerdict, expansiveness_check
 
     basis, adjoint = span_restriction(dm)
     verdict = expansiveness_check(adjoint, depth)
     evidence = {**verdict.evidence, "finitely_generated": "by presentation", "span_dim": len(basis)}
-    return replace(verdict, evidence=evidence)
+    return ExpansivenessVerdict(verdict.status, verdict.witness, verdict.certificate, evidence, verdict.search_depth)

@@ -12,11 +12,11 @@ minimal polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .exact import (
+    Frozen,
     NotInvertibleError,
     QMatrix,
     QPoly,
@@ -32,10 +32,16 @@ from .exact import (
     sturm_root_count,
     _int_prim,
     _int_scaled,
+    _set,
 )
 
 SEMIGROUP = "semigroup"
 GROUP = "group"
+
+# the three verdicts of every expansiveness question
+EXPANSIVE = "Expansive"
+NOT_EXPANSIVE = "NotExpansive"
+UNKNOWN = "Unknown"
 
 
 class InvalidModeError(ValueError):
@@ -48,21 +54,31 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-@dataclass(frozen=True)
-class DiskProfile:
+class DiskProfile(Frozen):
     """Partition of a polynomial's roots relative to the unit circle.
 
     Counts are with multiplicity and always sum to the degree.
     """
 
-    at_zero: int
-    inside: int
-    on_circle: int
-    outside: int
+    __slots__ = ("at_zero", "inside", "on_circle", "outside")
 
-    def __post_init__(self) -> None:
-        if min(self.at_zero, self.inside, self.on_circle, self.outside) < 0:
+    def __init__(self, at_zero: int, inside: int, on_circle: int, outside: int) -> None:
+        if min(at_zero, inside, on_circle, outside) < 0:
             raise ValueError("profile counts must be nonnegative")
+        _set(self, "at_zero", at_zero)
+        _set(self, "inside", inside)
+        _set(self, "on_circle", on_circle)
+        _set(self, "outside", outside)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DiskProfile:
+            return NotImplemented
+        return (self.at_zero, self.inside, self.on_circle, self.outside) == (
+            other.at_zero, other.inside, other.on_circle, other.outside
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.at_zero, self.inside, self.on_circle, self.outside))
 
     @property
     def degree(self) -> int:
@@ -84,11 +100,13 @@ class DiskProfile:
         }
 
 
-@dataclass(frozen=True)
-class SingleVerdict:
-    mode: str
-    expansive: bool
-    profile: DiskProfile
+class SingleVerdict(Frozen):
+    __slots__ = ("mode", "expansive", "profile")
+
+    def __init__(self, mode: str, expansive: bool, profile: DiskProfile) -> None:
+        _set(self, "mode", mode)
+        _set(self, "expansive", expansive)
+        _set(self, "profile", profile)
 
     def to_json(self) -> dict:
         return {"mode": self.mode, "expansive": self.expansive, "profile": self.profile.to_json()}

@@ -11,14 +11,13 @@ rational grid points gives desk-scale ground truth for small cases.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .actions import EXPANSIVE, INVERSE_SUFFIX, SemigroupAction
-from .exact import CapExceededError, QMatrix, RationalLike, Subspace, coordinates_in_span, to_fraction
+from .actions import INVERSE_SUFFIX, SemigroupAction
+from .exact import CapExceededError, Frozen, QMatrix, RationalLike, Subspace, _set, coordinates_in_span, to_fraction
 from .orbits import ExpansivenessVerdict, _proper_invariant_subspaces, expansiveness_check, iter_words
-from .spectral import GROUP, has_unbounded_powers
+from .spectral import EXPANSIVE, GROUP, has_unbounded_powers
 
 GRID_STATE_CAP = 10**7
 
@@ -35,11 +34,13 @@ class GridTooLargeError(CapExceededError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Frozen):
     """Point of T^n with exact rational coordinates reduced into [0, 1)."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+        _set(self, "coords", coords)
 
     @staticmethod
     def from_coords(coords: Sequence[RationalLike]) -> "TorusPoint":
@@ -73,12 +74,20 @@ def _check_unimodular(action: SemigroupAction) -> None:
             raise NotUnimodularError(f"generator {name!r} has determinant {g.det()}")
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
-    algebra_dim: int
-    absolutely_irreducible: bool
-    rational_invariant_subspace: Optional[Subspace]
-    conclusion: str  # "Irreducible" | "Reducible" | "Unknown"
+class IrreducibilityReport(Frozen):
+    __slots__ = ("algebra_dim", "absolutely_irreducible", "rational_invariant_subspace", "conclusion")
+
+    def __init__(
+        self,
+        algebra_dim: int,
+        absolutely_irreducible: bool,
+        rational_invariant_subspace: Optional[Subspace],
+        conclusion: str,  # "Irreducible" | "Reducible" | "Unknown"
+    ) -> None:
+        _set(self, "algebra_dim", algebra_dim)
+        _set(self, "absolutely_irreducible", absolutely_irreducible)
+        _set(self, "rational_invariant_subspace", rational_invariant_subspace)
+        _set(self, "conclusion", conclusion)
 
     def to_json(self) -> dict:
         return {
@@ -221,13 +230,17 @@ def orbit_spread(action: SemigroupAction, point: TorusPoint, cap: int = GRID_STA
     return max(TorusPoint(c).distance_to_zero() for c in closure)
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    separated: bool
-    failing_point: Optional[TorusPoint]
-    q: int
-    epsilon: Fraction
-    states: int
+class OracleResult(Frozen):
+    __slots__ = ("separated", "failing_point", "q", "epsilon", "states")
+
+    def __init__(
+        self, separated: bool, failing_point: Optional[TorusPoint], q: int, epsilon: Fraction, states: int
+    ) -> None:
+        _set(self, "separated", separated)
+        _set(self, "failing_point", failing_point)
+        _set(self, "q", q)
+        _set(self, "epsilon", epsilon)
+        _set(self, "states", states)
 
     def to_json(self) -> dict:
         return {

@@ -12,12 +12,12 @@ because every criterion below depends only on moduli.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction, restrict_action
+from .actions import SemigroupAction, restrict_action
 from .exact import (
+    Frozen,
     QMatrix,
     QPoly,
     SelfCheckError,
@@ -30,9 +30,19 @@ from .exact import (
     rational_roots,
     root_multiplicity,
     squarefree_part,
+    _set,
 )
 from .orbits import find_expansive_word, iter_words
-from .spectral import GROUP, SEMIGROUP, check_mode, single_expansive, unit_disk_profile
+from .spectral import (
+    EXPANSIVE,
+    GROUP,
+    NOT_EXPANSIVE,
+    SEMIGROUP,
+    UNKNOWN,
+    check_mode,
+    single_expansive,
+    unit_disk_profile,
+)
 
 
 class NotCommutingError(ValueError):
@@ -45,20 +55,24 @@ class NotGroupModeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WeightBlock:
-    space: Subspace
-    restriction: SemigroupAction  # the action on the block, in the basis of ``space``
+class WeightBlock(Frozen):
+    __slots__ = ("space", "restriction")
+
+    def __init__(self, space: Subspace, restriction: SemigroupAction) -> None:
+        _set(self, "space", space)
+        _set(self, "restriction", restriction)  # the action on the block, in the basis of ``space``
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
 
-@dataclass(frozen=True)
-class WeightDecomposition:
-    action: SemigroupAction
-    blocks: tuple[WeightBlock, ...]
+class WeightDecomposition(Frozen):
+    __slots__ = ("action", "blocks")
+
+    def __init__(self, action: SemigroupAction, blocks: tuple[WeightBlock, ...]) -> None:
+        _set(self, "action", action)
+        _set(self, "blocks", blocks)
 
 
 def _check_commuting(action: SemigroupAction) -> None:
@@ -112,10 +126,12 @@ def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
     return WeightDecomposition(action=action, blocks=out_blocks)
 
 
-@dataclass(frozen=True)
-class WeightsVerdict:
-    status: str
-    block_reports: tuple[dict, ...]
+class WeightsVerdict(Frozen):
+    __slots__ = ("status", "block_reports")
+
+    def __init__(self, status: str, block_reports: tuple[dict, ...]) -> None:
+        _set(self, "status", status)
+        _set(self, "block_reports", block_reports)
 
 
 def _block_is_stuck(block: WeightBlock, mode: str) -> bool:
@@ -140,7 +156,8 @@ def expansive_by_weights(decomp: WeightDecomposition, mode: str) -> WeightsVerdi
     reports = []
     overall = EXPANSIVE
     for block in decomp.blocks:
-        r = replace(block.restriction, mode=mode)
+        b = block.restriction
+        r = SemigroupAction(b.dim, b.names, b.mats, mode)
         found = find_expansive_word(r, iter_words(r, 3, 80))
         if found is not None:
             reports.append({"dim": block.dim, "status": "escapes", "word": list(found[0])})

@@ -16,7 +16,7 @@ import numpy as np
 
 from oracle_roots import disk_profile_oracle
 
-from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
+from expansive.actions import SemigroupAction
 from expansive.exact import QMatrix, QPoly, char_poly, poly_of_matrix
 from expansive.orbits import expansiveness_check
 from expansive.solenoid import (
@@ -31,7 +31,7 @@ from expansive.solenoid import (
     regular_chain,
     solenoid_expansive,
 )
-from expansive.spectral import GROUP, SEMIGROUP, single_expansive, unit_disk_profile
+from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN, single_expansive, unit_disk_profile
 from expansive.torus import TorusPoint, orbit_spread, rational_orbit_oracle
 from expansive.weights import (
     expansive_by_weights,

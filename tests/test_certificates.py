@@ -17,13 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, SemigroupAction, adapted_blocks
+from expansive.actions import SemigroupAction, adapted_blocks
 from expansive.certificates import CHECKS, check_certificate, check_lifts
 from expansive.cli import main, parse_action, parse_dual_module, verify_report
 from expansive.exact import IntEchelon, NotInvertibleError, QMatrix, char_poly
 from expansive.orbits import iter_words
 from expansive.solenoid import span_restriction
-from expansive.spectral import GROUP, SEMIGROUP, has_unbounded_powers, unit_disk_profile
+from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, has_unbounded_powers, unit_disk_profile
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 OPPOSITE = {EXPANSIVE: NOT_EXPANSIVE, NOT_EXPANSIVE: EXPANSIVE}

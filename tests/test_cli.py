@@ -487,6 +487,43 @@ def test_unknown_report_carries_no_certificate_and_verifies(capsys, tmp_path):
 # --- plumbing ---
 
 
+CLASHING_INVERSE = {"n": 1, "generators": {"a": [[2]], "a^-1": [[3]]}, "mode": "group"}
+
+
+def test_a_case_whose_inverse_name_clashes_is_refused(capsys, tmp_path):
+    code, rep = run(capsys, "analyze-semigroup", write_case(tmp_path, "clash.json", CLASHING_INVERSE))
+    assert code == 1
+    assert rep["error"]["type"] == "ValueError" and "'a^-1'" in rep["error"]["message"]
+
+
+def test_verify_refuses_a_case_whose_inverse_name_clashes(capsys, tmp_path):
+    # the word a escapes, so the certificate is true of the matrix the case names a
+    report = {
+        "case": case_id(CLASHING_INVERSE),
+        "command": "analyze-semigroup",
+        "tool": {"name": "expansive", "version": expansive.__version__},
+        "options": {"mode": "group"},
+        "status": "Expansive",
+        "certificate": {
+            "kind": "word_spectrum",
+            "word": ["a"],
+            "profile": {"at_zero": 0, "inside": 0, "on_circle": 0, "outside": 1},
+        },
+    }
+    path = write_case(tmp_path, "report.json", report)
+    code, rep = run(capsys, "verify", path, write_case(tmp_path, "clash.json", CLASHING_INVERSE))
+    assert code == 1
+    assert rep["error"]["type"] == "ValueError" and "'a^-1'" in rep["error"]["message"]
+
+
+def test_a_case_that_gives_a_true_inverse_verifies(capsys, tmp_path):
+    case = write_case(tmp_path, "honest.json", {"n": 1, "generators": {"a": [[2]], "a^-1": [["1/2"]]}, "mode": "group"})
+    code, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", case)
+    assert (code, rep["status"]) == (0, "Expansive")
+    code, out = run(capsys, "verify", path, case)
+    assert (code, out["verified"]) == (0, True)
+
+
 def test_missing_file_is_input_error(capsys):
     code, rep = run(capsys, "analyze-semigroup", "/nonexistent/case.json")
     assert code == 1 and "error" in rep
@@ -862,9 +899,12 @@ def submodules_loaded_after(script, *args):
 
 RUN_MAIN = "import sys\nfrom expansive.cli import main\nassert main(sys.argv[1:]) == 0"
 
-# what `import expansive.cli` loads, whatever the subcommand: the checker and
-# the search-free layers under it, never the search engine `orbits`
-CLI_CORE = {"cli", "actions", "certificates", "exact", "spectral"}
+# what `import expansive.cli` loads, whatever the subcommand: the exact kernel
+# and the spectral counts, all that analyze-matrix runs
+CLI_CORE = {"cli", "exact", "spectral"}
+# what verify loads besides the layers its report needs: the checker and the
+# search-free action layer under it, never the search engine `orbits`
+CHECKER = {"actions", "certificates"}
 
 
 def test_import_expansive_loads_no_submodule():
@@ -889,14 +929,14 @@ def test_an_unknown_package_name_is_an_attribute_error():
     "argv, layers",
     [
         (["analyze-matrix", FIXTURES / "cat_map.json"], set()),
-        (["analyze-semigroup", FIXTURES / "cat_map.json"], {"orbits"}),
-        (["find-expansive", FIXTURES / "cat_map.json"], {"orbits", "weights"}),
-        (["torus-check", FIXTURES / "cat_map.json"], {"orbits", "torus"}),
-        (["jsr", FIXTURES / "cat_map.json"], {"orbits"}),
-        (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], {"solenoid"}),
+        (["analyze-semigroup", FIXTURES / "cat_map.json"], {"actions", "orbits"}),
+        (["find-expansive", FIXTURES / "cat_map.json"], {"actions", "orbits", "weights"}),
+        (["torus-check", FIXTURES / "cat_map.json"], {"actions", "orbits", "torus"}),
+        (["jsr", FIXTURES / "cat_map.json"], {"actions", "orbits"}),
+        (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], {"actions", "solenoid"}),
         (["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", FIXTURES / "dyadic_window.json"],
-         {"solenoid"}),
-        (["solenoid-check", FIXTURES / "dyadic_solenoid.json"], {"orbits", "solenoid"}),
+         {"actions", "solenoid"}),
+        (["solenoid-check", FIXTURES / "dyadic_solenoid.json"], {"actions", "orbits", "solenoid"}),
     ],
     ids=["analyze-matrix", "analyze-semigroup", "find-expansive", "torus-check", "jsr", "solenoid-chain",
          "solenoid-lift", "solenoid-check"],
@@ -922,8 +962,32 @@ def test_verify_loads_only_the_layers_its_report_needs(capsys, tmp_path, argv, k
     assert rep.get("certificate", {}).get("kind") == kind
     verdict = tmp_path / "verdict.json"
     loaded = submodules_loaded_after(RUN_MAIN, "verify", path, argv[1], "--out", verdict)
-    assert loaded == CLI_CORE | layers
+    assert loaded == CLI_CORE | CHECKER | layers
     assert json.loads(verdict.read_text())["verified"] is True
+
+
+SUBCOMMAND_RUNS = [
+    ["analyze-matrix", FIXTURES / "cat_map.json"],
+    ["analyze-semigroup", FIXTURES / "rotation.json"],
+    ["find-expansive", FIXTURES / "cat_map.json"],
+    ["torus-check", FIXTURES / "cat_map.json", "--epsilon", "1/5", "--radius", "5"],
+    ["jsr", FIXTURES / "cat_map.json"],
+    ["solenoid-chain", FIXTURES / "dyadic_solenoid.json"],
+    ["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", FIXTURES / "dyadic_window.json"],
+    ["solenoid-check", FIXTURES / "dyadic_solenoid.json"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=lambda argv: argv[0])
+def test_no_subcommand_loads_dataclasses_or_inspect(capsys, tmp_path, argv):
+    # both are costly to compile; inspect comes only with numpy, which imports it
+    if argv == ["verify"]:
+        _, _, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / "rotation.json")
+        argv = ["verify", path, FIXTURES / "rotation.json"]
+    loaded = loaded_after(RUN_MAIN, *argv, "--out", tmp_path / "out.json")
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded or "numpy" in loaded
 
 
 # --- numpy loads only for the float stages ---

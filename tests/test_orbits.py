@@ -12,14 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansive import actions, orbits
-from expansive.actions import (
-    EXPANSIVE,
-    NOT_EXPANSIVE,
-    UNKNOWN,
-    NotInvertibleGeneratorError,
-    SemigroupAction,
-    restrict_action,
-)
+from expansive.actions import NotInvertibleGeneratorError, SemigroupAction, restrict_action
 from expansive.certificates import check_certificate
 from expansive.cli import parse_action
 from expansive.exact import (
@@ -39,7 +32,7 @@ from expansive.orbits import (
     iter_words,
     jsr_bounds,
 )
-from expansive.spectral import single_expansive
+from expansive.spectral import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, single_expansive
 
 F = Fraction
 
@@ -93,6 +86,24 @@ def test_semigroup_mode_keeps_generators_as_given():
 def test_group_mode_rejects_singular_generator():
     with pytest.raises(NotInvertibleGeneratorError):
         act([("g", M([[1, 1], [1, 1]]))], "group")
+
+
+def test_group_mode_refuses_an_inverse_name_the_case_already_uses():
+    # the inverse of a, 1/2, would be named a^-1, the name of the given matrix 3
+    with pytest.raises(ValueError, match=r"'a\^-1'"):
+        act([("a", DOUBLING), ("a^-1", M([[3]]))], "group")
+
+
+def test_repeated_generator_names_are_refused():
+    with pytest.raises(ValueError, match="'g'"):
+        act([("g", DOUBLING), ("g", M([[3]]))], "semigroup")
+
+
+def test_a_given_inverse_keeps_its_name():
+    a = act([("a", DOUBLING), ("a^-1", M([["1/2"]]))], "group")
+    assert a.names == ("a", "a^-1")
+    assert a.matrix_for("a^-1") == M([["1/2"]])
+    assert expansiveness_check(a).status == EXPANSIVE
 
 
 def test_group_mode_passes_on_a_failure_that_is_not_singularity(monkeypatch):

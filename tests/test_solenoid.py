@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansive.actions import EXPANSIVE, NOT_EXPANSIVE
 from expansive.exact import DimensionMismatchError, QMatrix, coordinates_in_span
-from expansive.spectral import GROUP, SEMIGROUP
+from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP
 from expansive.solenoid import (
     Ball,
     DualModuleAction,

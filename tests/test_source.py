@@ -141,7 +141,7 @@ ALLOWED_IMPORTS = {
     "spectral": ({"exact"}, set()),
     "actions": ({"exact", "spectral"}, set()),
     "certificates": ({"actions", "exact", "spectral"}, {"solenoid"}),
-    "cli": ({"actions", "certificates", "exact", "spectral"}, {"orbits", "solenoid", "torus", "weights"}),
+    "cli": ({"exact", "spectral"}, {"actions", "certificates", "orbits", "solenoid", "torus", "weights"}),
     "solenoid": ({"actions", "exact"}, {"orbits"}),
 }
 
@@ -157,6 +157,19 @@ def test_each_module_imports_at_top_level_only_what_every_caller_needs():
     assert all(callable(getattr(cli, name, None)) for name in CLI_SPANNED)
 
 
+def test_no_module_imports_dataclasses():
+    # a record class is a plain __slots__ class, so no process compiles the
+    # dataclasses module and the inspect chain it loads
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
 def test_weights_asks_spectral_only_for_disk_profiles():
     # a block is stuck by the disk profiles of its generators, so the weights
     # layer computes no minimal polynomial and counts no circle roots itself
@@ -169,4 +182,5 @@ def test_weights_asks_spectral_only_for_disk_profiles():
     }
     assert not {name for _, name in imported} & {"circle_root_count", "minimal_poly"}
     from_spectral = {name for module, name in imported if module == "spectral"}
-    assert from_spectral - {"GROUP", "SEMIGROUP", "check_mode"} == {"unit_disk_profile", "single_expansive"}
+    labels = {"GROUP", "SEMIGROUP", "check_mode", "EXPANSIVE", "NOT_EXPANSIVE", "UNKNOWN"}
+    assert from_spectral - labels == {"unit_disk_profile", "single_expansive"}

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from expansive import orbits
 from expansive.cli import parse_action
 from expansive.exact import QMatrix
-from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
+from expansive.actions import SemigroupAction
 from expansive.orbits import EARLY_WORDS, WORD_BUDGET, ExpansivenessVerdict, expansiveness_check
-from expansive.spectral import SEMIGROUP, single_expansive
+from expansive.spectral import EXPANSIVE, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN, single_expansive
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
+from expansive.actions import SemigroupAction
 from expansive.exact import QMatrix, is_invariant
-from expansive.spectral import GROUP, SEMIGROUP
+from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN
 from expansive.torus import (
     GridTooLargeError,
     NonIntegerEntriesError,

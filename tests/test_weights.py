@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansive import weights
-from expansive.actions import EXPANSIVE, NOT_EXPANSIVE, UNKNOWN, SemigroupAction
+from expansive.actions import SemigroupAction
 from expansive.exact import (
     QMatrix,
     SelfCheckError,
@@ -20,7 +20,7 @@ from expansive.exact import (
     squarefree_part,
 )
 from expansive.orbits import expansiveness_check
-from expansive.spectral import GROUP, SEMIGROUP, circle_root_count, single_expansive, unit_disk_profile
+from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN, circle_root_count, single_expansive, unit_disk_profile
 from expansive.weights import (
     NotCommutingError,
     NotGroupModeError,
