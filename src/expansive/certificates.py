@@ -170,10 +170,19 @@ def _find_expansive_claims(rep: dict, case: dict, action: SemigroupAction) -> bo
     )
 
 
+def _torus_check_claims(rep: dict, case: dict, action: SemigroupAction) -> bool:
+    """An action on the torus: integer generators, of determinant +-1 in group
+    mode (so that their inverses, which the action holds, are integer too)."""
+    return all(g.is_integer() for g in action.mats) and (
+        action.mode != GROUP or all(abs(g.det()) == 1 for g in action.mats)
+    )
+
+
 # command -> the check of the top-level result fields of its decisive reports
 CLAIMS = {
     "analyze-matrix": _analyze_matrix_claims,
     "find-expansive": _find_expansive_claims,
+    "torus-check": _torus_check_claims,
 }
 
 

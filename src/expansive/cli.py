@@ -378,6 +378,13 @@ def check_certificate(cert, action: SemigroupAction, status: str, witness) -> bo
     return check_certificate(cert, action, status, witness)
 
 
+def claims_nothing_exact(rep: dict) -> bool:
+    """Whether a report is inconclusive or advisory (a ``jsr`` bracket, an Unknown
+    verdict): it states no status and no chain, so it has no exact claim to check."""
+    chain = rep.get("command") in ("solenoid-chain", "solenoid-lift")
+    return not chain and rep.get("status") not in (EXPANSIVE, NOT_EXPANSIVE)
+
+
 def verify_report(rep: dict, case: dict) -> bool:
     from .certificates import check_chain, check_claims, check_lifts
 
@@ -398,9 +405,8 @@ def verify_report(rep: dict, case: dict) -> bool:
         return check_chain(rep["chain"], parse_dual_module(case, mode), rep.get("k"))
     if command == "solenoid-lift":
         return check_lifts(rep["chain"], rep.get("lifts", []), parse_dual_module(case, mode))
-    status, cert = rep.get("status"), rep.get("certificate")
-    if status not in (EXPANSIVE, NOT_EXPANSIVE):
-        # inconclusive and advisory reports claim nothing exact
+    cert = rep.get("certificate")
+    if claims_nothing_exact(rep):
         return cert is None
     if command == "solenoid-check":
         from .solenoid import span_restriction
@@ -408,14 +414,16 @@ def verify_report(rep: dict, case: dict) -> bool:
         action = span_restriction(parse_dual_module(case, mode))[1]
     else:
         action = parse_action(case, mode)
-    return check_certificate(cert, action, status, rep.get("witness")) and check_claims(rep, case, action)
+    return check_certificate(cert, action, rep["status"], rep.get("witness")) and check_claims(rep, case, action)
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     rep = load_object(args.report)
     case = load_object(args.case)
     ok = verify_report(rep, case)
-    out = _report("verify", case, {}, verified=ok, checked_command=rep.get("command"))
+    # such a report verifies, but it holds nothing exact to check
+    checked_exactly = False if ok and claims_nothing_exact(rep) else None
+    out = _report("verify", case, {}, verified=ok, checked_command=rep.get("command"), checked_exactly=checked_exactly)
     return out, 0 if ok else 1
 
 
@@ -434,7 +442,7 @@ HANDLERS = {
     "verify": cmd_verify,
 }
 
-SUMMARY_KEYS = ("status", "verified", "k", "bounds", "found")
+SUMMARY_KEYS = ("status", "verified", "checked_exactly", "k", "bounds", "found")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -333,13 +333,28 @@ class QMatrix(Frozen):
         return Fraction(sign * prev, den**n)
 
     def inverse(self) -> "QMatrix":
+        """Fraction-free (Bareiss) Gauss-Jordan on [A | I], A = den * M: every
+        entry is det(A_k) times the rational one after pivot k, so each division
+        by the previous pivot is exact.  It ends at [d I | d A^-1], d = +-det A."""
         if not self.is_square:
             raise NonSquareError("inverse of non-square matrix")
+        num, den = self._ints()
         n = self.rows
-        a = [list(self.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        if len(_gauss_jordan(a, n)) < n:
-            raise NotInvertibleError("singular matrix")
-        return QMatrix.from_rows([row[n:] for row in a])
+        a = [[*num[i * n : (i + 1) * n], *(int(i == j) for j in range(n))] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            piv = next((r for r in range(k, n) if a[r][k]), None)
+            if piv is None:
+                raise NotInvertibleError("singular matrix")
+            a[k], a[piv] = a[piv], a[k]
+            top, p = a[k], a[k][k]
+            for i in range(n):
+                if i != k:
+                    f = a[i][k]
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+            prev = p
+        s = den if prev > 0 else -den
+        return QMatrix._reduced(n, n, [s * x for row in a for x in row[n:]], abs(prev))
 
     def is_integer(self) -> bool:
         return self._ints()[1] == 1
@@ -818,7 +833,7 @@ def minimal_poly(m: QMatrix) -> QPoly:
 
 def _int_scaled(p: QPoly) -> list[int]:
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [int(c * den) for c in p.coeffs]
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
 def _int_prim(cs: Sequence[int], keep_sign: bool = False) -> tuple[int, ...]:
@@ -877,6 +892,24 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         g = p[-1]
         h = g**delta // h ** (delta - 1) if delta >= 1 else h
     raise AssertionError
+
+
+def _int_exact_quo(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """a / b for integer polynomials where b divides a over the integers, as
+    a primitive b that divides a over the rationals does (Gauss's lemma)."""
+    a, db = list(a), len(b) - 1
+    q = [0] * (len(a) - db)
+    for k in reversed(range(len(q))):
+        q[k] = c = a[k + db] // b[-1]
+        for i, x in enumerate(b):
+            a[k + i] -= c * x
+    if any(a):
+        raise ValueError("exact division with nonzero remainder")
+    return tuple(q)
+
+
+def _int_derivative(a: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
@@ -941,19 +974,21 @@ def rational_roots(p: QPoly) -> list[Fraction]:
     if len(ints) == 1:
         return roots
 
-    def vanishes(num: int, den: int) -> bool:
-        total, den_power = 0, 1
-        for a in reversed(ints):
-            total = total * num + a * den_power
-            den_power *= den
-        return total == 0
-
     dens = _divisors(abs(ints[-1]))
     for num in _divisors(abs(ints[0])):
         for den in dens:
             if math.gcd(num, den) == 1:
-                roots += [Fraction(s * num, den) for s in (1, -1) if vanishes(s * num, den)]
+                roots += [Fraction(s * num, den) for s in (1, -1) if not _int_value(ints, s * num, den)]
     return sorted(roots)
+
+
+def _int_value(cs: Sequence[int], num: int, den: int) -> int:
+    """den^deg * p(num / den) for the integer polynomial p with coefficients cs."""
+    total, den_power = 0, 1
+    for a in reversed(cs):
+        total = total * num + a * den_power
+        den_power *= den
+    return total
 
 
 def _sign(x: Fraction | int) -> int:
@@ -961,21 +996,19 @@ def _sign(x: Fraction | int) -> int:
 
 
 def _neg_rem_int(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Primitive integer form of -(a mod b), scaled by positive rationals only."""
-    r = QPoly.from_coeffs(a).divmod(QPoly.from_coeffs(b))[1]
-    if r.is_zero:
-        return ()
-    return _int_prim(_int_scaled(-r), keep_sign=True)
+    """Primitive integer form of -(a mod b), scaled by positive rationals only:
+    prem(a, b) is lc(b)^(deg a - deg b + 1) (a mod b), so the sign of that power counts."""
+    r = _int_pseudo_rem(a, b)
+    if b[-1] > 0 or (len(a) - len(b)) % 2:
+        r = [-c for c in r]
+    return _int_prim(r, keep_sign=True)
 
 
-def _remainder_chain(f0: QPoly, f1: QPoly) -> list[tuple[int, ...]]:
-    """The chain f0, f1, f_{k+1} = -(f_{k-1} mod f_k), up to the last nonzero
-    remainder, on primitive integer forms; f1 must be nonzero.
-
-    Each entry is rescaled by a positive rational only, so the sign
-    structure of the classical chain is preserved.
-    """
-    chain = [_int_prim(_int_scaled(f), keep_sign=True) for f in (f0, f1)]
+def _remainder_chain(f0: Sequence[int], f1: Sequence[int]) -> list[tuple[int, ...]]:
+    """The chain f0, f1, f_{k+1} = -(f_{k-1} mod f_k) of integer polynomials, up
+    to the last nonzero remainder; f1 must be nonzero.  Each remainder is rescaled
+    by a positive rational only, so the classical chain's sign structure holds."""
+    chain = [tuple(f0), tuple(f1)]
     while len(chain[-1]) > 1:
         r = _neg_rem_int(chain[-2], chain[-1])
         if not r:
@@ -995,14 +1028,8 @@ def _variations(signs: Sequence[int]) -> int:
     return v
 
 
-def _chain_signs_at(chain: Sequence[Sequence[int]], x: Fraction) -> list[int]:
-    out = []
-    for cs in chain:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        out.append(_sign(acc))
-    return out
+def _chain_signs_at(chain: Sequence[Sequence[int]], x: Fraction | int) -> list[int]:
+    return [_sign(_int_value(cs, x.numerator, x.denominator)) for cs in chain]
 
 
 def _chain_signs_at_inf(chain: Sequence[Sequence[int]], positive: bool) -> list[int]:
@@ -1029,15 +1056,18 @@ def sturm_root_count(p: QPoly, lo: RationalLike, hi: RationalLike) -> int:
     lo, hi = to_fraction(lo), to_fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    f = squarefree_part(p)
-    if f.degree < 1:
+    f = _int_prim(_int_scaled(p))
+    if len(f) < 2:
         return 0
-    chain = _remainder_chain(f, f.derivative())
+    return _int_sturm(_int_exact_quo(f, _int_gcd(f, _int_derivative(f))), lo, hi)
+
+
+def _int_sturm(f: Sequence[int], lo: Fraction | int, hi: Fraction | int) -> int:
+    """Real roots in (lo, hi] of a squarefree integer polynomial of degree >= 1."""
+    chain = _remainder_chain(f, _int_derivative(f))
     # dropping zeros in the variation count evaluates right-hand limits, so
     # V(lo) - V(hi) counts roots in (lo, hi] with no endpoint special cases
-    vlo = _variations(_chain_signs_at(chain, lo))
-    vhi = _variations(_chain_signs_at(chain, hi))
-    return vlo - vhi
+    return _variations(_chain_signs_at(chain, lo)) - _variations(_chain_signs_at(chain, hi))
 
 
 def cauchy_index(num: QPoly, den: QPoly) -> int:
@@ -1051,7 +1081,7 @@ def cauchy_index(num: QPoly, den: QPoly) -> int:
         raise ZeroPolynomialError("Cauchy index with zero denominator")
     if num.is_zero:
         return 0
-    chain = _remainder_chain(den, num)
+    chain = _remainder_chain(*(_int_prim(_int_scaled(f), keep_sign=True) for f in (den, num)))
     return _variations(_chain_signs_at_inf(chain, False)) - _variations(_chain_signs_at_inf(chain, True))
 
 
@@ -1072,41 +1102,46 @@ def reciprocal_split(p: QPoly) -> tuple[QPoly, QPoly]:
         raise ZeroConstantTermError("reciprocal split requires a nonzero constant term")
     if p.degree == 0:
         return QPoly.one(), p
-    g = poly_gcd(p, p.reverse())
-    return g, p.exact_div(g)
+    f = _int_prim(_int_scaled(p))
+    g = _int_gcd(f, f[::-1])
+    q = _int_exact_quo(f, g)
+    # p = c f = (g / lc(g)) (c lc(g) q) with c = lc(p) / lc(f)
+    c = p.leading * g[-1] / f[-1]
+    return QPoly.from_coeffs(g).monic(), QPoly.from_coeffs([c * x for x in q])
 
 
 # === exact definiteness tests ===
 
 
 def is_symmetric(m: QMatrix) -> bool:
-    return m.is_square and all(
-        m[i, j] == m[j, i] for i in range(m.rows) for j in range(i + 1, m.cols)
-    )
+    num, n = m._ints()[0], m.rows
+    return m.is_square and all(num[i * n + j] == num[j * n + i] for i in range(n) for j in range(i + 1, n))
 
 
 def _is_positive(m: QMatrix, strict: bool) -> bool:
-    """Exact definiteness of a symmetric rational matrix by congruence
-    elimination: every pivot nonnegative, and with ``strict`` positive."""
+    """Exact definiteness of a symmetric rational matrix by fraction-free (Bareiss)
+    elimination on the upper triangle of its numerators.  A pivot is the last
+    nonzero one times the rational pivot, so each must be >= 0 (> 0 if ``strict``).
+    A zero pivot needs a vanishing row; the next step divides by the last nonzero one."""
     if not is_symmetric(m):
         raise NonSquareError("definiteness test requires a symmetric matrix")
     n = m.rows
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
+    num = m._ints()[0]
+    a = [list(num[i * n : (i + 1) * n]) for i in range(n)]
+    prev = 1
     for i in range(n):
-        piv = a[i][i]
+        top, piv = a[i], a[i][i]
         if piv < 0 or (strict and piv == 0):
             return False
         if piv == 0:
-            # a zero diagonal pivot forces its whole row to vanish
-            if any(a[i][j] != 0 for j in range(i + 1, n)):
+            if any(top[i + 1 :]):
                 return False
             continue
         for r in range(i + 1, n):
-            f = a[r][i] / piv
-            if f == 0:
-                continue
-            for c in range(i, n):
-                a[r][c] -= f * a[i][c]
+            row, f = a[r], top[r]
+            for c in range(r, n):
+                row[c] = (piv * row[c] - f * top[c]) // prev
+        prev = piv
     return True
 
 

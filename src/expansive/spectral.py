@@ -7,13 +7,14 @@ conjugate circle pairs into real roots in (-2, 2) countable by Sturm
 sequences.  Open-disk counts run the Schur-Cohn reduction; its rare
 singular steps fall back to an exact half-plane count after a Cayley
 transform.  Unbounded powers are read off the same counts and the
-minimal polynomial.
+minimal polynomial.  Every count but that fallback runs on the primitive
+integer multiple of the polynomial, which has the same roots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exact import (
     Frozen,
@@ -27,11 +28,13 @@ from .exact import (
     char_poly,
     minimal_poly,
     poly_gcd,
-    reciprocal_split,
-    root_multiplicity,
-    sturm_root_count,
+    _int_derivative,
+    _int_exact_quo,
+    _int_gcd,
     _int_prim,
     _int_scaled,
+    _int_sturm,
+    _int_value,
     _set,
 )
 
@@ -112,52 +115,45 @@ class SingleVerdict(Frozen):
         return {"mode": self.mode, "expansive": self.expansive, "profile": self.profile.to_json()}
 
 
-def _strip_origin(p: QPoly) -> tuple[int, QPoly]:
-    k = 0
-    cs = list(p.coeffs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        k += 1
-    return k, QPoly(tuple(cs))
+def _strip_origin(f: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The multiplicity k of the root 0 of a nonzero integer polynomial f, and f / z^k."""
+    k = next(i for i, c in enumerate(f) if c)
+    return k, tuple(f[k:])
 
 
-def _chebyshev_like(j: int) -> QPoly:
-    """P_j with P_j(z + 1/z) = z^j + z^-j: P_0 = 2, P_1 = w, P_{j+1} = w P_j - P_{j-1}."""
-    a, b = QPoly.from_coeffs([2]), QPoly.x()
-    if j == 0:
-        return a
-    w = QPoly.x()
-    for _ in range(j - 1):
-        a, b = b, w * b - a
-    return b
+def _unit_root_multiplicity(f: Sequence[int], r: int) -> tuple[int, Sequence[int]]:
+    """Multiplicity of the root r = +-1 of an integer polynomial f, and f / (z - r)^that."""
+    mult = 0
+    while len(f) > 1 and not _int_value(f, r, 1):
+        f, mult = _int_exact_quo(f, (-r, 1)), mult + 1
+    return mult, f
 
 
-def _w_transform(h: QPoly) -> QPoly:
-    """H with h(z) = z^m H(z + 1/z), for palindromic h of even degree 2m."""
-    d = h.degree
-    if d % 2 != 0:
-        raise ValueError("w-transform needs even degree")
-    m = d // 2
-    if any(h.coeffs[i] != h.coeffs[d - i] for i in range(d + 1)):
-        raise ValueError("w-transform needs a palindromic polynomial")
-    out = QPoly.from_coeffs([h.coeffs[m]])
-    for j in range(1, m + 1):
-        out = out + _chebyshev_like(j).scale(h.coeffs[m + j])
+def _w_transform(h: Sequence[int]) -> list[int]:
+    """H with h(z) = z^m H(z + 1/z), for a palindromic integer h of even
+    degree 2m: H = sum_j h[m + j] P_j with P_j(z + 1/z) = z^j + z^-j, and
+    P_0 = 2, P_1 = w, P_{j+1} = w P_j - P_{j-1} (the j = 0 term is h[m])."""
+    if len(h) % 2 == 0 or list(h) != list(h[::-1]):
+        raise ValueError("w-transform needs a palindromic polynomial of even degree")
+    m = len(h) // 2
+    out, before, cur = [h[m]] + [0] * m, [2], [0, 1]
+    for c in h[m + 1 :]:
+        out[: len(cur)] = [o + c * x for o, x in zip(out, cur)]
+        before, cur = cur, [x - y for x, y in zip([0, *cur], [*before, 0, 0])]
     return out
 
 
-def _circle_count_of_closed_factor(g: QPoly) -> int:
-    """Circle roots (with multiplicity) of a monic reciprocal-closed factor."""
-    a, g1 = root_multiplicity(g, 1)
-    b, h = root_multiplicity(g1, -1)
-    if h.degree <= 0:
-        return a + b
+def _circle_count_of_closed_factor(g: Sequence[int]) -> int:
+    """Circle roots (with multiplicity) of a reciprocal-closed integer factor."""
+    a, g = _unit_root_multiplicity(g, 1)
+    b, h = _unit_root_multiplicity(g, -1)
     pairs = 0
-    cur = _w_transform(h)
-    while cur.degree >= 1:
+    cur = _w_transform(h) if len(h) > 1 else []
+    while len(cur) > 1:
+        common = _int_gcd(cur, _int_derivative(cur))
         # H(2), H(-2) are h(1), +-h(-1), both nonzero, so (-2, 2] is the open count
-        pairs += sturm_root_count(cur, -2, 2)
-        cur = poly_gcd(cur, cur.derivative())
+        pairs += _int_sturm(_int_exact_quo(cur, common), -2, 2)
+        cur = common
     return a + b + 2 * pairs
 
 
@@ -170,32 +166,27 @@ def circle_root_count(p: QPoly) -> int:
         raise ZeroPolynomialError("circle root count of zero polynomial")
     if p.constant == 0:
         raise ZeroConstantTermError("circle root count requires a nonzero constant term")
-    if p.degree == 0:
-        return 0
-    g, _ = reciprocal_split(p)
-    return _circle_count_of_closed_factor(g)
+    f = _int_prim(_int_scaled(p))
+    return _circle_count_of_closed_factor(_int_gcd(f, f[::-1]))
 
 
 class _SingularStep(Exception):
     pass
 
 
-def _schur_cohn_inside(q: QPoly) -> int:
-    """Open-disk root count of q, which must have no roots on the circle.
-
-    Raises _SingularStep when a reduction step loses the modulus comparison
-    (constant term and leading coefficient equal in absolute value).
-    """
-    n = q.degree
+def _schur_cohn_inside(q: Sequence[int]) -> int:
+    """Open-disk root count of an integer polynomial q with q(0) != 0 and no
+    circle roots; _SingularStep when a reduction step loses the modulus
+    comparison (constant term and leading coefficient equal in absolute value)."""
+    n = len(q) - 1
     if n <= 0:
         return 0
-    a0, an = q.constant, q.leading
+    a0, an = q[0], q[-1]
     delta = a0 * a0 - an * an
     if delta == 0:
         raise _SingularStep
-    r = q.scale(a0) - q.reverse().scale(an)
     # r(0) = delta != 0, so r is nonzero with deg <= n - 1; rescaling is free
-    r = QPoly.from_coeffs(_int_prim(_int_scaled(r)))
+    r = _int_prim([a0 * q[i] - an * q[n - i] for i in range(n)])
     sub = _schur_cohn_inside(r)
     return sub if delta > 0 else n - sub
 
@@ -245,19 +236,21 @@ def unit_disk_profile(p: QPoly) -> DiskProfile:
     """Exact partition of the roots of p by position relative to the unit disk."""
     if p.is_zero:
         raise ZeroPolynomialError("disk profile of zero polynomial")
-    at_zero, pt = _strip_origin(p)
-    if pt.degree == 0:
+    at_zero, f = _strip_origin(_int_prim(_int_scaled(p)))
+    degree = len(f) - 1
+    if degree == 0:
         return DiskProfile(at_zero, 0, 0, 0)
-    g, q = reciprocal_split(pt)
+    g = _int_gcd(f, f[::-1])
+    q = _int_exact_quo(f, g)
     on_circle = _circle_count_of_closed_factor(g)
     # g's off-circle roots come in {w, 1/w} pairs with equal multiplicity,
     # so they split evenly across the circle
-    inside = (g.degree - on_circle) // 2
+    inside = (len(g) - 1 - on_circle) // 2
     try:
         inside += _schur_cohn_inside(q)
     except _SingularStep:
-        inside += _inside_by_half_plane(q)
-    return DiskProfile(at_zero, inside, on_circle, pt.degree - on_circle - inside)
+        inside += _inside_by_half_plane(QPoly.from_coeffs(q))
+    return DiskProfile(at_zero, inside, on_circle, degree - on_circle - inside)
 
 
 def single_expansive(m: QMatrix, mode: str, poly: Optional[QPoly] = None) -> SingleVerdict:
@@ -287,7 +280,7 @@ def has_unbounded_powers(m: QMatrix) -> bool:
         return True
     if not profile.on_circle:
         return False
-    mu = minimal_poly(m)
+    mu = _int_prim(_int_scaled(minimal_poly(m)))
     # roots at zero are divided out: a nilpotent part leaves the powers bounded
-    _, repeated = _strip_origin(poly_gcd(mu, mu.derivative()))
-    return circle_root_count(repeated) > 0
+    _, repeated = _strip_origin(_int_gcd(mu, _int_derivative(mu)))
+    return _circle_count_of_closed_factor(_int_gcd(repeated, repeated[::-1])) > 0

@@ -24,6 +24,7 @@ from expansive.exact import IntEchelon, NotInvertibleError, QMatrix, char_poly
 from expansive.orbits import iter_words
 from expansive.solenoid import span_restriction
 from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, has_unbounded_powers, unit_disk_profile
+from expansive.torus import NonIntegerEntriesError, NotUnimodularError, _check_integer_generators, _check_unimodular
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 OPPOSITE = {EXPANSIVE: NOT_EXPANSIVE, NOT_EXPANSIVE: EXPANSIVE}
@@ -197,6 +198,41 @@ def test_no_mutation_claiming_the_opposite_status_verifies(honest, data):
     for _ in range(data.draw(st.integers(0, 3))):
         _mutate(data.draw, bad, action, pool)
     assert not _verifies(bad, case), (name, bad.get("certificate"), bad.get("witness"))
+
+
+def _torus_check_refuses(action: SemigroupAction) -> bool:
+    """Whether torus-check refuses the action before it searches."""
+    try:
+        _check_integer_generators(action)
+        if action.mode == GROUP:
+            _check_unimodular(action)
+    except (NonIntegerEntriesError, NotUnimodularError):
+        return True
+    return False
+
+
+def test_a_report_relabelled_torus_check_verifies_only_where_torus_check_runs(honest, tmp_path):
+    # beyond the honest reports: two group-mode engine reports of cases that
+    # torus-check refuses, one not unimodular and one not integer
+    reports = {name: pair for name, pair in honest.items() if pair[0]["command"] != "solenoid-check"}
+    for name, case in {
+        "doubling": json.loads((FIXTURES / "doubling.json").read_text()),
+        "three_halves": {"n": 1, "generators": {"h": [["3/2"]]}, "mode": "group"},
+    }.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(case))
+        code, rep = _run(["analyze-semigroup", path, "--mode", GROUP])
+        assert code == 0 and verify_report(rep, case)
+        reports[f"analyze-semigroup {name} --mode group"] = (rep, case)
+    refused, wrong = [], []
+    for name, (rep, case) in reports.items():
+        refuses = _torus_check_refuses(_action(rep, case))
+        refused += [name] * refuses
+        if _verifies({**rep, "command": "torus-check"}, case) is refuses:
+            wrong.append(name)
+    assert wrong == []
+    assert {"analyze-semigroup doubling --mode group", "analyze-semigroup three_halves --mode group"} <= set(refused)
+    assert len(refused) < len(reports)
 
 
 # ------------------------------------------------------------ polarity

@@ -461,6 +461,59 @@ def test_verify_rejects_forged_top_level_fields(capsys, tmp_path, command, fixtu
     assert (code, out["verified"]) == (1, False)
 
 
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        (json.loads((FIXTURES / "doubling.json").read_text()), "NotUnimodularError"),
+        ({"n": 1, "generators": {"h": [["3/2"]]}, "mode": "group"}, "NonIntegerEntriesError"),
+    ],
+    ids=["doubling-not-unimodular", "three-halves-not-integer"],
+)
+def test_verify_refuses_a_torus_check_report_that_torus_check_refuses(capsys, tmp_path, case, error):
+    path = write_case(tmp_path, "case.json", case)
+    code, rep = run(capsys, "torus-check", path, "--mode", "group")
+    assert (code, rep["error"]["type"]) == (1, error)
+    # an honest group-mode engine report, relabelled torus-check
+    code, rep, report = report_for(capsys, tmp_path, "analyze-semigroup", path, "--mode", "group")
+    assert code == 0 and verify_report(rep, case) is True
+    rep["command"] = "torus-check"
+    report.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", report, path)
+    assert (code, out["verified"]) == (1, False)
+
+
+def _forged_jsr_bounds(rep):
+    # the joint spectral radius of the cat map is about 2.618
+    rep["bounds"] = {"lower": 0.0, "upper": 0.5}
+
+
+@pytest.mark.parametrize(
+    "argv, forge",
+    [
+        (["jsr", FIXTURES / "cat_map.json"], _forged_jsr_bounds),
+        (["jsr", FIXTURES / "cat_map.json"], lambda rep: None),
+        (["analyze-semigroup", "--depth", "1", FIXTURES / "sl2_generators.json"], lambda rep: None),
+    ],
+    ids=["jsr-forged-bounds", "jsr", "unknown"],
+)
+def test_verify_says_that_it_checked_nothing_exact_in_a_report_that_claims_nothing_exact(
+    capsys, tmp_path, argv, forge
+):
+    _, rep, path = report_for(capsys, tmp_path, *argv)
+    assert "status" not in rep or rep["status"] == "Unknown"
+    forge(rep)
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, argv[-1])
+    assert code == 0 and (out["verified"], out["checked_exactly"]) == (True, False)
+
+
+def test_verify_of_a_decisive_report_adds_no_field(capsys, tmp_path):
+    _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / "cat_map.json")
+    code, out = run(capsys, "verify", path, FIXTURES / "cat_map.json")
+    assert code == 0 and "checked_exactly" not in out
+    assert list(out)[-3:] == ["verified", "checked_command", "timings"]
+
+
 @pytest.mark.parametrize("command", ["solenoid-chain", "solenoid-lift"])
 def test_verify_of_a_report_without_a_chain_is_a_parse_error(capsys, tmp_path, command):
     case = FIXTURES / "dyadic_solenoid.json"

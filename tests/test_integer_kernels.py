@@ -1,0 +1,332 @@
+"""The integer kernels against the Fraction routines they replaced.
+
+``QMatrix.inverse``, the definiteness test and the disk and circle counts of
+``spectral`` run on integer numerators.  The Fraction loops they replaced
+are kept below as oracles, and derandomized suites check that both give the
+same answers: equal matrix storage, equal booleans, equal profiles.  The
+sympy and mpmath oracle tests in test_exact.py and test_spectral.py stay
+the gate; these tests pin the new routines to the old ones case by case.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expansive.exact import (
+    NotInvertibleError,
+    QMatrix,
+    QPoly,
+    ZeroConstantTermError,
+    is_positive_definite,
+    is_positive_semidefinite,
+    poly_gcd,
+    reciprocal_split,
+    root_multiplicity,
+    sturm_root_count,
+    _neg_rem_int,
+)
+from expansive.spectral import _inside_by_half_plane, circle_root_count, unit_disk_profile
+
+F = Fraction
+SUITE = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+# ------------------------------------------------------------ the oracles
+
+
+def inverse_by_fractions(m: QMatrix) -> QMatrix:
+    """The replaced inverse: Gauss-Jordan on [M | I] in Fractions."""
+    n = m.rows
+    a = [list(m.row(i)) + [F(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            raise NotInvertibleError("singular matrix")
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return QMatrix.from_rows([row[n:] for row in a])
+
+
+def is_positive_by_fractions(m: QMatrix, strict: bool) -> bool:
+    """The replaced definiteness test: congruence elimination in Fractions."""
+    n = m.rows
+    a = [[m[i, j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        piv = a[i][i]
+        if piv < 0 or (strict and piv == 0):
+            return False
+        if piv == 0:
+            if any(a[i][j] != 0 for j in range(i + 1, n)):
+                return False
+            continue
+        for r in range(i + 1, n):
+            f = a[r][i] / piv
+            for c in range(i, n):
+                a[r][c] -= f * a[i][c]
+    return True
+
+
+def sturm_by_fractions(f: QPoly, lo, hi) -> int:
+    """Distinct real roots of a squarefree f in (lo, hi], by the classical
+    Sturm chain f, f', -(f_{k-1} mod f_k) in Fractions."""
+    chain = [f, f.derivative()]
+    while chain[-1].degree > 0:
+        r = -chain[-2].divmod(chain[-1])[1]
+        if r.is_zero:
+            break
+        chain.append(r)
+
+    def variations(x):
+        signs = [s for s in ((v > 0) - (v < 0) for v in (g(x) for g in chain)) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+def w_transform_by_fractions(h: QPoly) -> QPoly:
+    """H with h(z) = z^m H(z + 1/z), from P_0 = 2, P_1 = w, P_{j+1} = w P_j - P_{j-1}."""
+    m = h.degree // 2
+    w = QPoly.x()
+    out = QPoly.from_coeffs([h.coeffs[m]])
+    before, cur = QPoly.from_coeffs([2]), w
+    for j in range(1, m + 1):
+        out = out + cur.scale(h.coeffs[m + j])
+        before, cur = cur, w * cur - before
+    return out
+
+
+def circle_count_of_closed_factor_by_fractions(g: QPoly) -> int:
+    a, g1 = root_multiplicity(g, 1)
+    b, h = root_multiplicity(g1, -1)
+    pairs = 0
+    if h.degree > 0:
+        cur = w_transform_by_fractions(h)
+        while cur.degree >= 1:
+            pairs += sturm_by_fractions(cur.exact_div(poly_gcd(cur, cur.derivative())), F(-2), F(2))
+            cur = poly_gcd(cur, cur.derivative())
+    return a + b + 2 * pairs
+
+
+class Singular(Exception):
+    pass
+
+
+def schur_cohn_by_fractions(q: QPoly) -> int:
+    n = q.degree
+    if n <= 0:
+        return 0
+    a0, an = q.constant, q.leading
+    delta = a0 * a0 - an * an
+    if delta == 0:
+        raise Singular
+    sub = schur_cohn_by_fractions(q.scale(a0) - q.reverse().scale(an))
+    return sub if delta > 0 else n - sub
+
+
+def split_by_fractions(p: QPoly) -> tuple[QPoly, QPoly]:
+    g = poly_gcd(p, p.reverse())
+    return g, p.exact_div(g)
+
+
+def disk_profile_by_fractions(p: QPoly) -> tuple[int, int, int, int]:
+    """The replaced unit_disk_profile chain, on QPoly in Fractions."""
+    at_zero = next(i for i, c in enumerate(p.coeffs) if c)
+    pt = QPoly.from_coeffs(p.coeffs[at_zero:])
+    if pt.degree == 0:
+        return at_zero, 0, 0, 0
+    g, q = split_by_fractions(pt)
+    on_circle = circle_count_of_closed_factor_by_fractions(g)
+    inside = (g.degree - on_circle) // 2
+    try:
+        inside += schur_cohn_by_fractions(q)
+    except Singular:
+        inside += _inside_by_half_plane(q)
+    return at_zero, inside, on_circle, pt.degree - on_circle - inside
+
+
+# ------------------------------------------------------------ inverse
+
+small_fractions = st.one_of(
+    st.just(F(0)),
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=F(-5), max_value=F(5), max_denominator=7),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n rational matrices, n <= 6; about a third made singular by
+    replacing a row with a combination of two others."""
+    n = draw(st.integers(0, 6))
+    rows = [draw(st.lists(small_fractions, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, n - 1))
+        c, d = draw(small_fractions), draw(small_fractions)
+        others = [row for i, row in enumerate(rows) if i != k]
+        rows[k] = [c * x + d * y for x, y in zip(others[0], others[-1])]
+    return QMatrix.from_rows(rows)
+
+
+def storage(m: QMatrix):
+    return m.rows, m.cols, m.num, m.den
+
+
+@given(square_matrices())
+@SUITE
+def test_inverse_matches_the_fraction_gauss_jordan(m):
+    try:
+        want = inverse_by_fractions(m)
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError):
+            m.inverse()
+        assert m.det() == 0
+        return
+    got = m.inverse()
+    assert storage(got) == storage(QMatrix.from_rows(want.to_rows()))
+    assert got.entries == want.entries
+
+
+def test_inverse_examples():
+    # a zero leading entry forces a row swap; the determinant is 1, so the inverse is integer
+    m = QMatrix.from_rows([[0, 2, 1], [1, 0, 0], [3, 1, 0]])
+    assert storage(m.inverse()) == storage(QMatrix.from_rows([[0, 1, 0], [0, -3, 1], [1, 6, -2]]))
+    h = QMatrix.from_rows([[F(1, i + j + 1) for j in range(4)] for i in range(4)])
+    assert h.inverse() @ h == QMatrix.identity(4)
+    assert QMatrix.from_rows([[F(3, 2)]]).inverse() == QMatrix.from_rows([[F(2, 3)]])
+    assert QMatrix.identity(0).inverse() == QMatrix.identity(0)
+    with pytest.raises(NotInvertibleError):
+        QMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).inverse()
+
+
+# ------------------------------------------------------------ definiteness
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Gram matrices B^T B with B of fewer, as many or more rows than columns
+    (so PSD-singular ones), some with a zero column of B (a zero row and
+    column inside the Gram matrix), shifted by a small diagonal or not, and
+    plain symmetric matrices."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        b = [draw(st.lists(small_fractions, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, n + 1)))]
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            for row in b:
+                row[j] = F(0)
+        bm = QMatrix.from_rows(b)
+        m = bm.transpose() @ bm
+        shift = draw(st.sampled_from([0, 0, 0, F(1, 4), F(-1, 4), F(-1, 100)]))
+        return m + QMatrix.identity(n).scale(shift)
+    upper = [draw(st.lists(small_fractions, min_size=n, max_size=n)) for _ in range(n)]
+    return QMatrix.from_rows([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+@given(symmetric_matrices())
+@SUITE
+def test_definiteness_matches_the_fraction_congruence_elimination(m):
+    assert is_positive_semidefinite(m) == is_positive_by_fractions(m, False)
+    assert is_positive_definite(m) == is_positive_by_fractions(m, True)
+
+
+def test_a_zero_pivot_inside_a_psd_matrix_keeps_the_last_nonzero_pivot():
+    # pivots 2, then 0 with a vanishing row, then the 2 x 2 block after it
+    m = QMatrix.from_rows([[2, 0, 2, 2], [0, 0, 0, 0], [2, 0, 3, 1], [2, 0, 1, 5]])
+    assert is_positive_semidefinite(m) and not is_positive_definite(m)
+    m = QMatrix.from_rows([[2, 0, 2, 2], [0, 0, 0, 0], [2, 0, 3, 3], [2, 0, 3, 2]])
+    assert not is_positive_semidefinite(m)
+    # a zero pivot whose row does not vanish
+    assert not is_positive_semidefinite(QMatrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+
+
+# ------------------------------------------------------------ disk counts
+
+
+def from_roots(*roots):
+    p = QPoly.one()
+    for r in roots:
+        p = p * QPoly.from_coeffs([-F(r), 1])
+    return p
+
+
+def power(p, k):
+    out = QPoly.one()
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def palindromic(cs):
+    return QPoly.from_coeffs([*cs, *cs[-2::-1]])
+
+
+ints = st.integers(-4, 4)
+FACTORS = st.one_of(
+    # palindromic: reciprocal root pairs, on or off the circle
+    st.lists(ints, min_size=2, max_size=4).filter(any).map(palindromic),
+    # (z - 1)^k and (z + 1)^k
+    st.tuples(st.sampled_from([1, -1]), st.integers(1, 3)).map(lambda rk: from_roots(*[rk[0]] * rk[1])),
+    # repeated circle pairs z^2 - t z + 1 with |t| < 2
+    st.tuples(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3)]), st.integers(1, 3)).map(
+        lambda tk: power(QPoly.from_coeffs([1, -tk[0], 1]), tk[1])
+    ),
+    # roots at zero
+    st.integers(1, 2).map(lambda k: QPoly.from_coeffs([0] * k + [1])),
+    # Schur-Cohn-singular: |constant term| = |leading coefficient|, not reciprocal
+    st.sampled_from([(-1, 2, 2, 1), (1, 3, 2, -1), (2, 1, 0, -2), (-3, 1, 5, 3)]).map(QPoly.from_coeffs),
+    # anything else, with rational coefficients
+    st.lists(small_fractions, min_size=2, max_size=4).map(QPoly.from_coeffs).filter(lambda p: p.degree >= 1),
+)
+
+
+@st.composite
+def built_polynomials(draw):
+    p = QPoly.from_coeffs([draw(st.sampled_from([1, -1, 2, F(3, 5), F(-7, 2)]))])
+    for factor in draw(st.lists(FACTORS, min_size=1, max_size=4)):
+        p = p * factor
+    return p
+
+
+@given(built_polynomials())
+@SUITE
+def test_disk_and_circle_counts_match_the_fraction_chain(p):
+    want = disk_profile_by_fractions(p)
+    got = unit_disk_profile(p)
+    assert (got.at_zero, got.inside, got.on_circle, got.outside) == want
+    if want[0]:
+        with pytest.raises(ZeroConstantTermError):
+            circle_root_count(p)
+    else:
+        assert circle_root_count(p) == want[2]
+        assert reciprocal_split(p) == split_by_fractions(p)
+
+
+@given(built_polynomials(), st.sampled_from([(-2, 2), (F(-1, 2), F(3)), (0, 1), (-5, F(1, 3))]))
+@SUITE
+def test_sturm_count_matches_the_fraction_chain(p, interval):
+    lo, hi = map(F, interval)
+    squarefree = p.exact_div(poly_gcd(p, p.derivative()))
+    want = sturm_by_fractions(squarefree, lo, hi) if squarefree.degree > 0 else 0
+    assert sturm_root_count(p, lo, hi) == want
+
+
+@given(
+    st.lists(st.integers(-6, 6), min_size=2, max_size=7).filter(lambda cs: cs[-1] != 0),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(lambda cs: cs[-1] != 0),
+)
+@SUITE
+def test_negated_remainder_is_a_positive_multiple_of_the_fraction_one(a, b):
+    if len(b) > len(a):
+        a, b = b, a
+    want = -QPoly.from_coeffs(a).divmod(QPoly.from_coeffs(b))[1]
+    got = QPoly.from_coeffs(_neg_rem_int(a, b))
+    if want.is_zero:
+        assert got.is_zero
+    else:
+        ratio = got.leading / want.leading
+        assert ratio > 0 and got == want.scale(ratio)

@@ -184,3 +184,35 @@ def test_weights_asks_spectral_only_for_disk_profiles():
     from_spectral = {name for module, name in imported if module == "spectral"}
     labels = {"GROUP", "SEMIGROUP", "check_mode", "EXPANSIVE", "NOT_EXPANSIVE", "UNKNOWN"}
     assert from_spectral - labels == {"unit_disk_profile", "single_expansive"}
+
+
+def exact_function(name):
+    """The definition of a function of exact, or of a method "Class.name"."""
+    scope = ast.parse((SRC / "exact.py").read_text()).body
+    *owner, name = name.split(".")
+    if owner:
+        scope = next(node for node in scope if isinstance(node, ast.ClassDef) and node.name == owner[0]).body
+    return next(node for node in scope if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def names_used(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def attributes_used(node):
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_inverse_and_definiteness_eliminate_on_integers():
+    # both run fraction-free on the integer numerators; Fractions appear only
+    # when a caller reads the result's entries
+    for name in ("QMatrix.inverse", "_is_positive", "is_symmetric"):
+        fn = exact_function(name)
+        assert names_used(fn) & {"Fraction", "to_fraction", "_gauss_jordan"} == set(), name
+        assert attributes_used(fn) & {"entries", "row", "col", "to_rows", "from_rows", "_gauss_jordan"} == set(), name
+        # m[i, j] is an entry, built as a Fraction
+        assert not any(isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Tuple) for n in ast.walk(fn)), name
+
+
+def test_the_sturm_remainder_runs_on_integer_lists():
+    assert "QPoly" not in names_used(exact_function("_neg_rem_int"))
