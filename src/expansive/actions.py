@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exact import Frozen, NotInvertibleError, QMatrix, Subspace, _set, is_positive_semidefinite, rref, solve_exact
+from .exact import Frozen, NotInvertibleError, QMatrix, Subspace, is_positive_semidefinite, rref, solve_exact
 from .spectral import GROUP, SEMIGROUP, check_mode
 
 INVERSE_SUFFIX = "^-1"
@@ -30,12 +30,6 @@ class SemigroupAction(Frozen):
     """
 
     __slots__ = ("dim", "names", "mats", "mode")
-
-    def __init__(self, dim: int, names: tuple[str, ...], mats: tuple[QMatrix, ...], mode: str) -> None:
-        _set(self, "dim", dim)
-        _set(self, "names", names)
-        _set(self, "mats", mats)
-        _set(self, "mode", mode)
 
     @staticmethod
     def from_generators(named: Iterable[tuple[str, QMatrix]], mode: str) -> "SemigroupAction":

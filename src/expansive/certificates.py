@@ -228,7 +228,8 @@ def check_chain(data: dict, module: DualModuleAction, k: Optional[int] = None) -
 
 def check_lifts(data: dict, lifts: list, module: DualModuleAction) -> bool:
     """Whether the chain checks as in ``check_chain`` and each lift gives every chain
-    character a value below its bound, itself below 1/k, that satisfies every chain relation.
+    character a value, a ball of nonnegative radius, below its bound, itself below 1/k,
+    that satisfies every chain relation.
     Lifts that are not lift objects are a ParseError naming the field."""
     from .solenoid import Ball, character
 
@@ -253,7 +254,7 @@ def check_lifts(data: dict, lifts: list, module: DualModuleAction) -> bool:
         }
         if not 0 < bound * chain.k < 1 or any(chi not in values for chi in chars):
             return False
-        if any(v.abs_upper() >= bound for v in values.values()):
+        if any(v.rad < 0 or v.abs_upper() >= bound for v in values.values()):
             return False
         for rel in chain.relations:
             ball = values[rel.target].scale(rel.n0)

@@ -300,6 +300,8 @@ def parse_window(data, precision: int) -> SolenoidWindow:
             raise ParseError(f"window entry {i} must be an object with the fields 'character' and 'mid'")
         chi = character(entry["character"])
         rad = to_fraction(entry["rad"]) if "rad" in entry else Fraction(1, 2**precision)
+        if rad < 0:
+            raise ParseError(f"window entry {i} has a negative 'rad'")
         values.append((chi, Ball(to_fraction(entry["mid"]), rad).angle()))
     return SolenoidWindow(tuple(values))
 

@@ -66,11 +66,6 @@ def to_fraction(x: RationalLike) -> Fraction:
     raise ParseError(f"not a rational: {x!r}")
 
 
-def format_fraction(x: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    return str(x)
-
-
 # === immutable values ===
 
 _set = object.__setattr__
@@ -78,11 +73,26 @@ _set = object.__setattr__
 
 class Frozen:
     """Base of the library's immutable values: the fields are the
-    ``__slots__``, which ``__init__`` sets once through ``_set``.  Equal
-    fields compare and hash equal; ``repr``, copies and pickles read the
-    fields in order."""
+    ``__slots__``, which ``__init__`` sets once through ``_set``.  A subclass
+    that defines no ``__init__`` gets ``__init__(self, <fields in order>)``,
+    built when the class is created.  Equal fields compare and hash equal;
+    ``repr``, copies and pickles read the fields in order."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__slots__", ())
+        if fields and "__init__" not in cls.__dict__:
+            # Generated source, as in ``dataclasses``: one ``_set`` per field
+            # runs as fast as a hand-written constructor; a loop over the
+            # slots would not.  The names come from the class body.
+            body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+            namespace: dict = {}
+            exec(f"def __init__(self, {', '.join(fields)}):{body}", {"_set": _set}, namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = init
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -366,7 +376,7 @@ class QMatrix(Frozen):
         return [[x / den for x in num[i * c : (i + 1) * c]] for i in range(self.rows)]
 
     def to_json(self) -> list[list[str]]:
-        return [[format_fraction(x) for x in self.row(i)] for i in range(self.rows)]
+        return [[str(x) for x in self.row(i)] for i in range(self.rows)]
 
     @staticmethod
     def from_json(rows: Sequence[Sequence[RationalLike]]) -> "QMatrix":
@@ -487,10 +497,6 @@ class Subspace(Frozen):
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: tuple[tuple[Fraction, ...], ...]) -> None:
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "basis", basis)
-
     def __eq__(self, other: object) -> bool:
         if type(other) is not Subspace:
             return NotImplemented
@@ -538,7 +544,7 @@ class Subspace(Frozen):
         return coordinates_in_span(self.basis, vec) is not None
 
     def to_json(self) -> list[list[str]]:
-        return [[format_fraction(x) for x in b] for b in self.basis]
+        return [[str(x) for x in b] for b in self.basis]
 
 
 def coordinates_in_span(
@@ -625,9 +631,6 @@ class QPoly(Frozen):
     """
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        _set(self, "coeffs", coeffs)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not QPoly:
@@ -755,7 +758,7 @@ class QPoly(Frozen):
         return self.scale(1 / self.leading)
 
     def to_json(self) -> list[str]:
-        return [format_fraction(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -76,7 +76,6 @@ from .exact import (
     primitive_integer,
     rational_roots,
     solve_exact,
-    _set,
 )
 from .spectral import (
     EXPANSIVE,
@@ -105,20 +104,6 @@ METRIC_TRIES = 6  # extra combinations tried for an invariant metric
 
 class ExpansivenessVerdict(Frozen):
     __slots__ = ("status", "witness", "certificate", "evidence", "search_depth")
-
-    def __init__(
-        self,
-        status: str,
-        witness: Optional[tuple[Fraction, ...]],
-        certificate: Optional[dict],
-        evidence: dict,
-        search_depth: int,
-    ) -> None:
-        _set(self, "status", status)
-        _set(self, "witness", witness)
-        _set(self, "certificate", certificate)
-        _set(self, "evidence", evidence)
-        _set(self, "search_depth", search_depth)
 
 
 # ------------------------------------------------------------ word search

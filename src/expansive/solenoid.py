@@ -31,7 +31,6 @@ from .exact import (
     coordinates_in_span,
     rref,
     to_fraction,
-    _set,
 )
 
 if TYPE_CHECKING:
@@ -81,10 +80,6 @@ class Ball(Frozen):
     """Exact rational midpoint with exact nonnegative error radius."""
 
     __slots__ = ("mid", "rad")
-
-    def __init__(self, mid: Fraction, rad: Fraction) -> None:
-        _set(self, "mid", mid)
-        _set(self, "rad", rad)
 
     @staticmethod
     def exact(x: RationalLike) -> "Ball":
@@ -168,11 +163,6 @@ class DualModuleAction(Frozen):
 
     __slots__ = ("n", "module_generators", "action")
 
-    def __init__(self, n: int, module_generators: tuple[Character, ...], action: SemigroupAction) -> None:
-        _set(self, "n", n)
-        _set(self, "module_generators", module_generators)
-        _set(self, "action", action)
-
     @staticmethod
     def from_generators(
         n: int,
@@ -219,15 +209,12 @@ def enumerate_basis(dm: DualModuleAction, depth: int) -> tuple[tuple[Character, 
 
 
 class Relation(Frozen):
-    """Integer dependency n0 * target = sum(coef * char) over the previous level."""
+    """Integer dependency n0 * target = sum(coef * char) over the previous level.
+
+    ``level`` is the index of the level that introduced the target (0-based).
+    """
 
     __slots__ = ("target", "n0", "terms", "level")
-
-    def __init__(self, target: Character, n0: int, terms: tuple[tuple[int, Character], ...], level: int) -> None:
-        _set(self, "target", target)
-        _set(self, "n0", n0)
-        _set(self, "terms", terms)
-        _set(self, "level", level)  # index of the level that introduced the target (0-based)
 
     @property
     def cost(self) -> int:
@@ -252,11 +239,6 @@ class Relation(Frozen):
 
 class RhoBasisChain(Frozen):
     __slots__ = ("levels", "k", "relations")
-
-    def __init__(self, levels: tuple[tuple[Character, ...], ...], k: int, relations: tuple[Relation, ...]) -> None:
-        _set(self, "levels", levels)
-        _set(self, "k", k)
-        _set(self, "relations", relations)
 
     def verify(self) -> bool:
         for i in range(1, len(self.levels)):
@@ -407,9 +389,6 @@ class HomVector(Frozen):
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple[Ball, ...]) -> None:
-        _set(self, "coords", coords)
-
     @staticmethod
     def from_rationals(values: Sequence[RationalLike], precision: int = PRECISION_EXP) -> "HomVector":
         return HomVector(tuple(Ball.quantized(v, precision) for v in values))
@@ -449,9 +428,6 @@ class SolenoidWindow(Frozen):
     """A group element seen through finitely many characters, as angles."""
 
     __slots__ = ("values",)
-
-    def __init__(self, values: tuple[tuple[Character, Ball], ...]) -> None:
-        _set(self, "values", values)
 
     def angle(self, chi: Character) -> Ball:
         for c, b in self.values:
@@ -499,10 +475,6 @@ class ChainLift(Frozen):
     """Functional values on every chain character, with error radii."""
 
     __slots__ = ("values", "bound")
-
-    def __init__(self, values: tuple[tuple[Character, Ball], ...], bound: Fraction) -> None:
-        _set(self, "values", values)
-        _set(self, "bound", bound)
 
     def value(self, chi: Character) -> Ball:
         for c, b in self.values:

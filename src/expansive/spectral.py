@@ -4,16 +4,15 @@ The boundary question (is a root of modulus exactly one?) is never
 answered with floating point.  Circle roots are counted through the
 reciprocal-closed factor and the substitution w = z + 1/z, which turns
 conjugate circle pairs into real roots in (-2, 2) countable by Sturm
-sequences.  Open-disk counts run the Schur-Cohn reduction; its rare
+sequences.  Open-disk counts run the Schur-Cohn reduction; its
 singular steps fall back to an exact half-plane count after a Cayley
 transform.  Unbounded powers are read off the same counts and the
-minimal polynomial.  Every count but that fallback runs on the primitive
-integer multiple of the polynomial, which has the same roots.
+minimal polynomial.  Every count runs on the primitive integer multiple
+of the polynomial, which has the same roots.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (
@@ -24,10 +23,9 @@ from .exact import (
     SelfCheckError,
     ZeroConstantTermError,
     ZeroPolynomialError,
-    cauchy_index,
     char_poly,
     minimal_poly,
-    poly_gcd,
+    _chain_signs_at_inf,
     _int_derivative,
     _int_exact_quo,
     _int_gcd,
@@ -35,7 +33,9 @@ from .exact import (
     _int_scaled,
     _int_sturm,
     _int_value,
+    _remainder_chain,
     _set,
+    _variations,
 )
 
 SEMIGROUP = "semigroup"
@@ -105,11 +105,6 @@ class DiskProfile(Frozen):
 
 class SingleVerdict(Frozen):
     __slots__ = ("mode", "expansive", "profile")
-
-    def __init__(self, mode: str, expansive: bool, profile: DiskProfile) -> None:
-        _set(self, "mode", mode)
-        _set(self, "expansive", expansive)
-        _set(self, "profile", profile)
 
     def to_json(self) -> dict:
         return {"mode": self.mode, "expansive": self.expansive, "profile": self.profile.to_json()}
@@ -191,8 +186,9 @@ def _schur_cohn_inside(q: Sequence[int]) -> int:
     return sub if delta > 0 else n - sub
 
 
-def _inside_by_half_plane(q: QPoly) -> int:
-    """Exact open-disk count via the Cayley transform and Cauchy indices.
+def _inside_by_half_plane(q: Sequence[int]) -> int:
+    """Exact open-disk count of an integer polynomial via the Cayley
+    transform and Cauchy indices.
 
     Valid when q has no circle roots and no reciprocal root pairs; both
     hold for the non-reciprocal factor of the split, which is the only
@@ -200,36 +196,27 @@ def _inside_by_half_plane(q: QPoly) -> int:
     comes from the Cauchy index of the real/imaginary split along the
     imaginary axis.
     """
-    m = q.degree
+    m = len(q) - 1
     if m <= 0:
         return 0
-    one_plus = QPoly.from_coeffs([1, 1])
-    one_minus = QPoly.from_coeffs([1, -1])
-    f = QPoly.zero()
-    up = QPoly.one()
-    downs = [QPoly.one()]
-    for _ in range(m):
-        downs.append(downs[-1] * one_minus)
-    for k, c in enumerate(q.coeffs):
-        if c:
-            f = f + (up * downs[m - k]).scale(c)
-        up = up * one_plus
-    if f.degree != m:
+    # f = (1 - s)^m q((1 + s)/(1 - s)) by Horner steps, with down = (1 - s)^j
+    f, down = [q[-1]], [1]
+    for c in reversed(q[:-1]):
+        down = [x - y for x, y in zip([*down, 0], [0, *down])]
+        f = [x + y + c * d for x, y, d in zip([*f, 0], [0, *f], down)]
+    if not f[-1]:
         raise SelfCheckError("the Cayley image must keep full degree")
-    even = [Fraction(0)] * (m + 1)
-    odd = [Fraction(0)] * (m + 1)
-    for j, c in enumerate(f.coeffs):
-        if j % 2 == 0:
-            even[j] = c if j % 4 == 0 else -c
-        else:
-            odd[j] = c if j % 4 == 1 else -c
-    real = QPoly.from_coeffs(even)
-    imag = QPoly.from_coeffs(odd)
-    if poly_gcd(real, imag).degree != 0:
+    # f(iy) = real(y) + i imag(y)
+    signed = [c if j % 4 < 2 else -c for j, c in enumerate(f)]
+    real = _int_prim([c if j % 2 == 0 else 0 for j, c in enumerate(signed)], keep_sign=True)
+    imag = _int_prim([c if j % 2 else 0 for j, c in enumerate(signed)], keep_sign=True)
+    den, num = (real, imag) if m % 2 == 0 else (imag, real)
+    # the last remainder of the chain is the gcd of the split
+    chain = _remainder_chain(den, num) if num else [den]
+    if len(chain[-1]) != 1:
         raise SelfCheckError("the half-plane split must be coprime")
-    if m % 2 == 0:
-        return (m - cauchy_index(imag, real)) // 2
-    return (m + cauchy_index(real, imag)) // 2
+    index = _variations(_chain_signs_at_inf(chain, False)) - _variations(_chain_signs_at_inf(chain, True))
+    return (m - index) // 2 if m % 2 == 0 else (m + index) // 2
 
 
 def unit_disk_profile(p: QPoly) -> DiskProfile:
@@ -249,7 +236,7 @@ def unit_disk_profile(p: QPoly) -> DiskProfile:
     try:
         inside += _schur_cohn_inside(q)
     except _SingularStep:
-        inside += _inside_by_half_plane(QPoly.from_coeffs(q))
+        inside += _inside_by_half_plane(q)
     return DiskProfile(at_zero, inside, on_circle, degree - on_circle - inside)
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .actions import INVERSE_SUFFIX, SemigroupAction
-from .exact import CapExceededError, Frozen, QMatrix, RationalLike, Subspace, _set, coordinates_in_span, to_fraction
+from .exact import CapExceededError, Frozen, QMatrix, RationalLike, coordinates_in_span, to_fraction
 from .orbits import ExpansivenessVerdict, _proper_invariant_subspaces, expansiveness_check, iter_words
 from .spectral import EXPANSIVE, GROUP, has_unbounded_powers
 
@@ -38,9 +38,6 @@ class TorusPoint(Frozen):
     """Point of T^n with exact rational coordinates reduced into [0, 1)."""
 
     __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[Fraction, ...]) -> None:
-        _set(self, "coords", coords)
 
     @staticmethod
     def from_coords(coords: Sequence[RationalLike]) -> "TorusPoint":
@@ -75,19 +72,9 @@ def _check_unimodular(action: SemigroupAction) -> None:
 
 
 class IrreducibilityReport(Frozen):
-    __slots__ = ("algebra_dim", "absolutely_irreducible", "rational_invariant_subspace", "conclusion")
+    """``conclusion`` is "Irreducible", "Reducible" or "Unknown"."""
 
-    def __init__(
-        self,
-        algebra_dim: int,
-        absolutely_irreducible: bool,
-        rational_invariant_subspace: Optional[Subspace],
-        conclusion: str,  # "Irreducible" | "Reducible" | "Unknown"
-    ) -> None:
-        _set(self, "algebra_dim", algebra_dim)
-        _set(self, "absolutely_irreducible", absolutely_irreducible)
-        _set(self, "rational_invariant_subspace", rational_invariant_subspace)
-        _set(self, "conclusion", conclusion)
+    __slots__ = ("algebra_dim", "absolutely_irreducible", "rational_invariant_subspace", "conclusion")
 
     def to_json(self) -> dict:
         return {
@@ -232,15 +219,6 @@ def orbit_spread(action: SemigroupAction, point: TorusPoint, cap: int = GRID_STA
 
 class OracleResult(Frozen):
     __slots__ = ("separated", "failing_point", "q", "epsilon", "states")
-
-    def __init__(
-        self, separated: bool, failing_point: Optional[TorusPoint], q: int, epsilon: Fraction, states: int
-    ) -> None:
-        _set(self, "separated", separated)
-        _set(self, "failing_point", failing_point)
-        _set(self, "q", q)
-        _set(self, "epsilon", epsilon)
-        _set(self, "states", states)
 
     def to_json(self) -> dict:
         return {

@@ -30,7 +30,6 @@ from .exact import (
     rational_roots,
     root_multiplicity,
     squarefree_part,
-    _set,
 )
 from .orbits import find_expansive_word, iter_words
 from .spectral import (
@@ -56,11 +55,9 @@ class NotGroupModeError(ValueError):
 
 
 class WeightBlock(Frozen):
-    __slots__ = ("space", "restriction")
+    """``restriction`` is the action on the block, in the basis of ``space``."""
 
-    def __init__(self, space: Subspace, restriction: SemigroupAction) -> None:
-        _set(self, "space", space)
-        _set(self, "restriction", restriction)  # the action on the block, in the basis of ``space``
+    __slots__ = ("space", "restriction")
 
     @property
     def dim(self) -> int:
@@ -69,10 +66,6 @@ class WeightBlock(Frozen):
 
 class WeightDecomposition(Frozen):
     __slots__ = ("action", "blocks")
-
-    def __init__(self, action: SemigroupAction, blocks: tuple[WeightBlock, ...]) -> None:
-        _set(self, "action", action)
-        _set(self, "blocks", blocks)
 
 
 def _check_commuting(action: SemigroupAction) -> None:
@@ -128,10 +121,6 @@ def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
 
 class WeightsVerdict(Frozen):
     __slots__ = ("status", "block_reports")
-
-    def __init__(self, status: str, block_reports: tuple[dict, ...]) -> None:
-        _set(self, "status", status)
-        _set(self, "block_reports", block_reports)
 
 
 def _block_is_stuck(block: WeightBlock, mode: str) -> bool:

@@ -311,16 +311,54 @@ def test_an_obstruction_witness_needs_a_bounded_eigenvalue():
     assert not check_certificate(cert, action, NOT_EXPANSIVE, ["0", "1"])
 
 
-def test_a_lift_bound_must_stay_below_1_over_k():
+def _dyadic_lift_report() -> dict:
     window = FIXTURES / "dyadic_window.json"
     code, rep = _run(["solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", window, "--radius", "3/10"])
+    assert code == 0 and rep["lifts"][0]["lifted"] is True
+    return rep
+
+
+def test_a_lift_bound_must_stay_below_1_over_k():
+    rep = _dyadic_lift_report()
     dyadic = parse_dual_module(json.loads((FIXTURES / "dyadic_solenoid.json").read_text()))
-    assert code == 0 and check_lifts(rep["chain"], rep["lifts"], dyadic)
+    assert check_lifts(rep["chain"], rep["lifts"], dyadic)
     # the functional x -> 7x satisfies every relation, but no bound below 1/k holds it
     entry = rep["lifts"][0]
     entry["bound"] = "1000"
     for value in entry["values"]:
         value["mid"] = str(7 * Fraction(value["character"][0]))
+    assert not check_lifts(rep["chain"], rep["lifts"], dyadic)
+
+
+def _verify_exit(rep: dict, tmp_path) -> tuple[int, dict]:
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(rep))
+    return _run(["verify", path, FIXTURES / "dyadic_solenoid.json"])
+
+
+def test_a_lift_value_with_a_negative_radius_fails_verify(tmp_path):
+    # a negative radius shrinks the reach of every ball built from it: the
+    # value 31/100 of character 16 then passes for one below the bound 3/10,
+    # and a wider radius on character 8 keeps the relation 2 * 8 = 16 holding
+    rep = _dyadic_lift_report()
+    code, out = _verify_exit(rep, tmp_path)
+    assert (code, out["verified"]) == (0, True)
+    for value in rep["lifts"][0]["values"]:
+        if value["character"] == ["16"]:
+            value.update(mid="31/100", rad="-1/50")
+        elif value["character"] == ["8"]:
+            value["rad"] = "1/25"
+    code, out = _verify_exit(rep, tmp_path)
+    assert (code, out["verified"]) == (1, False)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_no_honest_lift_verifies_with_one_radius_negated(k):
+    rep = _dyadic_lift_report()
+    dyadic = parse_dual_module(json.loads((FIXTURES / "dyadic_solenoid.json").read_text()))
+    value = rep["lifts"][0]["values"][k]
+    assert check_lifts(rep["chain"], rep["lifts"], dyadic)
+    value["rad"] = str(-Fraction(value["rad"]))
     assert not check_lifts(rep["chain"], rep["lifts"], dyadic)
 
 

@@ -652,8 +652,14 @@ def test_a_malformed_solenoid_case_is_a_parse_error(capsys, tmp_path, command, f
 
 @pytest.mark.parametrize(
     "window",
-    [[{"mid": "1/3"}], [5], [{"character": ["1"]}], [{"character": 5, "mid": "0"}]],
-    ids=["no-character", "not-an-object", "no-mid", "character-not-a-list"],
+    [
+        [{"mid": "1/3"}],
+        [5],
+        [{"character": ["1"]}],
+        [{"character": 5, "mid": "0"}],
+        [{"character": ["1"], "mid": "1/64", "rad": "1/64"}, {"character": ["2"], "mid": "1/32", "rad": "-1/2"}],
+    ],
+    ids=["no-character", "not-an-object", "no-mid", "character-not-a-list", "negative-rad"],
 )
 def test_a_malformed_window_is_a_parse_error(capsys, tmp_path, window):
     path = write_case(tmp_path, "window.json", window)

@@ -19,12 +19,15 @@ from expansive.exact import (
     QMatrix,
     QPoly,
     ZeroConstantTermError,
+    cauchy_index,
     is_positive_definite,
     is_positive_semidefinite,
     poly_gcd,
     reciprocal_split,
     root_multiplicity,
     sturm_root_count,
+    _int_prim,
+    _int_scaled,
     _neg_rem_int,
 )
 from expansive.spectral import _inside_by_half_plane, circle_root_count, unit_disk_profile
@@ -129,6 +132,40 @@ def schur_cohn_by_fractions(q: QPoly) -> int:
     return sub if delta > 0 else n - sub
 
 
+def half_plane_by_fractions(q: QPoly) -> int:
+    """The replaced half-plane count: the Cayley image (1 - s)^m q((1 + s)/(1 - s))
+    built from QPoly products, its real and imaginary parts along the imaginary
+    axis, and their Cauchy index."""
+    m = q.degree
+    if m <= 0:
+        return 0
+    one_plus = QPoly.from_coeffs([1, 1])
+    one_minus = QPoly.from_coeffs([1, -1])
+    f = QPoly.zero()
+    up = QPoly.one()
+    downs = [QPoly.one()]
+    for _ in range(m):
+        downs.append(downs[-1] * one_minus)
+    for k, c in enumerate(q.coeffs):
+        if c:
+            f = f + (up * downs[m - k]).scale(c)
+        up = up * one_plus
+    assert f.degree == m
+    even = [F(0)] * (m + 1)
+    odd = [F(0)] * (m + 1)
+    for j, c in enumerate(f.coeffs):
+        if j % 2 == 0:
+            even[j] = c if j % 4 == 0 else -c
+        else:
+            odd[j] = c if j % 4 == 1 else -c
+    real = QPoly.from_coeffs(even)
+    imag = QPoly.from_coeffs(odd)
+    assert poly_gcd(real, imag).degree == 0
+    if m % 2 == 0:
+        return (m - cauchy_index(imag, real)) // 2
+    return (m + cauchy_index(real, imag)) // 2
+
+
 def split_by_fractions(p: QPoly) -> tuple[QPoly, QPoly]:
     g = poly_gcd(p, p.reverse())
     return g, p.exact_div(g)
@@ -146,7 +183,7 @@ def disk_profile_by_fractions(p: QPoly) -> tuple[int, int, int, int]:
     try:
         inside += schur_cohn_by_fractions(q)
     except Singular:
-        inside += _inside_by_half_plane(q)
+        inside += half_plane_by_fractions(q)
     return at_zero, inside, on_circle, pt.degree - on_circle - inside
 
 
@@ -304,6 +341,14 @@ def test_disk_and_circle_counts_match_the_fraction_chain(p):
     else:
         assert circle_root_count(p) == want[2]
         assert reciprocal_split(p) == split_by_fractions(p)
+
+
+@given(built_polynomials())
+@SUITE
+def test_half_plane_count_matches_the_fraction_transform(p):
+    at_zero = next(i for i, c in enumerate(p.coeffs) if c)
+    _, q = split_by_fractions(QPoly.from_coeffs(p.coeffs[at_zero:]))
+    assert _inside_by_half_plane(_int_prim(_int_scaled(q))) == half_plane_by_fractions(q)
 
 
 @given(built_polynomials(), st.sampled_from([(-2, 2), (F(-1, 2), F(3)), (0, 1), (-5, F(1, 3))]))

@@ -1,12 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import expansive
-from expansive import cli
 
 SRC = Path(expansive.__file__).resolve().parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_library_has_no_assert():
@@ -145,16 +146,40 @@ ALLOWED_IMPORTS = {
     "solenoid": ({"actions", "exact"}, {"orbits"}),
 }
 
-# the names perfbench/spans.py patches on expansive.cli to trace it
-CLI_SPANNED = ("verify_report", "check_certificate", "emit")
-
 
 def test_each_module_imports_at_top_level_only_what_every_caller_needs():
     for name, (top_level, inside) in ALLOWED_IMPORTS.items():
         path = SRC / f"{name}.py"
         assert relative_imports(path, top_level_only=True) <= top_level, name
         assert relative_imports(path, top_level_only=False) <= top_level | inside, name
-    assert all(callable(getattr(cli, name, None)) for name in CLI_SPANNED)
+
+
+def spanned_names() -> dict:
+    """The SPANNED table of perfbench/spans.py (module -> wrapped names), read from its source."""
+    tree = ast.parse(SPANS.read_text(), filename=str(SPANS))
+    node = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANNED" for t in node.targets)
+    )
+    return ast.literal_eval(node.value)
+
+
+def test_every_name_the_traced_bench_wraps_resolves():
+    # the tracer patches each name by attribute, and "Class.method" in the
+    # class dict; a name that no longer resolves breaks `perfbench/run.py --trace 1`
+    spanned = spanned_names()
+    spanned["orbits"] += ("iter_words",)  # wrapped outside the table
+    missing = []
+    for mod_name, names in spanned.items():
+        mod = importlib.import_module(f"expansive.{mod_name}")
+        for name in names:
+            cls_name, _, attr = name.rpartition(".")
+            owner = getattr(mod, cls_name, None) if cls_name else mod
+            found = attr in vars(owner) if isinstance(owner, type) else callable(getattr(owner, attr, None))
+            if not found:
+                missing.append(f"{mod_name}.{name}")
+    assert missing == []
 
 
 def test_no_module_imports_dataclasses():
@@ -168,6 +193,19 @@ def test_no_module_imports_dataclasses():
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
     ]
     assert found == []
+
+
+def test_only_records_that_check_or_build_storage_define_init():
+    # every other Frozen subclass gets its __init__ from its __slots__
+    found = sorted(
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body)
+    )
+    assert found == ["DiskProfile", "QMatrix"]
 
 
 def test_weights_asks_spectral_only_for_disk_profiles():

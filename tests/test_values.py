@@ -62,6 +62,14 @@ FROZEN = {
     SolenoidWindow: (lambda: SolenoidWindow((((F(1),), Ball(F(1, 8), F(0))),)), ("values",)),
     ChainLift: (lambda: ChainLift((((F(1),), Ball(F(1, 8), F(0))),), F(1, 4)), ("values", "bound")),
 }
+# a verdict's evidence is a dict, so it is not hashable and stays out of FROZEN
+RECORDS = {
+    **FROZEN,
+    ExpansivenessVerdict: (
+        lambda: ExpansivenessVerdict("Unknown", None, None, {"route": "inconclusive"}, 3),
+        ("status", "witness", "certificate", "evidence", "search_depth"),
+    ),
+}
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
@@ -87,17 +95,25 @@ def test_fields_cannot_be_reassigned(cls):
         value.extra = 1
 
 
-@pytest.mark.parametrize("cls", [*FROZEN, ExpansivenessVerdict], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_repr_names_every_field(cls):
-    if cls is ExpansivenessVerdict:
-        value = ExpansivenessVerdict("Unknown", None, None, {"route": "inconclusive"}, 3)
-        fields = ("status", "witness", "certificate", "evidence", "search_depth")
-    else:
-        make, fields = FROZEN[cls]
-        value = make()
+    make, fields = RECORDS[cls]
+    value = make()
     text = repr(value)
     assert text.startswith(f"{cls.__name__}(")
     assert [f"{field}={getattr(value, field)!r}" in text for field in fields] == [True] * len(fields)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_value_rebuilt_by_keyword_from_its_fields_is_equal(cls):
+    make, fields = RECORDS[cls]
+    value = make()
+    by_name = {field: getattr(value, field) for field in fields}
+    assert cls(**by_name) == value
+    with pytest.raises(TypeError):
+        cls(**{field: by_name[field] for field in fields[:-1]})
+    with pytest.raises(TypeError):
+        cls(**by_name, unknown=None)
 
 
 def test_values_with_different_fields_differ():
