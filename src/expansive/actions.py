@@ -16,6 +16,10 @@ from .exact import Frozen, NotInvertibleError, QMatrix, Subspace, is_positive_se
 from .spectral import GROUP, SEMIGROUP, check_mode
 
 INVERSE_SUFFIX = "^-1"
+# distinct words the engine's word search walks.  A walked word's prefixes
+# were all walked before it, so no word of a report is longer, and the
+# checker refuses a longer certificate word before forming any product.
+WORD_BUDGET = 4000
 
 
 class NotInvertibleGeneratorError(ValueError):

@@ -19,6 +19,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 from .actions import (
+    WORD_BUDGET,
     SemigroupAction,
     adapted_blocks,
     generated_by,
@@ -28,6 +29,7 @@ from .actions import (
     restrict_action,
 )
 from .exact import (
+    CapExceededError,
     IntEchelon,
     ParseError,
     QMatrix,
@@ -49,16 +51,27 @@ def _rows(rows) -> list[tuple[Fraction, ...]]:
     return [tuple(to_fraction(x) for x in row) for row in rows]
 
 
+def _word_matrices(action: SemigroupAction, words: list) -> list[QMatrix]:
+    """The products of words of a report, none of which an honest report
+    makes longer than ``WORD_BUDGET`` letters: a longer one is refused before
+    any product is formed, so the cost of a check stays bounded."""
+    longest = max(map(len, words))
+    if longest > WORD_BUDGET:
+        raise CapExceededError(f"a certificate word has {longest} letters, past the cap WORD_BUDGET = {WORD_BUDGET}")
+    return [action.word_matrix(word) for word in words]
+
+
 def _word_spectrum(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
     """A word whose spectrum escapes the unit circle (and disk, for a semigroup)."""
-    profile = unit_disk_profile(char_poly(action.word_matrix(cert["word"])))
+    (m,) = _word_matrices(action, [cert["word"]])
+    profile = unit_disk_profile(char_poly(m))
     return profile.to_json() == cert["profile"] and profile.escapes(action.mode)
 
 
 def _spectral_obstruction(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
     """A word that generates the whole action, with a spectrum that does not
     escape; a witness is an eigenvector of an eigenvalue that keeps it bounded."""
-    m = action.word_matrix(cert["word"])
+    (m,) = _word_matrices(action, [cert["word"]])
     profile = unit_disk_profile(char_poly(m))
     if profile.to_json() != cert["profile"] or profile.escapes(action.mode) or not generated_by(action, m):
         return False
@@ -116,10 +129,11 @@ def _irreducible_fast_path(cert: dict, action: SemigroupAction, witness: Witness
     n, words = action.dim, cert["words"]
     if cert["algebra_dim"] != n * n or len(words) != n * n - 1 or not all(g.is_integer() for g in action.mats):
         return False
+    *mats, infinite = _word_matrices(action, [*words, cert["infinite_order_word"]])
     span = IntEchelon(n * n)
-    for m in [QMatrix.identity(n), *map(action.word_matrix, words)]:
+    for m in [QMatrix.identity(n), *mats]:
         span.add(m.num)
-    return len(span) == n * n and has_unbounded_powers(action.word_matrix(cert["infinite_order_word"]))
+    return len(span) == n * n and has_unbounded_powers(infinite)
 
 
 # kind -> (the status it proves, its check)
@@ -139,7 +153,8 @@ def check_certificate(cert, action: SemigroupAction, status: str, witness=None) 
 
     ``witness``, a vector of rationals when given, must be nonzero and have
     an orbit the certificate bounds.  A certificate whose data does not
-    parse, or does not fit the action, proves nothing.
+    parse, or does not fit the action, proves nothing; a word past the cap
+    ``WORD_BUDGET`` raises ``CapExceededError``.
     """
     try:
         proves, check = CHECKS[cert["kind"]]
@@ -166,7 +181,7 @@ def _find_expansive_claims(rep: dict, case: dict, action: SemigroupAction) -> bo
         and action.mode == GROUP
         and all(a @ b == b @ a for a, b in combinations(action.mats, 2))
         and rep["word"] == rep["certificate"]["word"]
-        and QMatrix.from_json(rep["matrix"]) == action.word_matrix(rep["word"])
+        and QMatrix.from_json(rep["matrix"]) == _word_matrices(action, [rep["word"]])[0]
     )
 
 

@@ -380,6 +380,28 @@ def check_certificate(cert, action: SemigroupAction, status: str, witness) -> bo
     return check_certificate(cert, action, status, witness)
 
 
+# command -> the statuses its reports state; the reports of the others state none
+STATUSES = {
+    "analyze-matrix": (EXPANSIVE, NOT_EXPANSIVE),
+    "analyze-semigroup": (EXPANSIVE, NOT_EXPANSIVE, UNKNOWN),
+    "find-expansive": (EXPANSIVE, UNKNOWN),
+    "torus-check": (EXPANSIVE, NOT_EXPANSIVE, UNKNOWN),
+    "solenoid-check": (EXPANSIVE, NOT_EXPANSIVE, UNKNOWN),
+}
+
+
+def check_status(rep: dict, command: str) -> None:
+    """A ParseError unless the report states a status its command writes, or
+    none when its command writes none."""
+    statuses = STATUSES.get(command)
+    if statuses is None:
+        if "status" in rep:
+            raise ParseError(f"a report of {command} states no 'status'")
+    elif rep.get("status") not in statuses:
+        got = rep.get("status")
+        raise ParseError(f"the 'status' of a report of {command} is one of {', '.join(statuses)}, not {got!r}")
+
+
 def claims_nothing_exact(rep: dict) -> bool:
     """Whether a report is inconclusive or advisory (a ``jsr`` bracket, an Unknown
     verdict): it states no status and no chain, so it has no exact claim to check."""
@@ -400,6 +422,7 @@ def verify_report(rep: dict, case: dict) -> bool:
     if not isinstance(command, str) or command == "verify" or command not in HANDLERS:
         # only a subcommand that writes reports makes a claim to check
         return False
+    check_status(rep, command)
     mode = options.get("mode")
     if command in ("solenoid-chain", "solenoid-lift") and "chain" not in rep:
         raise ParseError(f"a {command} report needs the field 'chain'")

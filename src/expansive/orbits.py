@@ -29,8 +29,21 @@ of an Expansive action almost always sits among the first few dozen.  The
 walk does not resume when no word can win it: when a held split's
 affine obstruction traps every word (each word's eigenvalue on that one
 dimensional quotient keeps an orbit bounded), the held split is the answer.
-In semigroup mode generators with |det| <= 1 allow no expansive word, so
-there the walk does not start at all.
+The walk does not start at all when no word can win it or one spectrum
+already decides it:
+
+* in semigroup mode, generators with |det| <= 1 allow no expansive word:
+  every word has |det| <= 1, hence an eigenvalue in the closed unit disk;
+* a cyclic action, generated by one m, has the powers m^k as its words (k < 0
+  only in group mode); their eigenvalues are the k-th powers of m's, so m^k
+  is expansive exactly when m is, and m, the walk's first word, decides it.
+
+The subspace stages skip searches that cannot succeed the same way.
+``certify_bounded`` gives up before its closure walk when a generator has
+unbounded powers on the space: a positive definite form that no generator
+increases bounds every generator's powers, so no candidate form can pass.
+The split closes each eigenvector seed's line once, since a closure depends
+only on the line of the vector it starts from.
 
 Floating point only proposes: stage 3's bounded-direction screen guesses a
 subspace from a float Gram form, and ``certify_bounded`` proves a bound on it
@@ -53,6 +66,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .actions import (
+    WORD_BUDGET,
     SemigroupAction,
     _complete_basis,
     adapted_blocks,
@@ -83,6 +97,7 @@ from .spectral import (
     SEMIGROUP,
     UNKNOWN,
     DiskProfile,
+    has_unbounded_powers,
     single_expansive,
     unit_disk_profile,
 )
@@ -90,8 +105,8 @@ from .spectral import (
 if TYPE_CHECKING:
     import numpy as np
 
-# search limits of the engine
-WORD_BUDGET = 4000  # distinct words the word search walks
+# search limits of the engine, beside WORD_BUDGET (from actions), the
+# distinct words the word search walks
 EARLY_WORDS = 64  # of those, the words walked before stages 2-4
 CLOSURE_CAP = 400  # elements of a finite product closure
 GRAM_DEPTH = 12  # longest word length of the float Gram form
@@ -323,7 +338,9 @@ def certify_bounded(action: SemigroupAction, space: Subspace) -> Optional[dict]:
     generator is invertible), an exact word-Gram partial sum, and an exactly
     solved invariant metric.  Every candidate is validated by exact positive
     semidefiniteness of Q - g'Qg per generator with Q positive definite, so
-    a returned certificate bounds every orbit in the space.
+    a returned certificate bounds every orbit in the space.  A form that
+    passes bounds every generator's powers, so a generator with unbounded
+    powers ends the search before the closure walk: no candidate can pass.
     """
     if space.dim == 0:
         return None
@@ -334,6 +351,8 @@ def certify_bounded(action: SemigroupAction, space: Subspace) -> Optional[dict]:
         return {"gram": ident, "method": "identity"}
     if gram_nonincreasing(res.mats, ident):
         return {"gram": ident, "method": "euclidean"}
+    if any(has_unbounded_powers(m) for m in res.mats):
+        return None
     closure = _finite_closure(res)
     if closure is not None:
         # sum s's over the closure plus the identity, each element once.  With
@@ -441,16 +460,22 @@ def _eigenvector_seeds(action: SemigroupAction) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def _line(v: Iterable[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector with a positive leading entry on the line of a nonzero ``v``."""
+    p = primitive_integer(v)
+    return tuple(-x for x in p) if next(x for x in p if x) < 0 else p
+
+
 def _proper_invariant_subspaces(action: SemigroupAction) -> list[Subspace]:
     """Proper invariant subspaces for the split, smallest first: the
     closures of the exact eigenvectors of the generators and short words,
     and the pairwise intersections of those closures, which are invariant
-    as intersections of invariant subspaces."""
+    as intersections of invariant subspaces.  A closure depends only on its
+    seed's line, so each line is closed once."""
     n = action.dim
-    seeds = _eigenvector_seeds(action)
     spaces: list[Subspace] = []
     seen = set()
-    for v in seeds:
+    for v in dict.fromkeys(map(_line, _eigenvector_seeds(action))):
         sp = invariant_closure(action, [v])
         if 0 < sp.dim < n and sp.basis not in seen:
             seen.add(sp.basis)
@@ -544,31 +569,36 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
     if n == 0:
         return ExpansivenessVerdict(EXPANSIVE, None, {"kind": "empty_space"}, {"route": "empty"}, 0)
 
-    # 1. single-element spectral certificate, over the first EARLY_WORDS words,
-    # unless the determinants already rule out every word
-    walk = None if _determinants_trap_every_word(action) else iter_words(action, depth, WORD_BUDGET)
-    if walk is not None:
-        found = find_expansive_word(action, islice(walk, EARLY_WORDS))
-        if found is not None:
-            return _word_verdict(found, depth)
-
-    # 2. cyclic actions are decided outright by one spectrum
+    # 1 and 2. a cyclic action's words are the powers m^k, k < 0 only in group
+    # mode, and m^k is expansive exactly when m is: the walk's first word, m,
+    # decides it, and one spectrum gives the obstruction otherwise
     held: Optional[ExpansivenessVerdict] = None
+    walk = None
     cyclic = _cyclic_generator(action)
-    if cyclic is not None:
+    if cyclic is None:
+        # 1. single-element spectral certificate, over the first EARLY_WORDS
+        # words, unless the determinants already rule out every word
+        if not _determinants_trap_every_word(action):
+            walk = iter_words(action, depth, WORD_BUDGET)
+            found = find_expansive_word(action, islice(walk, EARLY_WORDS))
+            if found is not None:
+                return _word_verdict(found, depth)
+    else:
         name, m = cyclic
-        if action.mode == SEMIGROUP or m.det() != 0:
-            verdict = single_expansive(m, action.mode)
-            if not verdict.expansive:
-                cert = {"kind": "spectral_obstruction", "word": [name], "profile": verdict.profile.to_json()}
-                wit = _spectral_witness(m, action.mode)
-                if wit is not None:
-                    cert["witness_eigenvalue"] = str(wit[1])
-                held = ExpansivenessVerdict(
-                    NOT_EXPANSIVE, wit[0] if wit else None, cert, {"route": "single-spectrum"}, depth
-                )
-                if wit is not None:
-                    return held
+        p = char_poly(m)
+        if action.mode == SEMIGROUP or p.constant != 0:
+            verdict = single_expansive(m, action.mode, p)
+            if verdict.expansive:
+                return _word_verdict(ExpansiveWord((name,), m, verdict.profile), depth)
+            cert = {"kind": "spectral_obstruction", "word": [name], "profile": verdict.profile.to_json()}
+            wit = _spectral_witness(m, action.mode)
+            if wit is not None:
+                cert["witness_eigenvalue"] = str(wit[1])
+            held = ExpansivenessVerdict(
+                NOT_EXPANSIVE, wit[0] if wit else None, cert, {"route": "single-spectrum"}, depth
+            )
+            if wit is not None:
+                return held
 
     # 3. bounded invariant subspace, numerically guessed then exactly certified
     candidate = _bounded_directions(action, min(depth + 2, GRAM_DEPTH))

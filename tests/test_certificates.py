@@ -17,10 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from expansive.actions import SemigroupAction, adapted_blocks
-from expansive.certificates import CHECKS, check_certificate, check_lifts
+from expansive.actions import WORD_BUDGET, SemigroupAction, adapted_blocks
+from expansive.certificates import CHECKS, check_certificate, check_claims, check_lifts
 from expansive.cli import main, parse_action, parse_dual_module, verify_report
-from expansive.exact import IntEchelon, NotInvertibleError, QMatrix, char_poly
+from expansive.exact import CapExceededError, IntEchelon, NotInvertibleError, QMatrix, char_poly
 from expansive.orbits import iter_words
 from expansive.solenoid import span_restriction
 from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, has_unbounded_powers, unit_disk_profile
@@ -291,6 +291,69 @@ def test_affine_obstruction_needs_an_expansive_restriction_proof():
     }
     assert check_certificate(restriction, _action_of(GROUP, g=[[1]]), NOT_EXPANSIVE)
     assert not check_certificate(cert, action, EXPANSIVE)
+
+
+def test_a_forged_affine_obstruction_fails_verify(tmp_path):
+    # diag(2, 1) is NotExpansive: it fixes e2.  The forgery splits off the
+    # expansive line e1 and claims no invariant line off it, yet e2 spans one
+    case = {"n": 2, "mode": "group", "generators": {"g": [[2, 0], [0, 1]]}}
+    case_path, report_path = tmp_path / "case.json", tmp_path / "report.json"
+    case_path.write_text(json.dumps(case))
+    code, rep = _run(["analyze-semigroup", case_path])
+    assert (code, rep["status"]) == (0, NOT_EXPANSIVE)
+    rep.pop("witness")
+    rep["status"] = EXPANSIVE
+    rep["certificate"] = {
+        "kind": "affine_obstruction",
+        "space": [["1", "0"]],
+        "complement": [["0", "1"]],
+        "restriction": {"kind": "word_spectrum", "word": ["g"], "profile": _profile([2])},
+        "scalars": {"g": "1", "g^-1": "1"},
+    }
+    assert rep["certificate"]["restriction"]["profile"]["outside"] == 1
+    report_path.write_text(json.dumps(rep))
+    code, out = _run(["verify", report_path, case_path])
+    assert (code, out["verified"]) == (1, False)
+
+
+def _long_words(word: list) -> dict:
+    """Certificates of each kind that names words, each word ``word``."""
+    profile = _profile([2, 1], [1, 1])
+    return {
+        "word_spectrum": ({"kind": "word_spectrum", "word": word, "profile": profile}, EXPANSIVE),
+        "spectral_obstruction": ({"kind": "spectral_obstruction", "word": word, "profile": profile}, NOT_EXPANSIVE),
+        "fast_path_words": (
+            {"kind": "irreducible_fast_path", "algebra_dim": 4, "infinite_order_word": ["cat"], "words": [word] * 3},
+            EXPANSIVE,
+        ),
+        "fast_path_infinite_order_word": (
+            {"kind": "irreducible_fast_path", "algebra_dim": 4, "infinite_order_word": word, "words": [["cat"]] * 3},
+            EXPANSIVE,
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_long_words([])))
+def test_a_certificate_word_past_the_cap_is_refused_before_any_product(kind, monkeypatch):
+    action = _action_of(GROUP, cat=[[2, 1], [1, 1]])
+    cert, status = _long_words(["cat"] * (WORD_BUDGET + 1))[kind]
+    products = []
+    word_matrix = SemigroupAction.word_matrix
+    monkeypatch.setattr(SemigroupAction, "word_matrix", lambda *args: products.append(args) or word_matrix(*args))
+    with pytest.raises(CapExceededError, match=str(WORD_BUDGET)):
+        check_certificate(cert, action, status)
+    assert products == []
+    # at the cap the word is checked: a power of the cat map is hyperbolic
+    cert, status = _long_words(["cat"] * WORD_BUDGET)[kind]
+    assert check_certificate(cert, action, status) is (kind == "word_spectrum")
+
+
+def test_a_find_expansive_word_past_the_cap_is_refused():
+    action = _action_of(GROUP, cat=[[2, 1], [1, 1]])
+    word = ["cat"] * (WORD_BUDGET + 1)
+    rep = {"command": "find-expansive", "found": True, "word": word, "certificate": {"word": word}, "matrix": [[1]]}
+    with pytest.raises(CapExceededError):
+        check_claims(rep, {"generators": {"cat": [[2, 1], [1, 1]]}}, action)
 
 
 def test_an_obstruction_needs_a_cyclic_action():

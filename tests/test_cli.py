@@ -20,6 +20,7 @@ from expansive.cli import (
     parse_dual_module,
     verify_report,
 )
+from expansive.actions import WORD_BUDGET
 from expansive.exact import ParseError, QMatrix, char_poly
 from expansive.solenoid import RhoBasisChain
 from expansive.spectral import unit_disk_profile
@@ -505,6 +506,55 @@ def test_verify_says_that_it_checked_nothing_exact_in_a_report_that_claims_nothi
     path.write_text(json.dumps(rep))
     code, out = run(capsys, "verify", path, argv[-1])
     assert code == 0 and (out["verified"], out["checked_exactly"]) == (True, False)
+
+
+@pytest.mark.parametrize("status", ["Bogus", None, [], {"x": 1}, "absent"])
+def test_verify_refuses_a_status_that_is_not_a_verdict(capsys, tmp_path, status):
+    # an Unknown report claims nothing exact, so nothing but its status is checked
+    case = FIXTURES / "sl2_generators.json"
+    _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", case, "--mode", "semigroup")
+    assert rep["status"] == "Unknown"
+    if status == "absent":
+        del rep["status"]
+    else:
+        rep["status"] = status
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, case)
+    assert (code, out["error"]["type"]) == (1, "ParseError")
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["analyze-matrix", FIXTURES / "cat_map.json"], "Unknown"),
+        (["find-expansive", FIXTURES / "cat_map.json"], "NotExpansive"),
+        (["jsr", FIXTURES / "cat_map.json"], "Unknown"),
+        (["jsr", FIXTURES / "cat_map.json"], None),
+        (["solenoid-chain", FIXTURES / "dyadic_solenoid.json"], "Expansive"),
+    ],
+    ids=["analyze-matrix-unknown", "find-expansive-not-expansive", "jsr-unknown", "jsr-null", "chain-expansive"],
+)
+def test_verify_refuses_a_status_its_command_never_states(capsys, tmp_path, argv, status):
+    _, rep, path = report_for(capsys, tmp_path, *argv)
+    code, out = run(capsys, "verify", path, argv[-1])
+    assert (code, out["verified"]) == (0, True)
+    rep["status"] = status
+    rep.pop("certificate", None)
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, argv[-1])
+    assert (code, out["error"]["type"]) == (1, "ParseError")
+
+
+def test_verify_stops_at_a_certificate_word_past_the_cap(capsys, tmp_path):
+    # every power of the cat map is hyperbolic, so only the cap refuses the long word
+    _, rep, path = report_for(capsys, tmp_path, "analyze-matrix", FIXTURES / "cat_map.json")
+    for length, code, field in [(WORD_BUDGET, 0, "verified"), (WORD_BUDGET + 1, 2, "error")]:
+        rep["certificate"]["word"] = ["cat"] * length
+        path.write_text(json.dumps(rep))
+        got, out = run(capsys, "verify", path, FIXTURES / "cat_map.json")
+        assert (got, field in out) == (code, True)
+    assert out["error"]["type"] == "CapExceededError"
+    assert f"WORD_BUDGET = {WORD_BUDGET}" in out["error"]["message"]
 
 
 def test_verify_of_a_decisive_report_adds_no_field(capsys, tmp_path):

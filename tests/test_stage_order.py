@@ -4,7 +4,11 @@
 what they prove: the whole word walk first, then the cyclic obstruction,
 the bounded subspace and the split.  Installed in place of
 ``orbits._analyze_uncached`` it also drives every recursive analysis, so
-it is a complete reference for ``expansiveness_check``.
+it is a complete reference for ``expansiveness_check``.  It calls the live
+``certify_bounded`` and ``_proper_invariant_subspaces``, so those two keep
+their own references here: ``certify_bounded_every_candidate``, which tries
+every candidate form however unbounded a generator is, and
+``close_every_seed``, which closes every eigenvector seed, not every line.
 """
 
 import json
@@ -18,10 +22,10 @@ from hypothesis import strategies as st
 
 from expansive import orbits
 from expansive.cli import parse_action
-from expansive.exact import QMatrix
-from expansive.actions import SemigroupAction
+from expansive.exact import QMatrix, Subspace, intersect
+from expansive.actions import SemigroupAction, gram_nonincreasing, restrict_action
 from expansive.orbits import EARLY_WORDS, WORD_BUDGET, ExpansivenessVerdict, expansiveness_check
-from expansive.spectral import EXPANSIVE, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN, single_expansive
+from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN, single_expansive
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -232,6 +236,22 @@ def test_an_affine_obstruction_anywhere_in_the_tree_traps_every_word(cert, group
     assert orbits._traps_every_word(cert, "semigroup") is semigroup
 
 
+def counted_walks(monkeypatch) -> list:
+    """The words of every walk of budget ``WORD_BUDGET``, the word search's,
+    from here on; the subspace stages seed from short walks of their own."""
+    walked = []
+    iter_words = orbits.iter_words
+
+    def counted(walked_action, max_len, budget):
+        for item in iter_words(walked_action, max_len, budget):
+            if budget == WORD_BUDGET:
+                walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(orbits, "iter_words", counted)
+    return walked
+
+
 @pytest.mark.parametrize(
     "generators, status",
     [
@@ -246,18 +266,156 @@ def test_semigroup_determinants_at_most_one_walk_no_word(generators, status, mon
     named = [(f"g{i}", QMatrix.from_rows(rows)) for i, rows in enumerate(generators)]
     action = SemigroupAction.from_generators(named, SEMIGROUP)
     assert min(abs(m.det()) for _, m in named) == 0
-    walked = []
-    iter_words = orbits.iter_words
-
-    def counted(walked_action, max_len, budget):
-        # the word search's walk; the subspace stages seed from short walks of their own
-        for item in iter_words(walked_action, max_len, budget):
-            if budget == WORD_BUDGET:
-                walked.append(item[0])
-            yield item
-
-    monkeypatch.setattr(orbits, "iter_words", counted)
+    walked = counted_walks(monkeypatch)
     assert expansiveness_check(action, 10).status == status
     assert walked == []
     monkeypatch.undo()
     assert_same_as_walk_first(action, 10)
+
+
+CAT = [[2, 1], [1, 1]]
+CYCLIC = {
+    "cat-map": ([("cat", CAT)], GROUP, EXPANSIVE, "word_spectrum"),
+    "rotation": ([("r", [[0, -1], [1, 0]])], GROUP, NOT_EXPANSIVE, "InvariantNormFound"),
+    "singular": ([("s", [[2, 1], [0, 0]])], SEMIGROUP, NOT_EXPANSIVE, "spectral_obstruction"),
+    "contracting-line": ([("d", [[3, 0], [0, Fraction(1, 2)]])], SEMIGROUP, NOT_EXPANSIVE, "spectral_obstruction"),
+    "identity-first": ([("a", [[1, 0], [0, 1]]), ("b", CAT)], GROUP, EXPANSIVE, "word_spectrum"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CYCLIC))
+def test_a_cyclic_action_starts_no_word_walk(case, monkeypatch):
+    # every word is a power m^k, expansive exactly when m is, so the first
+    # word decides the action and the walk has nothing left to find
+    generators, mode, status, kind = CYCLIC[case]
+    action = SemigroupAction.from_generators([(name, QMatrix.from_rows(rows)) for name, rows in generators], mode)
+    assert orbits._cyclic_generator(action) is not None
+    walked = counted_walks(monkeypatch)
+    res = expansiveness_check(action, 10)
+    assert (res.status, res.certificate["kind"]) == (status, kind)
+    if kind == "word_spectrum":
+        assert res.certificate["word"] == [generators[-1][0]]
+    assert walked == []
+    monkeypatch.undo()
+    assert_same_as_walk_first(action, 10)
+
+
+def certify_bounded_every_candidate(action, space):
+    """``certify_bounded`` as it was before a generator with unbounded powers
+    ended its search: every candidate form is tried and checked."""
+    if space.dim == 0:
+        return None
+    res = restrict_action(action, list(space.basis))
+    ident = QMatrix.identity(res.dim)
+    if all(m == ident for m in res.mats):
+        return {"gram": ident, "method": "identity"}
+    if gram_nonincreasing(res.mats, ident):
+        return {"gram": ident, "method": "euclidean"}
+    closure = orbits._finite_closure(res)
+    if closure is not None:
+        q = ident
+        for m in closure:
+            q = q + (m.transpose() @ m)
+        if gram_nonincreasing(res.mats, q):
+            return {"gram": q, "method": "finite_closure"}
+    q = orbits._exact_gram_sum(res)
+    if gram_nonincreasing(res.mats, q):
+        return {"gram": q, "method": "word_gram"}
+    solved = orbits._solve_invariant_metric(res)
+    if solved is not None:
+        return {"gram": solved, "method": "isometry_metric"}
+    return None
+
+
+def close_every_seed(action):
+    """``_proper_invariant_subspaces`` as it was before it closed each seed's line once."""
+    n = action.dim
+    spaces, seen = [], set()
+    for v in orbits._eigenvector_seeds(action):
+        sp = orbits.invariant_closure(action, [v])
+        if 0 < sp.dim < n and sp.basis not in seen:
+            seen.add(sp.basis)
+            spaces.append(sp)
+    for a in list(spaces):
+        for b in list(spaces):
+            c = intersect(a, b)
+            if 0 < c.dim < n and c.basis not in seen:
+                seen.add(c.basis)
+                spaces.append(c)
+    spaces.sort(key=lambda sp: (sp.dim, sp.basis))
+    return spaces[: orbits.MAX_SUBSPACES]
+
+
+def assert_subspace_stages_match_their_references(action):
+    spaces = orbits._proper_invariant_subspaces(action)
+    assert spaces == close_every_seed(action)
+    candidate = orbits._bounded_directions(action, orbits.GRAM_DEPTH)
+    for space in [Subspace.full(action.dim), candidate, *spaces]:
+        assert orbits.certify_bounded(action, space) == certify_bounded_every_candidate(action, space)
+
+
+def conjugated(m, p):
+    return p @ m @ p.inverse()
+
+
+SHEAR = QMatrix.from_rows([[1, 1], [0, 1]])
+ROTATION_3_5 = QMatrix.from_rows([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
+# bounded, of infinite order, and increasing the Euclidean norm somewhere:
+# no finite closure and no unbounded generator, so certify_bounded walks
+SKEW_ROTATION_3_5 = conjugated(ROTATION_3_5, SHEAR)
+BOUNDED = {
+    "rotation-3/5": [ROTATION_3_5],
+    "skew-rotation-3/5": [SKEW_ROTATION_3_5],
+    "skew-quarter-turn": [conjugated(QMatrix.from_rows([[0, -1], [1, 0]]), SHEAR)],
+    "skew-rotation-and-shear": [SKEW_ROTATION_3_5, SHEAR],
+    "hyperbolic": [QMatrix.from_rows(CAT)],
+    "identity": [QMatrix.identity(2)],
+}
+
+
+@pytest.mark.parametrize("mode", [GROUP, SEMIGROUP])
+@pytest.mark.parametrize("case", sorted(BOUNDED))
+def test_subspace_stages_match_their_references_on_bounded_and_unbounded_generators(case, mode):
+    action = SemigroupAction.from_generators([(f"g{i}", m) for i, m in enumerate(BOUNDED[case])], mode)
+    assert_subspace_stages_match_their_references(action)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_subspace_stages_match_their_references_on_drawn_actions(n, data):
+    mats, mode = data.draw(actions(n))
+    action = SemigroupAction.from_generators([(f"g{i}", m) for i, m in enumerate(mats)], mode)
+    assert_subspace_stages_match_their_references(action)
+
+
+def spied_closures(monkeypatch) -> list:
+    closed = []
+    finite_closure = orbits._finite_closure
+
+    def spied(action):
+        closed.append(action)
+        return finite_closure(action)
+
+    monkeypatch.setattr(orbits, "_finite_closure", spied)
+    return closed
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [[SHEAR], [QMatrix.from_rows([[2, 0], [0, Fraction(1, 2)]])], [SKEW_ROTATION_3_5, SHEAR]],
+    ids=["shear", "diagonal", "skew-rotation-and-shear"],
+)
+def test_no_closure_walk_once_a_generator_has_unbounded_powers(generators, monkeypatch):
+    action = SemigroupAction.from_generators([(f"g{i}", m) for i, m in enumerate(generators)], GROUP)
+    closed = spied_closures(monkeypatch)
+    assert orbits.certify_bounded(action, Subspace.full(2)) is None
+    assert closed == []
+
+
+def test_a_bounded_rotation_of_infinite_order_still_walks_its_closure(monkeypatch):
+    action = SemigroupAction.from_generators([("r", SKEW_ROTATION_3_5)], GROUP)
+    closed = spied_closures(monkeypatch)
+    cert = orbits.certify_bounded(action, Subspace.full(2))
+    assert cert is not None and cert["method"] in ("word_gram", "isometry_metric")
+    assert len(closed) == 1
