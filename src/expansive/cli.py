@@ -211,7 +211,11 @@ def cmd_analyze_semigroup(args) -> tuple[dict, int]:
 
 def cmd_find_expansive(args) -> tuple[dict, int]:
     from .weights import find_expansive_element
+    from .actions import WORD_BUDGET
 
+    # a longer word would make a report that verify refuses
+    if args.depth > WORD_BUDGET:
+        raise UsageError(f"--depth {args.depth} is past the word cap WORD_BUDGET = {WORD_BUDGET}")
     case = load_object(args.case)
     action = parse_action(case, args.mode)
     found = find_expansive_element(action, word_cap=args.depth)

@@ -2,8 +2,10 @@
 
 Everything in this module is computed over the rationals with no floating
 point anywhere.  These are the primitives the spectral and orbit layers
-reduce to: characteristic polynomials, kernels, invariance tests, Sturm
-root counting, and the reciprocal (self-inverse factor) split.
+reduce to: characteristic and minimal polynomials, kernels and subspaces,
+rational roots, definiteness tests, and the integer polynomial kernels
+(gcd, exact quotient, the Sturm and Cauchy remainder chain) on which
+``spectral`` counts roots.
 """
 
 from __future__ import annotations
@@ -431,10 +433,6 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     return QMatrix.from_rows(a), tuple(pivots)
 
 
-def rank(m: QMatrix) -> int:
-    return len(rref(m)[1])
-
-
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     """An integer vector divided by the gcd of its entries (the zero vector as is)."""
     g = math.gcd(*v)
@@ -588,14 +586,6 @@ def kernel(m: QMatrix) -> Subspace:
             v[c] = -red[r, f]
         basis.append(tuple(v))
     return Subspace.from_vectors(m.cols, basis)
-
-
-def is_invariant(space: Subspace, m: QMatrix) -> bool:
-    """Exact test that m maps the subspace into itself: [basis | images]
-    has rank dim, by one ``rref``."""
-    if not m.is_square or m.cols != space.ambient_dim:
-        raise DimensionMismatchError("matrix and subspace dimensions differ")
-    return rank(QMatrix.from_columns(space.basis + tuple(map(m.apply, space.basis)))) == space.dim
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -927,26 +917,6 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     return QPoly.from_coeffs(g).monic()
 
 
-def squarefree_part(p: QPoly) -> QPoly:
-    """p with every distinct root once, monic."""
-    if p.is_zero:
-        raise ZeroPolynomialError("squarefree part of zero polynomial")
-    if p.degree == 0:
-        return QPoly.one()
-    return p.exact_div(poly_gcd(p, p.derivative())).monic()
-
-
-def root_multiplicity(p: QPoly, r: RationalLike) -> tuple[int, QPoly]:
-    """Multiplicity of the rational root r, and p with those factors removed."""
-    r = to_fraction(r)
-    lin = QPoly.from_coeffs([-r, 1])
-    mult = 0
-    while not p.is_zero and p(r) == 0:
-        p = p.exact_div(lin)
-        mult += 1
-    return mult, p
-
-
 def _divisors(n: int) -> list[int]:
     """The positive divisors of n >= 1, from its factorization by trial
     division; each prime is divided out as it is found."""
@@ -1009,8 +979,9 @@ def _neg_rem_int(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def _remainder_chain(f0: Sequence[int], f1: Sequence[int]) -> list[tuple[int, ...]]:
     """The chain f0, f1, f_{k+1} = -(f_{k-1} mod f_k) of integer polynomials, up
-    to the last nonzero remainder; f1 must be nonzero.  Each remainder is rescaled
-    by a positive rational only, so the classical chain's sign structure holds."""
+    to the last nonzero remainder; f1 must be nonzero, of lower degree than f0.
+    Each remainder is rescaled by a positive rational only, so the classical
+    chain's sign structure holds."""
     chain = [tuple(f0), tuple(f1)]
     while len(chain[-1]) > 1:
         r = _neg_rem_int(chain[-2], chain[-1])
@@ -1047,70 +1018,12 @@ def _chain_signs_at_inf(chain: Sequence[Sequence[int]], positive: bool) -> list[
     return out
 
 
-def sturm_root_count(p: QPoly, lo: RationalLike, hi: RationalLike) -> int:
-    """Number of distinct real roots of p in (lo, hi], exactly.
-
-    Computed by a Sturm chain on the squarefree part; roots at lo are
-    excluded and roots at hi included, with sign evaluations taken as
-    right-hand limits so root endpoints need no special casing.
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("root count of zero polynomial")
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    f = _int_prim(_int_scaled(p))
-    if len(f) < 2:
-        return 0
-    return _int_sturm(_int_exact_quo(f, _int_gcd(f, _int_derivative(f))), lo, hi)
-
-
 def _int_sturm(f: Sequence[int], lo: Fraction | int, hi: Fraction | int) -> int:
     """Real roots in (lo, hi] of a squarefree integer polynomial of degree >= 1."""
     chain = _remainder_chain(f, _int_derivative(f))
     # dropping zeros in the variation count evaluates right-hand limits, so
     # V(lo) - V(hi) counts roots in (lo, hi] with no endpoint special cases
     return _variations(_chain_signs_at(chain, lo)) - _variations(_chain_signs_at(chain, hi))
-
-
-def cauchy_index(num: QPoly, den: QPoly) -> int:
-    """Cauchy index of num/den over the whole real line.
-
-    Computed with the generalized Sturm chain f0 = den, f1 = num,
-    f_{k+1} = -(f_{k-1} mod f_k); the index is V(-inf) - V(+inf).
-    Requires gcd(num, den) constant.
-    """
-    if den.is_zero:
-        raise ZeroPolynomialError("Cauchy index with zero denominator")
-    if num.is_zero:
-        return 0
-    chain = _remainder_chain(*(_int_prim(_int_scaled(f), keep_sign=True) for f in (den, num)))
-    return _variations(_chain_signs_at_inf(chain, False)) - _variations(_chain_signs_at_inf(chain, True))
-
-
-# === reciprocal split ===
-
-
-def reciprocal_split(p: QPoly) -> tuple[QPoly, QPoly]:
-    """Split p into its reciprocal-closed factor and the rest.
-
-    Returns (g, q) with g = gcd(p, reverse(p)) monic and q = p / g.  Every
-    root of p of modulus one lies in g with full multiplicity; q has no
-    root pair {w, 1/w} and in particular no roots on the unit circle.
-    Requires p(0) != 0.
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("reciprocal split of zero polynomial")
-    if p.constant == 0:
-        raise ZeroConstantTermError("reciprocal split requires a nonzero constant term")
-    if p.degree == 0:
-        return QPoly.one(), p
-    f = _int_prim(_int_scaled(p))
-    g = _int_gcd(f, f[::-1])
-    q = _int_exact_quo(f, g)
-    # p = c f = (g / lc(g)) (c lc(g) q) with c = lc(p) / lc(f)
-    c = p.leading * g[-1] / f[-1]
-    return QPoly.from_coeffs(g).monic(), QPoly.from_coeffs([c * x for x in q])
 
 
 # === exact definiteness tests ===

@@ -529,8 +529,10 @@ def _norm_bound_from_cert(cert: dict, witness: tuple[Fraction, ...]) -> float:
     return math.sqrt(hi / lo) * wnorm * (1 + 1e-9)
 
 
-def _spectral_witness(m: QMatrix, mode: str) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
-    for lam in rational_roots(char_poly(m)):
+def _spectral_witness(m: QMatrix, p: QPoly, mode: str) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
+    """An eigenvector of m for a rational root of its characteristic polynomial
+    ``p`` that keeps the orbit bounded, with that root; None if there is none."""
+    for lam in rational_roots(p):
         if not keeps_bounded(lam, mode):
             continue
         eig = kernel(m - QMatrix.identity(m.rows).scale(lam))
@@ -591,7 +593,7 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
             if verdict.expansive:
                 return _word_verdict(ExpansiveWord((name,), m, verdict.profile), depth)
             cert = {"kind": "spectral_obstruction", "word": [name], "profile": verdict.profile.to_json()}
-            wit = _spectral_witness(m, action.mode)
+            wit = _spectral_witness(m, p, action.mode)
             if wit is not None:
                 cert["witness_eigenvalue"] = str(wit[1])
             held = ExpansivenessVerdict(

@@ -413,16 +413,6 @@ class HomVector(Frozen):
             out = out + b.scale(c)
         return out
 
-    def pullback(self, m: QMatrix) -> "HomVector":
-        """The functional chi -> self(m chi), i.e. the adjoint action."""
-        out = []
-        for i in range(m.cols):
-            acc = Ball.exact(0)
-            for j in range(m.rows):
-                acc = acc + self.coords[j].scale(m[j, i])
-            out.append(acc)
-        return HomVector(tuple(out))
-
 
 class SolenoidWindow(Frozen):
     """A group element seen through finitely many characters, as angles."""
@@ -434,15 +424,6 @@ class SolenoidWindow(Frozen):
             if c == chi:
                 return b
         raise MissingCharacterError(str(tuple(map(str, chi))))
-
-    def characters(self) -> tuple[Character, ...]:
-        return tuple(c for c, _ in self.values)
-
-    def combine(self, other: "SolenoidWindow") -> "SolenoidWindow":
-        # pointwise product of group elements = angle sum on every character
-        return SolenoidWindow(
-            tuple((c, (b + other.angle(c)).angle()) for c, b in self.values)
-        )
 
     def to_json(self) -> list:
         return [{"character": [str(x) for x in c], **b.to_json()} for c, b in self.values]

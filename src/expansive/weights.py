@@ -12,7 +12,6 @@ because every criterion below depends only on moduli.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .actions import SemigroupAction, restrict_action
@@ -28,8 +27,11 @@ from .exact import (
     mat_power,
     poly_of_matrix,
     rational_roots,
-    root_multiplicity,
-    squarefree_part,
+    _int_derivative,
+    _int_exact_quo,
+    _int_gcd,
+    _int_prim,
+    _int_scaled,
 )
 from .orbits import find_expansive_word, iter_words
 from .spectral import (
@@ -76,14 +78,19 @@ def _check_commuting(action: SemigroupAction) -> None:
 
 
 def _coprime_root_factors(p: QPoly) -> list[QPoly]:
-    """Pairwise coprime polynomials covering p's roots, rational roots split off."""
-    s = squarefree_part(p)
+    """Pairwise coprime primitive integer polynomials covering p's roots: the
+    square-free part of p's integer form, each rational root divided out once
+    as its own linear factor.  A nonzero multiple of a factor f has the same
+    kernels of f(g)^n, so the blocks do not depend on the scaling."""
+    f = _int_prim(_int_scaled(p))
+    s = _int_exact_quo(f, _int_gcd(f, _int_derivative(f)))
     out: list[QPoly] = []
-    for lam in rational_roots(s):
-        out.append(QPoly.from_coeffs([-lam, Fraction(1)]))
-        _, s = root_multiplicity(s, lam)
-    if s.degree > 0:
-        out.append(s.monic())
+    for lam in rational_roots(QPoly.from_coeffs(s)):
+        line = (-lam.numerator, lam.denominator)
+        out.append(QPoly.from_coeffs(line))
+        s = _int_exact_quo(s, line)
+    if len(s) > 1:
+        out.append(QPoly.from_coeffs(s))
     return out
 
 

@@ -316,6 +316,64 @@ def test_a_forged_affine_obstruction_fails_verify(tmp_path):
     assert (code, out["verified"]) == (1, False)
 
 
+def test_a_forged_affine_obstruction_off_a_hyperplane_fails_verify(tmp_path):
+    # diag(2, 1, 1) and a shear of e2 onto e1 fix e3.  The forgery splits off
+    # the expansive line e1, of codimension two, not one, and every block
+    # scalar is 1; no solution u of the line equations exists, yet e3 spans
+    # an invariant line, so only the hyperplane test refuses it
+    case = {
+        "n": 3,
+        "mode": "group",
+        "generators": {"g": [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "h": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]},
+    }
+    case_path, report_path = tmp_path / "case.json", tmp_path / "report.json"
+    case_path.write_text(json.dumps(case))
+    code, rep = _run(["analyze-semigroup", case_path])
+    assert (code, rep["status"]) == (0, NOT_EXPANSIVE)
+    rep.pop("witness")
+    rep["status"] = EXPANSIVE
+    rep["certificate"] = {
+        "kind": "affine_obstruction",
+        "space": [["1", "0", "0"]],
+        "complement": [["0", "1", "0"], ["0", "0", "1"]],
+        "restriction": {"kind": "word_spectrum", "word": ["g"], "profile": _profile([2])},
+        "scalars": {"g": "1", "h": "1", "g^-1": "1", "h^-1": "1"},
+    }
+    report_path.write_text(json.dumps(rep))
+    code, out = _run(["verify", report_path, case_path])
+    assert (code, out["verified"]) == (1, False)
+
+
+def _profiles(cert, path=("certificate",)):
+    """The path of the stored ``profile`` of every certificate in the tree that has one."""
+    if not isinstance(cert, dict):
+        return
+    if "profile" in cert:
+        yield path + ("profile",)
+    for key in ("restriction", "quotient"):
+        yield from _profiles(cert.get(key), path + (key,))
+
+
+def test_an_honest_report_with_a_changed_stored_profile_fails_verify(honest):
+    # one root moved to the next field of the profile: the degree is the same,
+    # and the word and its spectrum are honest, so only the comparison with
+    # the recomputed profile refuses it
+    fields = ["at_zero", "inside", "on_circle", "outside"]
+    accepted, kinds = [], set()
+    for name, (rep, case) in honest.items():
+        for path in _profiles(rep["certificate"]):
+            bad = copy.deepcopy(rep)
+            profile = _at(bad, path)
+            kinds.add(_at(bad, path[:-1])["kind"])
+            i = next(i for i, f in enumerate(fields) if profile[f])
+            profile[fields[i]] -= 1
+            profile[fields[(i + 1) % 4]] += 1
+            if _verifies(bad, case):
+                accepted.append((name, path))
+    assert accepted == []
+    assert kinds == {"word_spectrum", "spectral_obstruction"}
+
+
 def _long_words(word: list) -> dict:
     """Certificates of each kind that names words, each word ``word``."""
     profile = _profile([2, 1], [1, 1])

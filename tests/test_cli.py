@@ -557,6 +557,19 @@ def test_verify_stops_at_a_certificate_word_past_the_cap(capsys, tmp_path):
     assert f"WORD_BUDGET = {WORD_BUDGET}" in out["error"]["message"]
 
 
+def test_find_expansive_refuses_a_depth_past_the_word_cap(capsys, monkeypatch):
+    from expansive import weights
+
+    searched = []
+    search = weights.find_expansive_element
+    monkeypatch.setattr(weights, "find_expansive_element", lambda *a, **k: searched.append(1) or search(*a, **k))
+    code, out = run(capsys, "find-expansive", FIXTURES / "cat_map.json", "--depth", WORD_BUDGET + 1)
+    assert (code, out["error"]["type"], searched) == (1, "UsageError", [])
+    assert f"WORD_BUDGET = {WORD_BUDGET}" in out["error"]["message"]
+    code, out = run(capsys, "find-expansive", FIXTURES / "cat_map.json", "--depth", WORD_BUDGET)
+    assert (code, out["status"], out["options"]["depth"], searched) == (0, "Expansive", WORD_BUDGET, [1])
+
+
 def test_verify_of_a_decisive_report_adds_no_field(capsys, tmp_path):
     _, rep, path = report_for(capsys, tmp_path, "analyze-semigroup", FIXTURES / "cat_map.json")
     code, out = run(capsys, "verify", path, FIXTURES / "cat_map.json")

@@ -11,6 +11,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expansive.actions import SemigroupAction, restrict_action
 from expansive.exact import (
     DimensionMismatchError,
     IntEchelon,
@@ -21,11 +22,9 @@ from expansive.exact import (
     Subspace,
     ZeroConstantTermError,
     ZeroPolynomialError,
-    cauchy_index,
     char_poly,
     coordinates_in_span,
     intersect,
-    is_invariant,
     is_positive_definite,
     is_positive_semidefinite,
     kernel,
@@ -34,16 +33,21 @@ from expansive.exact import (
     poly_gcd,
     poly_of_matrix,
     primitive_integer,
-    rank,
     rational_roots,
-    reciprocal_split,
-    root_multiplicity,
     rref,
     solve_exact,
-    squarefree_part,
-    sturm_root_count,
     to_fraction,
+    _chain_signs_at_inf,
+    _int_derivative,
+    _int_exact_quo,
+    _int_gcd,
+    _int_prim,
+    _int_scaled,
+    _int_sturm,
+    _remainder_chain,
+    _variations,
 )
+from expansive.spectral import _unit_root_multiplicity, circle_root_count
 
 F = Fraction
 
@@ -109,7 +113,7 @@ def test_rref_pivots_and_rank():
     a = M([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     r, pivots = rref(a)
     assert pivots == (0, 1)
-    assert rank(a) == 2
+    assert len(rref(a)[1]) == 2
 
 
 def test_kernel_basis_is_exact():
@@ -137,14 +141,23 @@ def test_intersect_subspaces():
     assert intersect(x_axis, Subspace.full(2)) == x_axis
 
 
+def invariant(space, m):
+    """The library's invariance test: ``restrict_action`` refuses a span that m leaves."""
+    try:
+        restrict_action(SemigroupAction(space.ambient_dim, ("m",), (m,), "semigroup"), list(space.basis))
+    except ValueError:
+        return False
+    return True
+
+
 def test_invariance_checks():
     rot = M([[0, -1], [1, 0]])
     x_axis = Subspace.from_vectors(2, [(F(1), F(0))])
-    assert is_invariant(Subspace.zero(2), rot)
-    assert is_invariant(Subspace.full(2), rot)
-    assert not is_invariant(x_axis, rot)
+    assert invariant(Subspace.zero(2), rot)
+    assert invariant(Subspace.full(2), rot)
+    assert not invariant(x_axis, rot)
     shear = M([[1, 1], [0, 1]])
-    assert is_invariant(x_axis, shear)
+    assert invariant(x_axis, shear)
 
 
 def test_from_columns_makes_fractions_and_refuses_ragged_columns():
@@ -184,8 +197,8 @@ def test_is_invariant_matches_the_per_vector_loop(drawn):
     rows, vectors = drawn
     m = M(rows)
     space = Subspace.from_vectors(m.rows, vectors)
-    assert is_invariant(space, m) == invariant_by_coordinates(space, m)
-    assert is_invariant(kernel(m), m) and is_invariant(Subspace.full(m.rows), m)
+    assert invariant(space, m) == invariant_by_coordinates(space, m)
+    assert invariant(kernel(m), m) and invariant(Subspace.full(m.rows), m)
 
 
 def test_solve_exact_and_coordinates():
@@ -337,12 +350,18 @@ def test_rational_roots_match_sympy(p):
     assert rational_roots(p) == want
 
 
+def int_form(p):
+    """The primitive integer multiple of p, which spectral's kernels run on."""
+    return _int_prim(_int_scaled(p))
+
+
 def test_root_multiplicity_and_squarefree():
     p = P(-1, 1) * P(-1, 1) * P(2, 1)
-    mult, reduced = root_multiplicity(p, F(1))
+    f = int_form(p)
+    mult, reduced = _unit_root_multiplicity(f, 1)
     assert mult == 2
-    assert reduced == P(2, 1)
-    assert squarefree_part(p) == (P(-1, 1) * P(2, 1)).monic()
+    assert reduced == int_form(P(2, 1))
+    assert _int_exact_quo(f, _int_gcd(f, _int_derivative(f))) == int_form(P(-1, 1) * P(2, 1))
 
 
 def test_poly_gcd():
@@ -353,46 +372,72 @@ def test_poly_gcd():
 
 
 # ----------------------------------------------------------- root counts
+# Each count runs the integer kernels of spectral on a polynomial's integer form.
+
+
+def int_sturm_count(p, lo, hi):
+    """Distinct real roots of p in (lo, hi]: the Sturm count of the square-free part."""
+    f = int_form(p)
+    return _int_sturm(_int_exact_quo(f, _int_gcd(f, _int_derivative(f))), lo, hi)
+
+
+def int_cauchy_index(num, den):
+    """Cauchy index of num/den over the real line, by the remainder chain
+    den, num mod den, ... of the half-plane count: V(-inf) - V(+inf)."""
+    # the polynomial part of num/den has no poles, and the chain needs deg num < deg den
+    num = num.divmod(den)[1]
+    if num.is_zero:
+        return 0
+    chain = _remainder_chain(*(_int_prim(_int_scaled(f), keep_sign=True) for f in (den, num)))
+    return _variations(_chain_signs_at_inf(chain, False)) - _variations(_chain_signs_at_inf(chain, True))
+
+
+def int_reciprocal_split(p):
+    """The split unit_disk_profile makes of p's integer form f: g = gcd(f, reversed f), and f / g."""
+    f = int_form(p)
+    g = _int_gcd(f, f[::-1])
+    return QPoly.from_coeffs(g), QPoly.from_coeffs(_int_exact_quo(f, g))
 
 
 def test_sturm_root_count_examples():
-    assert sturm_root_count(P(-2, 0, 1), F(0), F(2)) == 1
-    assert sturm_root_count(P(1, 0, 1), F(-5), F(5)) == 0
-    assert sturm_root_count(P(1, -2, 1), F(0), F(2)) == 1
+    assert int_sturm_count(P(-2, 0, 1), F(0), F(2)) == 1
+    assert int_sturm_count(P(1, 0, 1), F(-5), F(5)) == 0
+    assert int_sturm_count(P(1, -2, 1), F(0), F(2)) == 1
 
 
 def test_sturm_interval_is_half_open_on_the_right():
     line = P(-2, 1)
-    assert sturm_root_count(line, F(0), F(2)) == 1
-    assert sturm_root_count(line, F(2), F(3)) == 0
+    assert int_sturm_count(line, F(0), F(2)) == 1
+    assert int_sturm_count(line, F(2), F(3)) == 0
 
 
 def test_cauchy_index_examples():
     # 1/z jumps -inf -> +inf once
-    assert cauchy_index(P(1), P(0, 1)) == 1
-    assert cauchy_index(P(0, 1), P(1)) == 0
+    assert int_cauchy_index(P(1), P(0, 1)) == 1
+    assert int_cauchy_index(P(0, 1), P(1)) == 0
     # z / (z^2 - 1) has two positive jumps
-    assert cauchy_index(P(0, 1), P(-1, 0, 1)) == 2
+    assert int_cauchy_index(P(0, 1), P(-1, 0, 1)) == 2
     # -1/z
-    assert cauchy_index(P(-1), P(0, 1)) == -1
+    assert int_cauchy_index(P(-1), P(0, 1)) == -1
 
 
 def test_reciprocal_split_examples():
-    g, q = reciprocal_split(P(1, -3, 1))
+    g, q = int_reciprocal_split(P(1, -3, 1))
     assert g == P(1, -3, 1) and q == QPoly.one()
-    g, q = reciprocal_split(P(-2, 1))
+    g, q = int_reciprocal_split(P(-2, 1))
     assert g == QPoly.one() and q == P(-2, 1)
-    g, q = reciprocal_split(P(-1, 0, 1))
+    g, q = int_reciprocal_split(P(-1, 0, 1))
     assert g == P(-1, 0, 1) and q == QPoly.one()
-    g, q = reciprocal_split(P(-2, 1, -2, 1))
+    g, q = int_reciprocal_split(P(-2, 1, -2, 1))
     assert g == P(1, 0, 1) and q == P(-2, 1)
 
 
 def test_reciprocal_split_rejects_bad_input():
+    # circle_root_count is the entry that splits p, and it refuses both
     with pytest.raises(ZeroPolynomialError):
-        reciprocal_split(QPoly.zero())
+        circle_root_count(QPoly.zero())
     with pytest.raises(ZeroConstantTermError):
-        reciprocal_split(P(0, 1))
+        circle_root_count(P(0, 1))
 
 
 # ------------------------------------------------------------ properties
@@ -428,7 +473,7 @@ def test_det_is_multiplicative(a, b):
 @given(square_matrices(3))
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity_and_sympy_rank(a):
-    r = rank(a)
+    r = len(rref(a)[1])
     assert r + kernel(a).dim == 3
     assert r == sp.Matrix(3, 3, [sp.Rational(x) for x in a.entries]).rank()
 
@@ -470,8 +515,8 @@ def test_sturm_counts_are_additive(p):
     if p.is_zero or p.degree == 0:
         return
     lo, mid, hi = F(-10), F(0), F(10)
-    total = sturm_root_count(p, lo, hi)
-    assert total == sturm_root_count(p, lo, mid) + sturm_root_count(p, mid, hi)
+    total = int_sturm_count(p, lo, hi)
+    assert total == int_sturm_count(p, lo, mid) + int_sturm_count(p, mid, hi)
 
 
 @given(int_polys)
@@ -484,7 +529,7 @@ def test_sturm_agrees_with_sympy_on_real_root_count(p):
     # both sides count distinct real roots; a root p/q has q | leading <= 5, so
     # no endpoint over 7 is a root, and every root has modulus <= 1 + 5 < 43/7
     for lo, hi in ((F(-43, 7), F(43, 7)), (F(-22, 7), F(15, 7))):
-        assert sturm_root_count(p, lo, hi) == sp_poly.count_roots(sp.Rational(lo), sp.Rational(hi))
+        assert int_sturm_count(p, lo, hi) == sp_poly.count_roots(sp.Rational(lo), sp.Rational(hi))
 
 
 @given(int_polys)

@@ -19,15 +19,15 @@ from expansive.exact import (
     QMatrix,
     QPoly,
     ZeroConstantTermError,
-    cauchy_index,
     is_positive_definite,
     is_positive_semidefinite,
     poly_gcd,
-    reciprocal_split,
-    root_multiplicity,
-    sturm_root_count,
+    _int_derivative,
+    _int_exact_quo,
+    _int_gcd,
     _int_prim,
     _int_scaled,
+    _int_sturm,
     _neg_rem_int,
 )
 from expansive.spectral import _inside_by_half_plane, circle_root_count, unit_disk_profile
@@ -75,21 +75,48 @@ def is_positive_by_fractions(m: QMatrix, strict: bool) -> bool:
     return True
 
 
-def sturm_by_fractions(f: QPoly, lo, hi) -> int:
-    """Distinct real roots of a squarefree f in (lo, hi], by the classical
-    Sturm chain f, f', -(f_{k-1} mod f_k) in Fractions."""
-    chain = [f, f.derivative()]
+def chain_by_fractions(f0: QPoly, f1: QPoly) -> list[QPoly]:
+    """The chain f0, f1, f_{k+1} = -(f_{k-1} mod f_k) in Fractions, up to the
+    last nonzero remainder; f1 must be nonzero."""
+    chain = [f0, f1]
     while chain[-1].degree > 0:
         r = -chain[-2].divmod(chain[-1])[1]
         if r.is_zero:
             break
         chain.append(r)
+    return chain
 
-    def variations(x):
-        signs = [s for s in ((v > 0) - (v < 0) for v in (g(x) for g in chain)) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return variations(lo) - variations(hi)
+def sign_changes(values) -> int:
+    signs = [s for s in ((v > 0) - (v < 0) for v in values) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_by_fractions(f: QPoly, lo, hi) -> int:
+    """Distinct real roots of a squarefree f in (lo, hi], by the classical
+    Sturm chain f, f', -(f_{k-1} mod f_k) in Fractions."""
+    chain = chain_by_fractions(f, f.derivative())
+    return sign_changes(g(lo) for g in chain) - sign_changes(g(hi) for g in chain)
+
+
+def cauchy_index_by_fractions(num: QPoly, den: QPoly) -> int:
+    """Cauchy index of num/den over the real line: the sign changes of the
+    chain den, num, -(f_{k-1} mod f_k) in Fractions at -inf less those at +inf."""
+    if num.is_zero:
+        return 0
+    chain = chain_by_fractions(den, num)
+    at_minus_inf = (g.leading if g.degree % 2 == 0 else -g.leading for g in chain)
+    return sign_changes(at_minus_inf) - sign_changes(g.leading for g in chain)
+
+
+def root_multiplicity_by_fractions(p: QPoly, r) -> tuple[int, QPoly]:
+    """Multiplicity of the rational root r, and p with those factors divided out."""
+    line = QPoly.from_coeffs([-r, 1])
+    mult = 0
+    while not p.is_zero and p(r) == 0:
+        p = p.exact_div(line)
+        mult += 1
+    return mult, p
 
 
 def w_transform_by_fractions(h: QPoly) -> QPoly:
@@ -105,8 +132,8 @@ def w_transform_by_fractions(h: QPoly) -> QPoly:
 
 
 def circle_count_of_closed_factor_by_fractions(g: QPoly) -> int:
-    a, g1 = root_multiplicity(g, 1)
-    b, h = root_multiplicity(g1, -1)
+    a, g1 = root_multiplicity_by_fractions(g, 1)
+    b, h = root_multiplicity_by_fractions(g1, -1)
     pairs = 0
     if h.degree > 0:
         cur = w_transform_by_fractions(h)
@@ -162,8 +189,8 @@ def half_plane_by_fractions(q: QPoly) -> int:
     imag = QPoly.from_coeffs(odd)
     assert poly_gcd(real, imag).degree == 0
     if m % 2 == 0:
-        return (m - cauchy_index(imag, real)) // 2
-    return (m + cauchy_index(real, imag)) // 2
+        return (m - cauchy_index_by_fractions(imag, real)) // 2
+    return (m + cauchy_index_by_fractions(real, imag)) // 2
 
 
 def split_by_fractions(p: QPoly) -> tuple[QPoly, QPoly]:
@@ -340,7 +367,10 @@ def test_disk_and_circle_counts_match_the_fraction_chain(p):
             circle_root_count(p)
     else:
         assert circle_root_count(p) == want[2]
-        assert reciprocal_split(p) == split_by_fractions(p)
+        # the reciprocal split unit_disk_profile runs: g = gcd(f, reversed f), q = f / g
+        f = _int_prim(_int_scaled(p))
+        g = _int_gcd(f, f[::-1])
+        assert (g, _int_exact_quo(f, g)) == tuple(_int_prim(_int_scaled(x)) for x in split_by_fractions(p))
 
 
 @given(built_polynomials())
@@ -357,7 +387,9 @@ def test_sturm_count_matches_the_fraction_chain(p, interval):
     lo, hi = map(F, interval)
     squarefree = p.exact_div(poly_gcd(p, p.derivative()))
     want = sturm_by_fractions(squarefree, lo, hi) if squarefree.degree > 0 else 0
-    assert sturm_root_count(p, lo, hi) == want
+    # the square-free part and Sturm count spectral runs on p's integer form
+    f = _int_prim(_int_scaled(p))
+    assert _int_sturm(_int_exact_quo(f, _int_gcd(f, _int_derivative(f))), lo, hi) == want
 
 
 @given(

@@ -7,7 +7,8 @@ from pathlib import Path
 import expansive
 
 SRC = Path(expansive.__file__).resolve().parent
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_library_has_no_assert():
@@ -180,6 +181,53 @@ def test_every_name_the_traced_bench_wraps_resolves():
             if not found:
                 missing.append(f"{mod_name}.{name}")
     assert missing == []
+
+
+# definitions no program path calls, kept on purpose
+UNCALLED = {
+    # conveniences of the public value types, which tests and users read
+    "QMatrix.col",
+    "QMatrix.to_rows",
+    "Subspace.contains",
+    "QPoly.one",
+    "QPoly.exact_div",
+    "QPoly.derivative",
+    "QPoly.reverse",
+    # the planned eigenline search of commuting actions will scale arguments
+    "QPoly.shift_scale_arg",
+    # the functionals, windows and metrics of the paper, which acceptance
+    # criteria 3, 7 and 8 exercise as library behaviour
+    "HomVector.from_rationals",
+    "HomVector.from_exact",
+    "E_window",
+    "d_A",
+    "d_star_A",
+    "TorusPoint.from_coords",
+    "orbit_spread",
+}
+
+
+def test_every_library_definition_has_a_caller_outside_the_tests():
+    # a function or method counts as called when a program file (the library,
+    # scripts/ or perfbench/) names it, or the traced bench wraps it
+    used = {name.rpartition(".")[2] for names in spanned_names().values() for name in names}
+    defined = []
+    for path in sorted([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{item.name}", item.name) for item in node.body if isinstance(item, ast.FunctionDef)]
+    uncalled = {label for label, name in defined if not name.startswith("__") and name not in used}
+    assert uncalled == UNCALLED
 
 
 def test_no_module_imports_dataclasses():

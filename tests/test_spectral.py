@@ -21,7 +21,8 @@ from expansive.exact import (
     ZeroPolynomialError,
     char_poly,
     mat_power,
-    reciprocal_split,
+    _int_exact_quo,
+    _int_gcd,
     _int_prim,
     _int_scaled,
 )
@@ -225,10 +226,11 @@ def test_profile_ignores_scaling(p, c):
 @given(int_polys_off_origin)
 @settings(max_examples=100, deadline=None)
 def test_reduction_and_half_plane_counts_agree(p):
-    _, q = reciprocal_split(p)
-    if q.degree < 1:
+    # the factor of p's integer form f off its reciprocal-closed part gcd(f, reversed f)
+    f = _int_prim(_int_scaled(p))
+    q = _int_exact_quo(f, _int_gcd(f, f[::-1]))
+    if len(q) < 2:
         return
-    q = _int_prim(_int_scaled(q))
     try:
         expected = _schur_cohn_inside(q)
     except _SingularStep:

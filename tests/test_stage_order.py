@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from expansive import orbits
 from expansive.cli import parse_action
-from expansive.exact import QMatrix, Subspace, intersect
+from expansive.exact import QMatrix, Subspace, char_poly, intersect
 from expansive.actions import SemigroupAction, gram_nonincreasing, restrict_action
 from expansive.orbits import EARLY_WORDS, WORD_BUDGET, ExpansivenessVerdict, expansiveness_check
 from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN, single_expansive
@@ -48,7 +48,7 @@ def walk_first(action, depth, memo):
             verdict = single_expansive(m, action.mode)
             if not verdict.expansive:
                 cert = {"kind": "spectral_obstruction", "word": [name], "profile": verdict.profile.to_json()}
-                wit = orbits._spectral_witness(m, action.mode)
+                wit = orbits._spectral_witness(m, char_poly(m), action.mode)
                 if wit is not None:
                     cert["witness_eigenvalue"] = str(wit[1])
                 held = ExpansivenessVerdict(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansive.actions import SemigroupAction
-from expansive.exact import QMatrix, is_invariant
+from expansive.exact import QMatrix, rref
 from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN
 from expansive.torus import (
     GridTooLargeError,
@@ -36,6 +36,11 @@ def M(rows):
 def act(gens, mode, names=None):
     names = names or [f"g{i + 1}" for i in range(len(gens))]
     return SemigroupAction.from_generators(list(zip(names, [M(g) for g in gens])), mode)
+
+
+def invariant_by_rank(space, m):
+    """Invariance oracle: [basis | images] has rank dim."""
+    return len(rref(QMatrix.from_columns(space.basis + tuple(map(m.apply, space.basis))))[1]) == space.dim
 
 
 ROTATION = [[0, -1], [1, 0]]
@@ -85,7 +90,7 @@ class TestIrreducibility:
         rep = irreducibility_check(a)
         assert rep.conclusion == "Reducible"
         for g in a.mats:
-            assert is_invariant(rep.rational_invariant_subspace, g)
+            assert invariant_by_rank(rep.rational_invariant_subspace, g)
 
     def test_non_integer_rejected(self):
         with pytest.raises(NonIntegerEntriesError):

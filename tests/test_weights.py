@@ -11,13 +11,14 @@ from expansive import weights
 from expansive.actions import SemigroupAction
 from expansive.exact import (
     QMatrix,
+    QPoly,
     SelfCheckError,
     Subspace,
     char_poly,
     intersect,
     minimal_poly,
-    root_multiplicity,
-    squarefree_part,
+    poly_gcd,
+    rational_roots,
 )
 from expansive.orbits import expansiveness_check
 from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN, circle_root_count, single_expansive, unit_disk_profile
@@ -181,19 +182,46 @@ class TestFindExpansiveElement:
                 assert single_expansive(a.word_matrix(tuple(res["word"])), GROUP).expansive
 
 
+def coprime_root_factors_by_fractions(p):
+    """The monic factors in Fractions: the square-free part, each rational root
+    split off as z - lam, and what is left."""
+    s = p.exact_div(poly_gcd(p, p.derivative())).monic()
+    out = []
+    for lam in rational_roots(s):
+        line = QPoly.from_coeffs([-lam, 1])
+        out.append(line)
+        s = s.exact_div(line)
+    return out + [s] if s.degree > 0 else out
+
+
+def test_coprime_root_factors_are_the_fraction_factors_up_to_scaling():
+    rng = random.Random(27)
+    pieces = [[-2, 1], [3, 2], [0, 1], [1, 1], [-1, 1], [1, 0, 1], [-2, 0, 1], [1, -3, 1], [5, 1, 3]]
+    for _ in range(300):
+        p = QPoly.from_coeffs([F(rng.choice([1, -2, 3]))])
+        for _ in range(rng.randint(1, 4)):
+            piece = QPoly.from_coeffs(rng.choice(pieces))
+            for _ in range(rng.randint(1, 3)):
+                p = p * piece
+        factors = weights._coprime_root_factors(p)
+        assert all(all(c.denominator == 1 for c in f.coeffs) for f in factors)
+        assert [f.monic() for f in factors] == coprime_root_factors_by_fractions(p)
+
+
 def reference_stuck(block, mode):
     """The stuck test by each generator's eigenvalue polynomial, the squarefree
     part of its minimal polynomial: in semigroup mode no root outside the
     unit disk; in group mode no root at zero and every other root on the
     unit circle."""
     for g in block.restriction.mats:
-        eigen = squarefree_part(minimal_poly(g))
+        mu = minimal_poly(g)
+        eigen = mu.exact_div(poly_gcd(mu, mu.derivative()))
         if mode == SEMIGROUP:
             if unit_disk_profile(eigen).outside:
                 return False
             continue
-        zeros, stripped = root_multiplicity(eigen, F(0))
-        if zeros or stripped.degree == 0 or circle_root_count(stripped) != stripped.degree:
+        # eigen is square-free, so a root at zero is a zero constant term
+        if eigen.constant == 0 or eigen.degree == 0 or circle_root_count(eigen) != eigen.degree:
             return False
     return True
 
