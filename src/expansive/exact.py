@@ -6,6 +6,10 @@ reduce to: characteristic and minimal polynomials, kernels and subspaces,
 rational roots, definiteness tests, and the integer polynomial kernels
 (gcd, exact quotient, the Sturm and Cauchy remainder chain) on which
 ``spectral`` counts roots.
+
+Kernels and subspaces eliminate fraction-free on one ``IntEchelon`` of
+integer vectors; ``rref``, behind ``solve_exact`` and
+``coordinates_in_span``, is the one Gauss-Jordan left in ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -446,14 +450,29 @@ def primitive_integer(v: Iterable[RationalLike]) -> tuple[int, ...]:
     return _primitive([x.numerator * (den // x.denominator) for x in fs])
 
 
+def _cleared(v: tuple[int, ...], pivots: Sequence[int], rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The primitive integer vector v with its entries at the pivots cleared,
+    fraction-free, by the rows, which are in increasing pivot order and zero
+    before their pivots: clearing one pivot leaves the earlier ones clear."""
+    for piv, row in zip(pivots, rows):
+        c = v[piv]
+        if c:
+            p = row[piv]
+            v = _primitive([p * x - c * y for x, y in zip(v, row)])
+    return v
+
+
 class IntEchelon:
     """Row echelon basis of a growing subspace of Q^n, in integers.
 
     ``rows`` are primitive integer vectors in increasing pivot order, a
-    pivot being a row's first nonzero entry, which is positive.  ``add``
-    reduces a vector fraction-free, cross-multiplying by pivots and
-    dividing by the gcd (Bareiss, Math. Comp. 22, 1968), so no entry is
-    ever a Fraction.  ``len`` is the rank.
+    pivot being a row's first nonzero entry, which is positive; ``pivots``
+    are their columns.  ``add`` reduces a vector fraction-free,
+    cross-multiplying by pivots and dividing by the gcd (Bareiss, Math.
+    Comp. 22, 1968), so no entry is ever a Fraction.  ``reduced`` gives the
+    canonical reduced row echelon basis of the span, which is what
+    ``Subspace.from_vectors``, ``kernel`` and ``orbits.invariant_closure``
+    return.  ``len`` is the rank.
     """
 
     def __init__(self, n: int) -> None:
@@ -464,16 +483,15 @@ class IntEchelon:
     def __len__(self) -> int:
         return len(self.rows)
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(self._pivots)
+
     def add(self, v: Sequence[int]) -> bool:
         """Add an integer vector of length n; whether it was outside the span."""
         if len(v) != self.n:
             raise DimensionMismatchError("vector length mismatch")
-        v = _primitive(v)
-        for piv, row in zip(self._pivots, self.rows):
-            c = v[piv]
-            if c:
-                p = row[piv]
-                v = _primitive([p * x - c * y for x, y in zip(v, row)])
+        v = _cleared(_primitive(v), self._pivots, self.rows)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return False
@@ -483,6 +501,16 @@ class IntEchelon:
         self._pivots.insert(at, piv)
         self.rows.insert(at, v)
         return True
+
+    def reduced(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The reduced row echelon basis of the span: back-substitution from
+        the last pivot up, fraction-free, clears each row at the later
+        pivots, and only the final division by each row's pivot makes
+        Fractions."""
+        rows, pivots = self.rows[:], self._pivots
+        for i in reversed(range(len(rows))):
+            rows[i] = _cleared(rows[i], pivots[i + 1 :], rows[i + 1 :])
+        return tuple(tuple(Fraction(x, v[piv]) for x in v) for piv, v in zip(pivots, rows))
 
 
 class Subspace(Frozen):
@@ -505,16 +533,13 @@ class Subspace(Frozen):
 
     @staticmethod
     def from_vectors(ambient_dim: int, vecs: Iterable[Sequence[RationalLike]]) -> "Subspace":
-        cols = [tuple(to_fraction(x) for x in v) for v in vecs]
-        for v in cols:
-            if len(v) != ambient_dim:
-                raise DimensionMismatchError("vector length mismatch")
-        if not cols:
-            return Subspace(ambient_dim, ())
-        rows_mat = QMatrix.from_rows(cols)  # vectors as rows
-        red, pivots = rref(rows_mat)
-        basis = tuple(red.row(i) for i in range(len(pivots)))
-        return Subspace(ambient_dim, basis)
+        """The span of the vectors: each one, scaled to integers, goes into one
+        ``IntEchelon``, which gives the canonical basis."""
+        ints = [primitive_integer(v) for v in vecs]
+        echelon = IntEchelon(ambient_dim)
+        for v in ints:
+            echelon.add(v)
+        return Subspace(ambient_dim, echelon.reduced())
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -575,17 +600,19 @@ def solve_exact(a: QMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | Non
 
 
 def kernel(m: QMatrix) -> Subspace:
-    """Exact null space basis via reduced row echelon form."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r, f]
-        basis.append(tuple(v))
-    return Subspace.from_vectors(m.cols, basis)
+    """Exact null space, fraction-free: the rows (column j of M's numerators,
+    e_j) span the pairs (A x, x), and the echelon rows of that span whose
+    pivot lies past the first block are (0, x) with x running over a basis
+    of the kernel."""
+    num, r, c = m.num, m.rows, m.cols
+    echelon = IntEchelon(r + c)
+    for j in range(c):
+        echelon.add([*num[j::c], *(int(i == j) for i in range(c))])
+    null = IntEchelon(c)
+    for piv, row in zip(echelon.pivots, echelon.rows):
+        if piv >= r:
+            null.add(row[r:])
+    return Subspace(c, null.reduced())
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -266,7 +266,7 @@ def invariant_closure(action: SemigroupAction, vectors: Iterable[Iterable[Fracti
     into one ``IntEchelon``, and every vector it accepts sends its images
     under the generators' integer numerators back to the list (a span does
     not depend on the common denominator).  The accepted vectors span the
-    closure, whose canonical basis is built once at the end.
+    closure, whose canonical basis is the echelon's ``reduced`` one.
     """
     n = action.dim
     todo = [primitive_integer(v) for v in vectors]
@@ -278,7 +278,7 @@ def invariant_closure(action: SemigroupAction, vectors: Iterable[Iterable[Fracti
         v = todo.pop()
         if echelon.add(v):
             todo.extend([sum(map(mul, g[i * n : (i + 1) * n], v)) for i in range(n)] for g in gens)
-    return Subspace.from_vectors(n, echelon.rows)
+    return Subspace(n, echelon.reduced())
 
 
 def _growth_normalized_gram(action: SemigroupAction, depth: int) -> np.ndarray:

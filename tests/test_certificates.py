@@ -316,6 +316,24 @@ def test_a_forged_affine_obstruction_fails_verify(tmp_path):
     assert (code, out["verified"]) == (1, False)
 
 
+def test_an_invariant_norm_on_dependent_rows_fails_verify(tmp_path):
+    # diag(2, 1) fixes e2, and the identity form on the line e2 is a true
+    # invariant norm; the same form claimed on the rows [e2, 2 e2], which
+    # span that line only, proves nothing
+    case = {"n": 2, "mode": "group", "generators": {"g": [[2, 0], [0, 1]]}}
+    case_path, report_path = tmp_path / "case.json", tmp_path / "report.json"
+    case_path.write_text(json.dumps(case))
+    code, rep = _run(["analyze-semigroup", case_path])
+    assert (code, rep["status"], rep["witness"]) == (0, NOT_EXPANSIVE, ["0", "1"])
+    verdicts = []
+    for space, gram in (([["0", "1"]], [["1"]]), ([["0", "1"], ["0", "2"]], [["1", "0"], ["0", "1"]])):
+        rep["certificate"] = {"kind": "InvariantNormFound", "space": space, "gram": gram}
+        report_path.write_text(json.dumps(rep))
+        code, out = _run(["verify", report_path, case_path])
+        verdicts.append((code, out["verified"]))
+    assert verdicts == [(0, True), (1, False)]
+
+
 def test_a_forged_affine_obstruction_off_a_hyperplane_fails_verify(tmp_path):
     # diag(2, 1, 1) and a shear of e2 onto e1 fix e3.  The forgery splits off
     # the expansive line e1, of codimension two, not one, and every block

@@ -1,9 +1,10 @@
 """The integer kernels against the Fraction routines they replaced.
 
-``QMatrix.inverse``, the definiteness test and the disk and circle counts of
-``spectral`` run on integer numerators.  The Fraction loops they replaced
-are kept below as oracles, and derandomized suites check that both give the
-same answers: equal matrix storage, equal booleans, equal profiles.  The
+``QMatrix.inverse``, the definiteness test, ``kernel``,
+``Subspace.from_vectors`` and the disk and circle counts of ``spectral`` run
+on integer numerators.  The Fraction loops they replaced are kept below as
+oracles, and derandomized suites check that both give the same answers:
+equal matrix storage, equal booleans, equal bases, equal profiles.  The
 sympy and mpmath oracle tests in test_exact.py and test_spectral.py stay
 the gate; these tests pin the new routines to the old ones case by case.
 """
@@ -14,14 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expansive import exact
 from expansive.exact import (
+    DimensionMismatchError,
     NotInvertibleError,
     QMatrix,
     QPoly,
+    Subspace,
     ZeroConstantTermError,
+    intersect,
     is_positive_definite,
     is_positive_semidefinite,
+    kernel,
     poly_gcd,
+    to_fraction,
     _int_derivative,
     _int_exact_quo,
     _int_gcd,
@@ -54,6 +61,55 @@ def inverse_by_fractions(m: QMatrix) -> QMatrix:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return QMatrix.from_rows([row[n:] for row in a])
+
+
+def gauss_jordan_by_fractions(a: list[list[Fraction]], ncols: int) -> list[int]:
+    """The Fraction Gauss-Jordan kernels and subspaces ran on: the rows ``a``
+    to reduced row echelon form in place, pivoting in the first ``ncols``
+    columns; the pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return pivots
+
+
+def from_vectors_by_fractions(ambient_dim: int, vecs) -> Subspace:
+    """The replaced ``Subspace.from_vectors``: the vectors as the rows of one
+    Gauss-Jordan in Fractions, whose nonzero rows are the basis."""
+    rows = [[to_fraction(x) for x in v] for v in vecs]
+    if any(len(v) != ambient_dim for v in rows):
+        raise DimensionMismatchError("vector length mismatch")
+    pivots = gauss_jordan_by_fractions(rows, ambient_dim)
+    return Subspace(ambient_dim, tuple(tuple(rows[i]) for i in range(len(pivots))))
+
+
+def kernel_by_fractions(m: QMatrix) -> Subspace:
+    """The replaced ``kernel``: one vector per free column of the reduced
+    row echelon form in Fractions."""
+    a = m.to_rows()
+    pivots = gauss_jordan_by_fractions(a, m.cols)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][f]
+        basis.append(v)
+    return from_vectors_by_fractions(m.cols, basis)
 
 
 def is_positive_by_fractions(m: QMatrix, strict: bool) -> bool:
@@ -266,6 +322,123 @@ def test_inverse_examples():
     assert QMatrix.identity(0).inverse() == QMatrix.identity(0)
     with pytest.raises(NotInvertibleError):
         QMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).inverse()
+
+
+# ------------------------------------------------------------ kernels and subspaces
+
+mixed_fractions = st.one_of(
+    st.just(F(0)),
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=F(-9), max_value=F(9), max_denominator=12),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """r x c rational matrices, 0 <= r, c <= 7: plain ones and low-rank
+    products B C (inner dimension up to min(r, c), zero included), some with
+    zero rows and columns."""
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        rows = [draw(st.lists(mixed_fractions, min_size=c, max_size=c)) for _ in range(r)]
+    else:
+        k = draw(st.integers(0, min(r, c)))
+        b = [draw(st.lists(mixed_fractions, min_size=k, max_size=k)) for _ in range(r)]
+        cm = [draw(st.lists(mixed_fractions, min_size=c, max_size=c)) for _ in range(k)]
+        rows = [[sum((b[i][t] * cm[t][j] for t in range(k)), F(0)) for j in range(c)] for i in range(r)]
+    if r:
+        for i in draw(st.lists(st.integers(0, r - 1), max_size=2)):
+            rows[i] = [F(0)] * c
+    if c:
+        for j in draw(st.lists(st.integers(0, c - 1), max_size=2)):
+            for row in rows:
+                row[j] = F(0)
+    return QMatrix(r, c, [x for row in rows for x in row])
+
+
+def as_written(x: Fraction):
+    """The same rational as a Fraction, an int where it is one, or a "p/q" string."""
+    return [x, str(x), x.numerator if x.denominator == 1 else x]
+
+
+@st.composite
+def vector_lists(draw):
+    """(n, vectors): the rows of a drawn matrix, with repeated vectors,
+    rational combinations of two, multiples and zero vectors added, entries
+    written as Fractions, ints or strings, and now and then one vector of
+    the wrong length."""
+    m = draw(rational_matrices())
+    n = m.cols
+    vecs = [list(m.row(i)) for i in range(m.rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["repeat", "combination", "multiple", "zero"]))
+        if extra == "zero" or not vecs:
+            vecs.append([F(0)] * n)
+        elif extra == "repeat":
+            vecs.append(list(draw(st.sampled_from(vecs))))
+        else:
+            u, v = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            a, b = draw(mixed_fractions), F(0) if extra == "multiple" else draw(mixed_fractions)
+            vecs.append([a * x + b * y for x, y in zip(u, v)])
+    vecs = draw(st.permutations(vecs))
+    vecs = [[draw(st.sampled_from(as_written(x))) for x in v] for v in vecs]
+    if draw(st.integers(0, 5)) == 0:
+        wrong = [1] * draw(st.sampled_from([k for k in (n - 1, n + 1) if k >= 0]))
+        vecs.insert(draw(st.integers(0, len(vecs))), wrong)
+    return n, vecs
+
+
+@given(rational_matrices())
+@SUITE
+def test_kernel_matches_the_fraction_gauss_jordan(m):
+    got = kernel(m)
+    assert got == kernel_by_fractions(m)
+    assert all(m.apply(v) == (0,) * m.rows for v in got.basis)
+
+
+@given(vector_lists())
+@SUITE
+def test_subspace_from_vectors_matches_the_fraction_gauss_jordan(nv):
+    n, vecs = nv
+    try:
+        want = from_vectors_by_fractions(n, vecs)
+    except DimensionMismatchError:
+        with pytest.raises(DimensionMismatchError):
+            Subspace.from_vectors(n, vecs)
+        return
+    got = Subspace.from_vectors(n, iter(vecs))
+    assert (got.ambient_dim, got.basis) == (want.ambient_dim, want.basis)
+    assert all(isinstance(x, Fraction) for v in got.basis for x in v)
+
+
+def test_kernels_and_subspaces_run_no_fraction_gauss_jordan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction Gauss-Jordan called")
+
+    monkeypatch.setattr(exact, "rref", refuse)
+    monkeypatch.setattr(exact, "_gauss_jordan", refuse)
+    m = QMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [F(1, 2), 0, F(-1, 3), 1]])
+    assert kernel(m).basis == kernel_by_fractions(m).basis
+    assert kernel(m).dim == 2
+    vecs = [["1/2", 1, 0], [1, 2, 0], [0, 0, "3/7"], [0, 0, 0]]
+    assert Subspace.from_vectors(3, vecs) == from_vectors_by_fractions(3, vecs)
+    a = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 1]])
+    b = Subspace.from_vectors(3, [[1, 1, 1], [0, 0, 1]])
+    assert intersect(a, b) == from_vectors_by_fractions(3, [[1, 1, 1]])
+    assert Subspace.full(4) == from_vectors_by_fractions(4, [[int(i == j) for j in range(4)] for i in range(4)])
+
+
+def test_kernel_examples():
+    # a kernel vector with a nonzero first coordinate has its echelon pivot
+    # exactly at the first column of the second block
+    m = QMatrix.from_rows([[1, -1]])
+    assert kernel(m).basis == ((F(1), F(1)),)
+    assert kernel(QMatrix.zero(2, 3)) == Subspace.full(3)
+    assert kernel(QMatrix.identity(3)) == Subspace.zero(3)
+    assert kernel(QMatrix(0, 2, ())) == Subspace.full(2)
+    assert kernel(QMatrix(3, 0, ())) == Subspace.zero(0)
+    h = QMatrix.from_rows([[F(1, i + j + 1) for j in range(5)] for i in range(3)])
+    assert kernel(h) == kernel_by_fractions(h)
 
 
 # ------------------------------------------------------------ definiteness

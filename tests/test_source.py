@@ -300,5 +300,27 @@ def test_inverse_and_definiteness_eliminate_on_integers():
         assert not any(isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Tuple) for n in ast.walk(fn)), name
 
 
+def test_kernels_and_subspaces_eliminate_on_integers():
+    # both run on one IntEchelon of integer vectors; Fractions are made only
+    # by the final division of each reduced row by its pivot
+    gauss = {"rref", "_gauss_jordan", "solve_exact", "coordinates_in_span"}
+    for name in ("kernel", "Subspace.from_vectors", "IntEchelon.add", "IntEchelon.reduced", "_cleared"):
+        body = ast.Module(body=exact_function(name).body, type_ignores=[])
+        assert names_used(body) & gauss == set(), name
+        assert attributes_used(body) & {"entries", "row", "col", "to_rows", "from_rows", "apply"} == set(), name
+        assert not any(isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Tuple) for n in ast.walk(body)), name
+        if name != "IntEchelon.reduced":
+            assert names_used(body) & {"Fraction", "to_fraction"} == set(), name
+    # kernel reads the echelon's pivots through the public, read-only view
+    assert "_pivots" not in attributes_used(exact_function("kernel"))
+    # in reduced, Fraction appears once: a two-argument call in the return
+    *steps, last = exact_function("IntEchelon.reduced").body
+    assert isinstance(last, ast.Return)
+    assert not any(names_used(step) & {"Fraction", "to_fraction"} for step in steps)
+    uses = [n for n in ast.walk(last) if isinstance(n, ast.Name) and n.id == "Fraction"]
+    calls = [n for n in ast.walk(last) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Fraction"]
+    assert len(uses) == len(calls) == 1 and len(calls[0].args) == 2
+
+
 def test_the_sturm_remainder_runs_on_integer_lists():
     assert "QPoly" not in names_used(exact_function("_neg_rem_int"))
