@@ -99,7 +99,6 @@ from .spectral import (
     DiskProfile,
     has_unbounded_powers,
     single_expansive,
-    unit_disk_profile,
 )
 
 if TYPE_CHECKING:
@@ -433,8 +432,6 @@ def _solve_invariant_metric(action: SemigroupAction) -> Optional[QMatrix]:
     for s in range(METRIC_TRIES):
         combos.append([(s + 1) ** t % 7 + 1 for t in range(len(basis))])
     for combo in combos:
-        if not any(combo):
-            continue
         q = basis[0].scale(Fraction(combo[0]))
         for b, c in zip(basis[1:], combo[1:]):
             q = q + b.scale(Fraction(c))
@@ -455,8 +452,6 @@ def _eigenvector_seeds(action: SemigroupAction) -> list[tuple[Fraction, ...]]:
     for m in mats:
         for lam in rational_roots(char_poly(m)):
             out.extend(kernel(m - QMatrix.identity(action.dim).scale(lam)).basis)
-        if action.mode == SEMIGROUP:
-            out.extend(kernel(m).basis)
     return out
 
 
@@ -547,7 +542,7 @@ def expansiveness_check(action: SemigroupAction, depth: int = 10) -> Expansivene
     Expansive and NotExpansive come with certificates that re-verify in
     exact arithmetic; Unknown carries only search evidence.
     """
-    res = _analyze(action, depth, {})
+    res = _analyze(action, depth)
     evidence = dict(res.evidence)
     if res.status == NOT_EXPANSIVE and res.witness is not None and res.certificate is not None:
         if res.certificate.get("kind") == "InvariantNormFound":
@@ -557,16 +552,7 @@ def expansiveness_check(action: SemigroupAction, depth: int = 10) -> Expansivene
     return ExpansivenessVerdict(res.status, res.witness, res.certificate, evidence, res.search_depth)
 
 
-def _analyze(action: SemigroupAction, depth: int, memo: dict) -> ExpansivenessVerdict:
-    key = (action.mats, action.mode, depth)
-    if key in memo:
-        return memo[key]
-    out = _analyze_uncached(action, depth, memo)
-    memo[key] = out
-    return out
-
-
-def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> ExpansivenessVerdict:
+def _analyze(action: SemigroupAction, depth: int) -> ExpansivenessVerdict:
     n = action.dim
     if n == 0:
         return ExpansivenessVerdict(EXPANSIVE, None, {"kind": "empty_space"}, {"route": "empty"}, 0)
@@ -611,7 +597,7 @@ def _analyze_uncached(action: SemigroupAction, depth: int, memo: dict) -> Expans
     # 4. split along proper invariant subspaces; an Expansive split waits for the walk
     split: Optional[ExpansivenessVerdict] = None
     for space in _proper_invariant_subspaces(action):
-        resolved = _split_analysis(action, space, depth, memo)
+        resolved = _split_analysis(action, space, depth)
         if resolved is not None and resolved.status != UNKNOWN:
             if resolved.status == NOT_EXPANSIVE:
                 return resolved
@@ -706,13 +692,11 @@ def _extension(
     return ExpansivenessVerdict(EXPANSIVE, None, cert, ev, depth)
 
 
-def _split_analysis(
-    action: SemigroupAction, space: Subspace, depth: int, memo: dict
-) -> Optional[ExpansivenessVerdict]:
+def _split_analysis(action: SemigroupAction, space: Subspace, depth: int) -> Optional[ExpansivenessVerdict]:
     comp = _complete_basis(space)
     p, blocks = adapted_blocks(action, list(space.basis), comp)
     restriction = SemigroupAction(space.dim, action.names, tuple(a for a, _, _ in blocks), action.mode)
-    res = _analyze(restriction, depth, memo)
+    res = _analyze(restriction, depth)
 
     if res.status == NOT_EXPANSIVE:
         return _lift_restriction_obstruction(action, space, res, depth)
@@ -721,7 +705,7 @@ def _split_analysis(
         return None
 
     quo = SemigroupAction(action.dim - space.dim, action.names, tuple(d for _, _, d in blocks), action.mode)
-    qres = _analyze(quo, depth, memo)
+    qres = _analyze(quo, depth)
 
     if qres.status == EXPANSIVE:
         words = qres.evidence.get("escape_words") or []
@@ -773,21 +757,11 @@ def _one_dim_quotient_analysis(
     quotient; such a line exists iff the joint system
     (A_g - mu_g I) u = -B_g over all generators is solvable.  Insolvable
     means no bounded vector anywhere; solvable hands over an explicit
-    bounded line.
+    bounded line.  No scalar exceeds 1 in modulus: it would make the quotient expansive.
     """
-    scalars = [d[0, 0] for _, _, d in blocks]
-
-    big = next((i for i, mu in enumerate(scalars) if mu * mu > 1), None)
-    if big is not None:
-        # the quotient escapes by that generator alone, so the extension splits
-        quo_prof = unit_disk_profile(char_poly(QMatrix.from_rows([[scalars[big]]])))
-        name = action.names[big]
-        quotient = {"kind": "word_spectrum", "word": [name], "profile": quo_prof.to_json()}
-        return _extension("split", space, comp, res, [[name]], depth, quotient=quotient)
-
     sol = invariant_line(blocks, space.dim)
     if sol is None:
-        scalars_json = {name: str(mu) for name, mu in zip(action.names, scalars)}
+        scalars_json = {name: str(d[0, 0]) for name, (_, _, d) in zip(action.names, blocks)}
         return _extension("affine_obstruction", space, comp, res, [], depth, scalars=scalars_json)
 
     line = Subspace.from_vectors(action.dim, [p.apply(tuple(list(sol) + [Fraction(1)]))])

@@ -209,12 +209,9 @@ def enumerate_basis(dm: DualModuleAction, depth: int) -> tuple[tuple[Character, 
 
 
 class Relation(Frozen):
-    """Integer dependency n0 * target = sum(coef * char) over the previous level.
+    """Integer dependency n0 * target = sum(coef * char) over the previous level."""
 
-    ``level`` is the index of the level that introduced the target (0-based).
-    """
-
-    __slots__ = ("target", "n0", "terms", "level")
+    __slots__ = ("target", "n0", "terms")
 
     @property
     def cost(self) -> int:
@@ -271,10 +268,6 @@ class RhoBasisChain(Frozen):
         if not all(isinstance(lvl, list) for lvl in levels):
             raise ParseError("each of the chain's levels must be a list of characters")
         levels = tuple(tuple(map(character, lvl)) for lvl in levels)
-        first_level: dict[Character, int] = {}
-        for i, lvl in enumerate(levels):
-            for chi in lvl:
-                first_level.setdefault(chi, i)
         rels = []
         for r in _json_field(data, "relations", list, "the chain"):
             target = character(_json_field(r, "target", list, "a relation"))
@@ -282,7 +275,7 @@ class RhoBasisChain(Frozen):
                 (_json_field(t, "coef", int, "a term"), character(_json_field(t, "character", list, "a term")))
                 for t in _json_field(r, "terms", list, "a relation")
             )
-            rels.append(Relation(target, _json_field(r, "n0", int, "a relation"), terms, first_level.get(target, 0)))
+            rels.append(Relation(target, _json_field(r, "n0", int, "a relation"), terms))
         return RhoBasisChain(levels, _json_field(data, "k", int, "the chain"), tuple(rels))
 
 
@@ -294,15 +287,15 @@ def _json_field(obj, key: str, kind: type, where: str):
     return value
 
 
-def _integer_relation(target: Character, coeffs: Sequence[Fraction], chars: Sequence[Character], level: int) -> Relation:
+def _integer_relation(target: Character, coeffs: Sequence[Fraction], chars: Sequence[Character]) -> Relation:
     n0 = math.lcm(*(c.denominator for c in coeffs))
     terms = tuple(
         (int(c * n0), chars[j]) for j, c in enumerate(coeffs) if c != 0
     )
-    return Relation(target, n0, terms, level)
+    return Relation(target, n0, terms)
 
 
-def _pair_relation(target: Character, a: Character, b: Character, level: int, budget: int) -> Optional[Relation]:
+def _pair_relation(target: Character, a: Character, b: Character, budget: int) -> Optional[Relation]:
     """Small integer combination n0*target = ni*a + nj*b within the cost budget.
 
     The first hit in the order n0, ni, nj ascending, with |ni| < budget - n0
@@ -328,11 +321,11 @@ def _pair_relation(target: Character, a: Character, b: Character, level: int, bu
                 if rem or abs(nj) > span or (ni == 0 and nj == 0) or any(x != nj * y for x, y in zip(r, vb)):
                     continue
             terms = tuple((c, chi) for c, chi in ((ni, a), (nj, b)) if c != 0)
-            return Relation(target, n0, terms, level)
+            return Relation(target, n0, terms)
     return None
 
 
-def _best_relation(target: Character, prev: Sequence[Character], level: int, k_max: int) -> Relation:
+def _best_relation(target: Character, prev: Sequence[Character], k_max: int) -> Relation:
     """Cheapest integer relation found by exact solve plus small-support search.
 
     The generic solver returns one pivot solution, which in low rank
@@ -342,17 +335,17 @@ def _best_relation(target: Character, prev: Sequence[Character], level: int, k_m
     coords = coordinates_in_span(list(prev), target)
     if coords is None:
         raise NotInSpanError(target)
-    best = _integer_relation(target, coords, prev, level)
+    best = _integer_relation(target, coords, prev)
     for chi in prev:
         c = coordinates_in_span([chi], target)
         if c is not None:
-            cand = _integer_relation(target, c, [chi], level)
+            cand = _integer_relation(target, c, [chi])
             if cand.cost < best.cost:
                 best = cand
     budget = min(k_max, best.cost - 1)
     if budget >= 3:
         for i, j in itertools.islice(itertools.combinations(range(len(prev)), 2), 300):
-            cand = _pair_relation(target, prev[i], prev[j], level, budget)
+            cand = _pair_relation(target, prev[i], prev[j], budget)
             if cand is not None and cand.cost < best.cost:
                 best = cand
                 budget = min(budget, best.cost - 1)
@@ -372,7 +365,7 @@ def regular_chain(levels: Sequence[Sequence[Character]], k_max: int = 64) -> Rho
         for chi in levels[i]:
             if chi in prev_set:
                 continue
-            relations.append(_best_relation(chi, prev, i, k_max))
+            relations.append(_best_relation(chi, prev, k_max))
     k = max((r.cost for r in relations), default=1)
     chain = RhoBasisChain(tuple(tuple(level) for level in levels), k, tuple(relations))
     # verify() re-checks every relation exactly, so a chain that fails is never returned

@@ -890,6 +890,17 @@ def test_a_grid_past_its_cap_is_a_cap_error(capsys):
     assert (code, rep["error"]["type"]) == (2, "GridTooLargeError")
 
 
+def test_a_rational_root_test_past_the_trial_division_cap_is_a_cap_error(capsys, tmp_path):
+    # g has characteristic polynomial x^2 + 1/q, so q x^2 + 1 in integers, for
+    # a prime q past 10^12: its roots lie inside the unit disk, and the
+    # cyclic obstruction's witness search factors q by trial division
+    q = 1000000000039
+    case = write_case(tmp_path, "big_prime.json", {"n": 2, "generators": {"g": [[0, f"-1/{q}"], [1, 0]]}})
+    code, rep = run(capsys, "analyze-semigroup", "--mode", "semigroup", case)
+    assert (code, rep["error"]["type"]) == (2, "CapExceededError")
+    assert "TRIAL_DIVISION_CAP" in rep["error"]["message"]
+
+
 def coarse_window(tmp_path):
     # without their radii the window's entries get radius 2^-0 = 1, too wide to place any value
     entries = json.loads((FIXTURES / "dyadic_window.json").read_text())

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from expansive.actions import SemigroupAction, restrict_action
 from expansive.exact import (
+    TRIAL_DIVISION_CAP,
+    CapExceededError,
     DimensionMismatchError,
     IntEchelon,
     NotInvertibleError,
@@ -325,6 +328,22 @@ def test_rational_roots():
     assert rational_roots(P(1, 1) * P(-1, 2) * P(1, 1)) == [F(-1), F(1, 2)]
     jordan = P(-9999, 10000)
     assert rational_roots(jordan * jordan * jordan * jordan) == [F(9999, 10000)]
+
+
+def test_rational_roots_past_the_trial_division_cap_raise_at_once():
+    # telling a prime p past the cap squared by trial division takes sqrt(p)
+    # steps, more than 10^6; the cap stops after 10^6 and names itself
+    big = int(sp.nextprime(10**12))
+    assert big > TRIAL_DIVISION_CAP**2
+    for p in (P(2 * big, 3, 1), P(1, 0, 6 * big), P(-big * big, 1)):
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"TRIAL_DIVISION_CAP = {TRIAL_DIVISION_CAP}"):
+            rational_roots(p)
+        assert time.perf_counter() - t0 < 1.0
+    # below the cap squared a cofactor with no factor up to the cap is a prime
+    below = int(sp.prevprime(TRIAL_DIVISION_CAP))
+    assert rational_roots(P(-below * below, 1)) == [F(below * below)]
+    assert rational_roots(P(-3 * below, below)) == [F(3)]
 
 
 # large constant and leading terms with few prime factors: the divisor lists

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from expansive import actions, orbits
 from expansive.actions import NotInvertibleGeneratorError, SemigroupAction, restrict_action
 from expansive.certificates import check_certificate
-from expansive.cli import parse_action
+from expansive.cli import main, parse_action, verify_report
 from expansive.exact import (
     DimensionMismatchError,
     ParseError,
@@ -646,6 +646,81 @@ def test_engine_group_mode_agrees_with_single_matrix_test(rows):
         assert direct.expansive
     if res.status == NOT_EXPANSIVE:
         assert not direct.expansive
+
+
+# --- split routes that stage 3 would otherwise pre-empt ---
+
+
+def report_past_stage_3(monkeypatch, capsys, tmp_path, case):
+    """The ``analyze-semigroup`` report of ``case`` with stage 3's bounded
+    directions forced to the zero space, so stage 4, the split, decides;
+    and whether ``verify`` accepts it."""
+    monkeypatch.setattr(orbits, "_bounded_directions", lambda action, depth: Subspace.zero(action.dim))
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    code = main(["analyze-semigroup", str(path)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    return rep, verify_report(rep, case)
+
+
+def test_an_invariant_line_over_a_one_dimensional_quotient_is_bounded(monkeypatch, capsys, tmp_path):
+    # e2 is a common eigenvector (2 and 3); on the quotient both act by 1,
+    # and the affine system over it is solved by the fixed line (1, -1)
+    case = {"n": 2, "generators": {"a": [[1, 0], [1, 2]], "b": [[1, 0], [2, 3]]}, "mode": "semigroup"}
+    rep, verified = report_past_stage_3(monkeypatch, capsys, tmp_path, case)
+    assert (rep["status"], rep["evidence"]["route"]) == (NOT_EXPANSIVE, "invariant-line")
+    assert rep["certificate"]["space"] == [["1", "-1"]]
+    assert verified
+
+
+# a rotation by (3/5, 4/5) on the plane W = span(e1, e2), of infinite order,
+# so no word has a rational eigenvector in W; u1 = e3 and u2 = e4 are coupled
+# into W differently by g and h, so their eigenvectors close to W + u1 and W + u2
+ROTATION_3_5 = [["3/5", "-4/5"], ["4/5", "3/5"]]
+
+
+def rotation_with_coupled_lines(l1, l2, c1, c2):
+    (r00, r01), (r10, r11) = ROTATION_3_5
+    return [[r00, r01, c1[0], c2[0]], [r10, r11, c1[1], c2[1]], [0, 0, l1, 0], [0, 0, 0, l2]]
+
+
+TWO_COUPLED_PLANES = {
+    "n": 4,
+    "generators": {
+        "g": rotation_with_coupled_lines(2, 3, (1, 0), (0, 1)),
+        "h": rotation_with_coupled_lines(5, 7, (0, 1), (1, 0)),
+    },
+    "mode": "semigroup",
+}
+ROTATION_PLANE = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0)])  # W
+
+
+def test_a_pairwise_intersection_adds_the_smallest_invariant_subspace():
+    action = parse_action(TWO_COUPLED_PLANES)
+    closures = {invariant_closure(action, [v]) for v in orbits._eigenvector_seeds(action)}
+    assert ROTATION_PLANE not in closures
+    assert ROTATION_PLANE.dim == 2 and sorted(sp.dim for sp in closures) == [3, 3]
+    assert orbits._proper_invariant_subspaces(action)[0] == ROTATION_PLANE
+
+
+def test_the_whole_split_space_is_certified_when_the_restriction_has_no_witness(monkeypatch, capsys, tmp_path):
+    # the restriction to W is the cyclic rotation: NotExpansive by its
+    # spectrum, with no rational eigenvector to offer as witness, so the
+    # lift certifies an invariant norm on all of W
+    lifted = []
+    lift = orbits._lift_restriction_obstruction
+
+    def spied(action, space, res, depth):
+        lifted.append((space, res.certificate["kind"], res.witness))
+        return lift(action, space, res, depth)
+
+    monkeypatch.setattr(orbits, "_lift_restriction_obstruction", spied)
+    rep, verified = report_past_stage_3(monkeypatch, capsys, tmp_path, TWO_COUPLED_PLANES)
+    assert lifted == [(ROTATION_PLANE, "spectral_obstruction", None)]
+    assert (rep["status"], rep["evidence"]["route"]) == (NOT_EXPANSIVE, "bounded-subspace")
+    assert rep["certificate"]["space"] == [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    assert verified
 
 
 # --- floats only propose ---

@@ -110,14 +110,14 @@ class TestEnumerateBasis:
 
 
 
-def _pair_relation_by_search(target, a, b, level, budget):
+def _pair_relation_by_search(target, a, b, budget):
     """Every (n0, ni, nj) in the order _pair_relation promises, tried in full."""
     for n0 in range(1, budget - 1):
         rest = budget - n0
         for ni in range(-rest + 1, rest):
             for nj in range(-(rest - abs(ni)), rest - abs(ni) + 1):
                 if (ni or nj) and all(n0 * t == ni * x + nj * y for t, x, y in zip(target, a, b)):
-                    return Relation(target, n0, tuple((c, chi) for c, chi in ((ni, a), (nj, b)) if c), level)
+                    return Relation(target, n0, tuple((c, chi) for c, chi in ((ni, a), (nj, b)) if c))
     return None
 
 
@@ -164,7 +164,7 @@ class TestRegularChain:
     def test_tampered_relation_fails_verification(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 2))
         bad = tuple(
-            type(r)(r.target, r.n0 + 1, r.terms, r.level) for r in chain.relations
+            type(r)(r.target, r.n0 + 1, r.terms) for r in chain.relations
         )
         assert not RhoBasisChain(chain.levels, chain.k, bad).verify()
 
@@ -180,12 +180,12 @@ class TestRegularChain:
         a, b = data.draw(vec), data.draw(vec)
         n0, ci, cj = data.draw(st.integers(1, 4)), data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
         target = data.draw(st.one_of(vec, st.just(tuple((ci * x + cj * y) / n0 for x, y in zip(a, b)))))
-        assert _pair_relation(target, a, b, 1, budget) == _pair_relation_by_search(target, a, b, 1, budget)
+        assert _pair_relation(target, a, b, budget) == _pair_relation_by_search(target, a, b, budget)
 
     def test_pair_relation_with_a_zero_character(self):
         zero, half = (F(0), F(0)), (F("1/2"), F(1))
-        rel = _pair_relation((F(1), F(2)), half, zero, 1, 6)
-        assert rel == _pair_relation_by_search((F(1), F(2)), half, zero, 1, 6)
+        rel = _pair_relation((F(1), F(2)), half, zero, 6)
+        assert rel == _pair_relation_by_search((F(1), F(2)), half, zero, 6)
         assert rel.n0 == 1 and rel.terms[0] == (2, half) and rel.holds()
 
     def test_json_shape(self):

@@ -207,12 +207,17 @@ UNCALLED = {
 }
 
 
+def program_files() -> list[Path]:
+    """The library, scripts/ and perfbench/ sources."""
+    return sorted([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+
+
 def test_every_library_definition_has_a_caller_outside_the_tests():
     # a function or method counts as called when a program file (the library,
     # scripts/ or perfbench/) names it, or the traced bench wraps it
     used = {name.rpartition(".")[2] for names in spanned_names().values() for name in names}
     defined = []
-    for path in sorted([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
+    for path in program_files():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -228,6 +233,28 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
                 defined += [(f"{node.name}.{item.name}", item.name) for item in node.body if isinstance(item, ast.FunctionDef)]
     uncalled = {label for label, name in defined if not name.startswith("__") and name not in used}
     assert uncalled == UNCALLED
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    # a __slots__ field of a library record counts as read when a program
+    # file (the library, scripts/ or perfbench/) loads it as an attribute
+    read = set()
+    fields = []
+    for path in program_files():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                fields += [
+                    (node.name, field)
+                    for item in node.body
+                    if isinstance(item, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in item.targets)
+                    for field in ast.literal_eval(item.value)
+                ]
+    assert fields
+    assert [f"{cls}.{field}" for cls, field in fields if field not in read] == []
 
 
 def test_no_module_imports_dataclasses():

@@ -3,7 +3,7 @@
 ``walk_first`` is the engine as it was before the stages were ordered by
 what they prove: the whole word walk first, then the cyclic obstruction,
 the bounded subspace and the split.  Installed in place of
-``orbits._analyze_uncached`` it also drives every recursive analysis, so
+``orbits._analyze`` it also drives every recursive analysis, so
 it is a complete reference for ``expansiveness_check``.  It calls the live
 ``certify_bounded`` and ``_proper_invariant_subspaces``, so those two keep
 their own references here: ``certify_bounded_every_candidate``, which tries
@@ -30,8 +30,8 @@ from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNO
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def walk_first(action, depth, memo):
-    """The walk-first ``_analyze_uncached``: stage 1 drains its budget before stages 2-4 run."""
+def walk_first(action, depth):
+    """The walk-first ``_analyze``: stage 1 drains its budget before stages 2-4 run."""
     if action.dim == 0:
         return ExpansivenessVerdict(EXPANSIVE, None, {"kind": "empty_space"}, {"route": "empty"}, 0)
     found = orbits.find_expansive_word(action, orbits.iter_words(action, depth, WORD_BUDGET))
@@ -68,7 +68,7 @@ def walk_first(action, depth, memo):
                 depth,
             )
     for space in orbits._proper_invariant_subspaces(action):
-        resolved = orbits._split_analysis(action, space, depth, memo)
+        resolved = orbits._split_analysis(action, space, depth)
         if resolved is not None and resolved.status != UNKNOWN:
             return resolved
     if held is not None:
@@ -79,7 +79,7 @@ def walk_first(action, depth, memo):
 def assert_same_as_walk_first(action, depth):
     staged = expansiveness_check(action, depth)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orbits, "_analyze_uncached", walk_first)
+        patch.setattr(orbits, "_analyze", walk_first)
         reference = expansiveness_check(action, depth)
     assert staged.status == reference.status
     assert staged.certificate == reference.certificate

@@ -22,7 +22,7 @@ def _action():
 
 
 def _relation():
-    return Relation((F(1, 4),), 2, ((1, (F(1, 2),)),), 1)
+    return Relation((F(1, 4),), 2, ((1, (F(1, 2),)),))
 
 
 def _block():
@@ -53,7 +53,7 @@ FROZEN = {
         lambda: DualModuleAction.from_generators(2, [[1, 0]], [("a", QMatrix.from_rows([[2, 1], [1, 1]]))], "group"),
         ("n", "module_generators", "action"),
     ),
-    Relation: (_relation, ("target", "n0", "terms", "level")),
+    Relation: (_relation, ("target", "n0", "terms")),
     RhoBasisChain: (
         lambda: RhoBasisChain((((F(1, 2),),), ((F(1, 2),), (F(1, 4),))), 3, (_relation(),)),
         ("levels", "k", "relations"),
