@@ -949,11 +949,13 @@ TRIAL_DIVISION_CAP = 10**6  # largest trial divisor of _divisors
 
 def _divisors(n: int) -> list[int]:
     """The positive divisors of n >= 1, from its factorization by trial
-    division; each prime is divided out as it is found.  A cofactor past
-    the cap squared with no factor up to the cap raises CapExceededError."""
+    division; each prime is divided out as it is found.  A cofactor of at
+    least (cap + 1)^2 with no factor up to the cap raises CapExceededError."""
     out = [1]
     d = 2
-    while d * d <= n and d <= TRIAL_DIVISION_CAP:
+    while d * d <= n:
+        if d > TRIAL_DIVISION_CAP:
+            raise CapExceededError(f"a {n.bit_length()}-bit cofactor has no factor up to TRIAL_DIVISION_CAP = {TRIAL_DIVISION_CAP}")
         e = 0
         while n % d == 0:
             n //= d
@@ -961,8 +963,6 @@ def _divisors(n: int) -> list[int]:
         if e:
             out = [x * d**k for x in out for k in range(e + 1)]
         d += 1
-    if n > TRIAL_DIVISION_CAP**2:
-        raise CapExceededError(f"a {n.bit_length()}-bit cofactor has no factor up to TRIAL_DIVISION_CAP = {TRIAL_DIVISION_CAP}")
     return out + [x * n for x in out] if n > 1 else out
 
 

@@ -77,6 +77,7 @@ from .actions import (
     restrict_action,
 )
 from .exact import (
+    CapExceededError,
     DimensionMismatchError,
     Frozen,
     IntEchelon,
@@ -359,9 +360,7 @@ def certify_bounded(action: SemigroupAction, space: Subspace) -> Optional[dict]:
         # permutes it and the form is invariant; a singular g can send two
         # elements to one, so the form can grow, and the exact check below
         # is what keeps the certificate sound
-        q = ident
-        for s in closure:
-            q = q + (s.transpose() @ s)
+        q = sum((s.transpose() @ s for s in closure), ident)
         if gram_nonincreasing(res.mats, q):
             return {"gram": q, "method": "finite_closure"}
     q = _exact_gram_sum(res)
@@ -387,9 +386,7 @@ def _exact_gram_sum(action: SemigroupAction) -> QMatrix:
     total = QMatrix.identity(action.dim)
     for _ in range(EXACT_GRAM_DEPTH):
         terms = [(a.transpose() @ g @ a) for a in action.mats]
-        g = terms[0]
-        for t in terms[1:]:
-            g = g + t
+        g = sum(terms[1:], terms[0])
         total = total + g
     return total
 
@@ -400,12 +397,10 @@ def _solve_invariant_metric(action: SemigroupAction) -> Optional[QMatrix]:
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     var_index = {p: t for t, p in enumerate(pairs)}
 
-    def sym_from(vals: Iterable[Fraction]) -> QMatrix:
-        vals = list(vals)
+    def sym_from(vals: tuple[Fraction, ...]) -> QMatrix:
         ent = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), t in var_index.items():
-            ent[i][j] = vals[t]
-            ent[j][i] = vals[t]
+            ent[i][j] = ent[j][i] = vals[t]
         return QMatrix.from_rows(ent)
 
     rows = []
@@ -432,15 +427,22 @@ def _solve_invariant_metric(action: SemigroupAction) -> Optional[QMatrix]:
     for s in range(METRIC_TRIES):
         combos.append([(s + 1) ** t % 7 + 1 for t in range(len(basis))])
     for combo in combos:
-        q = basis[0].scale(Fraction(combo[0]))
-        for b, c in zip(basis[1:], combo[1:]):
-            q = q + b.scale(Fraction(c))
+        q = sum((b.scale(Fraction(c)) for b, c in zip(basis[1:], combo[1:])), basis[0].scale(Fraction(combo[0])))
         if is_positive_definite(q):
             return q
     return None
 
 
 # --------------------------------------------- invariant subspace search
+
+
+def _optional_rational_roots(p: QPoly) -> list[Fraction]:
+    """The rational roots of ``p``, or none where the rational root test
+    passes its cap: the engine uses them only for optional witnesses and seeds."""
+    try:
+        return rational_roots(p)
+    except CapExceededError:
+        return []
 
 
 def _eigenvector_seeds(action: SemigroupAction) -> list[tuple[Fraction, ...]]:
@@ -450,7 +452,7 @@ def _eigenvector_seeds(action: SemigroupAction) -> list[tuple[Fraction, ...]]:
         if m not in mats:
             mats.append(m)
     for m in mats:
-        for lam in rational_roots(char_poly(m)):
+        for lam in _optional_rational_roots(char_poly(m)):
             out.extend(kernel(m - QMatrix.identity(action.dim).scale(lam)).basis)
     return out
 
@@ -527,7 +529,7 @@ def _norm_bound_from_cert(cert: dict, witness: tuple[Fraction, ...]) -> float:
 def _spectral_witness(m: QMatrix, p: QPoly, mode: str) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
     """An eigenvector of m for a rational root of its characteristic polynomial
     ``p`` that keeps the orbit bounded, with that root; None if there is none."""
-    for lam in rational_roots(p):
+    for lam in _optional_rational_roots(p):
         if not keeps_bounded(lam, mode):
             continue
         eig = kernel(m - QMatrix.identity(m.rows).scale(lam))
@@ -810,9 +812,5 @@ def _graph_lift(
     sol = solve_exact(QMatrix.from_rows(rows), rhs)
     if sol is None:
         return None
-    vectors = []
-    for j in range(q2):
-        top = [sol[i * q2 + j] for i in range(k)]
-        bottom = list(vq_rows[j])
-        vectors.append(p.apply(tuple(top + bottom)))
+    vectors = [p.apply(tuple(sol[i * q2 + j] for i in range(k)) + vq_rows[j]) for j in range(q2)]
     return _bounded_verdict(action, Subspace.from_vectors(action.dim, vectors), "graph-lift", depth)

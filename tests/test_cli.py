@@ -890,13 +890,27 @@ def test_a_grid_past_its_cap_is_a_cap_error(capsys):
     assert (code, rep["error"]["type"]) == (2, "GridTooLargeError")
 
 
-def test_a_rational_root_test_past_the_trial_division_cap_is_a_cap_error(capsys, tmp_path):
-    # g has characteristic polynomial x^2 + 1/q, so q x^2 + 1 in integers, for
-    # a prime q past 10^12: its roots lie inside the unit disk, and the
-    # cyclic obstruction's witness search factors q by trial division
-    q = 1000000000039
-    case = write_case(tmp_path, "big_prime.json", {"n": 2, "generators": {"g": [[0, f"-1/{q}"], [1, 0]]}})
+def big_prime_rotation(tmp_path, q):
+    # g has characteristic polynomial x^2 + 1/q, so q x^2 + 1 in integers:
+    # its roots lie inside the unit disk, and the rational root test
+    # factors q by trial division
+    return write_case(tmp_path, f"rotation_{q}.json", {"n": 2, "generators": {"g": [[0, f"-1/{q}"], [1, 0]]}})
+
+
+@pytest.mark.parametrize("q", [1000000000039, 10000000000037])
+def test_the_engine_answers_past_the_trial_division_cap(capsys, tmp_path, q):
+    # q = 10^12 + 39 is a prime that trial division up to the cap tells; at
+    # q = 10^13 + 37 the cap stops it, and the witness search of the single
+    # spectrum gives up, while the bounded subspace still decides
+    case = big_prime_rotation(tmp_path, q)
     code, rep = run(capsys, "analyze-semigroup", "--mode", "semigroup", case)
+    assert (code, rep["status"], rep["evidence"]["route"]) == (0, "NotExpansive", "bounded-subspace")
+    assert verify_report(rep, json.loads(case.read_text())) is True
+
+
+def test_a_weight_decomposition_past_the_trial_division_cap_is_a_cap_error(capsys, tmp_path):
+    # the primary blocks need the rational roots, so there the cap ends the run
+    code, rep = run(capsys, "find-expansive", big_prime_rotation(tmp_path, 10000000000037))
     assert (code, rep["error"]["type"]) == (2, "CapExceededError")
     assert "TRIAL_DIVISION_CAP" in rep["error"]["message"]
 

@@ -331,16 +331,24 @@ def test_rational_roots():
 
 
 def test_rational_roots_past_the_trial_division_cap_raise_at_once():
-    # telling a prime p past the cap squared by trial division takes sqrt(p)
-    # steps, more than 10^6; the cap stops after 10^6 and names itself
-    big = int(sp.nextprime(10**12))
-    assert big > TRIAL_DIVISION_CAP**2
-    for p in (P(2 * big, 3, 1), P(1, 0, 6 * big), P(-big * big, 1)):
+    # telling a prime p >= (cap + 1)^2 by trial division takes sqrt(p) > cap
+    # steps; the cap stops after cap steps and names itself
+    big = int(sp.nextprime(10**13))
+    assert big >= (TRIAL_DIVISION_CAP + 1) ** 2
+    square = int(sp.nextprime(10**12)) ** 2
+    for p in (P(2 * big, 3, 1), P(1, 0, 6 * big), P(-square, 1)):
         t0 = time.perf_counter()
         with pytest.raises(CapExceededError, match=f"TRIAL_DIVISION_CAP = {TRIAL_DIVISION_CAP}"):
             rational_roots(p)
         assert time.perf_counter() - t0 < 1.0
-    # below the cap squared a cofactor with no factor up to the cap is a prime
+
+
+def test_a_cofactor_below_the_cap_plus_one_squared_with_no_factor_up_to_the_cap_is_a_prime():
+    # trial division up to the cap has then passed its square root
+    prime = int(sp.nextprime(10**12))
+    assert TRIAL_DIVISION_CAP**2 < prime < (TRIAL_DIVISION_CAP + 1) ** 2
+    assert rational_roots(P(-2 * prime, 1)) == [F(2 * prime)]
+    assert rational_roots(P(1, 0, 6 * prime)) == []
     below = int(sp.prevprime(TRIAL_DIVISION_CAP))
     assert rational_roots(P(-below * below, 1)) == [F(below * below)]
     assert rational_roots(P(-3 * below, below)) == [F(3)]

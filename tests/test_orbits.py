@@ -674,6 +674,18 @@ def test_an_invariant_line_over_a_one_dimensional_quotient_is_bounded(monkeypatc
     assert verified
 
 
+def test_seeds_skip_a_matrix_past_the_trial_division_cap(monkeypatch, capsys, tmp_path):
+    # the rational root test of a's characteristic polynomial (x - 1)(q x + 1),
+    # q = 10^13 + 37 a prime, passes the trial division cap; b's eigenvectors
+    # still seed the split, and the line e1 that both fix decides it
+    q = 10000000000037
+    case = {"n": 2, "generators": {"a": [[1, 0], [0, f"-1/{q}"]], "b": [[1, 0], [0, 2]]}, "mode": "semigroup"}
+    assert {orbits._line(v) for v in orbits._eigenvector_seeds(parse_action(case))} == {(1, 0), (0, 1)}
+    rep, verified = report_past_stage_3(monkeypatch, capsys, tmp_path, case)
+    assert rep["status"] == NOT_EXPANSIVE and rep["witness"] == ["1", "0"]
+    assert verified
+
+
 # a rotation by (3/5, 4/5) on the plane W = span(e1, e2), of infinite order,
 # so no word has a rational eigenvector in W; u1 = e3 and u2 = e4 are coupled
 # into W differently by g and h, so their eigenvectors close to W + u1 and W + u2
