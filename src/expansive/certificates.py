@@ -14,6 +14,7 @@ module, and the solenoid module loads only inside the checks that read it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Optional
@@ -45,6 +46,39 @@ if TYPE_CHECKING:
     from .solenoid import DualModuleAction, RhoBasisChain
 
 Witness = Optional[tuple[Fraction, ...]]
+
+ENTRY_DIGITS = 1000  # longest entry of a report that verify reads, in characters
+_ENTRY_BOUND = 10**ENTRY_DIGITS
+
+# a decimal with an exponent, which writes a number that many digits longer
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)[\d_]*\.?[\d_]*[eE][-+]?(\d[\d_]*)\s*")
+
+
+def check_entry_sizes(rep) -> None:
+    """Raise CapExceededError on an entry of the report longer than the cap
+    ``ENTRY_DIGITS``: a string of more characters, a JSON integer of more
+    digits, or a decimal whose exponent writes more digits than that, so
+    that no check parses or multiplies a number of millions of digits."""
+    stack = [rep]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, str):
+            length = len(x)
+            if length <= ENTRY_DIGITS and ("e" in x or "E" in x):
+                exponent = _EXPONENT.fullmatch(x)
+                if exponent:
+                    length += int(exponent[1].replace("_", ""))
+            if length > ENTRY_DIGITS:
+                raise CapExceededError(
+                    f"a report entry of {length} characters, an exponent counted as the digits it writes,"
+                    f" is past the cap ENTRY_DIGITS = {ENTRY_DIGITS}"
+                )
+        elif isinstance(x, int) and abs(x) >= _ENTRY_BOUND:
+            raise CapExceededError(f"a report integer of more than {ENTRY_DIGITS} digits is past the cap ENTRY_DIGITS")
 
 
 def _rows(rows) -> list[tuple[Fraction, ...]]:

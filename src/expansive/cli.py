@@ -414,7 +414,7 @@ def claims_nothing_exact(rep: dict) -> bool:
 
 
 def verify_report(rep: dict, case: dict) -> bool:
-    from .certificates import check_chain, check_claims, check_lifts
+    from .certificates import check_chain, check_claims, check_entry_sizes, check_lifts
 
     tool, options = object_field(rep, "tool"), object_field(rep, "options")
     version = tool.get("version")
@@ -427,6 +427,7 @@ def verify_report(rep: dict, case: dict) -> bool:
         # only a subcommand that writes reports makes a claim to check
         return False
     check_status(rep, command)
+    check_entry_sizes(rep)
     mode = options.get("mode")
     if command in ("solenoid-chain", "solenoid-lift") and "chain" not in rep:
         raise ParseError(f"a {command} report needs the field 'chain'")

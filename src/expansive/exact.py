@@ -7,9 +7,14 @@ rational roots, definiteness tests, and the integer polynomial kernels
 (gcd, exact quotient, the Sturm and Cauchy remainder chain) on which
 ``spectral`` counts roots.
 
-Kernels and subspaces eliminate fraction-free on one ``IntEchelon`` of
-integer vectors; ``rref``, behind ``solve_exact`` and
-``coordinates_in_span``, is the one Gauss-Jordan left in ``Fraction``s.
+Matrices work on integer numerators over one common denominator.
+``QMatrix.apply`` clears the vector's denominators once and takes one
+integer dot product per row.  Kernels, subspaces and intersections
+eliminate fraction-free on ``IntEchelon``s of integer vectors: ``intersect``
+glues the two bases' numerators, and the common vectors are one integer
+product.  ``rref``, behind ``solve_exact`` and ``coordinates_in_span``, is
+the one Gauss-Jordan left in ``Fraction``s; tests/test_source.py lists
+every library function that still calls it.
 """
 
 from __future__ import annotations
@@ -306,12 +311,16 @@ class QMatrix(Frozen):
         b, db = other._ints()
         return QMatrix._reduced(self.rows, other.cols, _int_matmul(a, b, self.rows, self.cols, other.cols), da * db)
 
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def apply(self, v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+        """M v, on integers: v's denominators are cleared once, and each row
+        is one integer dot product over den times v's common denominator."""
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length mismatch")
-        c = self.cols
-        ents = self.entries
-        return tuple(sum((ents[i * c + j] * v[j] for j in range(c)), Fraction(0)) for i in range(self.rows))
+        num, den = self._ints()
+        vden = math.lcm(*(x.denominator for x in v))
+        vnum = [x.numerator * (vden // x.denominator) for x in v]
+        c, den = self.cols, den * vden
+        return tuple(Fraction(sum(map(mul, num[i * c : (i + 1) * c], vnum)), den) for i in range(self.rows))
 
     def transpose(self) -> "QMatrix":
         num, den = self._ints()
@@ -599,42 +608,51 @@ def solve_exact(a: QMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | Non
     return tuple(x)
 
 
-def kernel(m: QMatrix) -> Subspace:
-    """Exact null space, fraction-free: the rows (column j of M's numerators,
-    e_j) span the pairs (A x, x), and the echelon rows of that span whose
-    pivot lies past the first block are (0, x) with x running over a basis
-    of the kernel."""
-    num, r, c = m.num, m.rows, m.cols
+def _null_rows(num: Sequence[int], r: int, c: int) -> list[tuple[int, ...]]:
+    """Integer rows spanning the null space of the r x c integer matrix
+    ``num`` (row-major): the rows (column j of num, e_j) span the pairs
+    (A x, x), and the echelon rows of that span whose pivot lies past the
+    first block are (0, x) with x running over a basis of the kernel."""
     echelon = IntEchelon(r + c)
     for j in range(c):
         echelon.add([*num[j::c], *(int(i == j) for i in range(c))])
-    null = IntEchelon(c)
-    for piv, row in zip(echelon.pivots, echelon.rows):
-        if piv >= r:
-            null.add(row[r:])
-    return Subspace(c, null.reduced())
+    return [row[r:] for piv, row in zip(echelon.pivots, echelon.rows) if piv >= r]
+
+
+def kernel(m: QMatrix) -> Subspace:
+    """Exact null space, fraction-free, from the integer rows of ``_null_rows``."""
+    null = IntEchelon(m.cols)
+    for x in _null_rows(m.num, m.rows, m.cols):
+        null.add(x)
+    return Subspace(m.cols, null.reduced())
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection of two subspaces of the same ambient space."""
-    if a.ambient_dim != b.ambient_dim:
+    """Exact intersection of two subspaces of the same ambient space.
+
+    Fraction-free: A and B are the two bases' numerators over one common
+    denominator.  The null space of [A | B] holds the (x, y) with
+    A x = B (-y), so with C its first ``a.dim`` coordinates the columns of
+    the integer product A C span the intersection."""
+    n = a.ambient_dim
+    if n != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    # null space of [A | -B] glues coordinates of common vectors
-    am, bm = a.matrix(), b.matrix()
-    glued = QMatrix(a.ambient_dim, a.dim + b.dim, tuple(
-        am[i, j] if j < a.dim else -bm[i, j - a.dim]
-        for i in range(a.ambient_dim) for j in range(a.dim + b.dim)
-    ))
-    vecs = []
-    for k in kernel(glued).basis:
-        coeff = k[: a.dim]
-        vecs.append(tuple(
-            sum((coeff[j] * a.basis[j][i] for j in range(a.dim)), Fraction(0))
-            for i in range(a.ambient_dim)
-        ))
-    return Subspace.from_vectors(a.ambient_dim, vecs)
+    if a.dim == n:
+        return b
+    if b.dim == n:
+        return a
+    both = (*a.basis, *b.basis)
+    den = math.lcm(*(x.denominator for v in both for x in v))
+    cols = [[x.numerator * (den // x.denominator) for x in v] for v in both]
+    ka, k = a.dim, len(cols)
+    coeffs = _null_rows([u[i] for i in range(n) for u in cols], n, k)  # of [A | B], row-major
+    m = len(coeffs)
+    a_num = [u[i] for i in range(n) for u in cols[:ka]]
+    common = _int_matmul(a_num, [x[j] for j in range(ka) for x in coeffs], n, ka, m)
+    echelon = IntEchelon(n)
+    for j in range(m):
+        echelon.add(common[j::m])
+    return Subspace(n, echelon.reduced())
 
 
 # === polynomials ===

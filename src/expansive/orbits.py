@@ -43,7 +43,9 @@ The subspace stages skip searches that cannot succeed the same way.
 unbounded powers on the space: a positive definite form that no generator
 increases bounds every generator's powers, so no candidate form can pass.
 The split closes each eigenvector seed's line once, since a closure depends
-only on the line of the vector it starts from.
+only on the line of the vector it starts from, and it reads the seeds' short
+words and their characteristic polynomials off the early walk when that
+walk holds them, instead of walking and multiplying them again.
 
 Floating point only proposes: stage 3's bounded-direction screen guesses a
 subspace from a float Gram form, and ``certify_bounded`` proves a bound on it
@@ -63,7 +65,7 @@ import math
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .actions import (
     WORD_BUDGET,
@@ -108,6 +110,7 @@ if TYPE_CHECKING:
 # search limits of the engine, beside WORD_BUDGET (from actions), the
 # distinct words the word search walks
 EARLY_WORDS = 64  # of those, the words walked before stages 2-4
+SEED_WORDS = 40  # words of length <= 2 whose eigenvectors seed the split
 CLOSURE_CAP = 400  # elements of a finite product closure
 GRAM_DEPTH = 12  # longest word length of the float Gram form
 EXACT_GRAM_DEPTH = 4  # word length of the exact Gram partial sum
@@ -179,16 +182,21 @@ class ExpansiveWord(tuple):
 
 
 def find_expansive_word(
-    action: SemigroupAction, walk: Iterable[tuple[tuple[str, ...], QMatrix]]
+    action: SemigroupAction,
+    walk: Iterable[tuple[tuple[str, ...], QMatrix]],
+    walked: Optional[list[tuple[tuple[str, ...], QMatrix, QPoly]]] = None,
 ) -> Optional[ExpansiveWord]:
     """First word of ``walk``, (word, matrix) pairs as ``iter_words`` yields
     them, whose single matrix is expansive in the action's mode.
 
     Every word's characteristic polynomial goes through the exact
     ``_word_prescreen`` before the full spectral test; the screen drops only
-    words that test would refute, so no expansive word is skipped."""
+    words that test would refute, so no expansive word is skipped.  Given a
+    list ``walked``, each (word, matrix, polynomial) goes into it."""
     for word, m in walk:
         p = char_poly(m)
+        if walked is not None:
+            walked.append((word, m, p))
         if not _word_prescreen(p, action.mode):
             continue
         verdict = single_expansive(m, action.mode, p)
@@ -445,14 +453,20 @@ def _optional_rational_roots(p: QPoly) -> list[Fraction]:
         return []
 
 
-def _eigenvector_seeds(action: SemigroupAction) -> list[tuple[Fraction, ...]]:
+def _eigenvector_seeds(action: SemigroupAction, walked: Sequence[tuple] = ()) -> list[tuple[Fraction, ...]]:
+    """The exact eigenvectors of the generators and of the first SEED_WORDS
+    words of length <= 2.  Those words, with their polynomials, are read off
+    ``walked`` (word, matrix, polynomial) triples when that breadth-first
+    walk holds the whole prefix: SEED_WORDS of them, or a word of length 3.
+    Otherwise they are walked here."""
+    short = [(m, p) for word, m, p in walked if len(word) <= 2][:SEED_WORDS]
+    if len(short) < SEED_WORDS and not any(len(word) == 3 for word, _, _ in walked):
+        short = [(m, None) for _, m in iter_words(action, 2, SEED_WORDS)]
+    polys = dict(short)
     out: list[tuple[Fraction, ...]] = []
-    mats = list(dict.fromkeys(action.mats))
-    for _, m in iter_words(action, 2, 40):
-        if m not in mats:
-            mats.append(m)
-    for m in mats:
-        for lam in _optional_rational_roots(char_poly(m)):
+    for m in dict.fromkeys([*action.mats, *polys]):
+        p = polys.get(m)
+        for lam in _optional_rational_roots(char_poly(m) if p is None else p):
             out.extend(kernel(m - QMatrix.identity(action.dim).scale(lam)).basis)
     return out
 
@@ -463,16 +477,17 @@ def _line(v: Iterable[Fraction]) -> tuple[int, ...]:
     return tuple(-x for x in p) if next(x for x in p if x) < 0 else p
 
 
-def _proper_invariant_subspaces(action: SemigroupAction) -> list[Subspace]:
+def _proper_invariant_subspaces(action: SemigroupAction, walked: Sequence[tuple] = ()) -> list[Subspace]:
     """Proper invariant subspaces for the split, smallest first: the
-    closures of the exact eigenvectors of the generators and short words,
+    closures of the exact eigenvectors of the generators and short words
+    (read off ``walked`` where it holds them, see ``_eigenvector_seeds``),
     and the pairwise intersections of those closures, which are invariant
     as intersections of invariant subspaces.  A closure depends only on its
     seed's line, so each line is closed once."""
     n = action.dim
     spaces: list[Subspace] = []
     seen = set()
-    for v in dict.fromkeys(map(_line, _eigenvector_seeds(action))):
+    for v in dict.fromkeys(map(_line, _eigenvector_seeds(action, walked))):
         sp = invariant_closure(action, [v])
         if 0 < sp.dim < n and sp.basis not in seen:
             seen.add(sp.basis)
@@ -564,13 +579,14 @@ def _analyze(action: SemigroupAction, depth: int) -> ExpansivenessVerdict:
     # decides it, and one spectrum gives the obstruction otherwise
     held: Optional[ExpansivenessVerdict] = None
     walk = None
+    walked: list[tuple[tuple[str, ...], QMatrix, QPoly]] = []
     cyclic = _cyclic_generator(action)
     if cyclic is None:
         # 1. single-element spectral certificate, over the first EARLY_WORDS
         # words, unless the determinants already rule out every word
         if not _determinants_trap_every_word(action):
             walk = iter_words(action, depth, WORD_BUDGET)
-            found = find_expansive_word(action, islice(walk, EARLY_WORDS))
+            found = find_expansive_word(action, islice(walk, EARLY_WORDS), walked)
             if found is not None:
                 return _word_verdict(found, depth)
     else:
@@ -598,7 +614,7 @@ def _analyze(action: SemigroupAction, depth: int) -> ExpansivenessVerdict:
 
     # 4. split along proper invariant subspaces; an Expansive split waits for the walk
     split: Optional[ExpansivenessVerdict] = None
-    for space in _proper_invariant_subspaces(action):
+    for space in _proper_invariant_subspaces(action, walked):
         resolved = _split_analysis(action, space, depth)
         if resolved is not None and resolved.status != UNKNOWN:
             if resolved.status == NOT_EXPANSIVE:

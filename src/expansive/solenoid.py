@@ -325,6 +325,17 @@ def _pair_relation(target: Character, a: Character, b: Character, budget: int) -
     return None
 
 
+def _multiple(chi: Character, target: Character) -> Optional[tuple[Fraction]]:
+    """(c,) with target = c chi, or None when target is no multiple of chi:
+    one division at chi's first nonzero coordinate, checked on every
+    coordinate.  A zero chi gives (0,) for a zero target."""
+    i = next((i for i, x in enumerate(chi) if x), None)
+    if i is None:
+        return None if any(target) else (Fraction(0),)
+    c = Fraction(target[i]) / chi[i]
+    return (c,) if all(c * x == y for x, y in zip(chi, target)) else None
+
+
 def _best_relation(target: Character, prev: Sequence[Character], k_max: int) -> Relation:
     """Cheapest integer relation found by exact solve plus small-support search.
 
@@ -337,7 +348,7 @@ def _best_relation(target: Character, prev: Sequence[Character], k_max: int) -> 
         raise NotInSpanError(target)
     best = _integer_relation(target, coords, prev)
     for chi in prev:
-        c = coordinates_in_span([chi], target)
+        c = _multiple(chi, target)
         if c is not None:
             cand = _integer_relation(target, c, [chi])
             if cand.cost < best.cost:

@@ -557,6 +557,56 @@ def test_verify_stops_at_a_certificate_word_past_the_cap(capsys, tmp_path):
     assert f"WORD_BUDGET = {WORD_BUDGET}" in out["error"]["message"]
 
 
+def padded(x: str, length: int) -> str:
+    """The rational string x written with leading zeros to ``length`` characters."""
+    sign = "-" if x.startswith("-") else ""
+    return sign + "0" * (length - len(x)) + x[len(sign) :]
+
+
+ROTATION = ("analyze-semigroup", FIXTURES / "rotation.json")
+AFFINE = ("analyze-semigroup", FIXTURES / "affine_sl2.json", "--depth", "8")
+LIFT = (
+    "solenoid-lift", FIXTURES / "dyadic_solenoid.json", "--window", FIXTURES / "dyadic_window.json", "--radius", "3/10"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (ROTATION, lambda rep: (rep["certificate"]["gram"][0], 0)),
+        (ROTATION, lambda rep: (rep["certificate"]["space"][1], 1)),
+        (ROTATION, lambda rep: (rep["witness"], 0)),
+        (AFFINE, lambda rep: (rep["certificate"]["scalars"], "t_e1")),
+        (LIFT, lambda rep: (rep["lifts"][0]["values"][-1], "mid")),
+        (LIFT, lambda rep: (rep["lifts"][0], "bound")),
+    ],
+    ids=["gram", "space", "witness", "scalars", "lift-value", "lift-bound"],
+)
+def test_verify_stops_at_a_report_entry_past_the_cap(capsys, tmp_path, argv, entry):
+    # leading zeros keep the number, so only the cap tells the two lengths apart
+    from expansive.certificates import ENTRY_DIGITS
+
+    _, rep, path = report_for(capsys, tmp_path, *argv)
+    owner, key = entry(rep)
+    for length, code, field in [(ENTRY_DIGITS, 0, "verified"), (ENTRY_DIGITS + 1, 2, "error")]:
+        owner[key] = padded(owner[key], length)
+        path.write_text(json.dumps(rep))
+        got, out = run(capsys, "verify", path, argv[1])
+        assert (got, field in out) == (code, True)
+    assert out["error"]["type"] == "CapExceededError"
+    assert f"ENTRY_DIGITS = {ENTRY_DIGITS}" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("entry", ["1e1000000", "-2.5E-5000", "1_0e99_9", 10**1000])
+def test_verify_stops_at_a_short_entry_that_writes_a_long_number(capsys, tmp_path, entry):
+    # an exponent writes a number far longer than its text; a JSON integer is counted in digits
+    _, rep, path = report_for(capsys, tmp_path, *ROTATION)
+    rep["certificate"]["gram"][1][1] = entry
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, ROTATION[1])
+    assert (code, out["error"]["type"]) == (2, "CapExceededError")
+
+
 def test_find_expansive_refuses_a_depth_past_the_word_cap(capsys, monkeypatch):
     from expansive import weights
 

@@ -1,12 +1,13 @@
 """The integer kernels against the Fraction routines they replaced.
 
-``QMatrix.inverse``, the definiteness test, ``kernel``,
-``Subspace.from_vectors`` and the disk and circle counts of ``spectral`` run
-on integer numerators.  The Fraction loops they replaced are kept below as
-oracles, and derandomized suites check that both give the same answers:
-equal matrix storage, equal booleans, equal bases, equal profiles.  The
-sympy and mpmath oracle tests in test_exact.py and test_spectral.py stay
-the gate; these tests pin the new routines to the old ones case by case.
+``QMatrix.inverse``, ``QMatrix.apply``, the definiteness test, ``kernel``,
+``Subspace.from_vectors``, ``intersect`` and the disk and circle counts of
+``spectral`` run on integer numerators.  The Fraction loops they replaced
+are kept below as oracles, and derandomized suites check that both give
+the same answers: equal matrix storage, equal booleans, equal bases, equal
+profiles.  The sympy and mpmath oracle tests in test_exact.py and
+test_spectral.py stay the gate; these tests pin the new routines to the
+old ones case by case.
 """
 
 from fractions import Fraction
@@ -439,6 +440,120 @@ def test_kernel_examples():
     assert kernel(QMatrix(3, 0, ())) == Subspace.zero(0)
     h = QMatrix.from_rows([[F(1, i + j + 1) for j in range(5)] for i in range(3)])
     assert kernel(h) == kernel_by_fractions(h)
+
+
+# ------------------------------------------------------------ apply and intersect
+
+
+def apply_by_fractions(m: QMatrix, v) -> tuple[Fraction, ...]:
+    """The replaced ``QMatrix.apply``: one Fraction sum per row."""
+    c, ents = m.cols, m.entries
+    return tuple(sum((ents[i * c + j] * v[j] for j in range(c)), F(0)) for i in range(m.rows))
+
+
+def intersect_by_fractions(a: Subspace, b: Subspace) -> Subspace:
+    """The replaced ``intersect``: the null space of [A | -B], and each common
+    vector as a Fraction sum over the coordinates on a's basis."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim)
+    am, bm = a.matrix(), b.matrix()
+    glued = QMatrix(a.ambient_dim, a.dim + b.dim, tuple(
+        am[i, j] if j < a.dim else -bm[i, j - a.dim]
+        for i in range(a.ambient_dim) for j in range(a.dim + b.dim)
+    ))
+    vecs = []
+    for k in kernel_by_fractions(glued).basis:
+        coeff = k[: a.dim]
+        vecs.append(tuple(
+            sum((coeff[j] * a.basis[j][i] for j in range(a.dim)), F(0))
+            for i in range(a.ambient_dim)
+        ))
+    return from_vectors_by_fractions(a.ambient_dim, vecs)
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    """A drawn matrix and a vector of its width, zero-column matrices
+    included, with entries written as Fractions or ints, now and then zero."""
+    m = draw(rational_matrices())
+    v = draw(st.lists(mixed_fractions, min_size=m.cols, max_size=m.cols))
+    if draw(st.integers(0, 4)) == 0:
+        v = [F(0)] * m.cols
+    return m, [draw(st.sampled_from([x, x.numerator] if x.denominator == 1 else [x])) for x in v]
+
+
+@given(matrices_and_vectors())
+@SUITE
+def test_apply_matches_the_fraction_dot_product(mv):
+    m, v = mv
+    got = m.apply(v)
+    assert got == apply_by_fractions(m, v)
+    assert len(got) == m.rows and all(type(x) is Fraction for x in got)
+
+
+def test_apply_examples():
+    m = QMatrix.from_rows([[F(1, 2), 0, 3], [-1, F(2, 3), F(-5, 7)]])
+    assert m.apply((2, 3, 1)) == (F(4), F(-5, 7))
+    assert m.apply([F(1, 3), F(-3, 4), F(7, 5)]) == apply_by_fractions(m, [F(1, 3), F(-3, 4), F(7, 5)])
+    assert m.apply((0, 0, 0)) == (0, 0)
+    assert QMatrix(3, 0, ()).apply(()) == (0, 0, 0)
+    assert QMatrix(0, 2, ()).apply((1, 2)) == ()
+    with pytest.raises(DimensionMismatchError):
+        m.apply((1, 2))
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces of one Q^n, n <= 6: drawn spans, the full and the zero
+    space, a space with itself, with a subspace of it and with a space
+    containing it, in either order."""
+    n = draw(st.integers(0, 6))
+
+    def span(extra=()):
+        rows = [draw(st.lists(mixed_fractions, min_size=n, max_size=n)) for _ in range(draw(st.integers(0, n + 1)))]
+        return Subspace.from_vectors(n, [*rows, *extra])
+
+    a = span()
+    kind = draw(st.sampled_from(["drawn", "full", "zero", "same", "inside", "around"]))
+    if kind == "drawn":
+        b = span()
+    elif kind == "full":
+        b = Subspace.full(n)
+    elif kind == "zero":
+        b = Subspace.zero(n)
+    elif kind == "same":
+        b = Subspace.from_vectors(n, a.basis)
+    elif kind == "inside":
+        weights = [[draw(mixed_fractions) for _ in a.basis] for _ in range(draw(st.integers(0, a.dim)))]
+        combos = [[sum((w * v[i] for w, v in zip(ws, a.basis)), F(0)) for i in range(n)] for ws in weights]
+        b = Subspace.from_vectors(n, combos)
+    else:
+        b = span(a.basis)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@given(subspace_pairs())
+@SUITE
+def test_intersect_matches_the_fraction_null_space(ab):
+    a, b = ab
+    got = intersect(a, b)
+    assert got == intersect_by_fractions(a, b) == intersect(b, a)
+    assert all(type(x) is Fraction for v in got.basis for x in v)
+
+
+def test_intersect_examples():
+    plane = Subspace.from_vectors(3, [[1, 0, 0], [0, F(1, 2), 1]])
+    line = Subspace.from_vectors(3, [[2, F(1, 3), F(2, 3)]])
+    assert intersect(plane, line) == line == intersect(line, plane)
+    assert intersect(plane, Subspace.full(3)) is plane
+    assert intersect(Subspace.full(3), line) is line
+    assert intersect(plane, plane) == plane
+    assert intersect(plane, Subspace.zero(3)) == Subspace.zero(3)
+    assert intersect(Subspace.full(0), Subspace.zero(0)) == Subspace.zero(0)
+    other = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
+    assert intersect(plane, other) == Subspace.from_vectors(3, [[0, 1, 2]]) == intersect_by_fractions(plane, other)
+    with pytest.raises(DimensionMismatchError):
+        intersect(plane, Subspace.full(2))
 
 
 # ------------------------------------------------------------ definiteness

@@ -1,6 +1,7 @@
 """Tests for the expansiveness semi-decision engine."""
 
 import importlib.util
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -468,8 +469,8 @@ def test_every_proper_invariant_subspace_is_invariant_on_the_engine_cases(monkey
     found = []
     original = orbits._proper_invariant_subspaces
 
-    def recording(action):
-        spaces = original(action)
+    def recording(action, *walked):
+        spaces = original(action, *walked)
         found.extend((action, sp) for sp in spaces)
         return spaces
 
@@ -714,6 +715,55 @@ def test_a_pairwise_intersection_adds_the_smallest_invariant_subspace():
     assert ROTATION_PLANE not in closures
     assert ROTATION_PLANE.dim == 2 and sorted(sp.dim for sp in closures) == [3, 3]
     assert orbits._proper_invariant_subspaces(action)[0] == ROTATION_PLANE
+
+
+def early_walk(action, depth):
+    """The engine's early walk, as the (word, matrix, polynomial) triples it keeps."""
+    walked = []
+    walk = iter_words(action, depth, actions.WORD_BUDGET)
+    find_expansive_word(action, itertools.islice(walk, orbits.EARLY_WORDS), walked)
+    return walked
+
+
+def test_seeds_read_off_the_early_walk_are_the_walked_seeds():
+    # the same vectors in the same order, whether the walk holds the prefix
+    # of words of length <= 2 (depth 3 or more, or 40 such words) or not (a
+    # short walk, or one cut short by an expansive word), when seeds walk again
+    cases = [op["case"] for op in perfbench_cases().engine_cases(1)]
+    for name in ("affine_sl2", "sl2_generators", "cat_map"):
+        cases.append(json.loads((FIXTURES / f"{name}.json").read_text()))
+    cases.append(TWO_COUPLED_PLANES)
+    held = 0
+    for case in cases:
+        for mode in ("group", "semigroup"):
+            try:
+                action = parse_action(case, mode)
+            except NotInvertibleGeneratorError:
+                continue
+            for depth in (1, 2, 3, 10):
+                walked = early_walk(action, depth)
+                held += len([w for w, _, _ in walked if len(w) <= 2]) >= orbits.SEED_WORDS or any(
+                    len(w) == 3 for w, _, _ in walked
+                )
+                assert orbits._eigenvector_seeds(action, walked) == orbits._eigenvector_seeds(action), (case, depth)
+    assert held > 100
+
+
+def test_the_engine_walks_no_seed_words_its_walk_already_holds(monkeypatch):
+    # affine_sl2 in group mode reaches the split after 64 walked words, which
+    # hold every word of length <= 2; only the restriction's own walk follows
+    calls = []
+    walk = orbits.iter_words
+
+    def recording(action, max_len, budget):
+        calls.append((action.dim, max_len, budget))
+        return walk(action, max_len, budget)
+
+    monkeypatch.setattr(orbits, "iter_words", recording)
+    action = parse_action(json.loads((FIXTURES / "affine_sl2.json").read_text()), "group")
+    verdict = expansiveness_check(action, 10)
+    assert (verdict.status, verdict.evidence["route"]) == (EXPANSIVE, "affine-obstruction")
+    assert calls == [(3, 10, actions.WORD_BUDGET), (2, 10, actions.WORD_BUDGET)]
 
 
 def test_the_whole_split_space_is_certified_when_the_restriction_has_no_witness(monkeypatch, capsys, tmp_path):

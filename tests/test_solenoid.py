@@ -23,6 +23,7 @@ from expansive.solenoid import (
     SolenoidWindow,
     E_window,
     _base_level_plan,
+    _multiple,
     _pair_relation,
     character,
     circle_gap,
@@ -187,6 +188,51 @@ class TestRegularChain:
         rel = _pair_relation((F(1), F(2)), half, zero, 6)
         assert rel == _pair_relation_by_search((F(1), F(2)), half, zero, 6)
         assert rel.n0 == 1 and rel.terms[0] == (2, half) and rel.holds()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 4), data=st.data())
+    def test_multiple_test_matches_the_one_column_span(self, dim, data):
+        # the one-column coordinates_in_span([chi], target) that _best_relation
+        # ran for every previous character is the oracle
+        frac = st.one_of(st.just(F(0)), st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4])))
+        vec = st.lists(frac, min_size=dim, max_size=dim).map(tuple)
+        chi = data.draw(st.one_of(vec, st.just((F(0),) * dim)))
+        c = data.draw(frac)
+        multiple = tuple(c * x for x in chi)
+        # a multiple with one coordinate moved, which only the cross-check catches
+        i = data.draw(st.integers(0, dim - 1))
+        moved = multiple[:i] + (multiple[i] + data.draw(st.sampled_from([F(1), Fraction(-1, 3)])),) + multiple[i + 1 :]
+        target = data.draw(st.one_of(st.sampled_from([multiple, moved, (F(0),) * dim]), vec))
+        assert _multiple(chi, target) == coordinates_in_span([chi], target)
+
+    def test_multiple_test_examples(self):
+        zero = (F(0), F(0))
+        assert _multiple(zero, zero) == (F(0),) == coordinates_in_span([zero], zero)
+        assert _multiple(zero, (F(0), F(1))) is None
+        assert _multiple((F(0), F(2)), (F(0), F(-3))) == (Fraction(-3, 2),)
+        assert _multiple((F(0), F(2)), (F(1), F(-3))) is None
+        assert _multiple((F(1), F(2)), zero) == (F(0),)
+        # int coordinates divide exactly too
+        assert _multiple((2, 4), (3, 6)) == (Fraction(3, 2),)
+
+    def test_best_relation_solves_one_span_per_character(self, monkeypatch):
+        # one general coordinates_in_span over the previous level; the test
+        # against each single character is _multiple
+        from expansive import solenoid
+
+        calls = []
+        span = solenoid.coordinates_in_span
+
+        def counting(basis, v):
+            calls.append(len(basis))
+            return span(basis, v)
+
+        monkeypatch.setattr(solenoid, "coordinates_in_span", counting)
+        levels = enumerate_basis(sixth_module(), 2)
+        chain = regular_chain(levels)
+        new = [len(prev) for prev, level in zip(levels, levels[1:]) for chi in level if chi not in prev]
+        assert calls == new
+        assert len(calls) == len(chain.relations) and chain.k == 4
 
     def test_json_shape(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 2))

@@ -349,5 +349,67 @@ def test_kernels_and_subspaces_eliminate_on_integers():
     assert len(uses) == len(calls) == 1 and len(calls[0].args) == 2
 
 
+def test_apply_and_intersect_run_on_numerators():
+    # apply makes a Fraction only of each row's integer dot product, and
+    # intersect makes none before the echelon's final division
+    entry_reads = {"entries", "row", "col", "to_rows", "matrix", "apply"}
+    gauss = {"to_fraction", "rref", "solve_exact", "coordinates_in_span", "kernel"}
+    names = ("QMatrix.apply", "intersect")
+    bodies = {name: ast.Module(body=exact_function(name).body, type_ignores=[]) for name in names}
+    for name, body in bodies.items():
+        assert attributes_used(body) & entry_reads == set(), name
+        assert names_used(body) & gauss == set(), name
+        assert not any(isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Tuple) for n in ast.walk(body)), name
+    assert "Fraction" not in names_used(bodies["intersect"])
+    apply_nodes = list(ast.walk(bodies["QMatrix.apply"]))
+    uses = [n for n in apply_nodes if isinstance(n, ast.Name) and n.id == "Fraction"]
+    calls = [n for n in apply_nodes if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Fraction"]
+    assert len(uses) == len(calls) == 1 and len(calls[0].args) == 2
+
+
 def test_the_sturm_remainder_runs_on_integer_lists():
     assert "QPoly" not in names_used(exact_function("_neg_rem_int"))
+
+
+# every library function that still reaches the Fraction Gauss-Jordan, by the
+# routine it names; a migrated caller leaves this list, and no caller joins it
+FRACTION_ELIMINATION_CALLERS = {
+    # the routines themselves: coordinates_in_span solves through solve_exact,
+    # which reduces by rref, the Gauss-Jordan's one entry
+    ("exact.coordinates_in_span", "solve_exact"),
+    ("exact.solve_exact", "rref"),
+    ("exact.rref", "_gauss_jordan"),
+    # a public convenience that tests and users read
+    ("exact.Subspace.contains", "coordinates_in_span"),
+    # dependencies and coordinates read off pivots and columns
+    ("exact.minimal_poly", "rref"),
+    ("actions.restrict_action", "rref"),
+    ("actions._complete_basis", "rref"),
+    ("actions.invariant_line", "solve_exact"),
+    ("orbits._graph_lift", "solve_exact"),
+    ("certificates._invariant_norm", "coordinates_in_span"),
+    ("solenoid._base_level_plan", "rref"),
+    ("solenoid.span_restriction", "rref"),
+    ("solenoid.span_restriction", "coordinates_in_span"),
+    # the one general span solve of the relation search
+    ("solenoid._best_relation", "coordinates_in_span"),
+    # the torus span walk, which waits for the benchmark's memory fix
+    ("torus._algebra_basis", "coordinates_in_span"),
+}
+
+
+def test_only_the_listed_callers_reach_the_fraction_gauss_jordan():
+    gauss = {"rref", "solve_exact", "coordinates_in_span", "_gauss_jordan"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for name, fn in defs:
+                used = names_used(fn) | attributes_used(fn)
+                found |= {(f"{path.stem}.{name}", routine) for routine in used & gauss}
+    assert found == FRACTION_ELIMINATION_CALLERS
