@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exact import Frozen, NotInvertibleError, QMatrix, Subspace, is_positive_semidefinite, rref, solve_exact
+from .exact import Frozen, IntEchelon, NotInvertibleError, QMatrix, Subspace, is_positive_semidefinite, primitive_integer
 from .spectral import GROUP, SEMIGROUP, check_mode
 
 INVERSE_SUFFIX = "^-1"
@@ -86,23 +86,33 @@ class SemigroupAction(Frozen):
         return out
 
 
+def _echelon(rows, width: int) -> IntEchelon:
+    """One ``IntEchelon`` of the rational rows, each scaled to integers: its
+    pivots are the pivot columns of the matrix of the rows, and its reduced
+    rows that matrix's reduced row echelon form, zero rows dropped."""
+    echelon = IntEchelon(width)
+    for row in rows:
+        echelon.add(primitive_integer(row))
+    return echelon
+
+
 def restrict_action(action: SemigroupAction, basis: list[tuple[Fraction, ...]]) -> SemigroupAction:
     """The action on the span of the independent ``basis``, in its coordinates.
 
-    One ``rref`` of [basis | every generator's image of every basis vector]:
-    the span is invariant exactly when the pivots are the k basis columns,
-    and then each image's coordinates are its column in the first k rows.
-    Raises ValueError when some generator maps a basis vector out of the
-    span (or the basis is dependent).
+    One ``IntEchelon`` of the rows of [basis | every generator's image of
+    every basis vector]: the span is invariant exactly when the pivots are
+    the k basis columns, and then each image's coordinates are its column
+    in the k reduced rows.  Raises ValueError when some generator maps a
+    basis vector out of the span (or the basis is dependent).
     """
     k = len(basis)
-    images = [g.apply(b) for g in action.mats for b in basis]
-    red, pivots = rref(QMatrix.from_columns(list(basis) + images))
-    if pivots != tuple(range(k)):
+    columns = [*basis, *(g.apply(b) for g in action.mats for b in basis)]
+    echelon = _echelon(zip(*columns), len(columns))
+    if echelon.pivots != tuple(range(k)):
         raise ValueError("space must be invariant, with an independent basis")
+    red = echelon.reduced()
     mats = tuple(
-        QMatrix.from_rows([[red[i, k * (t + 1) + j] for j in range(k)] for i in range(k)])
-        for t in range(len(action.mats))
+        QMatrix.from_rows([row[k * (t + 1) : k * (t + 2)] for row in red]) for t in range(len(action.mats))
     )
     return SemigroupAction(k, action.names, mats, action.mode)
 
@@ -110,10 +120,11 @@ def restrict_action(action: SemigroupAction, basis: list[tuple[Fraction, ...]]) 
 def _complete_basis(space: Subspace) -> list[tuple[Fraction, ...]]:
     """The unit vectors e_i that extend the space's basis to one of Q^n, each
     taken when it leaves the span of the basis and the e_j before it: the
-    pivots past the first k of one ``rref`` of [basis | e_1 ... e_n]."""
+    pivots past the first k of one ``IntEchelon`` of the rows of
+    [basis | e_1 ... e_n]."""
     n, k = space.ambient_dim, space.dim
     units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    _, pivots = rref(QMatrix.from_columns(space.basis + tuple(units)))
+    pivots = _echelon([(*(b[i] for b in space.basis), *units[i]) for i in range(n)], k + n).pivots
     if pivots[:k] != tuple(range(k)):
         raise ValueError("basis does not extend to the ambient space")
     return [units[c - k] for c in pivots[k:]]
@@ -163,12 +174,18 @@ def generated_by(action: SemigroupAction, m: QMatrix) -> bool:
 def invariant_line(blocks, k: int) -> Optional[tuple[Fraction, ...]]:
     """A solution u of (A_g - mu_g I) u = -B_g over every generator's adapted
     blocks, D_g = (mu_g) on a one dimensional quotient, or None; exactly then
-    u + e spans an invariant line, e the completion vector."""
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    u + e spans an invariant line, e the completion vector.  One
+    ``IntEchelon`` of the system's rows [A_g - mu_g I | -B_g]: it has a
+    solution unless the last column is a pivot, and the one returned sets
+    the free unknowns to 0 and reads the others off the reduced rows."""
+    rows = []
     for a, b, d in blocks:
         shifted = a - QMatrix.identity(k).scale(d[0, 0])
-        for i in range(k):
-            rows.append(list(shifted.row(i)))
-            rhs.append(-b[i, 0])
-    return solve_exact(QMatrix.from_rows(rows), rhs)
+        rows += [(*shifted.row(i), -b[i, 0]) for i in range(k)]
+    echelon = _echelon(rows, k + 1)
+    if k in echelon.pivots:
+        return None
+    u = [Fraction(0)] * k
+    for c, row in zip(echelon.pivots, echelon.reduced()):
+        u[c] = row[k]
+    return tuple(u)

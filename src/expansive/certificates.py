@@ -34,10 +34,9 @@ from .exact import (
     IntEchelon,
     ParseError,
     QMatrix,
-    Subspace,
     char_poly,
-    coordinates_in_span,
     is_positive_definite,
+    primitive_integer,
     to_fraction,
 )
 from .spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, has_unbounded_powers, unit_disk_profile
@@ -119,11 +118,13 @@ def _invariant_norm(cert: dict, action: SemigroupAction, witness: Witness) -> bo
     """A positive definite form on a nonzero invariant subspace that no generator increases."""
     rows = _rows(cert["space"])
     gram = QMatrix.from_json(cert["gram"])
-    if not rows or gram.rows != len(rows) or Subspace.from_vectors(action.dim, rows).dim != len(rows):
+    # one echelon of the rows is the independence test and then the witness's span test
+    span = IntEchelon(action.dim)
+    if not rows or gram.rows != len(rows) or not all(span.add(primitive_integer(row)) for row in rows):
         return False
     if not is_positive_definite(gram) or not gram_nonincreasing(restrict_action(action, rows).mats, gram):
         return False
-    return witness is None or (any(witness) and coordinates_in_span(rows, witness) is not None)
+    return witness is None or (any(witness) and not span.add(primitive_integer(witness)))
 
 
 def _proved_subspace(cert: dict, action: SemigroupAction) -> tuple[int, list]:

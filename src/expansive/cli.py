@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -549,17 +550,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write(text: str, stream) -> None:
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): the rest of the stream goes
+        # to devnull, and the exit code stays the command's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def emit(rep: dict, out_path: Optional[str]) -> None:
     text = json.dumps(rep, indent=2)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        _write(text, sys.stdout)
     summary = {k: rep[k] for k in SUMMARY_KEYS if k in rep}
     if "error" in rep:
         summary["error"] = rep["error"]["type"]
-    print(f"{rep.get('command', TOOL_NAME)}: {canonical_json(summary)}", file=sys.stderr)
+    _write(f"{rep.get('command', TOOL_NAME)}: {canonical_json(summary)}", sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

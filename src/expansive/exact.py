@@ -1,20 +1,15 @@
-"""Exact rational linear algebra and polynomial primitives.
-
-Everything in this module is computed over the rationals with no floating
-point anywhere.  These are the primitives the spectral and orbit layers
-reduce to: characteristic and minimal polynomials, kernels and subspaces,
-rational roots, definiteness tests, and the integer polynomial kernels
-(gcd, exact quotient, the Sturm and Cauchy remainder chain) on which
+"""Exact rational linear algebra and polynomial primitives, with no floating
+point anywhere: characteristic and minimal polynomials, kernels and
+subspaces, rational roots, definiteness tests, and the integer polynomial
+kernels (gcd, exact quotient, the Sturm and Cauchy remainder chain) on which
 ``spectral`` counts roots.
 
-Matrices work on integer numerators over one common denominator.
-``QMatrix.apply`` clears the vector's denominators once and takes one
-integer dot product per row.  Kernels, subspaces and intersections
-eliminate fraction-free on ``IntEchelon``s of integer vectors: ``intersect``
-glues the two bases' numerators, and the common vectors are one integer
-product.  ``rref``, behind ``solve_exact`` and ``coordinates_in_span``, is
-the one Gauss-Jordan left in ``Fraction``s; tests/test_source.py lists
-every library function that still calls it.
+Matrices are integer numerators over one common denominator, read from
+JSON by ``num_den`` with no ``Fraction`` per entry.  Kernels, subspaces,
+intersections and minimal polynomials eliminate fraction-free on
+``IntEchelon``s of integer vectors.  ``rref``, behind ``solve_exact`` and
+``coordinates_in_span``, is the one Gauss-Jordan left in ``Fraction``s;
+tests/test_source.py lists every library function that still calls it.
 """
 
 from __future__ import annotations
@@ -61,20 +56,37 @@ class SelfCheckError(ValueError):
 RationalLike = Fraction | int | str
 
 
-def to_fraction(x: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, and "p/q" strings to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def num_den(x: RationalLike) -> tuple[int, int]:
+    """A rational as an integer numerator over a positive denominator, not
+    always in lowest terms.  An int or a plain "p/q" string is read straight
+    off; any other string goes through ``Fraction(str)``, whose language
+    and ParseErrors are kept."""
+    if type(x) is int:
+        return x, 1
     if isinstance(x, str):
+        p, sep, q = x.partition("/")
         try:
-            return Fraction(x)
+            if x.isascii() and p.removeprefix("-").isdigit() and (not sep or q.isdigit() and q.strip("0")):
+                return int(p), int(q) if sep else 1
+            x = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {x!r}") from exc
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     if isinstance(x, float):
         raise ParseError(f"refusing float {x!r}; pass an exact rational")
     raise ParseError(f"not a rational: {x!r}")
+
+
+def _common_den(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Pairs (p, q) as numerators over their least common denominator."""
+    den = math.lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
+def to_fraction(x: RationalLike) -> Fraction:
+    """Coerce ints, Fractions, and "p/q" strings to Fraction."""
+    return x if isinstance(x, Fraction) else Fraction(*num_den(x))
 
 
 # === immutable values ===
@@ -180,15 +192,12 @@ class QMatrix(Frozen):
         return QMatrix._make(rows, cols, num, den)
 
     def _ints(self) -> tuple[tuple[int, ...], int]:
-        num = self._num
-        if num is None:
-            ents = self._entries
+        if self._num is None:
             # the lcm of reduced denominators leaves gcd(den, *num) == 1
-            den = math.lcm(*(e.denominator for e in ents))
-            num = tuple(e.numerator * (den // e.denominator) for e in ents)
-            _set(self, "_num", num)
+            num, den = _common_den([(e.numerator, e.denominator) for e in self._entries])
+            _set(self, "_num", tuple(num))
             _set(self, "_den", den)
-        return num, self._den
+        return self._num, self._den
 
     @property
     def num(self) -> tuple[int, ...]:
@@ -233,21 +242,21 @@ class QMatrix(Frozen):
         return h
 
     @staticmethod
-    def _lines(lines: Sequence[Sequence[RationalLike]], what: str) -> tuple[int, int, list[Fraction]]:
-        """Count, common length and entries (as Fractions, line after line) of equal-length lines."""
+    def _lines(lines: Sequence[Sequence[RationalLike]], what: str) -> tuple[int, int, list[RationalLike]]:
+        """Count, common length and entries (line after line) of equal-length lines."""
         count = len(lines)
         length = len(lines[0]) if count else 0
-        ents: list[Fraction] = []
+        ents: list[RationalLike] = []
         for line in lines:
             if len(line) != length:
                 raise DimensionMismatchError(f"ragged {what}")
-            ents.extend(map(to_fraction, line))
+            ents.extend(line)
         return count, length, ents
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "QMatrix":
         nr, nc, ents = QMatrix._lines(rows, "rows")
-        return QMatrix(nr, nc, ents)
+        return QMatrix._reduced(nr, nc, *_common_den(list(map(num_den, ents))))
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
@@ -259,8 +268,9 @@ class QMatrix(Frozen):
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[RationalLike]]) -> "QMatrix":
+        # kept as Fractions: the Fraction Gauss-Jordan reads these entries
         nc, nr, ents = QMatrix._lines(cols, "columns")
-        return QMatrix(nr, nc, [x for i in range(nr) for x in ents[i::nr]])
+        return QMatrix(nr, nc, [to_fraction(x) for i in range(nr) for x in ents[i::nr]])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -317,8 +327,7 @@ class QMatrix(Frozen):
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length mismatch")
         num, den = self._ints()
-        vden = math.lcm(*(x.denominator for x in v))
-        vnum = [x.numerator * (vden // x.denominator) for x in v]
+        vnum, vden = _common_den([(x.numerator, x.denominator) for x in v])
         c, den = self.cols, den * vden
         return tuple(Fraction(sum(map(mul, num[i * c : (i + 1) * c], vnum)), den) for i in range(self.rows))
 
@@ -393,9 +402,7 @@ class QMatrix(Frozen):
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in self.row(i)] for i in range(self.rows)]
 
-    @staticmethod
-    def from_json(rows: Sequence[Sequence[RationalLike]]) -> "QMatrix":
-        return QMatrix.from_rows(rows)
+    from_json = from_rows  # of ints and "p/q" strings
 
 
 def mat_power(m: QMatrix, e: int) -> QMatrix:
@@ -443,7 +450,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
     a = [list(m.row(i)) for i in range(m.rows)]
     pivots = _gauss_jordan(a, m.cols)
-    return QMatrix.from_rows(a), tuple(pivots)
+    return QMatrix(m.rows, m.cols, [x for row in a for x in row]), tuple(pivots)
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -454,9 +461,7 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 def primitive_integer(v: Iterable[RationalLike]) -> tuple[int, ...]:
     """The primitive integer multiple of a rational vector (the zero vector stays zero)."""
-    fs = [to_fraction(x) for x in v]
-    den = math.lcm(*(x.denominator for x in fs))
-    return _primitive([x.numerator * (den // x.denominator) for x in fs])
+    return _primitive(_common_den([num_den(x) for x in v])[0])
 
 
 def _cleared(v: tuple[int, ...], pivots: Sequence[int], rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -531,14 +536,6 @@ class Subspace(Frozen):
     """
 
     __slots__ = ("ambient_dim", "basis")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Subspace:
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
 
     @staticmethod
     def from_vectors(ambient_dim: int, vecs: Iterable[Sequence[RationalLike]]) -> "Subspace":
@@ -666,14 +663,6 @@ class QPoly(Frozen):
     """
 
     __slots__ = ("coeffs",)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not QPoly:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[RationalLike]) -> "QPoly":
@@ -850,20 +839,20 @@ def char_poly(m: QMatrix) -> QPoly:
 
 
 def minimal_poly(m: QMatrix) -> QPoly:
-    """Monic minimal polynomial, by the first linear dependency among powers.
-
-    One ``rref`` of the columns I, M, ..., M^n: its pivots are the first d
-    powers, which are independent, and the column of M^d holds the
-    coordinates of M^d over them (d <= n by Cayley-Hamilton).
-    """
+    """Monic minimal polynomial of M = A / den: the powers of A go into one
+    ``IntEchelon`` until A^d is in the span (d <= n), and the null row c of
+    [A^0 ... A^d] gives M's coefficients c_i / (c_d den^(d - i))."""
     if not m.is_square:
         raise NonSquareError("minimal polynomial of non-square matrix")
-    powers = [QMatrix.identity(m.rows)]
-    for _ in range(m.rows):
-        powers.append(powers[-1] @ m)
-    red, pivots = rref(QMatrix.from_columns([p.entries for p in powers]))
-    d = len(pivots)
-    return QPoly.from_coeffs([-red[i, d] for i in range(d)] + [1])
+    n = m.rows
+    a, den = m._ints()
+    powers = [QMatrix.identity(n).num]
+    span = IntEchelon(n * n)
+    while span.add(powers[-1]):
+        powers.append(_int_matmul(powers[-1], a, n, n, n))
+    d = len(powers) - 1
+    (c,) = _null_rows([x for entry in zip(*powers) for x in entry], n * n, d + 1)
+    return QPoly.from_coeffs([Fraction(c[i], c[d] * den ** (d - i)) for i in range(d + 1)])
 
 
 # === integer polynomial gcd (subresultant PRS) and Sturm machinery ===

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from expansive import exact
 from expansive.actions import WORD_BUDGET, SemigroupAction, adapted_blocks
 from expansive.certificates import CHECKS, check_certificate, check_claims, check_lifts
 from expansive.cli import main, parse_action, parse_dual_module, verify_report
@@ -92,6 +93,26 @@ def _kinds(cert) -> set:
 def test_every_honest_report_verifies_and_every_kind_occurs(honest):
     assert [name for name, (rep, case) in honest.items() if not verify_report(rep, case)] == []
     assert set().union(*(_kinds(rep["certificate"]) for rep, _ in honest.values())) == set(CHECKS)
+
+
+def test_verify_runs_no_fraction_gauss_jordan_outside_a_solenoid_check(honest, monkeypatch):
+    # verify answers its span questions on integer echelons; only the span
+    # restriction of a solenoid-check report still eliminates in Fractions
+    calls = []
+    gauss_jordan = exact._gauss_jordan
+
+    def counted(*args):
+        calls.append(args)
+        return gauss_jordan(*args)
+
+    monkeypatch.setattr(exact, "_gauss_jordan", counted)
+    reached = set()
+    for name, (rep, case) in honest.items():
+        calls.clear()
+        assert verify_report(rep, case), name
+        if calls:
+            reached.add(rep["command"])
+    assert reached == {"solenoid-check"}
 
 
 # ------------------------------------------------------------ mutations

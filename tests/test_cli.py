@@ -1034,6 +1034,60 @@ def test_chain_depth_zero_is_refused_with_and_without_asserts(optimize):
     assert "error" in json.loads(done.stdout)
 
 
+@pytest.mark.parametrize("keep", [0, 300], ids=["closed-at-once", "closed-after-300-bytes"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze-matrix", "doubling.json"], 0),
+        (["analyze-matrix", "sl2_generators.json"], 1),
+        (["analyze-semigroup", "cat_map.json"], 0),
+        (["analyze-semigroup", "sl2_generators.json", "--depth", "1"], 2),
+        (["find-expansive", "cat_map.json"], 0),
+        (["torus-check", "cat_map.json"], 0),
+        (["jsr", "doubling.json"], 0),
+        (["solenoid-chain", "dyadic_solenoid.json"], 0),
+        (["solenoid-lift", "dyadic_solenoid.json", "--window", "dyadic_window.json", "--radius", "3/10"], 0),
+        (["solenoid-check", "sixth_solenoid.json"], 0),
+        (["verify", "REPORT", "doubling.json"], 0),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path, argv, code, keep):
+    # `expansive ... | head -c 300`: the reader closes stdout after `keep`
+    # bytes (at once, before the child writes, is the case that always
+    # breaks the pipe); the rest of the report is dropped, stderr holds the
+    # summary line and no traceback, and the exit code is the command's
+    report = tmp_path / "report.json"
+    assert main(["analyze-matrix", str(FIXTURES / "doubling.json"), "--out", str(report)]) == 0
+    args = [str(report) if a == "REPORT" else str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "expansive", *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    child.stdout.read(keep)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == code, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith(f"{argv[0]}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["torus-check", "cat_map.json"], 0), (["analyze-matrix", "sl2_generators.json"], 1)]
+)
+def test_a_reader_that_closes_stdout_and_stderr_together_leaves_the_exit_code(argv, code):
+    # `expansive ... 2>&1 | head`, the reader gone before the child writes:
+    # the summary line on stderr meets the closed pipe too
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    args = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "expansive", *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT
+    )
+    child.stdout.close()
+    assert child.wait(timeout=120) == code
+
+
 def test_jordan_block_near_one_is_decided_within_the_timeout(capsys, tmp_path):
     # the rational root test once listed the divisors of 9999^k and 10^(4k)
     # by trial division up to the numbers themselves, and never answered;

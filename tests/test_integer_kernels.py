@@ -1,13 +1,14 @@
 """The integer kernels against the Fraction routines they replaced.
 
 ``QMatrix.inverse``, ``QMatrix.apply``, the definiteness test, ``kernel``,
-``Subspace.from_vectors``, ``intersect`` and the disk and circle counts of
-``spectral`` run on integer numerators.  The Fraction loops they replaced
-are kept below as oracles, and derandomized suites check that both give
-the same answers: equal matrix storage, equal booleans, equal bases, equal
-profiles.  The sympy and mpmath oracle tests in test_exact.py and
-test_spectral.py stay the gate; these tests pin the new routines to the
-old ones case by case.
+``Subspace.from_vectors``, ``intersect``, ``minimal_poly``, the disk and
+circle counts of ``spectral``, and ``restrict_action`` and
+``invariant_line``, which ``verify`` runs, work on integer numerators.
+The Fraction loops they replaced are kept below as oracles, and
+derandomized suites check that both give the same answers: equal matrix
+storage, equal booleans, equal bases, equal profiles.  The sympy and mpmath
+oracle tests in test_exact.py and test_spectral.py stay the gate; these
+tests pin the new routines to the old ones case by case.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansive import exact
+from expansive.actions import SemigroupAction, invariant_line, restrict_action
 from expansive.exact import (
     DimensionMismatchError,
     NotInvertibleError,
@@ -28,7 +30,11 @@ from expansive.exact import (
     is_positive_definite,
     is_positive_semidefinite,
     kernel,
+    minimal_poly,
     poly_gcd,
+    poly_of_matrix,
+    rref,
+    solve_exact,
     to_fraction,
     _int_derivative,
     _int_exact_quo,
@@ -38,7 +44,7 @@ from expansive.exact import (
     _int_sturm,
     _neg_rem_int,
 )
-from expansive.spectral import _inside_by_half_plane, circle_root_count, unit_disk_profile
+from expansive.spectral import SEMIGROUP, _inside_by_half_plane, circle_root_count, unit_disk_profile
 
 F = Fraction
 SUITE = settings(max_examples=300, deadline=None, derandomize=True)
@@ -695,3 +701,181 @@ def test_negated_remainder_is_a_positive_multiple_of_the_fraction_one(a, b):
     else:
         ratio = got.leading / want.leading
         assert ratio > 0 and got == want.scale(ratio)
+
+
+# ------------------------------------------------------------ verify's span questions
+
+
+def restrict_action_by_fractions(action: SemigroupAction, basis) -> tuple[QMatrix, ...]:
+    """The replaced ``restrict_action``: one ``rref`` of the columns
+    [basis | images], read off its pivots and its first k rows."""
+    k = len(basis)
+    images = [g.apply(b) for g in action.mats for b in basis]
+    red, pivots = rref(QMatrix.from_columns(list(basis) + images))
+    if pivots != tuple(range(k)):
+        raise ValueError("space must be invariant, with an independent basis")
+    return tuple(
+        QMatrix.from_rows([[red[i, k * (t + 1) + j] for j in range(k)] for i in range(k)])
+        for t in range(len(action.mats))
+    )
+
+
+def invariant_line_by_fractions(blocks, k: int):
+    """The replaced ``invariant_line``: ``solve_exact`` of the stacked systems."""
+    rows, rhs = [], []
+    for a, b, d in blocks:
+        shifted = a - QMatrix.identity(k).scale(d[0, 0])
+        for i in range(k):
+            rows.append(list(shifted.row(i)))
+            rhs.append(-b[i, 0])
+    return solve_exact(QMatrix.from_rows(rows), rhs)
+
+
+def minimal_poly_by_fractions(m: QMatrix) -> QPoly:
+    """The replaced ``minimal_poly``: one ``rref`` of the columns I, M, ..., M^n."""
+    powers = [QMatrix.identity(m.rows)]
+    for _ in range(m.rows):
+        powers.append(powers[-1] @ m)
+    red, pivots = rref(QMatrix.from_columns([p.entries for p in powers]))
+    d = len(pivots)
+    return QPoly.from_coeffs([-red[i, d] for i in range(d)] + [1])
+
+
+@st.composite
+def invertible_matrices(draw, n):
+    """L U P for a unit lower triangular L, a unit upper triangular U and a
+    column permutation P: invertible, with rational entries."""
+    lower = [[F(int(i == j)) if j >= i else draw(small_fractions) for j in range(n)] for i in range(n)]
+    upper = [[F(int(i == j)) if j <= i else draw(small_fractions) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    lu = QMatrix.from_rows(lower) @ QMatrix.from_rows(upper)
+    return QMatrix.from_columns([lu.col(j) for j in perm])
+
+
+@st.composite
+def actions_and_bases(draw):
+    """(action, basis): 1-3 generators on Q^n, n <= 4, each P T P^-1 for a
+    block upper triangular T, so that the first k columns of P span an
+    invariant subspace.  The basis is those columns, or random vectors, a
+    list with a dependent vector added, or the columns with one entry moved."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    p = draw(invertible_matrices(n))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = [[draw(small_fractions) if i < k or j >= k else F(0) for j in range(n)] for i in range(n)]
+        mats.append(p @ QMatrix.from_rows(t) @ p.inverse())
+    action = SemigroupAction(n, tuple("abc"[: len(mats)]), tuple(mats), SEMIGROUP)
+    basis = [p.col(j) for j in range(k)]
+    shape = draw(st.sampled_from(["invariant", "invariant", "random", "dependent", "moved"]))
+    if shape == "random":
+        basis = [tuple(draw(st.lists(small_fractions, min_size=n, max_size=n))) for _ in range(k)]
+    elif shape == "dependent" and basis:
+        c = draw(small_fractions)
+        basis.insert(draw(st.integers(0, k)), tuple(c * x for x in draw(st.sampled_from(basis))))
+    elif shape == "moved" and basis:
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+        basis[i] = tuple(x + (F(1) if at == j else 0) for at, x in enumerate(basis[i]))
+    return action, basis
+
+
+@given(actions_and_bases())
+@SUITE
+def test_restrict_action_matches_the_fraction_gauss_jordan(ab):
+    action, basis = ab
+    try:
+        want = restrict_action_by_fractions(action, basis)
+    except ValueError:
+        with pytest.raises(ValueError):
+            restrict_action(action, basis)
+        return
+    got = restrict_action(action, basis)
+    assert (got.dim, got.names, got.mode) == (len(basis), action.names, action.mode)
+    assert [storage(m) for m in got.mats] == [storage(m) for m in want]
+    # the coordinates hold: g B = B X_g
+    if basis:
+        b = QMatrix.from_columns(basis)
+        assert all(g @ b == b @ x for g, x in zip(action.mats, got.mats))
+
+
+@st.composite
+def line_systems(draw):
+    """(blocks, k): 1-3 generators' (A, B, D) blocks, A k x k, B k x 1 and
+    D 1 x 1, k <= 4; in about half, B = -(A - mu I) u for one drawn u, so
+    that the systems have a common solution."""
+    k = draw(st.integers(0, 4))
+    u = draw(st.lists(small_fractions, min_size=k, max_size=k))
+    solvable = draw(st.booleans())
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        mu = draw(small_fractions)
+        if draw(st.integers(0, 3)) == 0:
+            a = QMatrix.identity(k).scale(mu)  # a shifted block of zero
+        else:
+            a = QMatrix.from_rows([draw(st.lists(small_fractions, min_size=k, max_size=k)) for _ in range(k)])
+        if solvable:
+            b = (a - QMatrix.identity(k).scale(mu)).apply(u)
+            b = QMatrix.from_rows([[-x] for x in b]) if k else QMatrix.zero(0, 1)
+        else:
+            b = QMatrix.from_rows([[x] for x in draw(st.lists(small_fractions, min_size=k, max_size=k))])
+            b = b if k else QMatrix.zero(0, 1)
+        blocks.append((a, b, QMatrix.from_rows([[mu]])))
+    return blocks, k
+
+
+@given(line_systems())
+@SUITE
+def test_invariant_line_matches_the_fraction_solve(bk):
+    blocks, k = bk
+    got = invariant_line(blocks, k)
+    assert got == invariant_line_by_fractions(blocks, k)
+    if got is not None:
+        assert all(isinstance(x, Fraction) for x in got)
+        for a, b, d in blocks:
+            shifted = a - QMatrix.identity(k).scale(d[0, 0])
+            assert shifted.apply(got) == tuple(-b[i, 0] for i in range(k))
+
+
+@st.composite
+def matrices_with_repeated_roots(draw):
+    """n x n matrices, n <= 5: drawn ones, and conjugates P J P^-1 of block
+    diagonal J with repeated scalars and Jordan blocks."""
+    if draw(st.booleans()):
+        return draw(square_matrices())
+    n = draw(st.integers(1, 5))
+    j = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        j[i][i] = draw(st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2)]))
+        if i and j[i][i] == j[i - 1][i - 1] and draw(st.booleans()):
+            j[i - 1][i] = F(1)
+    p = draw(invertible_matrices(n))
+    return p @ QMatrix.from_rows(j) @ p.inverse()
+
+
+@given(matrices_with_repeated_roots())
+@SUITE
+def test_minimal_poly_matches_the_fraction_gauss_jordan(m):
+    got = minimal_poly(m)
+    assert got == minimal_poly_by_fractions(m)
+    assert got.coeffs[-1] == 1
+    assert poly_of_matrix(got, m) == QMatrix.zero(m.rows, m.rows)
+
+
+def test_verify_span_questions_examples():
+    # the shear fixes the line e1 and no other: its restriction is (1), and
+    # the plane spanned by e2 is not invariant
+    shear = SemigroupAction(2, ("s",), (QMatrix.from_rows([[1, 1], [0, 1]]),), SEMIGROUP)
+    assert restrict_action(shear, [(F(3), F(0))]).mats == (QMatrix.from_rows([[1]]),)
+    with pytest.raises(ValueError):
+        restrict_action(shear, [(F(0), F(1))])
+    with pytest.raises(ValueError):
+        restrict_action(shear, [(F(1), F(0)), (F(2), F(0))])
+    # a Jordan block: the minimal polynomial is (z - 1)^2, scaled by den
+    assert minimal_poly(QMatrix.from_rows([["1/2", 1], [0, "1/2"]])) == QPoly.from_coeffs(["1/4", -1, 1])
+    assert minimal_poly(QMatrix.identity(3).scale(F(-2, 3))) == QPoly.from_coeffs([F(2, 3), 1])
+    assert minimal_poly(QMatrix.identity(0)) == QPoly.from_coeffs([1])
+    # (1 - mu) u = -b: mu = 3, b = 4 gives u = 2; mu = 1 with b = 1 has none
+    block = (QMatrix.from_rows([[1]]), QMatrix.from_rows([[4]]), QMatrix.from_rows([[3]]))
+    assert invariant_line([block], 1) == (F(2),)
+    inconsistent = (QMatrix.from_rows([[1]]), QMatrix.from_rows([[1]]), QMatrix.from_rows([[1]]))
+    assert invariant_line([block, inconsistent], 1) is None

@@ -382,12 +382,7 @@ FRACTION_ELIMINATION_CALLERS = {
     # a public convenience that tests and users read
     ("exact.Subspace.contains", "coordinates_in_span"),
     # dependencies and coordinates read off pivots and columns
-    ("exact.minimal_poly", "rref"),
-    ("actions.restrict_action", "rref"),
-    ("actions._complete_basis", "rref"),
-    ("actions.invariant_line", "solve_exact"),
     ("orbits._graph_lift", "solve_exact"),
-    ("certificates._invariant_norm", "coordinates_in_span"),
     ("solenoid._base_level_plan", "rref"),
     ("solenoid.span_restriction", "rref"),
     ("solenoid.span_restriction", "coordinates_in_span"),
