@@ -13,7 +13,10 @@ decisive report is also passed to ``verify``, on a line whose id ends in
 - every fixture that holds a case, under ``analyze-semigroup``,
   ``torus-check`` and ``solenoid-check`` in group and in semigroup mode;
 - the commands of the README;
-- the ``find_expansive`` cases of ``torus_solenoid`` seeds 2 and 3;
+- the ``find_expansive`` and dual-module cases of ``torus_solenoid`` seeds
+  2 and 3;
+- the ``solenoid-chain`` of ``cat_map`` and ``sixth_solenoid`` at depth 4,
+  which no other run builds (the bench leaves them out for their cost);
 - every subcommand and fixture pair of the ``cli_fixtures`` workload.
 
 Usage: python3 scripts/report_digests.py > digests.txt
@@ -46,6 +49,10 @@ README = (
     ["solenoid-chain", "fixtures/dyadic_solenoid.json", "--depth", "4"],
     ["solenoid-lift", "fixtures/dyadic_solenoid.json", "--window", "fixtures/dyadic_window.json", "--radius", "3/10"],
     ["solenoid-check", "fixtures/sixth_solenoid.json"],
+)
+DEEP_CHAINS = (
+    ["solenoid-chain", "fixtures/cat_map.json", "--depth", "4"],
+    ["solenoid-chain", "fixtures/sixth_solenoid.json", "--depth", "4"],
 )
 
 
@@ -110,8 +117,10 @@ def main_digests() -> int:
             d.run(f"readme:{k}:{argv[0]}", in_checkout(argv))
         for seed in (2, 3):
             for op in cases.torus_solenoid_cases(seed):
-                if op["kind"] == "find_expansive":
+                if op["kind"] in ("find_expansive", "module"):
                     d.workload_case(f"torus_solenoid:{seed}:{op['id']}", op)
+        for argv in DEEP_CHAINS:
+            d.run(f"deep_chain:{Path(argv[1]).stem}", in_checkout(argv))
         for k, (sub, fixture, args) in enumerate(cases.CLI_PAIRS):
             d.run(f"cli_fixtures:{k}:{fixture}:{sub}", [sub, FIXTURES / f"{fixture}.json", *in_checkout(args)])
     return 0
