@@ -24,10 +24,12 @@ from .exact import (
     CapExceededError,
     DimensionMismatchError,
     Frozen,
+    IntEchelon,
     ParseError,
     QMatrix,
     RationalLike,
     SelfCheckError,
+    _null_rows,
     coordinates_in_span,
     rref,
     to_fraction,
@@ -287,84 +289,164 @@ def _json_field(obj, key: str, kind: type, where: str):
     return value
 
 
-def _integer_relation(target: Character, coeffs: Sequence[Fraction], chars: Sequence[Character]) -> Relation:
-    n0 = math.lcm(*(c.denominator for c in coeffs))
-    terms = tuple(
-        (int(c * n0), chars[j]) for j, c in enumerate(coeffs) if c != 0
-    )
-    return Relation(target, n0, terms)
+def _numerators(chars: Sequence[Character]) -> list[tuple[int, ...]]:
+    """The characters' numerators over one common denominator: an integer
+    relation holds among these vectors exactly when it holds among the
+    characters."""
+    den = math.lcm(*(x.denominator for chi in chars for x in chi))
+    return [tuple(x.numerator * (den // x.denominator) for x in chi) for chi in chars]
 
 
-def _pair_relation(target: Character, a: Character, b: Character, budget: int) -> Optional[Relation]:
-    """Small integer combination n0*target = ni*a + nj*b within the cost budget.
+def _span_relation(t: Sequence[int], chars: Sequence[Sequence[int]]) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(n0, ((coef, index), ...)) with n0 t = sum(coef * chars[index]) over
+    the greedy independent prefix of ``chars``, or None when t lies outside
+    their span.
 
-    The first hit in the order n0, ni, nj ascending, with |ni| < budget - n0
-    and |ni| + |nj| <= budget - n0.  For each (n0, ni), nj is solved for on
-    a coordinate where b is non-zero, in integers after clearing the
-    denominators, so the cost grows with budget**2 rather than budget**3.
+    That prefix is read off one ``IntEchelon``.  With t appended, the
+    prefix's null space is one line when t is in their span and zero
+    otherwise; the line's primitive vector is the pivot solution of
+    ``coordinates_in_span`` (the other characters at 0) scaled by the least
+    n0 > 0 that makes it integral.
     """
-    den = math.lcm(*(x.denominator for x in (*target, *a, *b)))
-    t, va, vb = ([x.numerator * (den // x.denominator) for x in v] for v in (target, a, b))
-    pivot = next((d for d, x in enumerate(vb) if x), None)
+    echelon = IntEchelon(len(t))
+    basis = []
+    for j, v in enumerate(chars):
+        if len(basis) == len(t):
+            break
+        if echelon.add(v):
+            basis.append(j)
+    cols = [chars[j] for j in basis] + [t]
+    null = _null_rows([v[i] for i in range(len(t)) for v in cols], len(t), len(cols))
+    if not null:
+        return None
+    *coefs, last = null[0]
+    sign = -1 if last > 0 else 1
+    return -sign * last, tuple((sign * c, j) for c, j in zip(coefs, basis) if c)
+
+
+def _multiple(x: Sequence[int], t: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(n0, c) with n0 t = c x and n0 > 0 least, or None when t is no
+    multiple of x: q t = p x for p, q the entries of t and x at x's first
+    nonzero coordinate, checked on every coordinate by cross-multiplying.
+    A zero x gives (1, 0) for a zero t."""
+    i = next((i for i, v in enumerate(x) if v), None)
+    if i is None:
+        return None if any(t) else (1, 0)
+    p, q = t[i], x[i]
+    if any(q * w != p * v for v, w in zip(x, t)):
+        return None
+    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    return q // g, p // g
+
+
+def _pair_relation(t: Sequence[int], a: Sequence[int], b: Sequence[int], budget: int) -> Optional[tuple[int, int, int]]:
+    """Small integer combination n0*t = ni*a + nj*b within the cost budget, as (n0, ni, nj).
+
+    The first hit in the order n0, ni, nj ascending, with (ni, nj) != (0, 0),
+    1 <= n0 <= budget - 2, |ni| < budget - n0 and |ni| + |nj| <= budget - n0.
+    The vectors are integer numerators over one denominator.  For
+    independent a and b the solutions are the integer multiples of one
+    primitive vector, read off by Cramer's rule on a nonzero 2 x 2 minor:
+    the first hit is that vector, if it is within the budget.  For parallel
+    a and b, t off their line gives None at once, and on it the relation is
+    one scalar equation (``_scalar_pair``).
+    """
+    p = next((i for i, x in enumerate(a) if x), None)
+    if p is not None:
+        ap, bp, tp = a[p], b[p], t[p]
+        for q, (aq, bq, tq) in enumerate(zip(a, b, t)):
+            n0 = ap * bq - aq * bp
+            if n0:
+                ni, nj = tp * bq - tq * bp, ap * tq - aq * tp
+                g = math.gcd(n0, ni, nj) if n0 > 0 else -math.gcd(n0, ni, nj)
+                n0, ni, nj = n0 // g, ni // g, nj // g
+                rest = budget - n0
+                if (ni or nj) and abs(ni) < rest and abs(ni) + abs(nj) <= rest and n0 <= budget - 2 and all(
+                    n0 * z == ni * x + nj * y for z, x, y in zip(t, a, b)
+                ):
+                    return n0, ni, nj
+                return None
+        w = a
+    else:
+        p = next((i for i, x in enumerate(b) if x), None)
+        w = b
+    if p is None:
+        # a = b = 0: any (ni, nj) != (0, 0) works for a zero t, the first at n0 = 1
+        return (1, 2 - budget, -1) if budget >= 3 and not any(t) else None
+    if any(z * w[p] != t[p] * x for z, x in zip(t, w)):
+        return None
+    return _scalar_pair(t[p], a[p], b[p], budget)
+
+
+def _scalar_pair(tau: int, alpha: int, beta: int, budget: int) -> Optional[tuple[int, int, int]]:
+    """``_pair_relation`` on one coordinate: the first (n0, ni, nj) with
+    n0*tau = ni*alpha + nj*beta, not both of alpha and beta zero.
+
+    With beta = 0 any nj in range works and the first is the least.  The
+    n0 that leave an integer ni are the multiples of the least one, and
+    n0 + |ni| grows with them, so only the least is tried.  Otherwise, for each n0, the ni that leave an
+    integer nj form one residue class modulo |beta| / gcd(alpha, beta), and
+    they are stepped in ascending order.
+    """
+    if beta == 0:
+        n0 = abs(alpha) // math.gcd(alpha, tau)
+        ni = n0 * tau // alpha
+        rest = budget - n0
+        return (n0, ni, abs(ni) - rest) if n0 <= budget - 2 and abs(ni) < rest else None
+    g = math.gcd(alpha, beta)
+    step = abs(beta) // g
+    inverse = pow(alpha // g, -1, step) if step > 1 else 0
     for n0 in range(1, budget - 1):
         rest = budget - n0
-        for ni in range(-rest + 1, rest):
-            span = rest - abs(ni)
-            r = [n0 * x - ni * y for x, y in zip(t, va)]  # must equal nj * b
-            if pivot is None:
-                # b = 0: any nj in range works, and the first is -span, never (0, 0) as span >= 2 when ni = 0
-                if any(r):
-                    continue
-                nj = -span
-            else:
-                nj, rem = divmod(r[pivot], vb[pivot])
-                if rem or abs(nj) > span or (ni == 0 and nj == 0) or any(x != nj * y for x, y in zip(r, vb)):
-                    continue
-            terms = tuple((c, chi) for c, chi in ((ni, a), (nj, b)) if c != 0)
-            return Relation(target, n0, terms)
+        c = n0 * tau
+        if c % g:
+            continue
+        ni = 1 - rest + (c // g * inverse + rest - 1) % step
+        while ni < rest:
+            nj = (c - ni * alpha) // beta
+            if abs(ni) + abs(nj) <= rest and (ni or nj):
+                return n0, ni, nj
+            ni += step
     return None
-
-
-def _multiple(chi: Character, target: Character) -> Optional[tuple[Fraction]]:
-    """(c,) with target = c chi, or None when target is no multiple of chi:
-    one division at chi's first nonzero coordinate, checked on every
-    coordinate.  A zero chi gives (0,) for a zero target."""
-    i = next((i for i, x in enumerate(chi) if x), None)
-    if i is None:
-        return None if any(target) else (Fraction(0),)
-    c = Fraction(target[i]) / chi[i]
-    return (c,) if all(c * x == y for x, y in zip(chi, target)) else None
 
 
 def _best_relation(target: Character, prev: Sequence[Character], k_max: int) -> Relation:
     """Cheapest integer relation found by exact solve plus small-support search.
 
-    The generic solver returns one pivot solution, which in low rank
-    never balances coefficients across characters, so relations like
-    "new = neighbor + neighbor" come from the bounded enumeration.
+    The exact solve gives the pivot solution over the first independent
+    characters, which in low rank never balances coefficients across
+    characters, so relations like "new = neighbor + neighbor" come from the
+    multiple test and the pair search.  All of it runs on the integer
+    numerators of ``_numerators``, and a candidate is kept only when it
+    costs strictly less, so the first cheapest one wins.
     """
-    coords = coordinates_in_span(list(prev), target)
-    if coords is None:
+    t, *chars = _numerators((target, *prev))
+    found = _span_relation(t, chars)
+    if found is None:
         raise NotInSpanError(target)
-    best = _integer_relation(target, coords, prev)
-    for chi in prev:
-        c = _multiple(chi, target)
-        if c is not None:
-            cand = _integer_relation(target, c, [chi])
-            if cand.cost < best.cost:
-                best = cand
-    budget = min(k_max, best.cost - 1)
+    n0, terms = found
+    cost = n0 + sum(abs(c) for c, _ in terms)
+    for j, x in enumerate(chars):
+        m = _multiple(x, t)
+        if m is not None and m[0] + abs(m[1]) < cost:
+            n0, c = m
+            cost, terms = n0 + abs(c), ((c, j),) if c else ()
+    budget = min(k_max, cost - 1)
     if budget >= 3:
-        for i, j in itertools.islice(itertools.combinations(range(len(prev)), 2), 300):
-            cand = _pair_relation(target, prev[i], prev[j], budget)
-            if cand is not None and cand.cost < best.cost:
-                best = cand
-                budget = min(budget, best.cost - 1)
-    if best.cost > k_max:
+        for i, j in itertools.islice(itertools.combinations(range(len(chars)), 2), 300):
+            hit = _pair_relation(t, chars[i], chars[j], budget)
+            if hit is not None:
+                # a hit costs at most budget < cost
+                n0, ni, nj = hit
+                cost, terms = n0 + abs(ni) + abs(nj), tuple((c, k) for c, k in ((ni, i), (nj, j)) if c)
+                budget = cost - 1
+                if budget < 3:
+                    break
+    if cost > k_max:
         raise KExceededError(
-            f"no relation of cost <= {k_max} for {tuple(map(str, target))}; best found {best.cost}"
+            f"no relation of cost <= {k_max} for {tuple(map(str, target))}; best found {cost}"
         )
-    return best
+    return Relation(target, n0, tuple((c, prev[k]) for c, k in terms))
 
 
 def regular_chain(levels: Sequence[Sequence[Character]], k_max: int = 64) -> RhoBasisChain:

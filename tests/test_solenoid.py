@@ -1,7 +1,12 @@
 """Dual-module solenoid tests: chains, windows, lifting, expansiveness."""
 
+import itertools
+import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +28,9 @@ from expansive.solenoid import (
     SolenoidWindow,
     E_window,
     _base_level_plan,
+    _best_relation,
     _multiple,
+    _numerators,
     _pair_relation,
     character,
     circle_gap,
@@ -35,6 +42,9 @@ from expansive.solenoid import (
     solenoid_expansive,
     span_restriction,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def F(x):
@@ -118,7 +128,7 @@ def _pair_relation_by_search(target, a, b, budget):
         for ni in range(-rest + 1, rest):
             for nj in range(-(rest - abs(ni)), rest - abs(ni) + 1):
                 if (ni or nj) and all(n0 * t == ni * x + nj * y for t, x, y in zip(target, a, b)):
-                    return Relation(target, n0, tuple((c, chi) for c, chi in ((ni, a), (nj, b)) if c))
+                    return n0, ni, nj
     return None
 
 
@@ -169,31 +179,62 @@ class TestRegularChain:
         )
         assert not RhoBasisChain(chain.levels, chain.k, bad).verify()
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        dim=st.integers(1, 3),
-        data=st.data(),
-        budget=st.integers(0, 14),
-    )
-    def test_pair_relation_is_the_first_hit_of_the_full_search(self, dim, data, budget):
-        frac = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
-        vec = st.lists(frac, min_size=dim, max_size=dim).map(tuple)
-        a, b = data.draw(vec), data.draw(vec)
-        n0, ci, cj = data.draw(st.integers(1, 4)), data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
-        target = data.draw(st.one_of(vec, st.just(tuple((ci * x + cj * y) / n0 for x, y in zip(a, b)))))
-        assert _pair_relation(target, a, b, budget) == _pair_relation_by_search(target, a, b, budget)
+    def test_pair_relation_is_the_first_hit_of_the_full_search(self):
+        # every branch of _pair_relation on purpose, with a hit and a miss
+        # wherever both can happen; the full search runs on the same integer
+        # numerators, over which it finds the same relations
+        seen = Counter()
+        for target, a, b, budget in PAIR_CASES + PAIR_GRID:
+            t, va, vb = _numerators((target, a, b))
+            hit = _pair_relation_by_search(t, va, vb, budget)
+            assert _pair_relation(t, va, vb, budget) == hit
+            hit = hit is not None
+            if not any(a) or not any(b):
+                seen["zero character", hit] += 1
+            elif coordinates_in_span([a], b) is None:
+                seen["independent", coordinates_in_span([a, b], target) is not None, hit] += 1
+            else:
+                seen["parallel", coordinates_in_span([a], target) is not None, hit] += 1
+            if not any(target):
+                seen["zero target", hit] += 1
+        branches = [("zero character", True), ("zero character", False), ("zero target", True), ("zero target", False),
+                    ("independent", True, True), ("independent", True, False), ("independent", False, False),
+                    ("parallel", True, True), ("parallel", True, False), ("parallel", False, False)]
+        assert all(seen[branch] >= 40 for branch in branches), seen
+        assert max(budget for *_, budget in PAIR_CASES) == PAIR_BUDGET
 
     def test_pair_relation_with_a_zero_character(self):
         zero, half = (F(0), F(0)), (F("1/2"), F(1))
-        rel = _pair_relation((F(1), F(2)), half, zero, 6)
-        assert rel == _pair_relation_by_search((F(1), F(2)), half, zero, 6)
-        assert rel.n0 == 1 and rel.terms[0] == (2, half) and rel.holds()
+        target = (F(1), F(2))
+        assert _pair_relation(*_numerators((target, half, zero)), 6) == _pair_relation_by_search(target, half, zero, 6)
+        assert _pair_relation(*_numerators((target, half, zero)), 6) == (1, 2, -3)
+        # two zero characters: any pair of coefficients, the first one scanned
+        assert _pair_relation((0, 0), (0, 0), (0, 0), 6) == (1, -4, -1) == _pair_relation_by_search(zero, zero, zero, 6)
+        assert _pair_relation((0, 1), (0, 0), (0, 0), 6) is None
+
+    def test_pair_search_runs_through_the_module_global(self, monkeypatch):
+        # the traced bench counts the pair search by wrapping the module
+        # attribute; no pair is tried once no relation can beat the best
+        from expansive import solenoid
+
+        budgets = []
+        pair = solenoid._pair_relation
+
+        def counting(t, a, b, budget):
+            budgets.append(budget)
+            return pair(t, a, b, budget)
+
+        monkeypatch.setattr(solenoid, "_pair_relation", counting)
+        assert regular_chain(enumerate_basis(sixth_module(), 2)).k == 4
+        assert regular_chain(enumerate_basis(cat_module(), 2)).k == 4
+        assert budgets and min(budgets) >= 3
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 4), data=st.data())
     def test_multiple_test_matches_the_one_column_span(self, dim, data):
         # the one-column coordinates_in_span([chi], target) that _best_relation
-        # ran for every previous character is the oracle
+        # once ran for every previous character is the oracle: target = c chi
+        # with c = p/q in lowest terms is n0 = q, coefficient p
         frac = st.one_of(st.just(F(0)), st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4])))
         vec = st.lists(frac, min_size=dim, max_size=dim).map(tuple)
         chi = data.draw(st.one_of(vec, st.just((F(0),) * dim)))
@@ -203,36 +244,39 @@ class TestRegularChain:
         i = data.draw(st.integers(0, dim - 1))
         moved = multiple[:i] + (multiple[i] + data.draw(st.sampled_from([F(1), Fraction(-1, 3)])),) + multiple[i + 1 :]
         target = data.draw(st.one_of(st.sampled_from([multiple, moved, (F(0),) * dim]), vec))
-        assert _multiple(chi, target) == coordinates_in_span([chi], target)
+        span = coordinates_in_span([chi], target)
+        assert _multiple(*_numerators((chi, target))) == (None if span is None else (span[0].denominator, span[0].numerator))
 
     def test_multiple_test_examples(self):
-        zero = (F(0), F(0))
-        assert _multiple(zero, zero) == (F(0),) == coordinates_in_span([zero], zero)
-        assert _multiple(zero, (F(0), F(1))) is None
-        assert _multiple((F(0), F(2)), (F(0), F(-3))) == (Fraction(-3, 2),)
-        assert _multiple((F(0), F(2)), (F(1), F(-3))) is None
-        assert _multiple((F(1), F(2)), zero) == (F(0),)
-        # int coordinates divide exactly too
-        assert _multiple((2, 4), (3, 6)) == (Fraction(3, 2),)
+        assert _multiple((0, 0), (0, 0)) == (1, 0)
+        assert _multiple((0, 0), (0, 1)) is None
+        assert _multiple((0, 2), (0, -3)) == (2, -3)
+        assert _multiple((0, -2), (0, -3)) == (2, 3)
+        assert _multiple((0, 2), (1, -3)) is None
+        assert _multiple((1, 2), (0, 0)) == (1, 0)
+        assert _multiple((2, 4), (3, 6)) == (2, 3)
+        assert _multiple((-4, 2), (6, -3)) == (2, -3)
 
-    def test_best_relation_solves_one_span_per_character(self, monkeypatch):
-        # one general coordinates_in_span over the previous level; the test
-        # against each single character is _multiple
-        from expansive import solenoid
+    def test_regular_chain_runs_no_fraction_gauss_jordan(self, monkeypatch):
+        # the span solve, the multiple test and the pair search all run on
+        # integer numerators, on every module of this file and of fixtures/
+        from expansive import exact
+        from expansive.cli import parse_dual_module
 
         calls = []
-        span = solenoid.coordinates_in_span
+        gauss_jordan = exact._gauss_jordan
 
-        def counting(basis, v):
-            calls.append(len(basis))
-            return span(basis, v)
+        def counted(a, ncols):
+            calls.append(ncols)
+            return gauss_jordan(a, ncols)
 
-        monkeypatch.setattr(solenoid, "coordinates_in_span", counting)
-        levels = enumerate_basis(sixth_module(), 2)
-        chain = regular_chain(levels)
-        new = [len(prev) for prev, level in zip(levels, levels[1:]) for chi in level if chi not in prev]
-        assert calls == new
-        assert len(calls) == len(chain.relations) and chain.k == 4
+        monkeypatch.setattr(exact, "_gauss_jordan", counted)
+        modules = [dyadic_module(), sixth_module(), cat_module(), fixed_module()]
+        modules += [parse_dual_module(json.loads((FIXTURES / f"{name}.json").read_text()))
+                    for name in ("cat_map", "doubling", "dyadic_solenoid", "sixth_solenoid")]
+        chains = [regular_chain(enumerate_basis(dm, 3)) for dm in modules]
+        assert sum(len(chain.relations) for chain in chains) > 50
+        assert calls == []
 
     def test_json_shape(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 2))
@@ -518,3 +562,192 @@ def test_span_restriction_matches_the_greedy_loop(drawn):
     for g, adj in zip(dm.action.mats, adjoint.mats):
         cols = [coordinates_in_span(basis, g.apply(b)) for b in basis]
         assert adj == (QMatrix.from_columns(cols).transpose() if cols else QMatrix.identity(0))
+
+
+# --- the relation search on Fractions that the integer one replaced, kept as oracles ---
+
+
+def integer_relation_by_fractions(target, coeffs, chars):
+    n0 = math.lcm(*(c.denominator for c in coeffs))
+    terms = tuple(
+        (int(c * n0), chars[j]) for j, c in enumerate(coeffs) if c != 0
+    )
+    return Relation(target, n0, terms)
+
+
+def pair_relation_by_fractions(target, a, b, budget):
+    den = math.lcm(*(x.denominator for x in (*target, *a, *b)))
+    t, va, vb = ([x.numerator * (den // x.denominator) for x in v] for v in (target, a, b))
+    pivot = next((d for d, x in enumerate(vb) if x), None)
+    for n0 in range(1, budget - 1):
+        rest = budget - n0
+        for ni in range(-rest + 1, rest):
+            span = rest - abs(ni)
+            r = [n0 * x - ni * y for x, y in zip(t, va)]  # must equal nj * b
+            if pivot is None:
+                # b = 0: any nj in range works, and the first is -span, never (0, 0) as span >= 2 when ni = 0
+                if any(r):
+                    continue
+                nj = -span
+            else:
+                nj, rem = divmod(r[pivot], vb[pivot])
+                if rem or abs(nj) > span or (ni == 0 and nj == 0) or any(x != nj * y for x, y in zip(r, vb)):
+                    continue
+            terms = tuple((c, chi) for c, chi in ((ni, a), (nj, b)) if c != 0)
+            return Relation(target, n0, terms)
+    return None
+
+
+def multiple_by_fractions(chi, target):
+    i = next((i for i, x in enumerate(chi) if x), None)
+    if i is None:
+        return None if any(target) else (Fraction(0),)
+    c = Fraction(target[i]) / chi[i]
+    return (c,) if all(c * x == y for x, y in zip(chi, target)) else None
+
+
+def best_relation_by_fractions(target, prev, k_max):
+    coords = coordinates_in_span(list(prev), target)
+    if coords is None:
+        raise NotInSpanError(target)
+    best = integer_relation_by_fractions(target, coords, prev)
+    for chi in prev:
+        c = multiple_by_fractions(chi, target)
+        if c is not None:
+            cand = integer_relation_by_fractions(target, c, [chi])
+            if cand.cost < best.cost:
+                best = cand
+    budget = min(k_max, best.cost - 1)
+    if budget >= 3:
+        for i, j in itertools.islice(itertools.combinations(range(len(prev)), 2), 300):
+            cand = pair_relation_by_fractions(target, prev[i], prev[j], budget)
+            if cand is not None and cand.cost < best.cost:
+                best = cand
+                budget = min(budget, best.cost - 1)
+    if best.cost > k_max:
+        raise KExceededError(
+            f"no relation of cost <= {k_max} for {tuple(map(str, target))}; best found {best.cost}"
+        )
+    return best
+
+
+PAIR_BUDGET = 30
+
+
+def pair_cases(count):
+    """(target, a, b, budget) drawn from a fixed seed, each branch of
+    _pair_relation on purpose: independent and parallel pairs, with a target
+    in their span (a combination with small or large coefficients) or off
+    it, zero characters and zero targets."""
+    rng = random.Random(20261020)
+
+    def vec(dim):
+        return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(dim))
+
+    cases = []
+    for _ in range(count):
+        shape = rng.choice(("independent", "independent", "parallel", "parallel", "zero"))
+        dim = rng.randint(2 if shape == "independent" else 1, 3)
+        zero = (F(0),) * dim
+        a, b = vec(dim), vec(dim)
+        if shape == "parallel":
+            c = rng.choice((-2, -1, 1, 3, Fraction(1, 2), Fraction(-3, 2)))
+            b = tuple(c * x for x in a)
+        elif shape == "zero":
+            a, b = rng.choice(((zero, b), (a, zero), (zero, zero)))
+        n0 = rng.choice((1, 1, 2, 3, 4, 6))
+        small = rng.random() < 0.6
+        ci, cj = (rng.randint(-3, 3), rng.randint(-3, 3)) if small else (rng.randint(-12, 12), rng.randint(-12, 12))
+        kind = rng.choice(("combination", "combination", "random", "random" if dim > 1 else "zero", "zero"))
+        if kind == "combination":
+            target = tuple((ci * x + cj * y) / n0 for x, y in zip(a, b))
+        else:
+            target = vec(dim) if kind == "random" else zero
+        # a budget at the drawn combination's cost, one off, or anywhere
+        edge = n0 + abs(ci) + abs(cj) * rng.randint(0, 1) + rng.randint(-1, 1)
+        cases.append((target, a, b, min(edge, PAIR_BUDGET) if rng.random() < 0.3 else rng.randint(0, PAIR_BUDGET)))
+    return cases
+
+
+PAIR_CASES = pair_cases(1500)
+# every small combination of a few fixed pairs, at every budget up to 8: the
+# edges of each bound of the search
+PAIR_GRID = [
+    (tuple(Fraction(ci * x + cj * y, n0) for x, y in zip(a, b)), a, b, budget)
+    for a, b in [((1, 0), (0, 1)), ((2, 1), (1, 1)), ((1, 2), (2, 4)), ((1, 2), (0, 0)), ((0, 0), (0, 3)),
+                 ((0, 0), (0, 0)), ((1,), (2,)), ((2,), (-3,)), ((4,), (6,))]
+    for n0 in (1, 2, 3)
+    for ci in range(-2, 3)
+    for cj in range(-2, 3)
+    for budget in range(9)
+]
+
+
+def chain_levels():
+    """Chain levels from a fixed seed: 1-D modules with one to three scalar
+    generators (fractions such as 3/2 among them) and 2-D integer modules,
+    in group and semigroup mode."""
+    rng = random.Random(20261021)
+    scalars = [2, 3, 5, -2, -3, 6, Fraction(3, 2), Fraction(4, 3), Fraction(2, 5), Fraction(-5, 2)]
+    for _ in range(24):
+        k = rng.randint(1, 3)
+        gens = [("g%d" % j, M([[s]])) for j, s in enumerate(rng.sample(scalars, k))]
+        f = [[rng.choice((1, 2, 3, Fraction(1, 2), Fraction(2, 3)))] for _ in range(rng.randint(1, 2))]
+        dm = DualModuleAction.from_generators(1, f, gens, rng.choice((GROUP, SEMIGROUP)))
+        yield enumerate_basis(dm, {1: 4, 2: 3, 3: 2}[k])
+    mats = [[[1, 1], [1, 0]], [[2, 1], [1, 1]], [[0, -1], [1, 0]], [[2, 1], [1, 0]], [[0, -1], [1, 3]],
+            [[2, 0], [0, 3]], [[1, 1], [0, 1]], [[3, 1], [1, 0]], [[1, 2], [0, 2]], [[0, 0], [1, 0]]]
+    for _ in range(16):
+        gens = [("g%d" % j, M(m)) for j, m in enumerate(rng.sample(mats[:-1], rng.randint(1, 2)))]
+        mode = GROUP
+        if rng.random() < 0.3:
+            gens.append(("s", M(mats[-1])))
+            mode = SEMIGROUP
+        f = [[1, 0], [0, 1]] if rng.random() < 0.5 else [[rng.randint(-2, 2), rng.randint(-2, 2)] for _ in range(rng.randint(1, 2))]
+        dm = DualModuleAction.from_generators(2, f, gens, mode)
+        yield enumerate_basis(dm, 2)
+
+
+def relation_or_error(search, target, prev, k_max):
+    try:
+        return search(target, prev, k_max)
+    except (NotInSpanError, KExceededError) as exc:
+        return type(exc), str(exc)
+
+
+def test_best_relation_matches_the_fraction_search():
+    outcomes = Counter()
+    for levels in chain_levels():
+        for prev, level in zip(levels, levels[1:]):
+            for chi in level:
+                if chi in prev:
+                    continue
+                for k_max in (3, 5, 64):
+                    got = relation_or_error(_best_relation, chi, prev, k_max)
+                    assert got == relation_or_error(best_relation_by_fractions, chi, prev, k_max)
+                    outcomes[got[0] if isinstance(got, tuple) else Relation] += 1
+    assert outcomes[Relation] >= 500 and outcomes[KExceededError] >= 100, outcomes
+
+
+def test_best_relation_matches_the_fraction_search_off_a_module():
+    # drawn previous levels that need not span, so that NotInSpanError occurs,
+    # with zero, repeated and parallel characters
+    rng = random.Random(20261022)
+    entries = [F(0), F(0), F(1), F(-1), F(2), F(3), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+    outcomes = Counter()
+    for _ in range(400):
+        dim = rng.randint(1, 3)
+        pool = [tuple(rng.choice(entries) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+        # the pool's characters and their multiples, zero among them
+        scaled = [(rng.choice((1, 1, 1, -2, 0, 3)), rng.choice(pool)) for _ in range(rng.randint(1, 8))]
+        prev = [tuple(c * x for x in chi) for c, chi in scaled]
+        prev = list(dict.fromkeys(prev))
+        target = tuple(rng.choice(entries) for _ in range(dim))
+        if rng.random() < 0.6:
+            chosen = rng.sample(prev, min(len(prev), rng.randint(1, 3)))
+            target = tuple(sum((rng.randint(-3, 3) * v[i] for v in chosen), F(0)) / rng.choice((1, 2, 3)) for i in range(dim))
+        k_max = rng.choice((3, 4, 8, 64))
+        got = relation_or_error(_best_relation, target, prev, k_max)
+        assert got == relation_or_error(best_relation_by_fractions, target, prev, k_max)
+        outcomes[got[0] if isinstance(got, tuple) else Relation] += 1
+    assert min(outcomes[Relation], outcomes[NotInSpanError], outcomes[KExceededError]) >= 40, outcomes

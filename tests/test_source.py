@@ -386,8 +386,6 @@ FRACTION_ELIMINATION_CALLERS = {
     ("solenoid._base_level_plan", "rref"),
     ("solenoid.span_restriction", "rref"),
     ("solenoid.span_restriction", "coordinates_in_span"),
-    # the one general span solve of the relation search
-    ("solenoid._best_relation", "coordinates_in_span"),
     # the torus span walk, which waits for the benchmark's memory fix
     ("torus._algebra_basis", "coordinates_in_span"),
 }
