@@ -297,7 +297,9 @@ def _numerators(chars: Sequence[Character]) -> list[tuple[int, ...]]:
     return [tuple(x.numerator * (den // x.denominator) for x in chi) for chi in chars]
 
 
-def _span_relation(t: Sequence[int], chars: Sequence[Sequence[int]]) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
+def _span_relation(
+    t: Sequence[int], chars: Sequence[Sequence[int]]
+) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
     """(n0, ((coef, index), ...)) with n0 t = sum(coef * chars[index]) over
     the greedy independent prefix of ``chars``, or None when t lies outside
     their span.

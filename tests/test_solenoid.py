@@ -245,7 +245,8 @@ class TestRegularChain:
         moved = multiple[:i] + (multiple[i] + data.draw(st.sampled_from([F(1), Fraction(-1, 3)])),) + multiple[i + 1 :]
         target = data.draw(st.one_of(st.sampled_from([multiple, moved, (F(0),) * dim]), vec))
         span = coordinates_in_span([chi], target)
-        assert _multiple(*_numerators((chi, target))) == (None if span is None else (span[0].denominator, span[0].numerator))
+        expected = None if span is None else (span[0].denominator, span[0].numerator)
+        assert _multiple(*_numerators((chi, target))) == expected
 
     def test_multiple_test_examples(self):
         assert _multiple((0, 0), (0, 0)) == (1, 0)
@@ -703,7 +704,9 @@ def chain_levels():
         if rng.random() < 0.3:
             gens.append(("s", M(mats[-1])))
             mode = SEMIGROUP
-        f = [[1, 0], [0, 1]] if rng.random() < 0.5 else [[rng.randint(-2, 2), rng.randint(-2, 2)] for _ in range(rng.randint(1, 2))]
+        f = [[1, 0], [0, 1]]
+        if rng.random() < 0.5:
+            f = [[rng.randint(-2, 2), rng.randint(-2, 2)] for _ in range(rng.randint(1, 2))]
         dm = DualModuleAction.from_generators(2, f, gens, mode)
         yield enumerate_basis(dm, 2)
 
@@ -745,7 +748,8 @@ def test_best_relation_matches_the_fraction_search_off_a_module():
         target = tuple(rng.choice(entries) for _ in range(dim))
         if rng.random() < 0.6:
             chosen = rng.sample(prev, min(len(prev), rng.randint(1, 3)))
-            target = tuple(sum((rng.randint(-3, 3) * v[i] for v in chosen), F(0)) / rng.choice((1, 2, 3)) for i in range(dim))
+            coefs, n0 = [rng.randint(-3, 3) for _ in chosen], rng.choice((1, 2, 3))
+            target = tuple(sum((c * v[i] for c, v in zip(coefs, chosen)), F(0)) / n0 for i in range(dim))
         k_max = rng.choice((3, 4, 8, 64))
         got = relation_or_error(_best_relation, target, prev, k_max)
         assert got == relation_or_error(best_relation_by_fractions, target, prev, k_max)
