@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exact import Frozen, IntEchelon, NotInvertibleError, QMatrix, Subspace, is_positive_semidefinite, primitive_integer
+from .exact import Frozen, NotInvertibleError, QMatrix, Subspace, _echelon, is_positive_semidefinite, solve_exact
 from .spectral import GROUP, SEMIGROUP, check_mode
 
 INVERSE_SUFFIX = "^-1"
@@ -84,16 +84,6 @@ class SemigroupAction(Frozen):
         for m in mats[1:]:
             out = out @ m
         return out
-
-
-def _echelon(rows, width: int) -> IntEchelon:
-    """One ``IntEchelon`` of the rational rows, each scaled to integers: its
-    pivots are the pivot columns of the matrix of the rows, and its reduced
-    rows that matrix's reduced row echelon form, zero rows dropped."""
-    echelon = IntEchelon(width)
-    for row in rows:
-        echelon.add(primitive_integer(row))
-    return echelon
 
 
 def restrict_action(action: SemigroupAction, basis: list[tuple[Fraction, ...]]) -> SemigroupAction:
@@ -174,18 +164,11 @@ def generated_by(action: SemigroupAction, m: QMatrix) -> bool:
 def invariant_line(blocks, k: int) -> Optional[tuple[Fraction, ...]]:
     """A solution u of (A_g - mu_g I) u = -B_g over every generator's adapted
     blocks, D_g = (mu_g) on a one dimensional quotient, or None; exactly then
-    u + e spans an invariant line, e the completion vector.  One
-    ``IntEchelon`` of the system's rows [A_g - mu_g I | -B_g]: it has a
-    solution unless the last column is a pivot, and the one returned sets
-    the free unknowns to 0 and reads the others off the reduced rows."""
-    rows = []
+    u + e spans an invariant line, e the completion vector.  The systems are
+    stacked into one ``solve_exact``, which sets the free unknowns to 0."""
+    rows, rhs = [], []
     for a, b, d in blocks:
         shifted = a - QMatrix.identity(k).scale(d[0, 0])
-        rows += [(*shifted.row(i), -b[i, 0]) for i in range(k)]
-    echelon = _echelon(rows, k + 1)
-    if k in echelon.pivots:
-        return None
-    u = [Fraction(0)] * k
-    for c, row in zip(echelon.pivots, echelon.reduced()):
-        u[c] = row[k]
-    return tuple(u)
+        rows += [shifted.row(i) for i in range(k)]
+        rhs += [-b[i, 0] for i in range(k)]
+    return solve_exact(QMatrix.from_rows(rows), rhs)

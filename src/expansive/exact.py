@@ -7,9 +7,10 @@ kernels (gcd, exact quotient, the Sturm and Cauchy remainder chain) on which
 Matrices are integer numerators over one common denominator, read from
 JSON by ``num_den`` with no ``Fraction`` per entry.  Kernels, subspaces,
 intersections and minimal polynomials eliminate fraction-free on
-``IntEchelon``s of integer vectors.  ``rref``, behind ``solve_exact`` and
-``coordinates_in_span``, is the one Gauss-Jordan left in ``Fraction``s;
-tests/test_source.py lists every library function that still calls it.
+``IntEchelon``s of integer vectors, and so does ``solve_exact``, on which
+every span question with coordinates rests.  ``rref`` is the one
+Gauss-Jordan left in ``Fraction``s; tests/test_source.py lists every
+library function that still calls it.
 """
 
 from __future__ import annotations
@@ -527,6 +528,16 @@ class IntEchelon:
         return tuple(tuple(Fraction(x, v[piv]) for x in v) for piv, v in zip(pivots, rows))
 
 
+def _echelon(rows: Iterable[Sequence[RationalLike]], width: int) -> IntEchelon:
+    """One ``IntEchelon`` of the rational rows, each scaled to integers: its
+    pivots are the pivot columns of the matrix of the rows, and its reduced
+    rows that matrix's reduced row echelon form, zero rows dropped."""
+    echelon = IntEchelon(width)
+    for row in rows:
+        echelon.add(primitive_integer(row))
+    return echelon
+
+
 class Subspace(Frozen):
     """Subspace of Q^n given by an independent basis of column vectors.
 
@@ -567,10 +578,11 @@ class Subspace(Frozen):
         return QMatrix.from_columns(self.basis) if self.basis else QMatrix.zero(self.ambient_dim, 0)
 
     def contains(self, v: Sequence[RationalLike]) -> bool:
-        vec = tuple(to_fraction(x) for x in v)
+        """Whether v adds nothing to the rank of one echelon of the basis."""
+        vec = primitive_integer(v)
         if len(vec) != self.ambient_dim:
             raise DimensionMismatchError("vector length mismatch")
-        return coordinates_in_span(self.basis, vec) is not None
+        return not _echelon(self.basis, self.ambient_dim).add(vec)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in b] for b in self.basis]
@@ -585,23 +597,21 @@ def coordinates_in_span(
     return solve_exact(QMatrix.from_columns(basis), tuple(v))
 
 
-def solve_exact(a: QMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+def solve_exact(a: QMatrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...] | None:
     """One exact solution of A x = b, or None when inconsistent.
 
-    When the system is underdetermined the free variables are set to 0.
+    One ``IntEchelon`` of the rows [A | b]: the system is inconsistent
+    exactly when the last column is a pivot.  Otherwise the free variables
+    are set to 0 and each pivot variable is read off its reduced row.
     """
     if len(b) != a.rows:
         raise DimensionMismatchError("rhs length mismatch")
-    aug = QMatrix(a.rows, a.cols + 1, tuple(
-        a.entries[i * a.cols + j] if j < a.cols else to_fraction(b[i])
-        for i in range(a.rows) for j in range(a.cols + 1)
-    ))
-    red, pivots = rref(aug)
-    if a.cols in pivots:
+    echelon = _echelon(((*a.row(i), b[i]) for i in range(a.rows)), a.cols + 1)
+    if a.cols in echelon.pivots:
         return None
     x = [Fraction(0)] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r, a.cols]
+    for c, row in zip(echelon.pivots, echelon.reduced()):
+        x[c] = row[a.cols]
     return tuple(x)
 
 

@@ -29,9 +29,9 @@ from .exact import (
     QMatrix,
     RationalLike,
     SelfCheckError,
+    _echelon,
     _null_rows,
-    coordinates_in_span,
-    rref,
+    primitive_integer,
     to_fraction,
 )
 
@@ -558,15 +558,17 @@ class ChainLift(Frozen):
 def _base_level_plan(level: Sequence[Character]) -> tuple[list[int], list[tuple[int, Fraction, list[tuple[Fraction, int]]]]]:
     """Split the first level into a Q-basis and exact expansions of the rest.
 
-    One ``rref`` of the characters as columns: the pivots are the first
-    independent characters, and every other column holds its coordinates
-    over the pivots before it.  A dependent's n0 clears their denominators.
+    One ``IntEchelon`` of the matrix whose columns are the characters: the
+    pivots are the first independent characters, and every other column of
+    the reduced rows holds its coordinates over the pivots before it.  A
+    dependent's n0 clears their denominators.
     """
-    red, pivots = rref(QMatrix.from_columns(level))
+    echelon = _echelon(zip(*level), len(level))
+    pivots, red = echelon.pivots, echelon.reduced()
     dependents: list[tuple[int, Fraction, list[tuple[Fraction, int]]]] = []
     for i in range(len(level)):
         if i not in pivots:
-            terms = [(red[r, i], j) for r, j in enumerate(pivots) if red[r, i] != 0]
+            terms = [(row[i], j) for row, j in zip(red, pivots) if row[i] != 0]
             dependents.append((i, Fraction(math.lcm(*(c.denominator for c, _ in terms))), terms))
     return list(pivots), dependents
 
@@ -660,18 +662,19 @@ def span_restriction(dm: DualModuleAction) -> tuple[list[Character], SemigroupAc
 
     The span of all word images of the module generators is the smallest
     invariant subspace containing them; the functional space of the
-    solenoid is its real dual, on which matrices act by transposes.  The
-    closure starts from the first independent module generators, the pivot
-    columns of one ``rref`` of F.
+    solenoid is its real dual, on which matrices act by transposes.  One
+    ``IntEchelon`` holds the span for the whole walk, and its ``add`` is the
+    membership test: it takes the first independent module generators, then
+    each image that leaves the span.
     """
-    F = dm.module_generators
-    basis = [F[c] for c in rref(QMatrix.from_columns(F))[1]]
+    span = IntEchelon(dm.n)
+    basis = [f for f in dm.module_generators if span.add(primitive_integer(f))]
     queue = list(basis)
     while queue:
         v = queue.pop()
         for g in dm.action.mats:
             img = g.apply(v)
-            if coordinates_in_span(basis, img) is None:
+            if span.add(primitive_integer(img)):
                 basis.append(img)
                 queue.append(img)
     if not basis:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .actions import INVERSE_SUFFIX, SemigroupAction
-from .exact import CapExceededError, Frozen, QMatrix, RationalLike, coordinates_in_span, to_fraction
+from .exact import CapExceededError, Frozen, QMatrix, RationalLike, rref, to_fraction
 from .orbits import ExpansivenessVerdict, _proper_invariant_subspaces, expansiveness_check, iter_words
 from .spectral import EXPANSIVE, GROUP, has_unbounded_powers
 
@@ -95,7 +95,8 @@ def _algebra_basis(action: SemigroupAction) -> list[tuple[str, ...]]:
 
     Closure under right multiplication by generators, starting from the
     identity, reaches the span of every word; linearity makes checking
-    products of basis elements sufficient.
+    products of basis elements sufficient.  A product joins the basis when
+    it is a pivot column of one ``rref`` of the basis and it as columns.
     """
     n = action.dim
     vectors: list[tuple[Fraction, ...]] = []
@@ -104,7 +105,7 @@ def _algebra_basis(action: SemigroupAction) -> list[tuple[str, ...]]:
     candidates = [((), QMatrix.identity(n))]
     while True:
         for word, m in candidates:
-            if coordinates_in_span(vectors, m.entries) is None:
+            if len(vectors) in rref(QMatrix.from_columns([*vectors, m.entries]))[1]:
                 vectors.append(m.entries)
                 words.append(word)
                 stack.append((word, m))

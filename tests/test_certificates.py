@@ -95,9 +95,9 @@ def test_every_honest_report_verifies_and_every_kind_occurs(honest):
     assert set().union(*(_kinds(rep["certificate"]) for rep, _ in honest.values())) == set(CHECKS)
 
 
-def test_verify_runs_no_fraction_gauss_jordan_outside_a_solenoid_check(honest, monkeypatch):
-    # verify answers its span questions on integer echelons; only the span
-    # restriction of a solenoid-check report still eliminates in Fractions
+def test_verify_runs_no_fraction_gauss_jordan(honest, monkeypatch):
+    # verify answers its span questions on integer echelons, the span
+    # restriction of a solenoid-check report included
     calls = []
     gauss_jordan = exact._gauss_jordan
 
@@ -112,7 +112,7 @@ def test_verify_runs_no_fraction_gauss_jordan_outside_a_solenoid_check(honest, m
         assert verify_report(rep, case), name
         if calls:
             reached.add(rep["command"])
-    assert reached == {"solenoid-check"}
+    assert reached == set()
 
 
 # ------------------------------------------------------------ mutations

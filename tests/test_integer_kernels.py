@@ -1,9 +1,11 @@
 """The integer kernels against the Fraction routines they replaced.
 
 ``QMatrix.inverse``, ``QMatrix.apply``, the definiteness test, ``kernel``,
-``Subspace.from_vectors``, ``intersect``, ``minimal_poly``, the disk and
-circle counts of ``spectral``, and ``restrict_action`` and
-``invariant_line``, which ``verify`` runs, work on integer numerators.
+``Subspace.from_vectors``, ``Subspace.contains``, ``intersect``,
+``minimal_poly``, ``solve_exact``, the disk and circle counts of
+``spectral``, ``restrict_action`` and ``invariant_line``, which ``verify``
+runs, and the solenoid's ``_base_level_plan`` and ``span_restriction``
+work on integer numerators.
 The Fraction loops they replaced are kept below as oracles, and
 derandomized suites check that both give the same answers: equal matrix
 storage, equal booleans, equal bases, equal profiles.  The sympy and mpmath
@@ -11,7 +13,10 @@ oracle tests in test_exact.py and test_spectral.py stay the gate; these
 tests pin the new routines to the old ones case by case.
 """
 
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 
 from expansive import exact
 from expansive.actions import SemigroupAction, invariant_line, restrict_action
+from expansive.cli import parse_dual_module
 from expansive.exact import (
     DimensionMismatchError,
     NotInvertibleError,
@@ -26,6 +32,7 @@ from expansive.exact import (
     QPoly,
     Subspace,
     ZeroConstantTermError,
+    coordinates_in_span,
     intersect,
     is_positive_definite,
     is_positive_semidefinite,
@@ -44,9 +51,12 @@ from expansive.exact import (
     _int_sturm,
     _neg_rem_int,
 )
-from expansive.spectral import SEMIGROUP, _inside_by_half_plane, circle_root_count, unit_disk_profile
+from expansive.solenoid import DualModuleAction, _base_level_plan, span_restriction
+from expansive.spectral import GROUP, SEMIGROUP, _inside_by_half_plane, circle_root_count, unit_disk_profile
+from test_orbits import perfbench_cases
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SUITE = settings(max_examples=300, deadline=None, derandomize=True)
 
 
@@ -433,6 +443,13 @@ def test_kernels_and_subspaces_run_no_fraction_gauss_jordan(monkeypatch):
     b = Subspace.from_vectors(3, [[1, 1, 1], [0, 0, 1]])
     assert intersect(a, b) == from_vectors_by_fractions(3, [[1, 1, 1]])
     assert Subspace.full(4) == from_vectors_by_fractions(4, [[int(i == j) for j in range(4)] for i in range(4)])
+    # and so do the solver and the span questions answered on it
+    assert solve_exact(QMatrix.from_rows([[1, 2, 3], [2, 4, 6], ["1/2", 0, 1]]), [1, 2, 0]) == (F(0), F(1, 2), F(0))
+    assert coordinates_in_span([(F(1), F(2)), (F(0), F(1))], (F(3), F(4))) == (F(3), F(-2))
+    assert Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 1]]).contains(["1/2", 1, 1])
+    assert _base_level_plan([(F(1),), (F(3, 2),)]) == ([0], [(1, F(2), [(F(3, 2), 0)])])
+    sixth = parse_dual_module({"n": 1, "F": [[2], [3]], "generators": {"d": [[2]], "t": [[3]]}, "mode": "group"})
+    assert span_restriction(sixth)[0] == [(F(2),)]
 
 
 def test_kernel_examples():
@@ -721,14 +738,14 @@ def restrict_action_by_fractions(action: SemigroupAction, basis) -> tuple[QMatri
 
 
 def invariant_line_by_fractions(blocks, k: int):
-    """The replaced ``invariant_line``: ``solve_exact`` of the stacked systems."""
+    """The replaced ``invariant_line``: the Fraction solve of the stacked systems."""
     rows, rhs = [], []
     for a, b, d in blocks:
         shifted = a - QMatrix.identity(k).scale(d[0, 0])
         for i in range(k):
             rows.append(list(shifted.row(i)))
             rhs.append(-b[i, 0])
-    return solve_exact(QMatrix.from_rows(rows), rhs)
+    return solve_exact_by_fractions(QMatrix.from_rows(rows), rhs)
 
 
 def minimal_poly_by_fractions(m: QMatrix) -> QPoly:
@@ -879,3 +896,225 @@ def test_verify_span_questions_examples():
     assert invariant_line([block], 1) == (F(2),)
     inconsistent = (QMatrix.from_rows([[1]]), QMatrix.from_rows([[1]]), QMatrix.from_rows([[1]]))
     assert invariant_line([block, inconsistent], 1) is None
+
+
+# ------------------------------------------------------------ the solver and the solenoid's span questions
+
+
+def solve_exact_by_fractions(a: QMatrix, b):
+    """The replaced ``solve_exact``: one ``rref`` of [A | b] in Fractions,
+    the free variables set to 0."""
+    if len(b) != a.rows:
+        raise DimensionMismatchError("rhs length mismatch")
+    aug = QMatrix(a.rows, a.cols + 1, tuple(
+        a.entries[i * a.cols + j] if j < a.cols else to_fraction(b[i])
+        for i in range(a.rows) for j in range(a.cols + 1)
+    ))
+    red, pivots = rref(aug)
+    if a.cols in pivots:
+        return None
+    x = [F(0)] * a.cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r, a.cols]
+    return tuple(x)
+
+
+def coordinates_by_fractions(basis, v):
+    """The replaced ``coordinates_in_span``, on the Fraction solve."""
+    if not basis:
+        return () if not any(v) else None
+    return solve_exact_by_fractions(QMatrix.from_columns(basis), tuple(v))
+
+
+def contains_by_fractions(space: Subspace, v) -> bool:
+    """The replaced ``Subspace.contains``: whether v has coordinates over the basis."""
+    vec = tuple(to_fraction(x) for x in v)
+    if len(vec) != space.ambient_dim:
+        raise DimensionMismatchError("vector length mismatch")
+    return coordinates_by_fractions(space.basis, vec) is not None
+
+
+def base_level_plan_by_fractions(level):
+    """The replaced ``_base_level_plan``: one ``rref`` of the characters as columns."""
+    red, pivots = rref(QMatrix.from_columns(level))
+    dependents = []
+    for i in range(len(level)):
+        if i not in pivots:
+            terms = [(red[r, i], j) for r, j in enumerate(pivots) if red[r, i] != 0]
+            dependents.append((i, F(math.lcm(*(c.denominator for c, _ in terms))), terms))
+    return list(pivots), dependents
+
+
+def span_restriction_by_fractions(dm: DualModuleAction):
+    """The replaced ``span_restriction``: the pivot columns of one ``rref`` of
+    the module generators, closed under the action by Fraction solves; the
+    basis and the generators' restrictions to its span."""
+    gens = dm.module_generators
+    basis = [gens[c] for c in rref(QMatrix.from_columns(gens))[1]]
+    queue = list(basis)
+    while queue:
+        v = queue.pop()
+        for g in dm.action.mats:
+            img = g.apply(v)
+            if coordinates_by_fractions(basis, img) is None:
+                basis.append(img)
+                queue.append(img)
+    if not basis:
+        return [], tuple(QMatrix.identity(0) for _ in dm.action.mats)
+    return basis, restrict_action_by_fractions(dm.action, basis)
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b): a drawn matrix, with zero rows, low rank and no columns among
+    them, and a right-hand side A x for a drawn x, a drawn one, or zero,
+    written as Fractions, ints or strings."""
+    a = draw(rational_matrices())
+    kind = draw(st.sampled_from(["consistent", "consistent", "drawn", "zero"]))
+    if kind == "consistent":
+        b = a.apply(draw(st.lists(mixed_fractions, min_size=a.cols, max_size=a.cols)))
+    elif kind == "drawn":
+        b = draw(st.lists(mixed_fractions, min_size=a.rows, max_size=a.rows))
+    else:
+        b = [F(0)] * a.rows
+    return a, [draw(st.sampled_from(as_written(x))) for x in b]
+
+
+@given(linear_systems())
+@SUITE
+def test_solve_exact_matches_the_fraction_gauss_jordan(ab):
+    a, b = ab
+    got = solve_exact(a, b)
+    assert got == solve_exact_by_fractions(a, b)
+    if got is not None:
+        assert all(isinstance(x, Fraction) for x in got)
+        assert a.apply(got) == tuple(map(to_fraction, b))
+        # the free variables, A's non-pivot columns, are 0
+        pivots = rref(a)[1]
+        assert all(x == 0 for j, x in enumerate(got) if j not in pivots)
+
+
+def test_solve_exact_examples():
+    # a 0-column A solves only b = 0, by the empty vector
+    assert solve_exact(QMatrix.zero(2, 0), [0, 0]) == ()
+    assert solve_exact(QMatrix.zero(2, 0), [0, "1/3"]) is None
+    assert solve_exact(QMatrix(0, 3, ()), []) == (F(0),) * 3
+    # x + y = 2 sets the free y to 0; a zero row against a nonzero b is inconsistent
+    assert solve_exact(QMatrix.from_rows([[1, 1]]), ["2"]) == (F(2), F(0))
+    assert solve_exact(QMatrix.from_rows([[1, 0], [0, 0]]), [1, F(1, 3)]) is None
+    assert solve_exact(QMatrix.from_rows([["1/2", 0], [0, 0]]), [1, 0]) == (F(2), F(0))
+    with pytest.raises(DimensionMismatchError):
+        solve_exact(QMatrix.identity(2), [1])
+
+
+@st.composite
+def subspaces_and_vectors(draw):
+    """(space, v): the span of drawn vectors, or those vectors taken as the
+    basis as they stand, and a combination of them, a drawn vector, zero,
+    or now and then a vector of the wrong length, written as Fractions,
+    ints or strings."""
+    m = draw(rational_matrices())
+    n, vecs = m.cols, [m.row(i) for i in range(m.rows)]
+    space = Subspace.from_vectors(n, vecs) if draw(st.booleans()) else Subspace(n, tuple(vecs))
+    kind = draw(st.sampled_from(["combination", "combination", "drawn", "zero", "wrong"]))
+    if kind == "combination":
+        cs = draw(st.lists(mixed_fractions, min_size=len(vecs), max_size=len(vecs)))
+        v = [sum((c * u[i] for c, u in zip(cs, vecs)), F(0)) for i in range(n)]
+    elif kind == "drawn":
+        v = draw(st.lists(mixed_fractions, min_size=n, max_size=n))
+    elif kind == "zero":
+        v = [F(0)] * n
+    else:
+        v = [F(1)] * draw(st.sampled_from([k for k in (n - 1, n + 1) if k >= 0]))
+    return space, [draw(st.sampled_from(as_written(x))) for x in v]
+
+
+@given(subspaces_and_vectors())
+@SUITE
+def test_contains_matches_the_fraction_solve(sv):
+    space, v = sv
+    try:
+        want = contains_by_fractions(space, v)
+    except DimensionMismatchError:
+        with pytest.raises(DimensionMismatchError):
+            space.contains(v)
+        return
+    assert space.contains(iter(v)) is want
+
+
+@st.composite
+def first_levels(draw):
+    """A first chain level in Q^n, n <= 4: drawn characters, the zero
+    character, repeats, and rational combinations of characters before,
+    in any order."""
+    n = draw(st.integers(1, 4))
+    level = [tuple(draw(st.lists(mixed_fractions, min_size=n, max_size=n))) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 4))):
+        extra = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if extra == "zero":
+            level.append((F(0),) * n)
+        elif extra == "repeat":
+            level.append(draw(st.sampled_from(level)))
+        else:
+            u, w = draw(st.sampled_from(level)), draw(st.sampled_from(level))
+            a, b = draw(mixed_fractions), draw(mixed_fractions)
+            level.append(tuple(a * x + b * y for x, y in zip(u, w)))
+    return draw(st.permutations(level))
+
+
+def module_cases() -> list[dict]:
+    """Every module fixture, then the module cases of torus_solenoid seeds 1-3."""
+    fixtures = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    cases = perfbench_cases()
+    ops = [op for seed in (1, 2, 3) for op in cases.torus_solenoid_cases(seed) if op["kind"] == "module"]
+    return [case for case in fixtures if isinstance(case, dict) and "F" in case] + [op["case"] for op in ops]
+
+
+@given(first_levels())
+@SUITE
+def test_base_level_plan_matches_the_fraction_gauss_jordan(level):
+    assert _base_level_plan(level) == base_level_plan_by_fractions(level)
+
+
+def test_base_level_plan_examples():
+    # 2 and -1/3 are multiples of 1; (0, 0) depends on nothing, with n0 = 1
+    level = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0)), (F(0), F(1, 2)), (F(-1, 3), F(1))]
+    assert _base_level_plan(level) == base_level_plan_by_fractions(level)
+    assert _base_level_plan(level) == (
+        [1, 3],
+        [(0, F(1), []), (2, F(1), [(F(2), 1)]), (4, F(3), [(F(-1, 3), 1), (F(2), 3)])],
+    )
+
+
+def test_span_restriction_matches_the_fraction_walk():
+    # the same basis in the same order, so the same adjoint matrices
+    cases = module_cases()
+    assert len(cases) > 40
+    for case in cases:
+        for mode in (GROUP, SEMIGROUP):
+            dm = parse_dual_module(case, mode)
+            basis, adjoint = span_restriction(dm)
+            want_basis, want_mats = span_restriction_by_fractions(dm)
+            assert basis == want_basis
+            assert [storage(m) for m in adjoint.mats] == [storage(m.transpose()) for m in want_mats]
+            assert (adjoint.dim, adjoint.names, adjoint.mode) == (len(basis), dm.action.names, mode)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(mixed_fractions, min_size=n, max_size=n), min_size=1, max_size=4),
+            st.lists(st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n),
+                     min_size=1, max_size=2),
+        )
+    )
+)
+@SUITE
+def test_span_restriction_matches_the_fraction_walk_on_drawn_modules(drawn):
+    gens, mats = drawn
+    n = len(mats[0])
+    dm = DualModuleAction.from_generators(n, gens, [(f"g{i}", QMatrix.from_rows(m)) for i, m in enumerate(mats)], SEMIGROUP)
+    basis, adjoint = span_restriction(dm)
+    want_basis, want_mats = span_restriction_by_fractions(dm)
+    assert basis == want_basis
+    assert [storage(m) for m in adjoint.mats] == [storage(m.transpose()) for m in want_mats]

@@ -338,6 +338,10 @@ def test_kernels_and_subspaces_eliminate_on_integers():
         assert not any(isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Tuple) for n in ast.walk(body)), name
         if name != "IntEchelon.reduced":
             assert names_used(body) & {"Fraction", "to_fraction"} == set(), name
+    # the solver and the span questions answered on it name no Gauss-Jordan;
+    # coordinates_in_span names solve_exact, the integer solver itself
+    for name in ("solve_exact", "coordinates_in_span", "Subspace.contains"):
+        assert names_used(exact_function(name)) & gauss - {"solve_exact"} == set(), name
     # kernel reads the echelon's pivots through the public, read-only view
     assert "_pivots" not in attributes_used(exact_function("kernel"))
     # in reduced, Fraction appears once: a two-argument call in the return
@@ -374,25 +378,17 @@ def test_the_sturm_remainder_runs_on_integer_lists():
 # every library function that still reaches the Fraction Gauss-Jordan, by the
 # routine it names; a migrated caller leaves this list, and no caller joins it
 FRACTION_ELIMINATION_CALLERS = {
-    # the routines themselves: coordinates_in_span solves through solve_exact,
-    # which reduces by rref, the Gauss-Jordan's one entry
-    ("exact.coordinates_in_span", "solve_exact"),
-    ("exact.solve_exact", "rref"),
+    # rref, the Gauss-Jordan's one entry
     ("exact.rref", "_gauss_jordan"),
-    # a public convenience that tests and users read
-    ("exact.Subspace.contains", "coordinates_in_span"),
-    # dependencies and coordinates read off pivots and columns
-    ("orbits._graph_lift", "solve_exact"),
-    ("solenoid._base_level_plan", "rref"),
-    ("solenoid.span_restriction", "rref"),
-    ("solenoid.span_restriction", "coordinates_in_span"),
     # the torus span walk, which waits for the benchmark's memory fix
-    ("torus._algebra_basis", "coordinates_in_span"),
+    ("torus._algebra_basis", "rref"),
 }
 
 
 def test_only_the_listed_callers_reach_the_fraction_gauss_jordan():
-    gauss = {"rref", "solve_exact", "coordinates_in_span", "_gauss_jordan"}
+    # solve_exact and coordinates_in_span solve on an IntEchelon, so only the
+    # Gauss-Jordan and its entry are searched for
+    gauss = {"rref", "_gauss_jordan"}
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -406,3 +402,116 @@ def test_only_the_listed_callers_reach_the_fraction_gauss_jordan():
                 used = names_used(fn) | attributes_used(fn)
                 found |= {(f"{path.stem}.{name}", routine) for routine in used & gauss}
     assert found == FRACTION_ELIMINATION_CALLERS
+
+
+# every library function and method that verify reaches by name from
+# cli.verify_report and the certificates module (see library_reach below); a
+# function leaves this list when verify stops reaching it, and none joins it
+VERIFY_REACHES = {
+    # the report's fields, the case, and the dispatch to the checks
+    "cli": {
+        "verify_report", "check_certificate", "check_status", "claims_nothing_exact", "object_field",
+        "canonical_json", "case_id", "case_mode", "named_generators", "parse_action", "parse_dual_module",
+    },
+    # the checks themselves
+    "certificates": {
+        "check_certificate", "check_claims", "check_entry_sizes", "check_chain", "check_lifts", "_rows",
+        "_affine_obstruction", "_invariant_norm", "_irreducible_fast_path", "_proved_subspace",
+        "_spectral_obstruction", "_split", "_word_matrices", "_word_spectrum", "_module_chain",
+        "_analyze_matrix_claims", "_find_expansive_claims", "_torus_check_claims",
+    },
+    # the facts the engine and the checker share
+    "actions": {
+        "SemigroupAction.from_generators", "SemigroupAction.matrix_for", "SemigroupAction.word_matrix",
+        "adapted_blocks", "generated_by", "gram_nonincreasing", "invariant_line", "keeps_bounded",
+        "restrict_action",
+    },
+    "exact": {
+        # the rational reader and matrix storage
+        "num_den", "to_fraction", "_common_den", "QMatrix.__init__", "QMatrix._fill", "QMatrix._ints",
+        "QMatrix._lines", "QMatrix._make", "QMatrix._reduced", "QMatrix.entries", "QMatrix.num",
+        "QMatrix.from_rows", "QMatrix.identity", "QMatrix.is_integer", "QMatrix.is_square", "QMatrix.row",
+        "QMatrix.to_json", "_int_matmul",
+        # matrix arithmetic, inverse and definiteness on integer numerators
+        "QMatrix.apply", "QMatrix.det", "QMatrix.inverse", "QMatrix.scale", "QMatrix.transpose",
+        "is_positive_definite", "is_positive_semidefinite", "is_symmetric", "_is_positive",
+        # the integer echelon, and the span questions read off it
+        "IntEchelon.__init__", "IntEchelon.add", "IntEchelon.pivots", "IntEchelon.reduced", "_cleared",
+        "_primitive", "primitive_integer", "_echelon", "_null_rows", "solve_exact", "minimal_poly",
+        # polynomials, and the integer kernels of the root counts
+        "char_poly", "QPoly.from_coeffs", "QPoly.is_zero", "QPoly.scale", "QPoly.to_json", "_int_derivative",
+        "_int_exact_quo", "_int_gcd", "_int_prim", "_int_pseudo_rem", "_int_scaled", "_int_sturm",
+        "_int_value", "_neg_rem_int", "_remainder_chain", "_chain_signs_at", "_chain_signs_at_inf", "_sign",
+        "_variations",
+    },
+    # disk and circle counts
+    "spectral": {
+        "check_mode", "unit_disk_profile", "has_unbounded_powers", "DiskProfile.__init__", "DiskProfile.escapes",
+        "DiskProfile.to_json", "_circle_count_of_closed_factor", "_inside_by_half_plane", "_schur_cohn_inside",
+        "_strip_origin", "_unit_root_multiplicity", "_w_transform",
+    },
+    # chains, lifts, and the span restriction of a solenoid-check report
+    "solenoid": {
+        "character", "_json_field", "DualModuleAction.from_generators", "DualModuleAction.mode",
+        "RhoBasisChain.from_json", "RhoBasisChain.to_json", "RhoBasisChain.verify", "Relation.cost",
+        "Relation.holds", "Relation.to_json", "Ball.abs_upper", "Ball.scale", "Ball.to_json", "span_restriction",
+    },
+}
+
+
+def library_reach(roots) -> set:
+    """The library functions and methods reached by name from the roots
+    ("module.name" or "module.Class.name").  A reached body reaches the
+    function or class that a bare name of it refers to, through the module's
+    relative imports; naming a class reaches its ``__init__``, and a method
+    once its class is named and some reached body reads an attribute of the
+    method's name.  Operators (``@``, ``==``) name no method."""
+    defs, methods, imports = {}, {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        mod, tree = path.stem, ast.parse(path.read_text(), filename=str(path))
+        imports[mod] = {
+            alias.asname or alias.name: f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for alias in node.names
+        }
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{mod}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                items = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                methods[f"{mod}.{node.name}"] = {item.name for item in items}
+                defs.update({f"{mod}.{node.name}.{item.name}": item for item in items})
+
+    def resolve(mod, name):
+        label = f"{mod}.{name}"
+        if label in defs or label in methods or name not in imports[mod]:
+            return label
+        return resolve(*imports[mod][name].split("."))
+
+    seen, classes, attrs, todo = set(), set(), set(), set(roots)
+    while todo:
+        seen |= todo
+        named = set()
+        for label in todo:
+            for node in ast.walk(defs[label]):
+                if isinstance(node, ast.Name):
+                    target = resolve(label.partition(".")[0], node.id)
+                    if target in methods:
+                        classes.add(target)
+                        target += ".__init__"
+                    named.add(target)
+                elif isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+        named |= {f"{c}.{m}" for c in classes for m in methods[c] & attrs}
+        todo = (named & defs.keys()) - seen
+    return seen
+
+
+def test_verify_reaches_only_the_listed_functions():
+    roots = [f"certificates.{node.name}" for node in ast.parse((SRC / "certificates.py").read_text()).body
+             if isinstance(node, ast.FunctionDef)]
+    reached = library_reach(["cli.verify_report", *roots])
+    assert reached == {f"{mod}.{name}" for mod, names in VERIFY_REACHES.items() for name in names}
+    # no Fraction elimination is among them
+    assert not {label.rpartition(".")[2] for label in reached} & {"rref", "_gauss_jordan", "coordinates_in_span"}
