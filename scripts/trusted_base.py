@@ -4,12 +4,13 @@ Makes every run of scripts/report_digests.py under a function-entry tracer
 (``sys.settrace``, which sees Python calls only) and files each library
 function entered under the subcommand that entered it: ``verify``, or any
 of the searches.  A nested function, comprehension or lambda counts as the
-top-level function or method around it.  Prints two lists, one function a
-line with the number of lines its definition spans and the number of times
+top-level function or method around it.  Prints three lists, one function
+a line with the number of lines its definition spans and the number of times
 ``verify`` called it:
 
 - the functions that ``verify`` executes;
 - those that only ``verify`` executes, which no search enters;
+- those that no digest run executes, neither ``verify`` nor a search;
 
 each with a total and the lines per module.  The digest lines themselves
 are not printed.
@@ -121,6 +122,9 @@ def main() -> int:
     show("functions that verify executes", verify)
     print()
     show("functions that only verify executes", {name: n for name, n in verify.items() if name not in search})
+    print()
+    unrun = {name: (last - first + 1, 0) for defs in spans.values() for first, last, name in defs}
+    show("functions that no digest run executes", {name: n for name, n in unrun.items() if name not in verify | search})
     return 0
 
 

@@ -4,6 +4,10 @@ subspaces, rational roots, definiteness tests, and the integer polynomial
 kernels (gcd, exact quotient, the Sturm and Cauchy remainder chain) on which
 ``spectral`` counts roots.
 
+``QPoly`` only stores coefficients.  Every polynomial operation runs on a
+polynomial's integer multiple (``_int_scaled``, ``_int_prim``) through the
+``_int_*`` kernels; there is no ``Fraction`` polynomial arithmetic.
+
 Matrices are integer numerators over one common denominator, read from
 JSON by ``num_den`` with no ``Fraction`` per entry.  Kernels, subspaces,
 intersections and minimal polynomials eliminate fraction-free on
@@ -681,132 +685,16 @@ class QPoly(Frozen):
             cs.pop()
         return QPoly(tuple(cs))
 
-    @staticmethod
-    def zero() -> "QPoly":
-        return QPoly(())
-
-    @staticmethod
-    def one() -> "QPoly":
-        return QPoly((Fraction(1),))
-
-    @staticmethod
-    def x() -> "QPoly":
-        return QPoly((Fraction(0), Fraction(1)))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
     def constant(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def __call__(self, x: RationalLike) -> Fraction:
-        x = to_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return QPoly.from_coeffs([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero or other.is_zero:
-            return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return QPoly.from_coeffs(out)
-
-    def scale(self, c: RationalLike) -> "QPoly":
-        c = to_fraction(c)
-        return QPoly.from_coeffs([c * a for a in self.coeffs])
-
-    def shift_scale_arg(self, r: RationalLike) -> "QPoly":
-        """p(r*z) as a polynomial in z."""
-        r = to_fraction(r)
-        return QPoly.from_coeffs([c * r**i for i, c in enumerate(self.coeffs)])
-
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero:
-            raise ZeroPolynomialError("division by zero polynomial")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        lc = other.leading
-        while len(r) - 1 >= d and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            f = r[-1] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                r[k + i] -= f * c
-            r.pop()
-        return QPoly.from_coeffs(q), QPoly.from_coeffs(r)
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("exact division with nonzero remainder")
-        return q
-
-    def derivative(self) -> "QPoly":
-        return QPoly.from_coeffs([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def reverse(self) -> "QPoly":
-        """z^deg * p(1/z); requires a nonzero polynomial."""
-        if self.is_zero:
-            raise ZeroPolynomialError("reverse of zero polynomial")
-        return QPoly.from_coeffs(tuple(reversed(self.coeffs)))
-
-    def monic(self) -> "QPoly":
-        if self.is_zero:
-            raise ZeroPolynomialError("monic of zero polynomial")
-        return self.scale(1 / self.leading)
-
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if i == 0:
-                    parts.append(str(c))
-                elif i == 1:
-                    parts.append(f"{c}*z" if c != 1 else "z")
-                else:
-                    parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
-        return " + ".join(reversed(parts)).replace("+ -", "- ")
 
 
 def poly_of_matrix(p: QPoly, m: QMatrix) -> QMatrix:
@@ -950,15 +838,10 @@ def _int_derivative(a: Sequence[int]) -> list[int]:
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd over the rationals, via subresultant PRS on integer forms."""
-    if a.is_zero and b.is_zero:
-        return QPoly.zero()
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
+    """Monic gcd over the rationals, via subresultant PRS on integer forms;
+    the gcd of two zero polynomials is zero."""
     g = _int_gcd(_int_prim(_int_scaled(a)), _int_prim(_int_scaled(b)))
-    return QPoly.from_coeffs(g).monic()
+    return QPoly(tuple(Fraction(c, g[-1]) for c in g))
 
 
 TRIAL_DIVISION_CAP = 10**6  # largest trial divisor of _divisors

@@ -1,6 +1,8 @@
-"""Independent root-location oracle used to freeze expected values in tests.
+"""Independent root-location oracle used to freeze expected values in tests,
+and the converters between the library's ``QPoly`` and sympy polynomials.
 
-Deliberately avoids the library under test.  Exact bookkeeping (squarefree
+Deliberately avoids the library's arithmetic: it reads and builds ``QPoly``
+only as a coefficient record.  Exact bookkeeping (squarefree
 split, reciprocal-closed gcd) is done with sympy; root positions come from
 mpmath at high precision.  Circle membership is certified, not guessed:
 a numerical root r of the reciprocal-closed part with |r| within the error
@@ -16,6 +18,8 @@ from fractions import Fraction
 import mpmath as mp
 import sympy as sp
 
+from expansive.exact import QPoly
+
 _Z = sp.Symbol("z")
 
 
@@ -23,14 +27,31 @@ class OracleError(RuntimeError):
     pass
 
 
-def _poly_from_coeffs(coeffs) -> sp.Poly:
+def sympy_poly(coeffs) -> sp.Poly:
+    """The polynomial over QQ in z whose coefficient of z^i is coeffs[i]."""
     cs = [sp.Rational(Fraction(c)) for c in coeffs]
     return sp.Poly(list(reversed(cs)), _Z, domain=sp.QQ)
 
 
-def _reverse(p: sp.Poly) -> sp.Poly:
-    cs = p.all_coeffs()
-    return sp.Poly(list(reversed(cs)), _Z, domain=sp.QQ)
+def to_sympy(p: QPoly) -> sp.Poly:
+    return sympy_poly(p.coeffs)
+
+
+def from_sympy(p: sp.Poly) -> QPoly:
+    return QPoly.from_coeffs([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
+
+
+def product(*polys: QPoly) -> QPoly:
+    """The product of QPolys, multiplied in sympy."""
+    out = sympy_poly([1])
+    for p in polys:
+        out *= to_sympy(p)
+    return from_sympy(out)
+
+
+def reverse(p: sp.Poly) -> sp.Poly:
+    """z^deg p(1/z)."""
+    return sympy_poly(p.all_coeffs())
 
 
 def _roots_with_error(p: sp.Poly, dps: int):
@@ -45,7 +66,7 @@ def _classify_squarefree(p: sp.Poly) -> tuple[int, int, int]:
     n = p.degree()
     if n == 0:
         return 0, 0, 0
-    closed = sp.gcd(p, _reverse(p))
+    closed = sp.gcd(p, reverse(p))
     rest = sp.div(p, closed, _Z)[0]
     inside = on = outside = 0
     for part, may_touch in ((sp.Poly(closed, _Z, domain=sp.QQ), True), (sp.Poly(rest, _Z, domain=sp.QQ), False)):
@@ -89,7 +110,7 @@ def _classify_squarefree(p: sp.Poly) -> tuple[int, int, int]:
 
 def disk_profile_oracle(coeffs) -> dict[str, int]:
     """Root partition {at_zero, inside, on_circle, outside} with multiplicity."""
-    p = _poly_from_coeffs(coeffs)
+    p = sympy_poly(coeffs)
     if p.is_zero:
         raise ValueError("zero polynomial")
     at_zero = 0

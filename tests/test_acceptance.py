@@ -227,7 +227,7 @@ def test_criterion_6_affine_action_escapes_without_expansive_element():
     for _ in range(20):
         word = [rng.choice(action.names) for _ in range(rng.randint(1, 6))]
         gamma = action.word_matrix(word)
-        assert char_poly(gamma)(Fraction(1)) == 0, word
+        assert sum(char_poly(gamma).coeffs) == 0, word
 
     res = expansiveness_check(action, depth=8)
     assert res.status == EXPANSIVE

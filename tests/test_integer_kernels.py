@@ -6,8 +6,9 @@
 ``spectral``, ``restrict_action`` and ``invariant_line``, which ``verify``
 runs, and the solenoid's ``_base_level_plan`` and ``span_restriction``
 work on integer numerators.
-The Fraction loops they replaced are kept below as oracles, and
-derandomized suites check that both give the same answers: equal matrix
+The Fraction loops they replaced are kept below as oracles (the polynomial
+ones on sympy polynomials over QQ, so that no oracle runs the library's own
+arithmetic), and derandomized suites check that both give the same answers: equal matrix
 storage, equal booleans, equal bases, equal profiles.  The sympy and mpmath
 oracle tests in test_exact.py and test_spectral.py stay the gate; these
 tests pin the new routines to the old ones case by case.
@@ -38,7 +39,6 @@ from expansive.exact import (
     is_positive_semidefinite,
     kernel,
     minimal_poly,
-    poly_gcd,
     poly_of_matrix,
     rref,
     solve_exact,
@@ -53,6 +53,7 @@ from expansive.exact import (
 )
 from expansive.solenoid import DualModuleAction, _base_level_plan, span_restriction
 from expansive.spectral import GROUP, SEMIGROUP, _inside_by_half_plane, circle_root_count, unit_disk_profile
+from oracle_roots import from_sympy, reverse, sympy_poly, to_sympy
 from test_orbits import perfbench_cases
 
 F = Fraction
@@ -148,12 +149,12 @@ def is_positive_by_fractions(m: QMatrix, strict: bool) -> bool:
     return True
 
 
-def chain_by_fractions(f0: QPoly, f1: QPoly) -> list[QPoly]:
+def chain_by_fractions(f0, f1) -> list:
     """The chain f0, f1, f_{k+1} = -(f_{k-1} mod f_k) in Fractions, up to the
     last nonzero remainder; f1 must be nonzero."""
     chain = [f0, f1]
-    while chain[-1].degree > 0:
-        r = -chain[-2].divmod(chain[-1])[1]
+    while chain[-1].degree() > 0:
+        r = -chain[-2].rem(chain[-1])
         if r.is_zero:
             break
         chain.append(r)
@@ -161,58 +162,59 @@ def chain_by_fractions(f0: QPoly, f1: QPoly) -> list[QPoly]:
 
 
 def sign_changes(values) -> int:
-    signs = [s for s in ((v > 0) - (v < 0) for v in values) if s]
+    signs = [s for s in (bool(v > 0) - bool(v < 0) for v in values) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def sturm_by_fractions(f: QPoly, lo, hi) -> int:
+def sturm_by_fractions(f, lo, hi) -> int:
     """Distinct real roots of a squarefree f in (lo, hi], by the classical
     Sturm chain f, f', -(f_{k-1} mod f_k) in Fractions."""
-    chain = chain_by_fractions(f, f.derivative())
-    return sign_changes(g(lo) for g in chain) - sign_changes(g(hi) for g in chain)
+    chain = chain_by_fractions(f, f.diff())
+    return sign_changes(g.eval(lo) for g in chain) - sign_changes(g.eval(hi) for g in chain)
 
 
-def cauchy_index_by_fractions(num: QPoly, den: QPoly) -> int:
+def cauchy_index_by_fractions(num, den) -> int:
     """Cauchy index of num/den over the real line: the sign changes of the
     chain den, num, -(f_{k-1} mod f_k) in Fractions at -inf less those at +inf."""
     if num.is_zero:
         return 0
     chain = chain_by_fractions(den, num)
-    at_minus_inf = (g.leading if g.degree % 2 == 0 else -g.leading for g in chain)
-    return sign_changes(at_minus_inf) - sign_changes(g.leading for g in chain)
+    at_minus_inf = (g.LC() if g.degree() % 2 == 0 else -g.LC() for g in chain)
+    return sign_changes(at_minus_inf) - sign_changes(g.LC() for g in chain)
 
 
-def root_multiplicity_by_fractions(p: QPoly, r) -> tuple[int, QPoly]:
+def root_multiplicity_by_fractions(p, r) -> tuple:
     """Multiplicity of the rational root r, and p with those factors divided out."""
-    line = QPoly.from_coeffs([-r, 1])
+    line = sympy_poly([-r, 1])
     mult = 0
-    while not p.is_zero and p(r) == 0:
-        p = p.exact_div(line)
+    while not p.is_zero and p.eval(r) == 0:
+        p = p.exquo(line)
         mult += 1
     return mult, p
 
 
-def w_transform_by_fractions(h: QPoly) -> QPoly:
+def w_transform_by_fractions(h):
     """H with h(z) = z^m H(z + 1/z), from P_0 = 2, P_1 = w, P_{j+1} = w P_j - P_{j-1}."""
-    m = h.degree // 2
-    w = QPoly.x()
-    out = QPoly.from_coeffs([h.coeffs[m]])
-    before, cur = QPoly.from_coeffs([2]), w
+    m = h.degree() // 2
+    coeffs = h.all_coeffs()[::-1]
+    w = sympy_poly([0, 1])
+    out = sympy_poly([coeffs[m]])
+    before, cur = sympy_poly([2]), w
     for j in range(1, m + 1):
-        out = out + cur.scale(h.coeffs[m + j])
+        out = out + cur * coeffs[m + j]
         before, cur = cur, w * cur - before
     return out
 
 
-def circle_count_of_closed_factor_by_fractions(g: QPoly) -> int:
+def circle_count_of_closed_factor_by_fractions(g) -> int:
     a, g1 = root_multiplicity_by_fractions(g, 1)
     b, h = root_multiplicity_by_fractions(g1, -1)
     pairs = 0
-    if h.degree > 0:
+    if h.degree() > 0:
         cur = w_transform_by_fractions(h)
-        while cur.degree >= 1:
-            pairs += sturm_by_fractions(cur.exact_div(poly_gcd(cur, cur.derivative())), F(-2), F(2))
-            cur = poly_gcd(cur, cur.derivative())
+        while cur.degree() >= 1:
+            pairs += sturm_by_fractions(cur.exquo(cur.gcd(cur.diff())), F(-2), F(2))
+            cur = cur.gcd(cur.diff())
     return a + b + 2 * pairs
 
 
@@ -220,71 +222,71 @@ class Singular(Exception):
     pass
 
 
-def schur_cohn_by_fractions(q: QPoly) -> int:
-    n = q.degree
+def schur_cohn_by_fractions(q) -> int:
+    n = q.degree()
     if n <= 0:
         return 0
-    a0, an = q.constant, q.leading
+    a0, an = q.eval(0), q.LC()
     delta = a0 * a0 - an * an
     if delta == 0:
         raise Singular
-    sub = schur_cohn_by_fractions(q.scale(a0) - q.reverse().scale(an))
+    sub = schur_cohn_by_fractions(q * a0 - reverse(q) * an)
     return sub if delta > 0 else n - sub
 
 
-def half_plane_by_fractions(q: QPoly) -> int:
+def half_plane_by_fractions(q) -> int:
     """The replaced half-plane count: the Cayley image (1 - s)^m q((1 + s)/(1 - s))
-    built from QPoly products, its real and imaginary parts along the imaginary
-    axis, and their Cauchy index."""
-    m = q.degree
+    built from polynomial products, its real and imaginary parts along the
+    imaginary axis, and their Cauchy index."""
+    m = q.degree()
     if m <= 0:
         return 0
-    one_plus = QPoly.from_coeffs([1, 1])
-    one_minus = QPoly.from_coeffs([1, -1])
-    f = QPoly.zero()
-    up = QPoly.one()
-    downs = [QPoly.one()]
+    one_plus = sympy_poly([1, 1])
+    one_minus = sympy_poly([1, -1])
+    f = sympy_poly([])
+    up = sympy_poly([1])
+    downs = [sympy_poly([1])]
     for _ in range(m):
         downs.append(downs[-1] * one_minus)
-    for k, c in enumerate(q.coeffs):
+    for k, c in enumerate(q.all_coeffs()[::-1]):
         if c:
-            f = f + (up * downs[m - k]).scale(c)
+            f = f + up * downs[m - k] * c
         up = up * one_plus
-    assert f.degree == m
+    assert f.degree() == m
     even = [F(0)] * (m + 1)
     odd = [F(0)] * (m + 1)
-    for j, c in enumerate(f.coeffs):
+    for j, c in enumerate(f.all_coeffs()[::-1]):
         if j % 2 == 0:
             even[j] = c if j % 4 == 0 else -c
         else:
             odd[j] = c if j % 4 == 1 else -c
-    real = QPoly.from_coeffs(even)
-    imag = QPoly.from_coeffs(odd)
-    assert poly_gcd(real, imag).degree == 0
+    real = sympy_poly(even)
+    imag = sympy_poly(odd)
+    assert real.gcd(imag).degree() == 0
     if m % 2 == 0:
         return (m - cauchy_index_by_fractions(imag, real)) // 2
     return (m + cauchy_index_by_fractions(real, imag)) // 2
 
 
-def split_by_fractions(p: QPoly) -> tuple[QPoly, QPoly]:
-    g = poly_gcd(p, p.reverse())
-    return g, p.exact_div(g)
+def split_by_fractions(p) -> tuple:
+    g = p.gcd(reverse(p))
+    return g, p.exquo(g)
 
 
 def disk_profile_by_fractions(p: QPoly) -> tuple[int, int, int, int]:
-    """The replaced unit_disk_profile chain, on QPoly in Fractions."""
+    """The replaced unit_disk_profile chain, in Fractions."""
     at_zero = next(i for i, c in enumerate(p.coeffs) if c)
-    pt = QPoly.from_coeffs(p.coeffs[at_zero:])
-    if pt.degree == 0:
+    pt = sympy_poly(p.coeffs[at_zero:])
+    if pt.degree() == 0:
         return at_zero, 0, 0, 0
     g, q = split_by_fractions(pt)
     on_circle = circle_count_of_closed_factor_by_fractions(g)
-    inside = (g.degree - on_circle) // 2
+    inside = (g.degree() - on_circle) // 2
     try:
         inside += schur_cohn_by_fractions(q)
     except Singular:
         inside += half_plane_by_fractions(q)
-    return at_zero, inside, on_circle, pt.degree - on_circle - inside
+    return at_zero, inside, on_circle, pt.degree() - on_circle - inside
 
 
 # ------------------------------------------------------------ inverse
@@ -623,21 +625,14 @@ def test_a_zero_pivot_inside_a_psd_matrix_keeps_the_last_nonzero_pivot():
 
 
 def from_roots(*roots):
-    p = QPoly.one()
+    p = sympy_poly([1])
     for r in roots:
-        p = p * QPoly.from_coeffs([-F(r), 1])
+        p = p * sympy_poly([-F(r), 1])
     return p
 
 
-def power(p, k):
-    out = QPoly.one()
-    for _ in range(k):
-        out = out * p
-    return out
-
-
 def palindromic(cs):
-    return QPoly.from_coeffs([*cs, *cs[-2::-1]])
+    return sympy_poly([*cs, *cs[-2::-1]])
 
 
 ints = st.integers(-4, 4)
@@ -648,23 +643,23 @@ FACTORS = st.one_of(
     st.tuples(st.sampled_from([1, -1]), st.integers(1, 3)).map(lambda rk: from_roots(*[rk[0]] * rk[1])),
     # repeated circle pairs z^2 - t z + 1 with |t| < 2
     st.tuples(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3)]), st.integers(1, 3)).map(
-        lambda tk: power(QPoly.from_coeffs([1, -tk[0], 1]), tk[1])
+        lambda tk: sympy_poly([1, -tk[0], 1]) ** tk[1]
     ),
     # roots at zero
-    st.integers(1, 2).map(lambda k: QPoly.from_coeffs([0] * k + [1])),
+    st.integers(1, 2).map(lambda k: sympy_poly([0] * k + [1])),
     # Schur-Cohn-singular: |constant term| = |leading coefficient|, not reciprocal
-    st.sampled_from([(-1, 2, 2, 1), (1, 3, 2, -1), (2, 1, 0, -2), (-3, 1, 5, 3)]).map(QPoly.from_coeffs),
+    st.sampled_from([(-1, 2, 2, 1), (1, 3, 2, -1), (2, 1, 0, -2), (-3, 1, 5, 3)]).map(sympy_poly),
     # anything else, with rational coefficients
-    st.lists(small_fractions, min_size=2, max_size=4).map(QPoly.from_coeffs).filter(lambda p: p.degree >= 1),
+    st.lists(small_fractions, min_size=2, max_size=4).map(sympy_poly).filter(lambda p: p.degree() >= 1),
 )
 
 
 @st.composite
 def built_polynomials(draw):
-    p = QPoly.from_coeffs([draw(st.sampled_from([1, -1, 2, F(3, 5), F(-7, 2)]))])
+    p = sympy_poly([draw(st.sampled_from([1, -1, 2, F(3, 5), F(-7, 2)]))])
     for factor in draw(st.lists(FACTORS, min_size=1, max_size=4)):
         p = p * factor
-    return p
+    return from_sympy(p)
 
 
 @given(built_polynomials())
@@ -681,23 +676,25 @@ def test_disk_and_circle_counts_match_the_fraction_chain(p):
         # the reciprocal split unit_disk_profile runs: g = gcd(f, reversed f), q = f / g
         f = _int_prim(_int_scaled(p))
         g = _int_gcd(f, f[::-1])
-        assert (g, _int_exact_quo(f, g)) == tuple(_int_prim(_int_scaled(x)) for x in split_by_fractions(p))
+        want_split = (_int_prim(_int_scaled(from_sympy(x))) for x in split_by_fractions(to_sympy(p)))
+        assert (g, _int_exact_quo(f, g)) == tuple(want_split)
 
 
 @given(built_polynomials())
 @SUITE
 def test_half_plane_count_matches_the_fraction_transform(p):
     at_zero = next(i for i, c in enumerate(p.coeffs) if c)
-    _, q = split_by_fractions(QPoly.from_coeffs(p.coeffs[at_zero:]))
-    assert _inside_by_half_plane(_int_prim(_int_scaled(q))) == half_plane_by_fractions(q)
+    _, q = split_by_fractions(sympy_poly(p.coeffs[at_zero:]))
+    assert _inside_by_half_plane(_int_prim(_int_scaled(from_sympy(q)))) == half_plane_by_fractions(q)
 
 
 @given(built_polynomials(), st.sampled_from([(-2, 2), (F(-1, 2), F(3)), (0, 1), (-5, F(1, 3))]))
 @SUITE
 def test_sturm_count_matches_the_fraction_chain(p, interval):
     lo, hi = map(F, interval)
-    squarefree = p.exact_div(poly_gcd(p, p.derivative()))
-    want = sturm_by_fractions(squarefree, lo, hi) if squarefree.degree > 0 else 0
+    sp_p = to_sympy(p)
+    squarefree = sp_p.exquo(sp_p.gcd(sp_p.diff()))
+    want = sturm_by_fractions(squarefree, lo, hi) if squarefree.degree() > 0 else 0
     # the square-free part and Sturm count spectral runs on p's integer form
     f = _int_prim(_int_scaled(p))
     assert _int_sturm(_int_exact_quo(f, _int_gcd(f, _int_derivative(f))), lo, hi) == want
@@ -711,13 +708,13 @@ def test_sturm_count_matches_the_fraction_chain(p, interval):
 def test_negated_remainder_is_a_positive_multiple_of_the_fraction_one(a, b):
     if len(b) > len(a):
         a, b = b, a
-    want = -QPoly.from_coeffs(a).divmod(QPoly.from_coeffs(b))[1]
-    got = QPoly.from_coeffs(_neg_rem_int(a, b))
+    want = -sympy_poly(a).rem(sympy_poly(b))
+    got = sympy_poly(_neg_rem_int(a, b))
     if want.is_zero:
         assert got.is_zero
     else:
-        ratio = got.leading / want.leading
-        assert ratio > 0 and got == want.scale(ratio)
+        ratio = got.LC() / want.LC()
+        assert ratio > 0 and got == want * ratio
 
 
 # ------------------------------------------------------------ verify's span questions

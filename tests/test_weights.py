@@ -17,7 +17,6 @@ from expansive.exact import (
     char_poly,
     intersect,
     minimal_poly,
-    poly_gcd,
     rational_roots,
 )
 from expansive.orbits import expansiveness_check
@@ -29,6 +28,8 @@ from expansive.weights import (
     find_expansive_element,
     weight_decomposition,
 )
+
+from oracle_roots import from_sympy, product, sympy_poly, to_sympy
 
 
 def F(x):
@@ -183,15 +184,16 @@ class TestFindExpansiveElement:
 
 
 def coprime_root_factors_by_fractions(p):
-    """The monic factors in Fractions: the square-free part, each rational root
-    split off as z - lam, and what is left."""
-    s = p.exact_div(poly_gcd(p, p.derivative())).monic()
+    """The monic factors in Fractions, as sympy polynomials over QQ: the
+    square-free part, each rational root split off as z - lam, and what is left."""
+    s = to_sympy(p)
+    s = s.exquo(s.gcd(s.diff())).monic()
     out = []
-    for lam in rational_roots(s):
-        line = QPoly.from_coeffs([-lam, 1])
+    for lam in rational_roots(from_sympy(s)):
+        line = sympy_poly([-lam, 1])
         out.append(line)
-        s = s.exact_div(line)
-    return out + [s] if s.degree > 0 else out
+        s = s.exquo(line)
+    return out + [s] if s.degree() > 0 else out
 
 
 def test_coprime_root_factors_are_the_fraction_factors_up_to_scaling():
@@ -202,10 +204,10 @@ def test_coprime_root_factors_are_the_fraction_factors_up_to_scaling():
         for _ in range(rng.randint(1, 4)):
             piece = QPoly.from_coeffs(rng.choice(pieces))
             for _ in range(rng.randint(1, 3)):
-                p = p * piece
+                p = product(p, piece)
         factors = weights._coprime_root_factors(p)
         assert all(all(c.denominator == 1 for c in f.coeffs) for f in factors)
-        assert [f.monic() for f in factors] == coprime_root_factors_by_fractions(p)
+        assert [to_sympy(f).monic() for f in factors] == coprime_root_factors_by_fractions(p)
 
 
 def reference_stuck(block, mode):
@@ -215,13 +217,14 @@ def reference_stuck(block, mode):
     unit circle."""
     for g in block.restriction.mats:
         mu = minimal_poly(g)
-        eigen = mu.exact_div(poly_gcd(mu, mu.derivative()))
+        s = to_sympy(mu)
+        eigen = from_sympy(s.exquo(s.gcd(s.diff())))
         if mode == SEMIGROUP:
             if unit_disk_profile(eigen).outside:
                 return False
             continue
         # eigen is square-free, so a root at zero is a zero constant term
-        if eigen.constant == 0 or eigen.degree == 0 or circle_root_count(eigen) != eigen.degree:
+        if eigen.constant == 0 or len(eigen.coeffs) == 1 or circle_root_count(eigen) != len(eigen.coeffs) - 1:
             return False
     return True
 
