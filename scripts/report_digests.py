@@ -17,7 +17,10 @@ decisive report is also passed to ``verify``, on a line whose id ends in
   2 and 3;
 - the ``solenoid-chain`` of ``cat_map`` and ``sixth_solenoid`` at depth 4,
   which no other run builds (the bench leaves them out for their cost);
-- every subcommand and fixture pair of the ``cli_fixtures`` workload.
+- every subcommand and fixture pair of the ``cli_fixtures`` workload;
+- ``find-expansive`` on group cases that list a generator next to its
+  inverse or under a second name, on three commuting generators, and on a
+  pair that does not commute (exit 1).
 
 Usage: python3 scripts/report_digests.py > digests.txt
 Run it in two checkouts and compare the outputs with diff.
@@ -54,6 +57,18 @@ DEEP_CHAINS = (
     ["solenoid-chain", "fixtures/cat_map.json", "--depth", "4"],
     ["solenoid-chain", "fixtures/sixth_solenoid.json", "--depth", "4"],
 )
+
+# group cases for find-expansive; a letter may repeat or invert an earlier one
+FIND_EXPANSIVE = {
+    "inverse_pair": {"a": [[2, 1], [1, 1]], "b": [[1, -1], [-1, 2]]},
+    "second_name": {"a": [[2, 1], [1, 1]], "c": [[2, 1], [1, 1]]},
+    "three_commuting": {
+        "x": [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+        "y": [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+        "z": [[-1, 0, 0], [0, -1, 0], [0, 0, "1/3"]],
+    },
+    "not_commuting": {"a": [[2, 1], [1, 1]], "r": [[0, -1], [1, 0]]},
+}
 
 
 def in_checkout(argv) -> list:
@@ -123,6 +138,9 @@ def main_digests() -> int:
             d.run(f"deep_chain:{Path(argv[1]).stem}", in_checkout(argv))
         for k, (sub, fixture, args) in enumerate(cases.CLI_PAIRS):
             d.run(f"cli_fixtures:{k}:{fixture}:{sub}", [sub, FIXTURES / f"{fixture}.json", *in_checkout(args)])
+        for name, gens in FIND_EXPANSIVE.items():
+            case = d.write({"n": len(next(iter(gens.values()))), "mode": "group", "generators": gens})
+            d.run(f"find_expansive:{name}", ["find-expansive", case])
     return 0
 
 
