@@ -693,9 +693,6 @@ class QPoly(Frozen):
     def constant(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
 
 def poly_of_matrix(p: QPoly, m: QMatrix) -> QMatrix:
     """p(M) by Horner's rule."""

@@ -242,7 +242,7 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
 
 # the methods of QPoly, a coefficient record: the polynomial arithmetic is
 # the integer kernels of exact (_int_*), so this set may only shrink
-QPOLY_METHODS = {"from_coeffs", "is_zero", "constant", "to_json"}
+QPOLY_METHODS = {"from_coeffs", "is_zero", "constant"}
 
 
 def test_qpoly_is_a_coefficient_record():
@@ -458,7 +458,7 @@ VERIFY_REACHES = {
         "IntEchelon.__init__", "IntEchelon.add", "IntEchelon.pivots", "IntEchelon.reduced", "_cleared",
         "_primitive", "primitive_integer", "_echelon", "_null_rows", "solve_exact", "minimal_poly",
         # polynomials, and the integer kernels of the root counts
-        "char_poly", "QPoly.from_coeffs", "QPoly.is_zero", "QPoly.to_json", "_int_derivative",
+        "char_poly", "QPoly.from_coeffs", "QPoly.is_zero", "_int_derivative",
         "_int_exact_quo", "_int_gcd", "_int_prim", "_int_pseudo_rem", "_int_scaled", "_int_sturm",
         "_int_value", "_neg_rem_int", "_remainder_chain", "_chain_signs_at", "_chain_signs_at_inf", "_sign",
         "_variations",

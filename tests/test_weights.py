@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansive import weights
-from expansive.actions import SemigroupAction
+from expansive.actions import SemigroupAction, restrict_action
 from expansive.exact import (
     QMatrix,
     QPoly,
@@ -16,7 +16,10 @@ from expansive.exact import (
     Subspace,
     char_poly,
     intersect,
+    kernel,
+    mat_power,
     minimal_poly,
+    poly_of_matrix,
     rational_roots,
 )
 from expansive.orbits import expansiveness_check
@@ -283,3 +286,152 @@ class TestAgainstOrbitEngine:
         # one generator already expansive forces the family verdict
         if spectral.expansive and weights_status != UNKNOWN:
             assert weights_status == EXPANSIVE
+
+
+def per_letter_decomposition(action):
+    """The decomposition by every letter, an inverse or repeated one included:
+    each pair of letters checked for commutation in order, and the blocks
+    refined by the primary kernels of each letter in turn.  Returns the
+    (space, restriction) pairs."""
+    mats = action.mats
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if mats[i] @ mats[j] != mats[j] @ mats[i]:
+                raise NotCommutingError((action.names[i], action.names[j]))
+    n = action.dim
+    blocks = [Subspace.full(n)]
+    for g in mats:
+        factors = weights._coprime_root_factors(char_poly(g))
+        primaries = [kernel(mat_power(poly_of_matrix(f, g), n)) for f in factors]
+        blocks = [piece for b in blocks for piece in (intersect(b, prim) for prim in primaries) if piece.dim > 0]
+    return [(b, restrict_action(action, list(b.basis))) for b in blocks]
+
+
+def per_letter_find_expansive(action, word_cap=64):
+    """find_expansive_element on the per-letter decomposition, its start
+    taken over every letter."""
+    pairs = per_letter_decomposition(action)
+    decomp = weights.WeightDecomposition(
+        action=action, blocks=tuple(weights.WeightBlock(space=b, restriction=r) for b, r in pairs)
+    )
+    verdict = expansive_by_weights(decomp, GROUP)
+    if verdict.status != EXPANSIVE:
+        return None
+    restrictions = [r for _, r in pairs]
+    escape_words = [tuple(rep["word"]) for rep in verdict.block_reports]
+
+    def off_circle(r):
+        return unit_disk_profile(char_poly(r)).on_circle == 0
+
+    best = (action.names[0],)
+    flags = [off_circle(r.word_matrix(best)) for r in restrictions]
+    for name in action.names[1:]:
+        c = [off_circle(r.word_matrix((name,))) for r in restrictions]
+        if sum(c) > sum(flags):
+            best, flags = (name,), c
+    while not all(flags):
+        target = flags.index(False)
+        repair = escape_words[target]
+        m = 1
+        while True:
+            if m * len(best) + len(repair) > word_cap or m > 2**40:
+                return None
+            new_flags = [off_circle(mat_power(r.word_matrix(best), m) @ r.word_matrix(repair)) for r in restrictions]
+            if all(nf for nf, old in zip(new_flags, flags) if old) and new_flags[target]:
+                best, flags = best * m + repair, new_flags
+                break
+            m *= 2
+    matrix = action.word_matrix(best)
+    return {"word": list(best), "matrix": matrix, "profile": unit_disk_profile(char_poly(matrix))}
+
+
+def unimodular(rng, n):
+    """A product of random elementary integer row operations and sign flips."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n + 2):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[j] = [-a for a in rows[j]]
+    return M(rows)
+
+
+def signed_power(u, k):
+    return mat_power(u if k > 0 else u.inverse(), abs(k))
+
+
+LETTER_KINDS = ("powers", "with_inverse", "second_name", "diagonal", "not_commuting")
+
+
+def letter_cases(rng):
+    """Yield (kind, named generators) group cases, n = 2..5."""
+    for k in range(150):
+        kind, n = LETTER_KINDS[k % len(LETTER_KINDS)], 2 + (k // len(LETTER_KINDS)) % 4
+        u = unimodular(rng, n)
+        if kind == "powers":
+            exps = rng.sample([-3, -2, -1, 1, 2, 3], rng.randint(2, 3))
+            gens = [signed_power(u, e) for e in exps]
+        elif kind == "with_inverse":
+            other = rng.choice([signed_power(u, rng.choice([-2, 2, 3])), QMatrix.identity(n).scale(F(rng.choice([2, "1/3"])))])
+            gens = [u, other, u.inverse()] if rng.random() < 0.5 else [u.inverse(), u, other]
+        elif kind == "second_name":
+            gens = [u, signed_power(u, rng.choice([-2, 2])), u]
+        elif kind == "diagonal":
+            p, p_inv = u, u.inverse()
+            values = [F(1), F(-1), F(2), F("1/2"), F(3), F("1/3")]
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                d = QMatrix.from_rows([[rng.choice(values) if i == j else F(0) for j in range(n)] for i in range(n)])
+                gens.append(p @ d @ p_inv)
+            if rng.random() < 0.5:
+                gens.append(gens[0].inverse())
+        else:
+            v = unimodular(rng, n)
+            gens = rng.choice([[u, v], [u, u.inverse(), v], [u, signed_power(u, 2), v, u]])
+        yield kind, [(f"g{i + 1}", g) for i, g in enumerate(gens)]
+
+
+def outcome(fn, action):
+    try:
+        return fn(action)
+    except NotCommutingError as exc:
+        return (type(exc), str(exc), exc.pair)
+
+
+def test_decomposition_by_generators_matches_the_per_letter_one():
+    rng = random.Random(35)
+    seen = set()
+    for kind, named in letter_cases(rng):
+        action = SemigroupAction.from_generators(named, GROUP)
+        blocks = outcome(lambda a: [(b.space, b.restriction) for b in weight_decomposition(a).blocks], action)
+        assert blocks == outcome(per_letter_decomposition, action), (kind, named)
+        found = outcome(find_expansive_element, action)
+        expected = outcome(per_letter_find_expansive, action)
+        assert found == expected, (kind, named)
+        seen.add((kind, "raised" if isinstance(found, tuple) else "none" if found is None else "found"))
+        if len(weights._generator_letters(action)) < len(action.mats):
+            seen.add((kind, "skips"))
+    # every kind skips a letter, every commuting kind finds a word in some
+    # case, and the non-commuting draws raise
+    assert {k for k, o in seen if o == "skips"} == set(LETTER_KINDS)
+    assert {k for k, o in seen if o == "found"} >= set(LETTER_KINDS) - {"not_commuting"}
+    assert ("not_commuting", "raised") in seen
+    assert any(o == "none" for _, o in seen)
+
+
+@pytest.mark.parametrize("gens, calls", [([CAT], 1), ([[[2, 0], [0, 1]], [[1, 0], [0, 2]]], 2)], ids=["cat_map", "pair"])
+def test_group_mode_factors_each_generator_once(monkeypatch, gens, calls):
+    # the inverse letters of group mode are not factored again
+    factored = []
+    original = weights._coprime_root_factors
+
+    def counted(p):
+        factored.append(p)
+        return original(p)
+
+    monkeypatch.setattr(weights, "_coprime_root_factors", counted)
+    action = act(gens, GROUP)
+    assert len(action.names) == 2 * len(gens)
+    weight_decomposition(action)
+    assert len(factored) == calls
