@@ -20,7 +20,10 @@ decisive report is also passed to ``verify``, on a line whose id ends in
 - every subcommand and fixture pair of the ``cli_fixtures`` workload;
 - ``find-expansive`` on group cases that list a generator next to its
   inverse or under a second name, on three commuting generators, and on a
-  pair that does not commute (exit 1).
+  pair that does not commute (exit 1);
+- ``torus-check`` and ``find-expansive`` on the cat map in group mode under
+  the one name ``c^-1``, which reads like an inverse letter but is a
+  generator the case gives.
 
 Usage: python3 scripts/report_digests.py > digests.txt
 Run it in two checkouts and compare the outputs with diff.
@@ -69,6 +72,8 @@ FIND_EXPANSIVE = {
     },
     "not_commuting": {"a": [[2, 1], [1, 1]], "r": [[0, -1], [1, 0]]},
 }
+# a given generator whose name ends like an inverse letter's
+INVERSE_NAMED = {"n": 2, "mode": "group", "generators": {"c^-1": [[2, 1], [1, 1]]}}
 
 
 def in_checkout(argv) -> list:
@@ -141,6 +146,9 @@ def main_digests() -> int:
         for name, gens in FIND_EXPANSIVE.items():
             case = d.write({"n": len(next(iter(gens.values()))), "mode": "group", "generators": gens})
             d.run(f"find_expansive:{name}", ["find-expansive", case])
+        case = d.write(INVERSE_NAMED)
+        for command in ("torus-check", "find-expansive"):
+            d.run(f"inverse_named:{command}", [command, case])
     return 0
 
 
