@@ -27,13 +27,18 @@ class NotInvertibleGeneratorError(ValueError):
 
 
 class SemigroupAction(Frozen):
-    """A finite list of named square rational matrices plus the action mode.
+    """A finite list of named square rational matrices (the letters of its
+    words) plus the action mode.
 
-    In group mode the generator list already contains the exact inverses,
-    named with an ``^-1`` suffix; use ``from_generators`` to build one.
+    ``generators`` are the indices of the letters the caller gave, each
+    matrix once; every other letter equals a generator or, in group mode,
+    inverts one.  In group mode the letters already contain the exact
+    inverses, named with an ``^-1`` suffix; use ``from_generators`` to
+    build one.  A restriction or quotient keeps the names and the
+    ``generators``, since equal and inverse matrices stay so.
     """
 
-    __slots__ = ("dim", "names", "mats", "mode")
+    __slots__ = ("dim", "names", "mats", "mode", "generators")
 
     @staticmethod
     def from_generators(named: Iterable[tuple[str, QMatrix]], mode: str) -> "SemigroupAction":
@@ -52,6 +57,7 @@ class SemigroupAction(Frozen):
             mats.append(m)
         if dim is None:
             raise ValueError("at least one generator is required")
+        generators = tuple(i for i, m in enumerate(mats) if m not in mats[:i])
         if mode == GROUP:
             for name, m in list(zip(names, mats)):
                 try:
@@ -67,7 +73,7 @@ class SemigroupAction(Frozen):
         clash = sorted({name for name in names if names.count(name) > 1})
         if clash:
             raise ValueError(f"generator names must differ; {', '.join(map(repr, clash))} names more than one matrix")
-        return SemigroupAction(dim, tuple(names), tuple(mats), mode)
+        return SemigroupAction(dim, tuple(names), tuple(mats), mode, generators)
 
     def matrix_for(self, name: str) -> QMatrix:
         """The matrix of one of the action's own generator names."""
@@ -104,7 +110,7 @@ def restrict_action(action: SemigroupAction, basis: list[tuple[Fraction, ...]]) 
     mats = tuple(
         QMatrix.from_rows([row[k * (t + 1) : k * (t + 2)] for row in red]) for t in range(len(action.mats))
     )
-    return SemigroupAction(k, action.names, mats, action.mode)
+    return SemigroupAction(k, action.names, mats, action.mode, action.generators)
 
 
 def _complete_basis(space: Subspace) -> list[tuple[Fraction, ...]]:
@@ -156,9 +162,11 @@ def keeps_bounded(lam: Fraction, mode: str) -> bool:
 
 
 def generated_by(action: SemigroupAction, m: QMatrix) -> bool:
-    """Whether every generator is ``m``, its inverse (group mode only) or the identity."""
+    """Whether every generator is ``m``, its inverse (group mode only) or the
+    identity; then so is every letter."""
     ident = QMatrix.identity(action.dim)
-    return all(g in (m, ident) or (action.mode == GROUP and g @ m == ident) for g in action.mats)
+    gens = (action.mats[i] for i in action.generators)
+    return all(g in (m, ident) or (action.mode == GROUP and g @ m == ident) for g in gens)
 
 
 def invariant_line(blocks, k: int) -> Optional[tuple[Fraction, ...]]:

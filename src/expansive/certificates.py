@@ -133,7 +133,7 @@ def _proved_subspace(cert: dict, action: SemigroupAction) -> tuple[int, list]:
     basis, the space is invariant and the restriction is proved expansive."""
     rows = _rows(cert["space"])
     _, blocks = adapted_blocks(action, rows, _rows(cert["complement"]))
-    restriction = SemigroupAction(len(rows), action.names, tuple(a for a, _, _ in blocks), action.mode)
+    restriction = SemigroupAction(len(rows), action.names, tuple(a for a, _, _ in blocks), action.mode, action.generators)
     if not check_certificate(cert["restriction"], restriction, EXPANSIVE):
         raise ValueError("the restriction is not proved expansive")
     return len(rows), blocks
@@ -142,7 +142,7 @@ def _proved_subspace(cert: dict, action: SemigroupAction) -> tuple[int, list]:
 def _split(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
     """Expansive on an invariant subspace and on the quotient by it."""
     k, blocks = _proved_subspace(cert, action)
-    quotient = SemigroupAction(action.dim - k, action.names, tuple(d for _, _, d in blocks), action.mode)
+    quotient = SemigroupAction(action.dim - k, action.names, tuple(d for _, _, d in blocks), action.mode, action.generators)
     return check_certificate(cert["quotient"], quotient, EXPANSIVE)
 
 
@@ -210,11 +210,13 @@ def _analyze_matrix_claims(rep: dict, case: dict, action: SemigroupAction) -> bo
 
 
 def _find_expansive_claims(rep: dict, case: dict, action: SemigroupAction) -> bool:
-    """A commuting group action; ``word`` is the certificate's word, and ``matrix`` its product."""
+    """Commuting group generators (so their inverses commute too); ``word`` is
+    the certificate's word, and ``matrix`` its product."""
+    gens = [action.mats[i] for i in action.generators]
     return (
         rep["found"] is True
         and action.mode == GROUP
-        and all(a @ b == b @ a for a, b in combinations(action.mats, 2))
+        and all(a @ b == b @ a for a, b in combinations(gens, 2))
         and rep["word"] == rep["certificate"]["word"]
         and QMatrix.from_json(rep["matrix"]) == _word_matrices(action, [rep["word"]])[0]
     )
@@ -222,10 +224,9 @@ def _find_expansive_claims(rep: dict, case: dict, action: SemigroupAction) -> bo
 
 def _torus_check_claims(rep: dict, case: dict, action: SemigroupAction) -> bool:
     """An action on the torus: integer generators, of determinant +-1 in group
-    mode (so that their inverses, which the action holds, are integer too)."""
-    return all(g.is_integer() for g in action.mats) and (
-        action.mode != GROUP or all(abs(g.det()) == 1 for g in action.mats)
-    )
+    mode (so that their inverses, the action's other letters, are integer too)."""
+    gens = [action.mats[i] for i in action.generators]
+    return all(g.is_integer() for g in gens) and (action.mode != GROUP or all(abs(g.det()) == 1 for g in gens))
 
 
 # command -> the check of the top-level result fields of its decisive reports

@@ -713,7 +713,7 @@ def _extension(
 def _split_analysis(action: SemigroupAction, space: Subspace, depth: int) -> Optional[ExpansivenessVerdict]:
     comp = _complete_basis(space)
     p, blocks = adapted_blocks(action, list(space.basis), comp)
-    restriction = SemigroupAction(space.dim, action.names, tuple(a for a, _, _ in blocks), action.mode)
+    restriction = SemigroupAction(space.dim, action.names, tuple(a for a, _, _ in blocks), action.mode, action.generators)
     res = _analyze(restriction, depth)
 
     if res.status == NOT_EXPANSIVE:
@@ -722,7 +722,9 @@ def _split_analysis(action: SemigroupAction, space: Subspace, depth: int) -> Opt
     if res.status != EXPANSIVE:
         return None
 
-    quo = SemigroupAction(action.dim - space.dim, action.names, tuple(d for _, _, d in blocks), action.mode)
+    quo = SemigroupAction(
+        action.dim - space.dim, action.names, tuple(d for _, _, d in blocks), action.mode, action.generators
+    )
     qres = _analyze(quo, depth)
 
     if qres.status == EXPANSIVE:

@@ -677,11 +677,8 @@ def span_restriction(dm: DualModuleAction) -> tuple[list[Character], SemigroupAc
             if span.add(primitive_integer(img)):
                 basis.append(img)
                 queue.append(img)
-    if not basis:
-        return [], SemigroupAction(0, dm.action.names, tuple(QMatrix.identity(0) for _ in dm.action.mats), dm.action.mode)
-    restricted = restrict_action(dm.action, basis).mats
-    adjoint = SemigroupAction(len(basis), dm.action.names, tuple(m.transpose() for m in restricted), dm.action.mode)
-    return basis, adjoint
+    r = restrict_action(dm.action, basis)
+    return basis, SemigroupAction(r.dim, r.names, tuple(m.transpose() for m in r.mats), r.mode, r.generators)
 
 
 def solenoid_expansive(dm: DualModuleAction, depth: int = 10) -> ExpansivenessVerdict:

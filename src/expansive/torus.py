@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .actions import INVERSE_SUFFIX, SemigroupAction
+from .actions import SemigroupAction
 from .exact import CapExceededError, Frozen, QMatrix, RationalLike, rref, to_fraction
 from .orbits import ExpansivenessVerdict, _proper_invariant_subspaces, expansiveness_check, iter_words
 from .spectral import EXPANSIVE, GROUP, has_unbounded_powers
@@ -56,19 +56,15 @@ class TorusPoint(Frozen):
 
 
 def _check_integer_generators(action: SemigroupAction) -> None:
-    for name, g in zip(action.names, action.mats):
-        if name.endswith(INVERSE_SUFFIX):
-            continue
-        if not g.is_integer():
-            raise NonIntegerEntriesError(f"generator {name!r} has non-integer entries")
+    for i in action.generators:
+        if not action.mats[i].is_integer():
+            raise NonIntegerEntriesError(f"generator {action.names[i]!r} has non-integer entries")
 
 
 def _check_unimodular(action: SemigroupAction) -> None:
-    for name, g in zip(action.names, action.mats):
-        if name.endswith(INVERSE_SUFFIX):
-            continue
-        if abs(g.det()) != 1:
-            raise NotUnimodularError(f"generator {name!r} has determinant {g.det()}")
+    for i in action.generators:
+        if abs(action.mats[i].det()) != 1:
+            raise NotUnimodularError(f"generator {action.names[i]!r} has determinant {action.mats[i].det()}")
 
 
 class IrreducibilityReport(Frozen):

@@ -9,11 +9,12 @@ keeps every eigenvalue bounded; no modulus is approximated.  Blocks may
 keep several conjugate eigenvalue families together; that is sound here
 because every criterion below depends only on moduli.
 
-The decomposition reads each generator once: a letter whose matrix equals
-or inverts an earlier one (a group action's ``g^-1``, or one matrix under
-two names) is skipped.  Such a letter commutes with whatever g commutes
+The decomposition reads each generator once (``SemigroupAction.generators``),
+not every letter: any other letter equals a generator g or inverts it (a
+group action's ``g^-1``).  Such a letter commutes with whatever g commutes
 with, has g's primary components, and on each block has eigenvalues on
 the unit circle exactly when g does, so no block, error or word changes.
+Given generators that invert each other both stay, for the same reason.
 """
 
 from __future__ import annotations
@@ -76,23 +77,12 @@ class WeightDecomposition(Frozen):
     __slots__ = ("action", "blocks")
 
 
-def _generator_letters(action: SemigroupAction) -> list[int]:
-    """Indices of the letters whose matrix neither equals nor inverts the
-    matrix of an earlier kept letter, in order."""
-    ident = QMatrix.identity(action.dim)
-    kept: list[int] = []
-    for i, g in enumerate(action.mats):
-        if all(g != action.mats[j] and g @ action.mats[j] != ident for j in kept):
-            kept.append(i)
-    return kept
-
-
-def _check_commuting(action: SemigroupAction, letters: list[int]) -> None:
-    """Raise on the first pair of letters that do not commute.  A skipped
-    letter commutes with what its kept letter commutes with, so the first
-    failing pair of all letters is a pair of kept ones."""
-    for a, i in enumerate(letters):
-        for j in letters[a + 1 :]:
+def _check_commuting(action: SemigroupAction) -> None:
+    """Raise on the first pair of generators that do not commute.  Any other
+    letter commutes with what its generator commutes with, so the first
+    failing pair of all letters is a pair of generators."""
+    for a, i in enumerate(action.generators):
+        for j in action.generators[a + 1 :]:
             if action.mats[i] @ action.mats[j] != action.mats[j] @ action.mats[i]:
                 raise NotCommutingError((action.names[i], action.names[j]))
 
@@ -127,15 +117,14 @@ def weight_decomposition(action: SemigroupAction) -> WeightDecomposition:
     Blocks are intersections over generators of kernels f(g)^n for the
     pairwise coprime root factors f of each characteristic polynomial;
     commutativity makes every kernel invariant under the whole family.
-    A letter equal or inverse to an earlier one is skipped: ker f(g^-1)^n
-    is a primary component of g, so each block of g would meet exactly one
-    of them, in itself, and the blocks and their order stay the same.
+    Only the generators are factored: ker f(g^-1)^n is a primary component
+    of g, so each block of g would meet exactly one of them, in itself, and
+    the blocks and their order stay the same.
     """
-    letters = _generator_letters(action)
-    _check_commuting(action, letters)
+    _check_commuting(action)
     n = action.dim
     blocks = [Subspace.full(n)]
-    for g in (action.mats[i] for i in letters):
+    for g in (action.mats[i] for i in action.generators):
         factors = _coprime_root_factors(char_poly(g))
         primaries = [kernel(mat_power(poly_of_matrix(f, g), n)) for f in factors]
         refined = []
@@ -177,7 +166,7 @@ def expansive_by_weights(decomp: WeightDecomposition, mode: str) -> WeightsVerdi
     overall = EXPANSIVE
     for block in decomp.blocks:
         b = block.restriction
-        r = SemigroupAction(b.dim, b.names, b.mats, mode)
+        r = SemigroupAction(b.dim, b.names, b.mats, mode, b.generators)
         found = find_expansive_word(r, iter_words(r, 3, 80))
         if found is not None:
             reports.append({"dim": block.dim, "status": "escapes", "word": list(found[0])})
@@ -202,9 +191,9 @@ def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optio
     block-clearing word, raising the power of the current word (doubling,
     capped at 2^40) until every previously cleared block stays cleared.
     The cleared-block count strictly increases, so the loop ends.  The
-    result is re-verified by the exact single-matrix test.  The start skips
-    a letter equal or inverse to an earlier one: it clears the same blocks,
-    and only a strictly larger count replaces the start.
+    result is re-verified by the exact single-matrix test.  The start reads
+    the generators only: any other letter clears the blocks its generator
+    clears, and only a strictly larger count replaces the start.
     """
     if action.mode != GROUP:
         raise NotGroupModeError("expansive-element search applies to group actions")
@@ -224,7 +213,7 @@ def find_expansive_element(action: SemigroupAction, word_cap: int = 64) -> Optio
 
     best: tuple[str, ...] = (action.names[0],)
     flags = cleared(best)
-    for name in (action.names[i] for i in _generator_letters(action)[1:]):
+    for name in (action.names[i] for i in action.generators[1:]):
         c = cleared((name,))
         if sum(c) > sum(flags):
             best, flags = (name,), c

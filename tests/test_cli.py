@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import expansive
+from expansive import certificates
 from expansive.cli import (
     VersionMismatch,
     case_id,
@@ -429,6 +430,26 @@ def test_verify_rejects_a_find_expansive_report_of_a_non_commuting_action(capsys
     assert (code, out["verified"]) == (1, False)
 
 
+@pytest.mark.parametrize("fixture, pairs", [("sixth_solenoid", 1), ("cat_map", 0)])
+def test_verify_of_find_expansive_tests_each_pair_of_generators_once(capsys, tmp_path, monkeypatch, fixture, pairs):
+    # the inverse letters of group mode commute when their generators do, so
+    # two generators form one pair to test, not the 6 pairs of their 4 letters
+    case = FIXTURES / f"{fixture}.json"
+    code, rep, path = report_for(capsys, tmp_path, "find-expansive", case)
+    assert (code, rep["found"]) == (0, True)
+    formed = []
+    original = certificates.combinations
+
+    def counted(items, r):
+        for pair in original(items, r):
+            formed.append(pair)
+            yield pair
+
+    monkeypatch.setattr(certificates, "combinations", counted)
+    code, out = run(capsys, "verify", path, case)
+    assert (code, out["verified"], len(formed)) == (0, True, pairs)
+
+
 def _two_generator_matrix_report(rep):
     # an honest find-expansive report of two generators, relabelled a one-generator command
     rep.update(command="analyze-matrix", expansive=True, profile=rep["certificate"]["profile"])
@@ -467,8 +488,12 @@ def test_verify_rejects_forged_top_level_fields(capsys, tmp_path, command, fixtu
     [
         (json.loads((FIXTURES / "doubling.json").read_text()), "NotUnimodularError"),
         ({"n": 1, "generators": {"h": [["3/2"]]}, "mode": "group"}, "NonIntegerEntriesError"),
+        # a given generator named like an inverse letter is checked too
+        ({"n": 1, "generators": {"a^-1": [[2]]}, "mode": "group"}, "NotUnimodularError"),
+        ({"n": 2, "generators": {"b^-1": [["1/2", 0], [0, 3]]}, "mode": "group"}, "NonIntegerEntriesError"),
     ],
-    ids=["doubling-not-unimodular", "three-halves-not-integer"],
+    ids=["doubling-not-unimodular", "three-halves-not-integer", "inverse-named-not-unimodular",
+         "inverse-named-not-integer"],
 )
 def test_verify_refuses_a_torus_check_report_that_torus_check_refuses(capsys, tmp_path, case, error):
     path = write_case(tmp_path, "case.json", case)

@@ -151,7 +151,7 @@ def test_intersect_subspaces():
 def invariant(space, m):
     """The library's invariance test: ``restrict_action`` refuses a span that m leaves."""
     try:
-        restrict_action(SemigroupAction(space.ambient_dim, ("m",), (m,), "semigroup"), list(space.basis))
+        restrict_action(SemigroupAction.from_generators([("m", m)], "semigroup"), list(space.basis))
     except ValueError:
         return False
     return True

@@ -779,7 +779,7 @@ def actions_and_bases(draw):
     for _ in range(draw(st.integers(1, 3))):
         t = [[draw(small_fractions) if i < k or j >= k else F(0) for j in range(n)] for i in range(n)]
         mats.append(p @ QMatrix.from_rows(t) @ p.inverse())
-    action = SemigroupAction(n, tuple("abc"[: len(mats)]), tuple(mats), SEMIGROUP)
+    action = SemigroupAction.from_generators(zip("abc", mats), SEMIGROUP)
     basis = [p.col(j) for j in range(k)]
     shape = draw(st.sampled_from(["invariant", "invariant", "random", "dependent", "moved"]))
     if shape == "random":
@@ -804,7 +804,7 @@ def test_restrict_action_matches_the_fraction_gauss_jordan(ab):
             restrict_action(action, basis)
         return
     got = restrict_action(action, basis)
-    assert (got.dim, got.names, got.mode) == (len(basis), action.names, action.mode)
+    assert (got.dim, got.names, got.mode, got.generators) == (len(basis), action.names, action.mode, action.generators)
     assert [storage(m) for m in got.mats] == [storage(m) for m in want]
     # the coordinates hold: g B = B X_g
     if basis:
@@ -878,7 +878,7 @@ def test_minimal_poly_matches_the_fraction_gauss_jordan(m):
 def test_verify_span_questions_examples():
     # the shear fixes the line e1 and no other: its restriction is (1), and
     # the plane spanned by e2 is not invariant
-    shear = SemigroupAction(2, ("s",), (QMatrix.from_rows([[1, 1], [0, 1]]),), SEMIGROUP)
+    shear = SemigroupAction.from_generators([("s", QMatrix.from_rows([[1, 1], [0, 1]]))], SEMIGROUP)
     assert restrict_action(shear, [(F(3), F(0))]).mats == (QMatrix.from_rows([[1]]),)
     with pytest.raises(ValueError):
         restrict_action(shear, [(F(0), F(1))])

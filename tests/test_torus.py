@@ -95,6 +95,9 @@ class TestIrreducibility:
     def test_non_integer_rejected(self):
         with pytest.raises(NonIntegerEntriesError):
             irreducibility_check(act([[[F("1/2")]]], SEMIGROUP))
+        # a given generator is checked whatever its name reads like
+        with pytest.raises(NonIntegerEntriesError, match=r"'a\^-1'"):
+            irreducibility_check(act([[[F("1/2")]]], SEMIGROUP, ["a^-1"]))
 
 
 class TestInfiniteOrderCertificate:
@@ -148,6 +151,11 @@ class TestTorusVerdicts:
     def test_non_integer_rejected(self):
         with pytest.raises(NonIntegerEntriesError):
             torus_expansive(act([[[F("1/2"), 0], [0, 2]]], SEMIGROUP))
+        with pytest.raises(NonIntegerEntriesError, match=r"'a\^-1'"):
+            torus_expansive(act([[[F("1/2")]]], SEMIGROUP, ["a^-1"]))
+        # given generators that invert each other are both generators
+        with pytest.raises(NonIntegerEntriesError, match="'b'"):
+            torus_expansive(act([[[2]], [[F("1/2")]]], SEMIGROUP, ["a", "b"]))
 
     def test_fast_path_agrees_with_engine_on_fixtures(self):
         fixtures = [

@@ -35,7 +35,7 @@ FROZEN = {
     QPoly: (lambda: QPoly.from_coeffs([1, -3, 1]), ("coeffs",)),
     DiskProfile: (lambda: DiskProfile(0, 1, 0, 1), ("at_zero", "inside", "on_circle", "outside")),
     SingleVerdict: (lambda: SingleVerdict("group", True, DiskProfile(0, 1, 0, 1)), ("mode", "expansive", "profile")),
-    SemigroupAction: (_action, ("dim", "names", "mats", "mode")),
+    SemigroupAction: (_action, ("dim", "names", "mats", "mode", "generators")),
     TorusPoint: (lambda: TorusPoint.from_coords([F(1, 3), F(4, 3)]), ("coords",)),
     IrreducibilityReport: (
         lambda: IrreducibilityReport(4, True, None, "Irreducible"),
