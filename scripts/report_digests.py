@@ -23,7 +23,10 @@ decisive report is also passed to ``verify``, on a line whose id ends in
   pair that does not commute (exit 1);
 - ``torus-check`` and ``find-expansive`` on the cat map in group mode under
   the one name ``c^-1``, which reads like an inverse letter but is a
-  generator the case gives.
+  generator the case gives;
+- ``solenoid-lift --chain`` on the dyadic chain report of the README run,
+  read back from its file, so that the chain reader of ``solenoid-lift``
+  checks a chain as ``verify`` does.
 
 Usage: python3 scripts/report_digests.py > digests.txt
 Run it in two checkouts and compare the outputs with diff.
@@ -134,7 +137,9 @@ def main_digests() -> int:
                 for mode in ("group", "semigroup"):
                     d.run(f"fixture:{path.stem}:{command}:{mode}", [command, path, "--mode", mode])
         for k, argv in enumerate(README):
-            d.run(f"readme:{k}:{argv[0]}", in_checkout(argv))
+            rep = d.run(f"readme:{k}:{argv[0]}", in_checkout(argv))
+            if argv[0] == "solenoid-chain":
+                chain = d.write(rep)
         for seed in (2, 3):
             for op in cases.torus_solenoid_cases(seed):
                 if op["kind"] in ("find_expansive", "module"):
@@ -149,6 +154,8 @@ def main_digests() -> int:
         case = d.write(INVERSE_NAMED)
         for command in ("torus-check", "find-expansive"):
             d.run(f"inverse_named:{command}", [command, case])
+        argv = ["solenoid-lift", "fixtures/dyadic_solenoid.json", "--chain", chain]
+        d.run("chain_reader:dyadic_solenoid", in_checkout([*argv, "--window", "fixtures/dyadic_window.json", "--radius", "3/10"]))
     return 0
 
 
