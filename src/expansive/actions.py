@@ -30,15 +30,16 @@ class SemigroupAction(Frozen):
     """A finite list of named square rational matrices (the letters of its
     words) plus the action mode.
 
-    ``generators`` are the indices of the letters the caller gave, each
-    matrix once; every other letter equals a generator or, in group mode,
-    inverts one.  In group mode the letters already contain the exact
-    inverses, named with an ``^-1`` suffix; use ``from_generators`` to
-    build one.  A restriction or quotient keeps the names and the
-    ``generators``, since equal and inverse matrices stay so.
+    ``origins`` holds, for each letter, the pair (g, inverted): the index
+    of the generator whose matrix the letter equals, or in group mode
+    inverts.  The generators are the letters the caller gave, each matrix
+    once, and each is its own origin.  In group mode the letters already
+    contain the exact inverses, named with an ``^-1`` suffix; use
+    ``from_generators`` to build one.  A restriction or quotient keeps the
+    names and the ``origins``, since equal and inverse matrices stay so.
     """
 
-    __slots__ = ("dim", "names", "mats", "mode", "generators")
+    __slots__ = ("dim", "names", "mats", "mode", "origins")
 
     @staticmethod
     def from_generators(named: Iterable[tuple[str, QMatrix]], mode: str) -> "SemigroupAction":
@@ -57,7 +58,7 @@ class SemigroupAction(Frozen):
             mats.append(m)
         if dim is None:
             raise ValueError("at least one generator is required")
-        generators = tuple(i for i, m in enumerate(mats) if m not in mats[:i])
+        origins = [(mats.index(m), False) for m in mats]
         if mode == GROUP:
             for name, m in list(zip(names, mats)):
                 try:
@@ -69,11 +70,17 @@ class SemigroupAction(Frozen):
                 if inv not in mats:
                     names.append(name + INVERSE_SUFFIX)
                     mats.append(inv)
+                    origins.append((mats.index(m), True))
         # a word names its letters, so one name must never stand for two matrices
         clash = sorted({name for name in names if names.count(name) > 1})
         if clash:
             raise ValueError(f"generator names must differ; {', '.join(map(repr, clash))} names more than one matrix")
-        return SemigroupAction(dim, tuple(names), tuple(mats), mode, generators)
+        return SemigroupAction(dim, tuple(names), tuple(mats), mode, tuple(origins))
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """The indices of the letters the caller gave, each matrix once."""
+        return tuple(i for i, (g, _) in enumerate(self.origins) if g == i)
 
     def matrix_for(self, name: str) -> QMatrix:
         """The matrix of one of the action's own generator names."""
@@ -98,19 +105,21 @@ def restrict_action(action: SemigroupAction, basis: list[tuple[Fraction, ...]]) 
     One ``IntEchelon`` of the rows of [basis | every generator's image of
     every basis vector]: the span is invariant exactly when the pivots are
     the k basis columns, and then each image's coordinates are its column
-    in the k reduced rows.  Raises ValueError when some generator maps a
-    basis vector out of the span (or the basis is dependent).
+    in the k reduced rows.  A letter that repeats a generator takes its
+    block, and one that inverts it the inverse of that block: an invertible
+    map that keeps a subspace keeps it under its inverse too.  Raises
+    ValueError when some generator maps a basis vector out of the span (or
+    the basis is dependent).
     """
-    k = len(basis)
-    columns = [*basis, *(g.apply(b) for g in action.mats for b in basis)]
+    k, gens = len(basis), action.generators
+    columns = [*basis, *(action.mats[g].apply(b) for g in gens for b in basis)]
     echelon = _echelon(zip(*columns), len(columns))
     if echelon.pivots != tuple(range(k)):
         raise ValueError("space must be invariant, with an independent basis")
     red = echelon.reduced()
-    mats = tuple(
-        QMatrix.from_rows([row[k * (t + 1) : k * (t + 2)] for row in red]) for t in range(len(action.mats))
-    )
-    return SemigroupAction(k, action.names, mats, action.mode, action.generators)
+    blocks = {g: QMatrix.from_rows([row[k * (t + 1) : k * (t + 2)] for row in red]) for t, g in enumerate(gens)}
+    mats = tuple(blocks[g].inverse() if inverted else blocks[g] for g, inverted in action.origins)
+    return SemigroupAction(k, action.names, mats, action.mode, action.origins)
 
 
 def _complete_basis(space: Subspace) -> list[tuple[Fraction, ...]]:

@@ -7,16 +7,22 @@ verify, and ``split`` and ``affine_obstruction`` ask their
 sub-certificates for ``Expansive`` proofs the same way.  No check
 searches: each re-derives its claim from the words, spaces and forms the
 certificate stores; ``CLAIMS`` checks, per command, the other top-level
-result fields of a decisive report.  The checker imports only ``actions``,
-``exact`` and ``spectral``, never the search in ``orbits`` nor the torus
-module, and the solenoid module loads only inside the checks that read it.
+result fields of a decisive report.  A chain is read once into integer
+numerators (``solenoid.ChainTable``) and passes the one chain check that
+the chain's builder runs too: each character new at a level has exactly
+one relation, with n0 >= 1, and no other character has one.  The checker
+imports only ``actions``, ``exact`` and ``spectral``, never the search in
+``orbits`` nor the torus module, and the solenoid module loads only inside
+the checks that read it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import TYPE_CHECKING, Optional
 
 from .actions import (
@@ -36,13 +42,14 @@ from .exact import (
     QMatrix,
     char_poly,
     is_positive_definite,
+    num_den,
     primitive_integer,
     to_fraction,
 )
 from .spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, has_unbounded_powers, unit_disk_profile
 
 if TYPE_CHECKING:
-    from .solenoid import DualModuleAction, RhoBasisChain
+    from .solenoid import ChainTable, DualModuleAction
 
 Witness = Optional[tuple[Fraction, ...]]
 
@@ -133,7 +140,7 @@ def _proved_subspace(cert: dict, action: SemigroupAction) -> tuple[int, list]:
     basis, the space is invariant and the restriction is proved expansive."""
     rows = _rows(cert["space"])
     _, blocks = adapted_blocks(action, rows, _rows(cert["complement"]))
-    restriction = SemigroupAction(len(rows), action.names, tuple(a for a, _, _ in blocks), action.mode, action.generators)
+    restriction = SemigroupAction(len(rows), action.names, tuple(a for a, _, _ in blocks), action.mode, action.origins)
     if not check_certificate(cert["restriction"], restriction, EXPANSIVE):
         raise ValueError("the restriction is not proved expansive")
     return len(rows), blocks
@@ -142,7 +149,7 @@ def _proved_subspace(cert: dict, action: SemigroupAction) -> tuple[int, list]:
 def _split(cert: dict, action: SemigroupAction, witness: Witness) -> bool:
     """Expansive on an invariant subspace and on the quotient by it."""
     k, blocks = _proved_subspace(cert, action)
-    quotient = SemigroupAction(action.dim - k, action.names, tuple(d for _, _, d in blocks), action.mode, action.generators)
+    quotient = SemigroupAction(action.dim - k, action.names, tuple(d for _, _, d in blocks), action.mode, action.origins)
     return check_certificate(cert["quotient"], quotient, EXPANSIVE)
 
 
@@ -249,30 +256,42 @@ def check_claims(rep: dict, case: dict, action: SemigroupAction) -> bool:
         return False
 
 
-def _module_chain(data: dict, module: DualModuleAction) -> Optional[RhoBasisChain]:
-    """The chain, if its relations hold within its cost bound and its
-    characters are the module's: the first level holds every module
+def _module_chain(data: dict, module: DualModuleAction) -> Optional[ChainTable]:
+    """The chain read into integers, if it passes ``ChainTable.verify`` and
+    its characters are the module's: the first level holds every module
     generator, and each character of a level is a module generator or the
     image of a character of the level before (for the first level, of a
-    module generator) under one of the action's matrices."""
-    from .solenoid import RhoBasisChain
+    module generator) under one of the action's matrices.  The levels are
+    nested, so each character's images are formed once: g = G / d maps
+    v / den to w / den exactly when G v = d w."""
+    from .solenoid import ChainTable
 
-    chain = RhoBasisChain.from_json(data)
-    generators = set(module.module_generators)
-    if not chain.levels or not generators <= set(chain.levels[0]) or not chain.verify():
+    chain = ChainTable.from_json(data)
+    if not chain.verify():
         return None
-    previous = generators
+    generators = {chain.find(f) for f in module.module_generators}
+    if None in generators or not generators <= set(chain.levels[0]):
+        return None
+    n = module.n
+    mats = [([g.num[i * n : (i + 1) * n] for i in range(n)], g.den) for g in module.action.mats]
+    reached, formed, previous = set(generators), set(), generators
     for level in chain.levels:
-        reached = generators | {g.apply(chi) for chi in previous for g in module.action.mats}
+        for i in set(previous) - formed:
+            for rows, d in mats:
+                image = [sum(map(mul, row, chain.chars[i])) for row in rows]
+                if not any(x % d for x in image):
+                    # an image outside the chain adds None, which no level holds
+                    reached.add(chain.index.get(tuple(x // d for x in image)))
         if not reached.issuperset(level):
             return None
+        formed.update(previous)
         previous = level
     return chain
 
 
 def check_chain(data: dict, module: DualModuleAction, k: Optional[int] = None) -> bool:
-    """Whether the chain is one of ``module`` and its relations hold within
-    its cost bound (and, given, that bound is ``k``)."""
+    """Whether the chain is one of ``module`` and passes the chain check
+    (and, given, its cost bound is ``k``)."""
     chain = _module_chain(data, module)
     return chain is not None and (k is None or chain.k == k)
 
@@ -280,10 +299,9 @@ def check_chain(data: dict, module: DualModuleAction, k: Optional[int] = None) -
 def check_lifts(data: dict, lifts: list, module: DualModuleAction) -> bool:
     """Whether the chain checks as in ``check_chain`` and each lift gives every chain
     character a value, a ball of nonnegative radius, below its bound, itself below 1/k,
-    that satisfies every chain relation.
+    that satisfies every chain relation.  The balls and the bound of a lift are
+    compared as integers over their common denominator.
     Lifts that are not lift objects are a ParseError naming the field."""
-    from .solenoid import Ball, character
-
     if not isinstance(lifts, list) or not all(isinstance(entry, dict) for entry in lifts):
         raise ParseError("the field 'lifts' must be a list of objects")
     lifted = [entry for entry in lifts if entry.get("lifted")]
@@ -296,22 +314,22 @@ def check_lifts(data: dict, lifts: list, module: DualModuleAction) -> bool:
     chain = _module_chain(data, module)
     if chain is None:
         return False
-    chars = [chi for level in chain.levels for chi in level]
+    needed = {i for level in chain.levels for i in level}
     for entry in lifted:
-        bound = to_fraction(entry["bound"])
-        values = {
-            character(item["character"]): Ball(to_fraction(item["mid"]), to_fraction(item["rad"]))
-            for item in entry["values"]
-        }
-        if not 0 < bound * chain.k < 1 or any(chi not in values for chi in chars):
+        items = entry["values"]
+        found = [chain.find(item["character"]) for item in items]
+        pairs = [num_den(x) for x in (entry["bound"], *(item[f] for item in items for f in ("mid", "rad")))]
+        den = math.lcm(*(q for _, q in pairs))
+        bound, *balls = [p * (den // q) for p, q in pairs]
+        mids, rads = balls[0::2], balls[1::2]
+        if not 0 < bound * chain.k < den or not needed <= set(found):
             return False
-        if any(v.rad < 0 or v.abs_upper() >= bound for v in values.values()):
+        if any(r < 0 or abs(m) + r >= bound for m, r in zip(mids, rads)):
             return False
-        for rel in chain.relations:
-            ball = values[rel.target].scale(rel.n0)
-            for coef, a in rel.terms:
-                ball = ball - values[a].scale(coef)
+        mid, rad = dict(zip(found, mids)), dict(zip(found, rads))
+        for t, n0, terms in chain.relations:
             # a true functional satisfies the relation exactly
-            if abs(ball.mid) > ball.rad:
+            gap = n0 * mid[t] - sum(c * mid[j] for c, j in terms)
+            if abs(gap) > n0 * rad[t] + sum(abs(c) * rad[j] for c, j in terms):
                 return False
     return True

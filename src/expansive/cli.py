@@ -312,7 +312,7 @@ def parse_window(data, precision: int) -> SolenoidWindow:
 
 
 def cmd_solenoid_lift(args) -> tuple[dict, int]:
-    from .solenoid import LiftOutOfRangeError, PrecisionExhaustedError, RhoBasisChain, enumerate_basis, lift, regular_chain
+    from .solenoid import ChainTable, LiftOutOfRangeError, PrecisionExhaustedError, enumerate_basis, lift, regular_chain
 
     case = load_object(args.case)
     options = {}
@@ -320,9 +320,10 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
         if (args.depth, args.kmax, args.mode) != (None, None, None):
             raise UsageError("--depth, --kmax and --mode shape only a chain solenoid-lift builds, not one from --chain")
         data = load_object(args.chain)
-        chain = RhoBasisChain.from_json(data.get("chain", data))
-        if not chain.levels or chain.k < 1 or not chain.verify():
+        table = ChainTable.from_json(data.get("chain", data))
+        if table.k < 1 or not table.verify():
             raise ParseError("a --chain needs a first level, a cost bound k >= 1 and relations that verify")
+        chain = table.chain()
         chain_options = object_field(data, "options")
         if "mode" in chain_options:
             # verify checks the chain against the module in the mode it was built in

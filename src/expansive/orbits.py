@@ -713,7 +713,7 @@ def _extension(
 def _split_analysis(action: SemigroupAction, space: Subspace, depth: int) -> Optional[ExpansivenessVerdict]:
     comp = _complete_basis(space)
     p, blocks = adapted_blocks(action, list(space.basis), comp)
-    restriction = SemigroupAction(space.dim, action.names, tuple(a for a, _, _ in blocks), action.mode, action.generators)
+    restriction = SemigroupAction(space.dim, action.names, tuple(a for a, _, _ in blocks), action.mode, action.origins)
     res = _analyze(restriction, depth)
 
     if res.status == NOT_EXPANSIVE:
@@ -723,7 +723,7 @@ def _split_analysis(action: SemigroupAction, space: Subspace, depth: int) -> Opt
         return None
 
     quo = SemigroupAction(
-        action.dim - space.dim, action.names, tuple(d for _, _, d in blocks), action.mode, action.generators
+        action.dim - space.dim, action.names, tuple(d for _, _, d in blocks), action.mode, action.origins
     )
     qres = _analyze(quo, depth)
 

@@ -7,7 +7,11 @@ central algorithm reconstructs a real-valued functional from such a
 window: once the character set is organized into a chain where each new
 character satisfies a small integer relation over the previous level,
 the relation forces each lifted value through an integer-rounding step
-whose slack comes from the strict bound (relation cost) * C < 1.
+whose slack comes from the strict bound (relation cost) * C < 1, and then
+divides by the relation's n0, so a relation has n0 >= 1.  Each character
+new at a level has exactly one relation, and no other character has one.
+A chain is checked on integer numerators (``ChainTable``): each distinct
+character once, over the chain's common denominator.
 Expansiveness of the solenoid itself reduces to unbounded orbits of the
 adjoint action on the functional space.
 """
@@ -31,6 +35,7 @@ from .exact import (
     SelfCheckError,
     _echelon,
     _null_rows,
+    num_den,
     primitive_integer,
     to_fraction,
 )
@@ -134,9 +139,6 @@ class Ball(Frozen):
     def surely_at_least(self, bound: Fraction) -> bool:
         return self.mid - self.rad >= bound
 
-    def abs_upper(self) -> Fraction:
-        return abs(self.mid) + self.rad
-
     def to_json(self) -> dict:
         return {"mid": str(self.mid), "rad": str(self.rad)}
 
@@ -211,22 +213,14 @@ def enumerate_basis(dm: DualModuleAction, depth: int) -> tuple[tuple[Character, 
 
 
 class Relation(Frozen):
-    """Integer dependency n0 * target = sum(coef * char) over the previous level."""
+    """Integer dependency n0 * target = sum(coef * char) over the previous
+    level, with n0 >= 1: the lift divides by n0."""
 
     __slots__ = ("target", "n0", "terms")
 
     @property
     def cost(self) -> int:
         return abs(self.n0) + sum(abs(c) for c, _ in self.terms)
-
-    def holds(self) -> bool:
-        dim = len(self.target)
-        lhs = tuple(self.n0 * x for x in self.target)
-        rhs = [Fraction(0)] * dim
-        for coef, char in self.terms:
-            for i in range(dim):
-                rhs[i] += coef * char[i]
-        return lhs == tuple(rhs)
 
     def to_json(self) -> dict:
         return {
@@ -237,24 +231,15 @@ class Relation(Frozen):
 
 
 class RhoBasisChain(Frozen):
+    """Nested character levels, and one relation for each character new at
+    a level over the level before, of cost at most k."""
+
     __slots__ = ("levels", "k", "relations")
 
     def verify(self) -> bool:
-        for i in range(1, len(self.levels)):
-            if not set(self.levels[i - 1]) <= set(self.levels[i]):
-                return False
-        by_target = {r.target: r for r in self.relations}
-        for i in range(1, len(self.levels)):
-            prev = set(self.levels[i - 1])
-            for chi in self.levels[i]:
-                if chi in prev:
-                    continue
-                rel = by_target.get(chi)
-                if rel is None or not rel.holds() or rel.cost > self.k:
-                    return False
-                if any(a not in prev for _, a in rel.terms):
-                    return False
-        return True
+        """``ChainTable.verify`` of this chain."""
+        relations = [(r.target, r.n0, r.terms) for r in self.relations]
+        return ChainTable.read(self.levels, relations, self.k).verify()
 
     def to_json(self) -> dict:
         return {
@@ -263,23 +248,6 @@ class RhoBasisChain(Frozen):
             "relations": [r.to_json() for r in self.relations],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "RhoBasisChain":
-        """The chain ``to_json`` wrote; a ParseError naming the field on any other shape."""
-        levels = _json_field(data, "levels", list, "the chain")
-        if not all(isinstance(lvl, list) for lvl in levels):
-            raise ParseError("each of the chain's levels must be a list of characters")
-        levels = tuple(tuple(map(character, lvl)) for lvl in levels)
-        rels = []
-        for r in _json_field(data, "relations", list, "the chain"):
-            target = character(_json_field(r, "target", list, "a relation"))
-            terms = tuple(
-                (_json_field(t, "coef", int, "a term"), character(_json_field(t, "character", list, "a term")))
-                for t in _json_field(r, "terms", list, "a relation")
-            )
-            rels.append(Relation(target, _json_field(r, "n0", int, "a relation"), terms))
-        return RhoBasisChain(levels, _json_field(data, "k", int, "the chain"), tuple(rels))
-
 
 def _json_field(obj, key: str, kind: type, where: str):
     """``obj[key]``, a JSON value of type ``kind`` (a bool is no int); a ParseError naming the field otherwise."""
@@ -287,6 +255,120 @@ def _json_field(obj, key: str, kind: type, where: str):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ParseError(f"{where} must be an object whose field {key!r} is of type {kind.__name__}")
     return value
+
+
+def _spelling(chi) -> tuple:
+    """A character as written, the tuple of its entries; a ParseError unless
+    it is a list or tuple of scalars, which alone hash."""
+    if isinstance(chi, (list, tuple)):
+        key = tuple(chi)
+        try:
+            hash(key)
+            return key
+        except TypeError:
+            pass
+    raise ParseError(f"a character is a list of rationals, got {chi!r:.80}")
+
+
+class ChainTable(Frozen):
+    """A chain read into integers, the form that every chain check runs on.
+
+    ``chars`` holds each distinct character once, as its integer numerators
+    over the chain's common denominator ``den``, so that equal values
+    spelled two ways ("1/2" and "2/4") are one character; ``index`` maps
+    numerators back to their position, and ``spelled`` each spelling read.
+    ``levels`` hold positions in ``chars``, and a relation is
+    (target, n0, ((coef, position), ...)).
+    """
+
+    __slots__ = ("den", "chars", "index", "spelled", "levels", "k", "relations")
+
+    @staticmethod
+    def from_json(data) -> "ChainTable":
+        """The table of the chain ``RhoBasisChain.to_json`` wrote; a
+        ParseError naming the field on any other shape."""
+        levels = _json_field(data, "levels", list, "the chain")
+        if not all(isinstance(lvl, list) for lvl in levels):
+            raise ParseError("each of the chain's levels must be a list of characters")
+        relations = [
+            (_json_field(r, "target", list, "a relation"), _json_field(r, "n0", int, "a relation"), [
+                (_json_field(t, "coef", int, "a term"), _json_field(t, "character", list, "a term"))
+                for t in _json_field(r, "terms", list, "a relation")
+            ])
+            for r in _json_field(data, "relations", list, "the chain")
+        ]
+        return ChainTable.read(levels, relations, _json_field(data, "k", int, "the chain"))
+
+    @staticmethod
+    def read(levels, relations, k: int) -> "ChainTable":
+        """The table of levels of characters and of relations
+        (target, n0, ((coef, character), ...)), each character a list or
+        tuple of rationals.  Each distinct spelling is parsed once."""
+        spelled: dict[tuple, int] = {}
+        parsed: list[list[tuple[int, int]]] = []
+
+        def at(chi) -> int:
+            key = _spelling(chi)
+            i = spelled.get(key)
+            if i is None:
+                i = spelled[key] = len(parsed)
+                parsed.append([num_den(x) for x in key])
+            return i
+
+        level_at = [[at(chi) for chi in level] for level in levels]
+        relation_at = [(at(t), n0, [(c, at(a)) for c, a in terms]) for t, n0, terms in relations]
+        if len({len(v) for v in parsed}) > 1:
+            raise ParseError("the characters of a chain must all have the same number of entries")
+        den = math.lcm(*(q for v in parsed for _, q in v))
+        index: dict[tuple[int, ...], int] = {}
+        # spelling -> position of its value, a new value taking the next one
+        same = [index.setdefault(tuple(p * (den // q) for p, q in v), len(index)) for v in parsed]
+        levels = tuple(tuple(same[i] for i in level) for level in level_at)
+        relations = tuple((same[t], n0, tuple((c, same[a]) for c, a in terms)) for t, n0, terms in relation_at)
+        return ChainTable(den, tuple(index), index, {key: same[i] for key, i in spelled.items()}, levels, k, relations)
+
+    def find(self, chi) -> Optional[int]:
+        """The position of a character given as a list or tuple of
+        rationals, None when the chain does not hold it."""
+        i = self.spelled.get(_spelling(chi))
+        if i is None:
+            scaled = [divmod(p * self.den, q) for p, q in map(num_den, chi)]
+            if not any(r for _, r in scaled):
+                i = self.index.get(tuple(x for x, _ in scaled))
+        return i
+
+    def verify(self) -> bool:
+        """The chain check.  A first level, each level holding the one
+        before, and for each character new at a level exactly one
+        relation, of n0 >= 1 and cost at most k, whose terms lie in the
+        level before and whose identity n0 * target = sum(coef * term) holds
+        on the numerators; no other relation."""
+        if not self.levels:
+            return False
+        before = set(self.levels[0])
+        new: dict[int, set[int]] = {}  # character -> the level before the one it is new at
+        for level in self.levels[1:]:
+            here = set(level)
+            if not before <= here:
+                return False
+            new.update(dict.fromkeys(here - before, before))
+            before = here
+        chars = self.chars
+        for t, n0, terms in self.relations:
+            prev = new.pop(t, None)
+            if prev is None or n0 < 1 or n0 + sum(abs(c) for c, _ in terms) > self.k:
+                return False
+            if any(j not in prev for _, j in terms):
+                return False
+            if any(n0 * x != sum(c * chars[j][i] for c, j in terms) for i, x in enumerate(chars[t])):
+                return False
+        return not new
+
+    def chain(self) -> RhoBasisChain:
+        """The chain with its characters as tuples of Fractions."""
+        chars = [tuple(Fraction(x, self.den) for x in chi) for chi in self.chars]
+        relations = (Relation(chars[t], n0, tuple((c, chars[j]) for c, j in terms)) for t, n0, terms in self.relations)
+        return RhoBasisChain(tuple(tuple(chars[i] for i in level) for level in self.levels), self.k, tuple(relations))
 
 
 def _numerators(chars: Sequence[Character]) -> list[tuple[int, ...]]:
@@ -678,7 +760,7 @@ def span_restriction(dm: DualModuleAction) -> tuple[list[Character], SemigroupAc
                 basis.append(img)
                 queue.append(img)
     r = restrict_action(dm.action, basis)
-    return basis, SemigroupAction(r.dim, r.names, tuple(m.transpose() for m in r.mats), r.mode, r.generators)
+    return basis, SemigroupAction(r.dim, r.names, tuple(m.transpose() for m in r.mats), r.mode, r.origins)
 
 
 def solenoid_expansive(dm: DualModuleAction, depth: int = 10) -> ExpansivenessVerdict:

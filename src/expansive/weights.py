@@ -166,7 +166,7 @@ def expansive_by_weights(decomp: WeightDecomposition, mode: str) -> WeightsVerdi
     overall = EXPANSIVE
     for block in decomp.blocks:
         b = block.restriction
-        r = SemigroupAction(b.dim, b.names, b.mats, mode, b.generators)
+        r = SemigroupAction(b.dim, b.names, b.mats, mode, b.origins)
         found = find_expansive_word(r, iter_words(r, 3, 80))
         if found is not None:
             reports.append({"dim": block.dim, "status": "escapes", "word": list(found[0])})

@@ -23,7 +23,7 @@ from expansive.cli import (
 )
 from expansive.actions import WORD_BUDGET
 from expansive.exact import ParseError, QMatrix, char_poly
-from expansive.solenoid import RhoBasisChain
+from expansive.solenoid import ChainTable
 from expansive.spectral import unit_disk_profile
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -182,8 +182,7 @@ def test_solenoid_chain_dyadic(capsys):
     assert code == 0
     assert rep["k"] == 3
     assert rep["verified"] is True
-    chain = RhoBasisChain.from_json(rep["chain"])
-    assert chain.verify()
+    assert ChainTable.from_json(rep["chain"]).verify()
 
 
 def dyadic_window(tmp_path, chain_rep, p):
@@ -341,6 +340,30 @@ def test_verify_accepts_chain_and_lift_reports_of_both_solenoids(capsys, tmp_pat
     for path in (chain_path, lift_path):
         code, out = run(capsys, "verify", path, case)
         assert (code, out["verified"]) == (0, True), path.name
+
+
+def test_verify_refuses_a_vacuous_or_stray_relation(capsys, tmp_path):
+    # 0 * target = 0 holds for any target, and the lift's forcing step divides
+    # by n0; a relation of no new character is no relation of the chain
+    case = FIXTURES / "dyadic_solenoid.json"
+    _, rep, path = report_for(capsys, tmp_path, "solenoid-chain", case, "--depth", "4")
+    for rel in rep["chain"]["relations"]:
+        rel.update(n0=0, terms=[])
+    rep["k"] = rep["chain"]["k"] = 1
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, case)
+    assert (code, out["verified"]) == (1, False)
+    code = main(["solenoid-lift", str(case), "--chain", str(path), "--window", str(FIXTURES / "dyadic_window.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and json.loads(out)["error"]["type"] == "ParseError"
+    assert "Traceback" not in err
+    _, rep, path = report_for(
+        capsys, tmp_path, "solenoid-lift", case, "--window", FIXTURES / "dyadic_window.json", "--radius", "3/10"
+    )
+    rep["chain"]["relations"].append({"target": ["1000"], "n0": 1, "terms": []})
+    path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify", path, case)
+    assert (code, out["verified"]) == (1, False)
 
 
 @pytest.mark.parametrize("command", ["made-up", "verify", None, ["analyze-semigroup"]])
@@ -820,9 +843,17 @@ def test_a_malformed_window_is_a_parse_error(capsys, tmp_path, window):
         {"levels": [], "k": 1, "relations": []},
         {"levels": [[["1"]]], "k": 0, "relations": []},
         {"levels": [[["1"]], [["1"], ["2"]]], "k": 3, "relations": []},
+        {"levels": [[["1"]], [["1"], ["2"]]], "k": 1, "relations": [{"target": ["2"], "n0": 0, "terms": []}]},
+        {"levels": [[["1"]], [["1"], ["2"]]], "k": 3, "relations": [
+            {"target": ["2"], "n0": 1, "terms": [{"coef": 2, "character": ["1"]}]},
+            {"target": ["1"], "n0": 1, "terms": [{"coef": 1, "character": ["1"]}]},
+        ]},
+        {"levels": [[["1"]], [["1"], ["2"]]], "k": 3, "relations": [
+            {"target": ["2"], "n0": 1, "terms": [{"coef": 2, "character": ["1", "0"]}]},
+        ]},
     ],
     ids=["empty", "not-an-object", "no-relations", "character-not-a-list", "k-string", "term-no-character",
-         "no-levels", "k-zero", "missing-relation"],
+         "no-levels", "k-zero", "missing-relation", "n0-zero", "relation-of-an-old-character", "term-of-two-entries"],
 )
 def test_a_malformed_chain_file_is_a_parse_error(capsys, tmp_path, chain):
     path = write_case(tmp_path, "chain.json", {"chain": chain})

@@ -770,8 +770,11 @@ def invertible_matrices(draw, n):
 def actions_and_bases(draw):
     """(action, basis): 1-3 generators on Q^n, n <= 4, each P T P^-1 for a
     block upper triangular T, so that the first k columns of P span an
-    invariant subspace.  The basis is those columns, or random vectors, a
-    list with a dependent vector added, or the columns with one entry moved."""
+    invariant subspace; perhaps the first again under a second name, and in
+    group mode when all are invertible, so that the action has letters that
+    repeat or invert a generator.  The basis is those columns, or random
+    vectors, a list with a dependent vector added, or the columns with one
+    entry moved."""
     n = draw(st.integers(1, 4))
     k = draw(st.integers(0, n))
     p = draw(invertible_matrices(n))
@@ -779,7 +782,10 @@ def actions_and_bases(draw):
     for _ in range(draw(st.integers(1, 3))):
         t = [[draw(small_fractions) if i < k or j >= k else F(0) for j in range(n)] for i in range(n)]
         mats.append(p @ QMatrix.from_rows(t) @ p.inverse())
-    action = SemigroupAction.from_generators(zip("abc", mats), SEMIGROUP)
+    if draw(st.booleans()):
+        mats.append(mats[0])
+    group = draw(st.booleans()) and all(m.det() != 0 for m in mats)
+    action = SemigroupAction.from_generators(zip("abcd", mats), GROUP if group else SEMIGROUP)
     basis = [p.col(j) for j in range(k)]
     shape = draw(st.sampled_from(["invariant", "invariant", "random", "dependent", "moved"]))
     if shape == "random":

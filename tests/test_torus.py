@@ -1,19 +1,23 @@
 """Torus action tests: irreducibility, the two verdict routes, grid oracle."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansive.actions import SemigroupAction
-from expansive.exact import QMatrix, rref
+from expansive.cli import parse_action
+from expansive.exact import IntEchelon, QMatrix, rref
 from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP, UNKNOWN
 from expansive.torus import (
     GridTooLargeError,
     NonIntegerEntriesError,
     NotUnimodularError,
     TorusPoint,
+    _algebra_basis,
     _point_separates,
     algebra_dimension,
     certified_infinite_word,
@@ -23,6 +27,9 @@ from expansive.torus import (
     rational_orbit_oracle,
     torus_expansive,
 )
+from test_orbits import perfbench_cases
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def F(x):
@@ -272,3 +279,43 @@ class TestRandomized:
                 for k in (4, 6, 8)
             ]
             assert spreads[0] >= spreads[1] >= spreads[2]
+
+
+def algebra_basis_by_echelon(action: SemigroupAction) -> list[tuple[str, ...]]:
+    """``torus._algebra_basis`` with its basis held in one ``IntEchelon``: a
+    product joins the basis when its integer numerators raise the rank, in
+    place of one ``rref`` of [basis | product] per candidate."""
+    n = action.dim
+    span = IntEchelon(n * n)
+    words: list[tuple[str, ...]] = []
+    stack: list[tuple[tuple[str, ...], QMatrix]] = []
+    candidates = [((), QMatrix.identity(n))]
+    while True:
+        for word, m in candidates:
+            if span.add(m.num):
+                words.append(word)
+                stack.append((word, m))
+        if not stack or len(words) == n * n:
+            return words
+        word, m = stack.pop()
+        candidates = [(word + (name,), m @ g) for name, g in zip(action.names, action.mats)]
+
+
+def test_the_algebra_walk_on_one_integer_echelon_finds_the_same_words():
+    # the walk of item 2 of the roadmap: the same words, in the same order, on
+    # every torus fixture in both modes and on the perfbench torus cases of
+    # seeds 1-3 with n <= 4
+    actions = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        case = json.loads(path.read_text())
+        if isinstance(case, dict) and "generators" in case:
+            actions += [parse_action(case, mode) for mode in (GROUP, SEMIGROUP)]
+    for seed in (1, 2, 3):
+        for op in perfbench_cases().torus_solenoid_cases(seed):
+            if op["kind"] == "torus":
+                action = parse_action(op["case"])
+                if action.dim <= 4:
+                    actions.append(action)
+    assert len(actions) == 14 + 21
+    for action in actions:
+        assert algebra_basis_by_echelon(action) == _algebra_basis(action), action.names

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansive import weights
+from expansive import actions, weights
 from expansive.actions import SemigroupAction, restrict_action
 from expansive.exact import (
     QMatrix,
@@ -435,3 +435,38 @@ def test_group_mode_factors_each_generator_once(monkeypatch, gens, calls):
     assert len(action.names) == 2 * len(gens)
     weight_decomposition(action)
     assert len(factored) == calls
+
+
+@pytest.mark.parametrize(
+    "gens, names, widths",
+    [
+        ([CAT], None, [4]),
+        ([[[2, 0], [0, 1]], [[1, 0], [0, 2]]], None, [3, 3]),
+        ([CAT, CAT, [[5, 3], [3, 2]]], ["a", "b", "c"], [6]),
+    ],
+    ids=["cat_map", "pair", "repeat_and_inverse"],
+)
+def test_each_block_restricts_each_generator_once(monkeypatch, gens, names, widths):
+    # a block's echelon holds its k basis columns and k images per generator:
+    # a repeated letter takes its generator's block and an inverse letter the
+    # inverse of that block, so neither adds columns (6, 5 + 5 and 12 when
+    # every letter was restricted)
+    seen = []
+    original = actions._echelon
+
+    def counted(rows, width):
+        seen.append(width)
+        return original(rows, width)
+
+    monkeypatch.setattr(actions, "_echelon", counted)
+    action = act(gens, GROUP, names)
+    decomposition = weight_decomposition(action)
+    assert seen == widths
+    for block in decomposition.blocks:
+        basis = list(block.space.basis)
+        for m, r in zip(action.mats, block.restriction.mats):
+            # g B = B X_g on every letter, inverse letters included
+            assert [m.apply(b) for b in basis] == [
+                tuple(sum(r[i, j] * basis[i][t] for i in range(len(basis))) for t in range(action.dim))
+                for j in range(len(basis))
+            ]
