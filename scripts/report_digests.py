@@ -26,7 +26,9 @@ decisive report is also passed to ``verify``, on a line whose id ends in
   generator the case gives;
 - ``solenoid-lift --chain`` on the dyadic chain report of the README run,
   read back from its file, so that the chain reader of ``solenoid-lift``
-  checks a chain as ``verify`` does.
+  checks a chain as ``verify`` does, and on the same chain with the
+  character 1/2 spelled ``"2/4"`` past its first level, so that the lift
+  reads one character written two ways.
 
 Usage: python3 scripts/report_digests.py > digests.txt
 Run it in two checkouts and compare the outputs with diff.
@@ -139,7 +141,7 @@ def main_digests() -> int:
         for k, argv in enumerate(README):
             rep = d.run(f"readme:{k}:{argv[0]}", in_checkout(argv))
             if argv[0] == "solenoid-chain":
-                chain = d.write(rep)
+                chain_rep = rep
         for seed in (2, 3):
             for op in cases.torus_solenoid_cases(seed):
                 if op["kind"] in ("find_expansive", "module"):
@@ -154,8 +156,12 @@ def main_digests() -> int:
         case = d.write(INVERSE_NAMED)
         for command in ("torus-check", "find-expansive"):
             d.run(f"inverse_named:{command}", [command, case])
-        argv = ["solenoid-lift", "fixtures/dyadic_solenoid.json", "--chain", chain]
-        d.run("chain_reader:dyadic_solenoid", in_checkout([*argv, "--window", "fixtures/dyadic_window.json", "--radius", "3/10"]))
+        respelled = json.loads(json.dumps(chain_rep))
+        for level in respelled["chain"]["levels"][1:]:
+            level[level.index(["1/2"])] = ["2/4"]
+        for ident, chain in (("dyadic_solenoid", chain_rep), ("respelled", respelled)):
+            argv = ["solenoid-lift", "fixtures/dyadic_solenoid.json", "--chain", d.write(chain)]
+            d.run(f"chain_reader:{ident}", in_checkout([*argv, "--window", "fixtures/dyadic_window.json", "--radius", "3/10"]))
     return 0
 
 
