@@ -320,10 +320,9 @@ def cmd_solenoid_lift(args) -> tuple[dict, int]:
         if (args.depth, args.kmax, args.mode) != (None, None, None):
             raise UsageError("--depth, --kmax and --mode shape only a chain solenoid-lift builds, not one from --chain")
         data = load_object(args.chain)
-        table = ChainTable.from_json(data.get("chain", data))
-        if table.k < 1 or not table.verify():
+        chain = ChainTable.from_json(data.get("chain", data))
+        if chain.k < 1 or not chain.verify():
             raise ParseError("a --chain needs a first level, a cost bound k >= 1 and relations that verify")
-        chain = table.chain()
         chain_options = object_field(data, "options")
         if "mode" in chain_options:
             # verify checks the chain against the module in the mode it was built in

@@ -112,6 +112,7 @@ if TYPE_CHECKING:
 EARLY_WORDS = 64  # of those, the words walked before stages 2-4
 SEED_WORDS = 40  # words of length <= 2 whose eigenvectors seed the split
 CLOSURE_CAP = 400  # elements of a finite product closure
+JSR_BRANCH_CAP = 10**5  # products in one level of jsr's branch and bound
 GRAM_DEPTH = 12  # longest word length of the float Gram form
 EXACT_GRAM_DEPTH = 4  # word length of the exact Gram partial sum
 BOUND_CAP = 2.0  # Gram eigenvalues at most this flag bounded directions
@@ -215,7 +216,8 @@ def jsr_bounds(action: SemigroupAction, depth: int, tol: float) -> dict:
     The lower bound makes one stacked eigenvalue call over all words, the
     upper bound one stacked product and one stacked SVD call per level; the
     roots, mins and maxima stay per word in Python floats, so both bounds
-    equal those of a word-by-word loop bit for bit.
+    equal those of a word-by-word loop bit for bit.  A level of more than
+    ``JSR_BRANCH_CAP`` products raises CapExceededError before it is formed.
     """
     import numpy as np
 
@@ -244,6 +246,11 @@ def jsr_bounds(action: SemigroupAction, depth: int, tol: float) -> dict:
         live = [i for i, c in enumerate(cut) if not c]
         if not live:
             break
+        if len(live) * k > JSR_BRANCH_CAP:
+            raise CapExceededError(
+                f"level {length + 1} of the jsr branch and bound would hold {len(live) * k} products,"
+                f" past the cap JSR_BRANCH_CAP = {JSR_BRANCH_CAP}"
+            )
         # every live branch times every generator, branch-major
         prods = np.matmul(prods[live][:, None], gens).reshape(len(live) * k, n, n)
         norms = np.linalg.norm(prods, 2, axis=(1, 2)).tolist()

@@ -10,8 +10,10 @@ the relation forces each lifted value through an integer-rounding step
 whose slack comes from the strict bound (relation cost) * C < 1, and then
 divides by the relation's n0, so a relation has n0 >= 1.  Each character
 new at a level has exactly one relation, and no other character has one.
-A chain is checked on integer numerators (``ChainTable``): each distinct
-character once, over the chain's common denominator.
+A chain has one record, ``ChainTable``, which ``regular_chain`` builds and
+the lift and the check read: each distinct character once, as integer
+numerators over the chain's common denominator, with levels and relations
+holding positions.
 Expansiveness of the solenoid itself reduces to unbounded orbits of the
 adjoint action on the functional space.
 """
@@ -212,43 +214,6 @@ def enumerate_basis(dm: DualModuleAction, depth: int) -> tuple[tuple[Character, 
 # ------------------------------------------------------------ regular chains
 
 
-class Relation(Frozen):
-    """Integer dependency n0 * target = sum(coef * char) over the previous
-    level, with n0 >= 1: the lift divides by n0."""
-
-    __slots__ = ("target", "n0", "terms")
-
-    @property
-    def cost(self) -> int:
-        return abs(self.n0) + sum(abs(c) for c, _ in self.terms)
-
-    def to_json(self) -> dict:
-        return {
-            "target": [str(x) for x in self.target],
-            "n0": self.n0,
-            "terms": [{"coef": c, "character": [str(x) for x in a]} for c, a in self.terms],
-        }
-
-
-class RhoBasisChain(Frozen):
-    """Nested character levels, and one relation for each character new at
-    a level over the level before, of cost at most k."""
-
-    __slots__ = ("levels", "k", "relations")
-
-    def verify(self) -> bool:
-        """``ChainTable.verify`` of this chain."""
-        relations = [(r.target, r.n0, r.terms) for r in self.relations]
-        return ChainTable.read(self.levels, relations, self.k).verify()
-
-    def to_json(self) -> dict:
-        return {
-            "levels": [[[str(x) for x in chi] for chi in level] for level in self.levels],
-            "k": self.k,
-            "relations": [r.to_json() for r in self.relations],
-        }
-
-
 def _json_field(obj, key: str, kind: type, where: str):
     """``obj[key]``, a JSON value of type ``kind`` (a bool is no int); a ParseError naming the field otherwise."""
     value = obj.get(key) if isinstance(obj, dict) else None
@@ -271,22 +236,25 @@ def _spelling(chi) -> tuple:
 
 
 class ChainTable(Frozen):
-    """A chain read into integers, the form that every chain check runs on.
+    """Nested character levels, and one integer relation
+    n0 * target = sum(coef * term), n0 >= 1, for each character new at a
+    level over the level before, of cost n0 + sum(|coef|) at most k.
 
     ``chars`` holds each distinct character once, as its integer numerators
     over the chain's common denominator ``den``, so that equal values
     spelled two ways ("1/2" and "2/4") are one character; ``index`` maps
     numerators back to their position, and ``spelled`` each spelling read.
     ``levels`` hold positions in ``chars``, and a relation is
-    (target, n0, ((coef, position), ...)).
+    (target, n0, ((coef, position), ...)); ``character(i)`` gives the
+    Fractions at position i.
     """
 
     __slots__ = ("den", "chars", "index", "spelled", "levels", "k", "relations")
 
     @staticmethod
     def from_json(data) -> "ChainTable":
-        """The table of the chain ``RhoBasisChain.to_json`` wrote; a
-        ParseError naming the field on any other shape."""
+        """The table of the chain ``to_json`` wrote; a ParseError naming
+        the field on any other shape."""
         levels = _json_field(data, "levels", list, "the chain")
         if not all(isinstance(lvl, list) for lvl in levels):
             raise ParseError("each of the chain's levels must be a list of characters")
@@ -364,19 +332,20 @@ class ChainTable(Frozen):
                 return False
         return not new
 
-    def chain(self) -> RhoBasisChain:
-        """The chain with its characters as tuples of Fractions."""
-        chars = [tuple(Fraction(x, self.den) for x in chi) for chi in self.chars]
-        relations = (Relation(chars[t], n0, tuple((c, chars[j]) for c, j in terms)) for t, n0, terms in self.relations)
-        return RhoBasisChain(tuple(tuple(chars[i] for i in level) for level in self.levels), self.k, tuple(relations))
+    def character(self, i: int) -> Character:
+        """The character at position i, as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.chars[i])
 
-
-def _numerators(chars: Sequence[Character]) -> list[tuple[int, ...]]:
-    """The characters' numerators over one common denominator: an integer
-    relation holds among these vectors exactly when it holds among the
-    characters."""
-    den = math.lcm(*(x.denominator for chi in chars for x in chi))
-    return [tuple(x.numerator * (den // x.denominator) for x in chi) for chi in chars]
+    def to_json(self) -> dict:
+        chars = [[str(Fraction(x, self.den)) for x in chi] for chi in self.chars]
+        return {
+            "levels": [[list(chars[i]) for i in level] for level in self.levels],
+            "k": self.k,
+            "relations": [
+                {"target": list(chars[t]), "n0": n0, "terms": [{"coef": c, "character": list(chars[j])} for c, j in terms]}
+                for t, n0, terms in self.relations
+            ],
+        }
 
 
 def _span_relation(
@@ -494,20 +463,23 @@ def _scalar_pair(tau: int, alpha: int, beta: int, budget: int) -> Optional[tuple
     return None
 
 
-def _best_relation(target: Character, prev: Sequence[Character], k_max: int) -> Relation:
-    """Cheapest integer relation found by exact solve plus small-support search.
+def _best_relation(table: ChainTable, target: int, prev: Sequence[int], k_max: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Cheapest integer relation (n0, ((coef, position), ...)) of the
+    character at position ``target`` over the positions ``prev``, found by
+    exact solve plus small-support search.
 
     The exact solve gives the pivot solution over the first independent
     characters, which in low rank never balances coefficients across
     characters, so relations like "new = neighbor + neighbor" come from the
-    multiple test and the pair search.  All of it runs on the integer
-    numerators of ``_numerators``, and a candidate is kept only when it
-    costs strictly less, so the first cheapest one wins.
+    multiple test and the pair search.  All of it runs on the table's
+    numerators: scaling every vector by one common denominator leaves the
+    primitive relation each step returns unchanged.  A candidate is kept
+    only when it costs strictly less, so the first cheapest one wins.
     """
-    t, *chars = _numerators((target, *prev))
+    t, chars = table.chars[target], [table.chars[j] for j in prev]
     found = _span_relation(t, chars)
     if found is None:
-        raise NotInSpanError(target)
+        raise NotInSpanError(table.character(target))
     n0, terms = found
     cost = n0 + sum(abs(c) for c, _ in terms)
     for j, x in enumerate(chars):
@@ -528,23 +500,20 @@ def _best_relation(target: Character, prev: Sequence[Character], k_max: int) -> 
                     break
     if cost > k_max:
         raise KExceededError(
-            f"no relation of cost <= {k_max} for {tuple(map(str, target))}; best found {cost}"
+            f"no relation of cost <= {k_max} for {tuple(map(str, table.character(target)))}; best found {cost}"
         )
-    return Relation(target, n0, tuple((c, prev[k]) for c, k in terms))
+    return n0, tuple((c, prev[k]) for c, k in terms)
 
 
-def regular_chain(levels: Sequence[Sequence[Character]], k_max: int = 64) -> RhoBasisChain:
+def regular_chain(levels: Sequence[Sequence[Character]], k_max: int = 64) -> ChainTable:
     """Attach verified small integer relations to every newly appearing character."""
+    table = ChainTable.read(levels, (), 1)
     relations = []
-    for i in range(1, len(levels)):
-        prev = list(levels[i - 1])
-        prev_set = set(prev)
-        for chi in levels[i]:
-            if chi in prev_set:
-                continue
-            relations.append(_best_relation(chi, prev, k_max))
-    k = max((r.cost for r in relations), default=1)
-    chain = RhoBasisChain(tuple(tuple(level) for level in levels), k, tuple(relations))
+    for prev, level in zip(table.levels, table.levels[1:]):
+        before = set(prev)
+        relations += [(t, *_best_relation(table, t, prev, k_max)) for t in level if t not in before]
+    k = max((n0 + sum(abs(c) for c, _ in terms) for _, n0, terms in relations), default=1)
+    chain = ChainTable(table.den, table.chars, table.index, table.spelled, table.levels, k, tuple(relations))
     # verify() re-checks every relation exactly, so a chain that fails is never returned
     if not chain.verify():
         raise SelfCheckError("the built chain fails its own relation check")
@@ -662,7 +631,7 @@ def _check_below(value: Ball, bound: Fraction, what: str) -> None:
         raise PrecisionExhaustedError(f"{what} cannot be placed against the bound {bound}")
 
 
-def lift(window: SolenoidWindow, chain: RhoBasisChain, C: RationalLike) -> ChainLift:
+def lift(window: SolenoidWindow, chain: ChainTable, C: RationalLike) -> ChainLift:
     """Reconstruct the functional behind a window of circle angles.
 
     Base level: unwrap angles on a Q-basis into (-1/2, 1/2] and extend
@@ -675,15 +644,17 @@ def lift(window: SolenoidWindow, chain: RhoBasisChain, C: RationalLike) -> Chain
     if not (0 < bound < Fraction(1, chain.k)):
         raise ValueError(f"the bound must lie in (0, 1/k) with k = {chain.k}")
     base = chain.levels[0]
-    basis_idx, dependents = _base_level_plan(base)
+    # on numerators: scaling every character by one denominator leaves each
+    # dependent's coordinates over the basis unchanged
+    basis_idx, dependents = _base_level_plan([chain.chars[i] for i in base])
     base_costs = [
         int(n0) + sum(abs(int(c * n0)) for c, _ in terms) for _, n0, terms in dependents
     ]
     eps = min(bound, Fraction(1, 2 * max(base_costs, default=1)))
 
-    values: dict[Character, Ball] = {}
+    values: dict[int, Ball] = {}  # position -> lifted value
     for i in basis_idx:
-        alpha = window.angle(base[i]).centered()
+        alpha = window.angle(chain.character(base[i])).centered()
         _check_below(Ball(abs(alpha.mid), alpha.rad), eps, f"base angle of character {i}")
         values[base[i]] = alpha
     for i, n0, terms in dependents:
@@ -691,7 +662,7 @@ def lift(window: SolenoidWindow, chain: RhoBasisChain, C: RationalLike) -> Chain
         s = Ball.exact(0)
         for c, j in terms:
             s = s + values[base[j]].scale(c)
-        alpha = window.angle(chi).centered()
+        alpha = window.angle(chain.character(chi)).centered()
         t = (s - alpha).unique_integer()
         if t is None:
             raise LiftOutOfRangeError(
@@ -703,20 +674,22 @@ def lift(window: SolenoidWindow, chain: RhoBasisChain, C: RationalLike) -> Chain
         _check_below(Ball(abs(forced.mid), forced.rad), bound, f"base value of character {i}")
         values[chi] = forced
 
-    by_target = {r.target: r for r in chain.relations}
+    by_target = {t: (n0, terms) for t, n0, terms in chain.relations}
     for level_index in range(1, len(chain.levels)):
         prev = set(chain.levels[level_index - 1])
         for chi in chain.levels[level_index]:
             if chi in prev:
                 continue
-            rel = by_target.get(chi)
-            if rel is None:
-                raise ValueError(f"character {tuple(map(str, chi))} at level {level_index} has no relation in the chain")
+            if chi not in by_target:
+                raise ValueError(
+                    f"character {tuple(map(str, chain.character(chi)))} at level {level_index} has no relation in the chain"
+                )
+            n0, terms = by_target[chi]
             s = Ball.exact(0)
-            for coef, a in rel.terms:
+            for coef, a in terms:
                 s = s + values[a].scale(coef)
-            alpha = window.angle(chi).centered()
-            t = (s - Ball(alpha.mid, alpha.rad).scale(rel.n0)).unique_integer()
+            alpha = window.angle(chain.character(chi)).centered()
+            t = (s - Ball(alpha.mid, alpha.rad).scale(n0)).unique_integer()
             if t is None:
                 raise LiftOutOfRangeError(
                     f"no consistent value for character at level {level_index}"
@@ -726,13 +699,13 @@ def lift(window: SolenoidWindow, chain: RhoBasisChain, C: RationalLike) -> Chain
                     f"forced value at level {level_index} falls outside the bound"
                 )
             forced = alpha
-            divided = s.scale(Fraction(1, rel.n0))
+            divided = s.scale(Fraction(1, n0))
             if divided.rad < forced.rad:
                 forced = divided
             _check_below(Ball(abs(forced.mid), forced.rad), bound, f"lifted value at level {level_index}")
             values[chi] = forced
 
-    ordered = tuple((chi, values[chi]) for chi in chain.levels[-1])
+    ordered = tuple((chain.character(i), values[i]) for i in chain.levels[-1])
     return ChainLift(ordered, bound)
 
 

@@ -73,16 +73,6 @@ class DiskProfile(Frozen):
         _set(self, "on_circle", on_circle)
         _set(self, "outside", outside)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not DiskProfile:
-            return NotImplemented
-        return (self.at_zero, self.inside, self.on_circle, self.outside) == (
-            other.at_zero, other.inside, other.on_circle, other.outside
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.at_zero, self.inside, self.on_circle, self.outside))
-
     @property
     def degree(self) -> int:
         return self.at_zero + self.inside + self.on_circle + self.outside

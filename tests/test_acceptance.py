@@ -84,7 +84,7 @@ def real_orbit_sup(action, start, cap=200_000):
 
 
 def chain_chars(chain):
-    return list(dict.fromkeys(chi for level in chain.levels for chi in level))
+    return [chain.character(i) for i in dict.fromkeys(i for level in chain.levels for i in level)]
 
 
 def test_criterion_1_disk_counts_match_root_isolation_oracle():
@@ -259,11 +259,11 @@ def _lift_roundtrip(chain, chars, bound, rng):
 
         exact = lift(E_window(HomVector.from_exact([c]), chars), chain, bound)
         values = dict(exact.values)
-        for rel in chain.relations:
-            residue = values[rel.target].mid * rel.n0 - sum(
-                coef * values[a].mid for coef, a in rel.terms
+        for t, n0, terms in chain.relations:
+            residue = values[chain.character(t)].mid * n0 - sum(
+                coef * values[chain.character(a)].mid for coef, a in terms
             )
-            assert residue == 0, (i, rel)
+            assert residue == 0, (i, t)
         # uniqueness: a competing lift differs by a nonzero integer at some
         # character, which lands outside (-bound, bound) at every one of them
         for chi, v in exact.values:

@@ -30,8 +30,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fraction_chain(data: dict):
-    """(levels, k, relations) of ``RhoBasisChain.from_json``: characters as
-    tuples of Fractions, a relation as (target, n0, ((coef, character), ...))."""
+    """(levels, k, relations) of a chain's JSON: characters as tuples of
+    Fractions, a relation as (target, n0, ((coef, character), ...))."""
     levels = _json_field(data, "levels", list, "the chain")
     levels = tuple(tuple(map(character, lvl)) for lvl in levels)
     relations = tuple(
@@ -49,7 +49,7 @@ def fraction_chain(data: dict):
 
 
 def fraction_holds(target, n0, terms) -> bool:
-    """``Relation.holds``: n0 * target = sum(coef * char) in Fractions."""
+    """n0 * target = sum(coef * char) in Fractions."""
     rhs = [F(0)] * len(target)
     for coef, char in terms:
         for i in range(len(target)):
@@ -58,7 +58,7 @@ def fraction_holds(target, n0, terms) -> bool:
 
 
 def fraction_verify(levels, k, relations) -> bool:
-    """``RhoBasisChain.verify``: nested levels, and a relation of each new
+    """The Fraction chain check: nested levels, and a relation of each new
     character that holds within the cost bound, over the level before."""
     for i in range(1, len(levels)):
         if not set(levels[i - 1]) <= set(levels[i]):
@@ -137,7 +137,7 @@ def honest_reports():
         module = parse_dual_module(case)
         chain = regular_chain(enumerate_basis(module, depth))
         if window is None:
-            seen = E_window(HomVector.from_exact([F(1, 1000)] * module.n), chain.levels[-1])
+            seen = E_window(HomVector.from_exact([F(1, 1000)] * module.n), [chain.character(i) for i in chain.levels[-1]])
         else:
             seen = parse_window(window, 60)
         bound = F(1, 2 * chain.k)

@@ -174,6 +174,20 @@ def test_jsr_single_matrix_brackets_spectral_radius(capsys):
     assert rep["bounds"]["lower"] == pytest.approx(2.0)
 
 
+def test_jsr_refuses_a_branch_level_past_its_cap():
+    # affine_sl2 in group mode has 8 letters: depth 6 forms 51,080 products at
+    # its widest level, and level 7 would form 238,448
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "expansive", "jsr", str(FIXTURES / "affine_sl2.json"), "--depth", "10"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    error = json.loads(done.stdout)["error"]
+    assert error["type"] == "CapExceededError" and "JSR_BRANCH_CAP = 100000" in error["message"]
+    assert "Traceback" not in done.stderr
+
+
 # --- solenoid subcommands ---
 
 

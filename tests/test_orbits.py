@@ -17,6 +17,7 @@ from expansive.actions import NotInvertibleGeneratorError, SemigroupAction, rest
 from expansive.certificates import check_certificate
 from expansive.cli import main, parse_action, verify_report
 from expansive.exact import (
+    CapExceededError,
     DimensionMismatchError,
     ParseError,
     QMatrix,
@@ -217,6 +218,17 @@ def assert_jsr_matches_per_word(action, depth, tol):
 def test_jsr_matches_per_word_reference_on_fixtures(fixture, mode, depth, tol):
     action = parse_action(json.loads((FIXTURES / f"{fixture}.json").read_text()), mode)
     assert_jsr_matches_per_word(action, depth, tol)
+
+
+def test_jsr_refuses_a_level_past_the_branch_cap(monkeypatch):
+    # the cap is read before a level is formed: in affine_sl2's group mode all
+    # 8 letters are live at length 1, so level 2 would form 64 products
+    action = parse_action(json.loads((FIXTURES / "affine_sl2.json").read_text()), "group")
+    monkeypatch.setattr(orbits, "JSR_BRANCH_CAP", 63)
+    with pytest.raises(CapExceededError, match="level 2 .* 64 products"):
+        jsr_bounds(action, 2, 1e-4)
+    monkeypatch.setattr(orbits, "JSR_BRANCH_CAP", 64)
+    assert jsr_bounds(action, 2, 1e-4) == jsr_bounds_per_word(action, 2, 1e-4)
 
 
 def test_jsr_of_the_empty_space_is_zero():

@@ -16,6 +16,7 @@ from expansive.exact import DimensionMismatchError, QMatrix, coordinates_in_span
 from expansive.spectral import EXPANSIVE, GROUP, NOT_EXPANSIVE, SEMIGROUP
 from expansive.solenoid import (
     Ball,
+    ChainTable,
     DualModuleAction,
     HomVector,
     InvalidDepthError,
@@ -23,15 +24,13 @@ from expansive.solenoid import (
     LiftOutOfRangeError,
     NotInSpanError,
     PrecisionExhaustedError,
-    Relation,
-    RhoBasisChain,
     SolenoidWindow,
     E_window,
     _base_level_plan,
     _best_relation,
     _multiple,
-    _numerators,
     _pair_relation,
+    _span_relation,
     character,
     circle_gap,
     d_A,
@@ -121,6 +120,27 @@ class TestEnumerateBasis:
 
 
 
+def numerators(*chars):
+    """The characters' numerators over their least common denominator: an
+    integer relation holds among these vectors exactly when it holds among
+    the characters."""
+    den = math.lcm(*(x.denominator for chi in chars for x in chi))
+    return [tuple(x.numerator * (den // x.denominator) for x in chi) for chi in chars]
+
+
+def relations_by_character(chain):
+    """target -> (n0, ((coef, character), ...)) of the chain's relations,
+    each position read as its character."""
+    return {
+        chain.character(t): (n0, tuple((c, chain.character(j)) for c, j in terms)) for t, n0, terms in chain.relations
+    }
+
+
+def top_characters(chain):
+    """The characters of the chain's last level."""
+    return [chain.character(i) for i in chain.levels[-1]]
+
+
 def _pair_relation_by_search(target, a, b, budget):
     """Every (n0, ni, nj) in the order _pair_relation promises, tried in full."""
     for n0 in range(1, budget - 1):
@@ -137,11 +157,9 @@ class TestRegularChain:
         chain = regular_chain(enumerate_basis(dyadic_module(), 3))
         assert chain.k == 3
         assert chain.verify()
-        by_target = {r.target: r for r in chain.relations}
-        up = by_target[(F(4),)]
-        assert up.n0 == 1 and up.terms == ((2, (F(2),)),)
-        down = by_target[(F("1/4"),)]
-        assert down.n0 == 2 and down.terms == ((1, (F("1/2"),)),)
+        by_target = relations_by_character(chain)
+        assert by_target[(F(4),)] == (1, ((2, (F(2),)),))
+        assert by_target[(F("1/4"),)] == (2, ((1, (F("1/2"),)),))
 
     def test_sixth_chain_minimal_cost_is_four(self):
         # the first character at 3-adic depth 2 (here 1/9) forces 3 | n0:
@@ -150,14 +168,14 @@ class TestRegularChain:
         chain = regular_chain(enumerate_basis(sixth_module(), 2))
         assert chain.k == 4
         assert chain.verify()
-        by_target = {r.target: r for r in chain.relations}
-        assert by_target[(F("1/9"),)].cost == 4
+        n0, terms = relations_by_character(chain)[(F("1/9"),)]
+        assert n0 + sum(abs(c) for c, _ in terms) == 4
 
     def test_integer_lattice_unit_n0(self):
         dm = cat_module()
         levels = [dm.module_generators, enumerate_basis(dm, 1)[0]]
         chain = regular_chain(levels)
-        assert all(r.n0 == 1 for r in chain.relations)
+        assert all(n0 == 1 for _, n0, _ in chain.relations)
         assert chain.k == 4  # 1 + |(2, 1)|_1 at the widest image
 
     def test_not_in_span(self):
@@ -174,10 +192,17 @@ class TestRegularChain:
 
     def test_tampered_relation_fails_verification(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 2))
-        bad = tuple(
-            type(r)(r.target, r.n0 + 1, r.terms) for r in chain.relations
-        )
-        assert not RhoBasisChain(chain.levels, chain.k, bad).verify()
+        bad = tuple((t, n0 + 1, terms) for t, n0, terms in chain.relations)
+        fields = {name: getattr(chain, name) for name in ChainTable.__slots__}
+        assert not ChainTable(**{**fields, "relations": bad}).verify()
+
+    def test_positions_of_a_built_chain(self):
+        # levels and relations hold positions, character(i) gives the Fractions
+        levels = enumerate_basis(sixth_module(), 2)
+        chain = regular_chain(levels)
+        assert [[chain.character(i) for i in level] for level in chain.levels] == [list(level) for level in levels]
+        assert len(chain.chars) == len(levels[-1])
+        assert all(chain.find(chi) == i for i, chi in zip(chain.levels[-1], levels[-1]))
 
     def test_pair_relation_is_the_first_hit_of_the_full_search(self):
         # every branch of _pair_relation on purpose, with a hit and a miss
@@ -185,7 +210,7 @@ class TestRegularChain:
         # numerators, over which it finds the same relations
         seen = Counter()
         for target, a, b, budget in PAIR_CASES + PAIR_GRID:
-            t, va, vb = _numerators((target, a, b))
+            t, va, vb = numerators(target, a, b)
             hit = _pair_relation_by_search(t, va, vb, budget)
             assert _pair_relation(t, va, vb, budget) == hit
             hit = hit is not None
@@ -206,8 +231,8 @@ class TestRegularChain:
     def test_pair_relation_with_a_zero_character(self):
         zero, half = (F(0), F(0)), (F("1/2"), F(1))
         target = (F(1), F(2))
-        assert _pair_relation(*_numerators((target, half, zero)), 6) == _pair_relation_by_search(target, half, zero, 6)
-        assert _pair_relation(*_numerators((target, half, zero)), 6) == (1, 2, -3)
+        assert _pair_relation(*numerators(target, half, zero), 6) == _pair_relation_by_search(target, half, zero, 6)
+        assert _pair_relation(*numerators(target, half, zero), 6) == (1, 2, -3)
         # two zero characters: any pair of coefficients, the first one scanned
         assert _pair_relation((0, 0), (0, 0), (0, 0), 6) == (1, -4, -1) == _pair_relation_by_search(zero, zero, zero, 6)
         assert _pair_relation((0, 1), (0, 0), (0, 0), 6) is None
@@ -246,7 +271,7 @@ class TestRegularChain:
         target = data.draw(st.one_of(st.sampled_from([multiple, moved, (F(0),) * dim]), vec))
         span = coordinates_in_span([chi], target)
         expected = None if span is None else (span[0].denominator, span[0].numerator)
-        assert _multiple(*_numerators((chi, target))) == expected
+        assert _multiple(*numerators(chi, target)) == expected
 
     def test_multiple_test_examples(self):
         assert _multiple((0, 0), (0, 0)) == (1, 0)
@@ -284,6 +309,28 @@ class TestRegularChain:
         blob = chain.to_json()
         assert blob["k"] == 3
         assert blob["relations"][0].keys() == {"target", "n0", "terms"}
+
+    @pytest.mark.parametrize("module", [dyadic_module, sixth_module, cat_module])
+    def test_json_reads_back_to_the_built_chain(self, module):
+        # the built table and the one read back differ only in the spellings
+        # they have seen: Fractions for the one, strings for the other
+        chain = regular_chain(enumerate_basis(module(), 2))
+        blob = chain.to_json()
+        table = ChainTable.from_json(json.loads(json.dumps(blob)))
+        fields = ("den", "chars", "index", "levels", "k", "relations")
+        assert [getattr(table, f) for f in fields] == [getattr(chain, f) for f in fields]
+        assert table.to_json() == blob
+
+    def test_one_character_spelled_two_ways_is_one_position(self):
+        table = ChainTable.read([[["1/2"]], [["2/4"], ["1/4"]]], [(["1/4"], 2, [(1, ["2/4"])])], 3)
+        assert table.levels == ((0,), (0, 1)) and table.relations == ((1, 2, ((1, 0),)),)
+        assert table.character(0) == (F("1/2"),) and table.character(1) == (F("1/4"),)
+        assert table.verify()
+        assert table.to_json() == {
+            "levels": [[["1/2"]], [["1/2"], ["1/4"]]],
+            "k": 3,
+            "relations": [{"target": ["1/4"], "n0": 2, "terms": [{"coef": 1, "character": ["1/2"]}]}],
+        }
 
 
 def pullback(p, m):
@@ -379,35 +426,35 @@ class TestLift:
     def test_exact_roundtrip(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 5))
         p = HomVector.from_exact([F("1/1000")])
-        got = lift(E_window(p, chain.levels[-1]), chain, F("3/10"))
-        for chi in chain.levels[-1]:
+        got = lift(E_window(p, top_characters(chain)), chain, F("3/10"))
+        for chi in top_characters(chain):
             assert got.value(chi).mid == p.pair(chi).mid
             assert abs(got.value(chi).mid) < F("3/10")
 
     def test_quantized_roundtrip_within_radius(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 5))
         p = HomVector.from_rationals([F("1/1000")])
-        window = E_window(p, chain.levels[-1])
+        window = E_window(p, top_characters(chain))
         got = lift(window, chain, F("3/10"))
-        for chi in chain.levels[-1]:
+        for chi in top_characters(chain):
             truth = F("1/1000") * chi[0]
             b = got.value(chi)
             assert abs(b.mid - truth) <= 4 * b.rad + b.rad
 
     def test_identity_window_lifts_to_zero(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 4))
-        got = lift(E_window(HomVector.zero(1), chain.levels[-1]), chain, F("1/4"))
+        got = lift(E_window(HomVector.zero(1), top_characters(chain)), chain, F("1/4"))
         assert all(b.mid == 0 for _, b in got.values)
 
     def test_out_of_range_at_the_top(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 5))
         p = HomVector.from_exact([F("1/50")])
         with pytest.raises(LiftOutOfRangeError):
-            lift(E_window(p, chain.levels[-1]), chain, F("3/10"))
+            lift(E_window(p, top_characters(chain)), chain, F("3/10"))
 
     def test_bound_validation(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 3))
-        w = E_window(HomVector.zero(1), chain.levels[-1])
+        w = E_window(HomVector.zero(1), top_characters(chain))
         with pytest.raises(ValueError):
             lift(w, chain, F("1/2"))
         with pytest.raises(ValueError):
@@ -417,18 +464,18 @@ class TestLift:
         chain = regular_chain(enumerate_basis(dyadic_module(), 3))
         fuzzy = HomVector(coords=(Ball(F("1/10"), F("2/5")),))
         with pytest.raises((PrecisionExhaustedError, LiftOutOfRangeError)):
-            lift(E_window(fuzzy, chain.levels[-1]), chain, F("3/10"))
+            lift(E_window(fuzzy, top_characters(chain)), chain, F("3/10"))
 
     def test_deterministic_uniqueness(self):
         chain = regular_chain(enumerate_basis(dyadic_module(), 5))
-        window = E_window(HomVector.from_rationals([F("1/2048")]), chain.levels[-1])
+        window = E_window(HomVector.from_rationals([F("1/2048")]), top_characters(chain))
         a = lift(window, chain, F("3/10"))
         b = lift(window, chain, F("3/10"))
         assert a == b
 
     def test_a_character_with_no_relation_is_named(self):
         # levels [[1]], [[1], [2]] and no relation for the new character 2
-        chain = RhoBasisChain((((F(1),),), ((F(1),), (F(2),))), 3, ())
+        chain = ChainTable.read([[[1]], [[1], [2]]], (), 3)
         window = E_window(HomVector.from_exact([F("1/100")]), [(F(1),), (F(2),)])
         with pytest.raises(ValueError, match=r"character \('2',\) at level 1 has no relation"):
             lift(window, chain, F("1/4"))
@@ -436,8 +483,8 @@ class TestLift:
     def test_two_generator_chain_lift(self):
         chain = regular_chain(enumerate_basis(sixth_module(), 2))
         p = HomVector.from_exact([F("1/2000")])
-        got = lift(E_window(p, chain.levels[-1]), chain, F("1/5"))
-        for chi in chain.levels[-1]:
+        got = lift(E_window(p, top_characters(chain)), chain, F("1/5"))
+        for chi in top_characters(chain):
             assert got.value(chi).mid == p.pair(chi).mid
 
 
@@ -566,14 +613,20 @@ def test_span_restriction_matches_the_greedy_loop(drawn):
 
 
 # --- the relation search on Fractions that the integer one replaced, kept as oracles ---
+# a relation is (n0, ((coef, character), ...)): n0 * target = sum(coef * character)
 
 
-def integer_relation_by_fractions(target, coeffs, chars):
+def cost(relation):
+    n0, terms = relation
+    return n0 + sum(abs(c) for c, _ in terms)
+
+
+def integer_relation_by_fractions(coeffs, chars):
     n0 = math.lcm(*(c.denominator for c in coeffs))
     terms = tuple(
         (int(c * n0), chars[j]) for j, c in enumerate(coeffs) if c != 0
     )
-    return Relation(target, n0, terms)
+    return n0, terms
 
 
 def pair_relation_by_fractions(target, a, b, budget):
@@ -594,8 +647,7 @@ def pair_relation_by_fractions(target, a, b, budget):
                 nj, rem = divmod(r[pivot], vb[pivot])
                 if rem or abs(nj) > span or (ni == 0 and nj == 0) or any(x != nj * y for x, y in zip(r, vb)):
                     continue
-            terms = tuple((c, chi) for c, chi in ((ni, a), (nj, b)) if c != 0)
-            return Relation(target, n0, terms)
+            return n0, tuple((c, chi) for c, chi in ((ni, a), (nj, b)) if c != 0)
     return None
 
 
@@ -611,25 +663,33 @@ def best_relation_by_fractions(target, prev, k_max):
     coords = coordinates_in_span(list(prev), target)
     if coords is None:
         raise NotInSpanError(target)
-    best = integer_relation_by_fractions(target, coords, prev)
+    best = integer_relation_by_fractions(coords, prev)
     for chi in prev:
         c = multiple_by_fractions(chi, target)
         if c is not None:
-            cand = integer_relation_by_fractions(target, c, [chi])
-            if cand.cost < best.cost:
+            cand = integer_relation_by_fractions(c, [chi])
+            if cost(cand) < cost(best):
                 best = cand
-    budget = min(k_max, best.cost - 1)
+    budget = min(k_max, cost(best) - 1)
     if budget >= 3:
         for i, j in itertools.islice(itertools.combinations(range(len(prev)), 2), 300):
             cand = pair_relation_by_fractions(target, prev[i], prev[j], budget)
-            if cand is not None and cand.cost < best.cost:
+            if cand is not None and cost(cand) < cost(best):
                 best = cand
-                budget = min(budget, best.cost - 1)
-    if best.cost > k_max:
+                budget = min(budget, cost(best) - 1)
+    if cost(best) > k_max:
         raise KExceededError(
-            f"no relation of cost <= {k_max} for {tuple(map(str, target))}; best found {best.cost}"
+            f"no relation of cost <= {k_max} for {tuple(map(str, target))}; best found {cost(best)}"
         )
     return best
+
+
+def best_relation_on_a_table(target, prev, k_max):
+    """``_best_relation`` on the table of the levels (prev, prev + target),
+    its positions read back as characters."""
+    table = ChainTable.read([prev, [*prev, target]], (), 1)
+    n0, terms = _best_relation(table, table.levels[1][-1], table.levels[0], k_max)
+    return n0, tuple((c, table.character(j)) for c, j in terms)
 
 
 PAIR_BUDGET = 30
@@ -713,7 +773,7 @@ def chain_levels():
 
 def relation_or_error(search, target, prev, k_max):
     try:
-        return search(target, prev, k_max)
+        return "relation", search(target, prev, k_max)
     except (NotInSpanError, KExceededError) as exc:
         return type(exc), str(exc)
 
@@ -726,10 +786,10 @@ def test_best_relation_matches_the_fraction_search():
                 if chi in prev:
                     continue
                 for k_max in (3, 5, 64):
-                    got = relation_or_error(_best_relation, chi, prev, k_max)
+                    got = relation_or_error(best_relation_on_a_table, chi, prev, k_max)
                     assert got == relation_or_error(best_relation_by_fractions, chi, prev, k_max)
-                    outcomes[got[0] if isinstance(got, tuple) else Relation] += 1
-    assert outcomes[Relation] >= 500 and outcomes[KExceededError] >= 100, outcomes
+                    outcomes[got[0]] += 1
+    assert outcomes["relation"] >= 500 and outcomes[KExceededError] >= 100, outcomes
 
 
 def test_best_relation_matches_the_fraction_search_off_a_module():
@@ -751,7 +811,37 @@ def test_best_relation_matches_the_fraction_search_off_a_module():
             coefs, n0 = [rng.randint(-3, 3) for _ in chosen], rng.choice((1, 2, 3))
             target = tuple(sum((c * v[i] for c, v in zip(coefs, chosen)), F(0)) / n0 for i in range(dim))
         k_max = rng.choice((3, 4, 8, 64))
-        got = relation_or_error(_best_relation, target, prev, k_max)
+        got = relation_or_error(best_relation_on_a_table, target, prev, k_max)
         assert got == relation_or_error(best_relation_by_fractions, target, prev, k_max)
-        outcomes[got[0] if isinstance(got, tuple) else Relation] += 1
-    assert min(outcomes[Relation], outcomes[NotInSpanError], outcomes[KExceededError]) >= 40, outcomes
+        outcomes[got[0]] += 1
+    assert min(outcomes["relation"], outcomes[NotInSpanError], outcomes[KExceededError]) >= 40, outcomes
+
+
+@pytest.mark.parametrize("scale", [2, 6, 35])
+def test_relation_steps_ignore_a_common_scale(scale):
+    # regular_chain hands the steps the chain's numerators over its one
+    # common denominator, not over the least one of the vectors at hand: each
+    # step returns the same relation for every vector scaled by one integer
+    seen = Counter()
+
+    def same(t, chars):
+        scaled = [scale * x for x in t], [[scale * x for x in v] for v in chars]
+        found = _span_relation(t, chars)
+        assert _span_relation(*scaled) == found
+        return found is not None
+
+    for target, a, b, budget in PAIR_CASES + PAIR_GRID:
+        t, va, vb = numerators(target, a, b)
+        st_, sa, sb = ([scale * x for x in v] for v in (t, va, vb))
+        assert _pair_relation(st_, sa, sb, budget) == _pair_relation(t, va, vb, budget)
+        assert _multiple(sa, st_) == _multiple(va, t) and _multiple(sb, st_) == _multiple(vb, t)
+        parallel = coordinates_in_span([a], b) is not None or not any(a)
+        seen["parallel" if parallel else "independent", same(t, [va, vb])] += 1
+    for levels in chain_levels():
+        for prev, level in zip(levels, levels[1:]):
+            for chi in level:
+                if chi not in prev:
+                    t, *chars = numerators(chi, *prev)
+                    seen["chain", same(t, chars)] += 1
+    branches = [("parallel", True), ("parallel", False), ("independent", True), ("independent", False), ("chain", True)]
+    assert all(seen[branch] >= 40 for branch in branches), seen

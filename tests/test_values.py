@@ -11,7 +11,7 @@ import pytest
 from expansive.actions import SemigroupAction
 from expansive.exact import QMatrix, QPoly, Subspace
 from expansive.orbits import ExpansivenessVerdict
-from expansive.solenoid import Ball, ChainLift, DualModuleAction, HomVector, Relation, RhoBasisChain, SolenoidWindow
+from expansive.solenoid import Ball, ChainLift, ChainTable, DualModuleAction, HomVector, SolenoidWindow
 from expansive.spectral import DiskProfile, SingleVerdict
 from expansive.torus import IrreducibilityReport, OracleResult, TorusPoint
 from expansive.weights import WeightBlock, WeightDecomposition, WeightsVerdict
@@ -19,10 +19,6 @@ from expansive.weights import WeightBlock, WeightDecomposition, WeightsVerdict
 
 def _action():
     return SemigroupAction.from_generators([("a", QMatrix.from_rows([[2, 1], [1, 1]]))], "group")
-
-
-def _relation():
-    return Relation((F(1, 4),), 2, ((1, (F(1, 2),)),))
 
 
 def _block():
@@ -53,18 +49,18 @@ FROZEN = {
         lambda: DualModuleAction.from_generators(2, [[1, 0]], [("a", QMatrix.from_rows([[2, 1], [1, 1]]))], "group"),
         ("n", "module_generators", "action"),
     ),
-    Relation: (_relation, ("target", "n0", "terms")),
-    RhoBasisChain: (
-        lambda: RhoBasisChain((((F(1, 2),),), ((F(1, 2),), (F(1, 4),))), 3, (_relation(),)),
-        ("levels", "k", "relations"),
-    ),
     HomVector: (lambda: HomVector.from_exact([F(1, 3), 2]), ("coords",)),
     SolenoidWindow: (lambda: SolenoidWindow((((F(1),), Ball(F(1, 8), F(0))),)), ("values",)),
     ChainLift: (lambda: ChainLift((((F(1),), Ball(F(1, 8), F(0))),), F(1, 4)), ("values", "bound")),
 }
-# a verdict's evidence is a dict, so it is not hashable and stays out of FROZEN
+# a verdict's evidence and a chain's lookups are dicts, so they are not
+# hashable and stay out of FROZEN
 RECORDS = {
     **FROZEN,
+    ChainTable: (
+        lambda: ChainTable.read([[["1/2"]], [["1/2"], ["1/4"]]], [(["1/4"], 2, [(1, ["1/2"])])], 3),
+        ("den", "chars", "index", "spelled", "levels", "k", "relations"),
+    ),
     ExpansivenessVerdict: (
         lambda: ExpansivenessVerdict("Unknown", None, None, {"route": "inconclusive"}, 3),
         ("status", "witness", "certificate", "evidence", "search_depth"),
